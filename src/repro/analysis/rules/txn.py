@@ -1,7 +1,7 @@
 """TXN01 — every catalog-table mutation runs inside a transaction.
 
 PR 2 made crash safety depend on one convention: a write statement
-(a row ``insert``/``delete_where`` on the memory engine, an
+(a row ``insert``/``delete_rowids`` on the memory engine, an
 ``INSERT``/``UPDATE``/``DELETE`` statement on sqlite) may only execute
 from code reachable via ``run_transaction`` (or a
 ``with store.transaction():`` block), because that is where the
@@ -40,7 +40,7 @@ from ..linter import (
 )
 
 #: Memory-engine table mutators.
-_ENGINE_MUTATORS = frozenset({"insert", "delete_where", "update_where"})
+_ENGINE_MUTATORS = frozenset({"insert", "delete_rowids"})
 
 #: SQL verbs that mutate rows (DDL and SELECT are not crash points).
 _SQL_MUTATION_VERBS = frozenset({"INSERT", "UPDATE", "DELETE", "REPLACE"})

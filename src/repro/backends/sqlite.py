@@ -566,18 +566,19 @@ class SqliteHybridStore(HybridStore):
         )
 
     def delete_object(self, object_id: int) -> None:
-        if not self.has_object(object_id):
-            raise CatalogError(f"no object {object_id}")
-
         def write() -> None:
             cur = self.connection
             for table in (
                 "objects", "clobs", "attributes", "elements", "attr_ancestors"
             ):
-                cur.execute(
+                deleted = cur.execute(
                     f"DELETE FROM {quote_identifier(table)} WHERE object_id = ?",
                     (object_id,),
-                )
+                ).rowcount
+                # Checked inside the transaction: of two racing deletes
+                # of one id, the second removes no row and fails.
+                if table == "objects" and not deleted:
+                    raise CatalogError(f"no object {object_id}")
 
         self.run_transaction("delete_object", write)
 

@@ -49,7 +49,7 @@ from ..obs.events import EventLog
 from ..obs.metrics import MetricsRegistry, default_registry
 from ..obs.profile import current_profile
 from ..obs.tracing import current_span
-from ..relational import Database, clob, eq, integer, real, text
+from ..relational import Database, Table, clob, integer, real, text
 from .concurrency import RWLock
 from .definitions import DefinitionRegistry
 from .ordering import ancestor_pairs
@@ -737,15 +737,30 @@ class MemoryHybridStore(HybridStore):
             )
 
     def delete_object(self, object_id: int) -> None:
-        if not self.has_object(object_id):
-            raise CatalogError(f"no object {object_id}")
-
         def write() -> None:
             for name in OBJECT_ROW_TABLES:
                 self._fault(check_site(f"delete:{name}"))
-                self.db.table(name).delete_where(eq("object_id", object_id))
+                deleted = self._delete_object_rows(self.db.table(name), object_id)
+                # Checked inside the transaction: of two racing deletes
+                # of one id, the second removes no row and fails.
+                if name == "objects" and not deleted:
+                    raise CatalogError(f"no object {object_id}")
 
         self.run_transaction("delete_object", write)
+
+    @staticmethod
+    def _delete_object_rows(table: Table, object_id: int, **equals: int) -> int:
+        """Retire the rows of ``object_id`` whose named columns hold the
+        given values, found through the table's ``object_id`` index;
+        returns how many there were."""
+        probes = [(table.column_data(c), v) for c, v in equals.items()]
+        victims = [
+            r
+            for r in table.lookup_rowids(["object_id"], [object_id])
+            if all(col[r] == v for col, v in probes)
+        ]
+        table.delete_rowids(victims)
+        return len(victims)
 
     def has_object(self, object_id: int) -> bool:
         with self.read_locked():
@@ -824,33 +839,28 @@ class MemoryHybridStore(HybridStore):
         for r in ancestors.lookup_rowids(["object_id"], [object_id]):
             if n_anc_attr[r] == attr_id and n_anc_seq[r] == seq_id and n_dist[r] >= 1:
                 victims.add((n_desc_attr[r], n_desc_seq[r]))
+        elements = self.db.table("elements")
         for victim_attr, victim_seq in victims:
-            base = (
-                eq("object_id", object_id)
-                & eq("attr_id", victim_attr)
-                & eq("seq_id", victim_seq)
-            )
             self._fault("delete:attributes")
-            attributes.delete_where(base)
+            self._delete_object_rows(
+                attributes, object_id, attr_id=victim_attr, seq_id=victim_seq
+            )
             self._fault("delete:elements")
-            self.db.table("elements").delete_where(base)
-            self._fault("delete:attr_ancestors")
-            ancestors.delete_where(
-                eq("object_id", object_id)
-                & eq("desc_attr_id", victim_attr)
-                & eq("desc_seq", victim_seq)
+            self._delete_object_rows(
+                elements, object_id, attr_id=victim_attr, seq_id=victim_seq
             )
             self._fault("delete:attr_ancestors")
-            ancestors.delete_where(
-                eq("object_id", object_id)
-                & eq("anc_attr_id", victim_attr)
-                & eq("anc_seq", victim_seq)
+            self._delete_object_rows(
+                ancestors, object_id, desc_attr_id=victim_attr, desc_seq=victim_seq
+            )
+            self._fault("delete:attr_ancestors")
+            self._delete_object_rows(
+                ancestors, object_id, anc_attr_id=victim_attr, anc_seq=victim_seq
             )
         self._fault("delete:clobs")
-        self.db.table("clobs").delete_where(
-            eq("object_id", object_id)
-            & eq("schema_order", clob_order)
-            & eq("clob_seq", clob_seq)
+        self._delete_object_rows(
+            self.db.table("clobs"), object_id,
+            schema_order=clob_order, clob_seq=clob_seq,
         )
 
     # -- Query / response (implemented in planner.py / response.py) -------

@@ -5,8 +5,8 @@ needs a way to fail any individual write deterministically.  A
 :class:`FaultPlan` is armed on a store
 (:meth:`repro.core.storage.HybridStore.install_faults`) and consulted
 before every statement a write transaction issues — an ``executemany``
-on the sqlite backend, a row insert or a ``delete_where`` on the
-in-memory store.  The plan can
+on the sqlite backend, a row insert or a per-table ``delete_rowids``
+on the in-memory store.  The plan can
 
 * fail the Nth statement of the plan's lifetime (``fail_at=N``,
   1-based) — sweeping N over a workload exercises every intermediate

@@ -1,131 +1,29 @@
 """``repro.relational`` — from-scratch relational engine (system S2).
 
-Provides typed columnar tables with hash/sorted indexes, a compiled
-predicate language with scalar and vectorized evaluation paths, batch/
-selection-vector kernels, and materializing relational-algebra
-operators.  The hybrid catalog's set-based plans (paper Fig. 4 and §5)
-execute on this engine; the same plans also run on stdlib sqlite
-through :mod:`repro.backends.sqlite` for cross-validation.
+Provides typed columnar tables with hash indexes, an undo-journal
+transaction, storage accounting, and the sorted id-vector intersection
+the plan interpreter merges stages with.  The hybrid catalog's
+set-based plans (paper Fig. 4 and §5) execute on this engine; the same
+plans also run on stdlib sqlite through :mod:`repro.backends.sqlite`
+for cross-validation.
+
+``__all__`` is the surface the rest of ``src/repro`` uses and nothing
+more (pinned by ``tests/relational/test_surface.py``); the building
+blocks behind it (``Column``, ``HashIndex``, the error classes) live in
+the submodules.
 """
 
-from .batch import (
-    ColumnBatch,
-    SelectionVector,
-    intersect_many,
-    intersect_sorted,
-    mask_and,
-    mask_not,
-    mask_or,
-    mask_to_selection,
-    selection_to_mask,
-)
+from .batch import intersect_sorted
 from .engine import Database
-from .errors import ConstraintError, PlanError, RelationalError, TableError
-from .predicate import (
-    And,
-    Comparison,
-    In,
-    IsNull,
-    Not,
-    Or,
-    Predicate,
-    TruePredicate,
-    eq,
-    ge,
-    gt,
-    in_,
-    is_null,
-    le,
-    lt,
-    ne,
-    not_null,
-)
-from .relation import (
-    Aggregate,
-    Relation,
-    agg_max,
-    agg_min,
-    agg_sum,
-    anti_join,
-    constant_column,
-    count,
-    count_distinct,
-    distinct,
-    extend,
-    group_by,
-    hash_join,
-    limit,
-    order_by,
-    project,
-    rename,
-    scan,
-    select,
-    semi_join,
-    union_all,
-)
-from .table import HashIndex, SortedIndex, Table
-from .types import Column, ColumnType, clob, integer, real, text
+from .table import Table
+from .types import clob, integer, real, text
 
 __all__ = [
-    "Aggregate",
-    "And",
-    "Column",
-    "ColumnBatch",
-    "ColumnType",
-    "Comparison",
-    "ConstraintError",
     "Database",
-    "HashIndex",
-    "In",
-    "IsNull",
-    "Not",
-    "Or",
-    "PlanError",
-    "Predicate",
-    "Relation",
-    "RelationalError",
-    "SelectionVector",
-    "SortedIndex",
     "Table",
-    "TableError",
-    "TruePredicate",
-    "agg_max",
-    "agg_min",
-    "agg_sum",
-    "anti_join",
     "clob",
-    "constant_column",
-    "count",
-    "count_distinct",
-    "distinct",
-    "eq",
-    "extend",
-    "ge",
-    "group_by",
-    "gt",
-    "hash_join",
-    "in_",
     "integer",
-    "intersect_many",
     "intersect_sorted",
-    "is_null",
-    "le",
-    "limit",
-    "lt",
-    "mask_and",
-    "mask_not",
-    "mask_or",
-    "mask_to_selection",
-    "ne",
-    "not_null",
-    "selection_to_mask",
-    "order_by",
-    "project",
     "real",
-    "rename",
-    "scan",
-    "select",
-    "semi_join",
     "text",
-    "union_all",
 ]

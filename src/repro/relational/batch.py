@@ -1,105 +1,14 @@
-"""Columnar batches and selection-vector kernels.
+"""Sorted id-vector kernels.
 
-The engine's execution unit is a :class:`ColumnBatch` — a set of named,
-parallel value columns (plain Python lists, one slot per row) — paired
-with *selection vectors* (sorted lists of positions) and validity
-bitmaps (``bytearray``, one byte per slot, ``1`` = live).  Operators
-and the IR interpreter pass these around instead of per-row tuples:
-a predicate evaluates to a bitmap over a whole batch in one pass, a
-semijoin intersects sorted id vectors, and rows are only materialized
-as tuples at the edges (responses, debugging, the legacy row API).
-
-Everything here is deliberately dependency-free and kernel-shaped: flat
-functions over lists, no per-row Python method dispatch inside loops —
-the HPC guideline the row-at-a-time engine violated on every scan.
+The IR interpreter passes object ids between plan stages as sorted,
+duplicate-free lists; combining two stages is an intersection of two
+such vectors.  Deliberately dependency-free and kernel-shaped: a flat
+function over lists, no per-row method dispatch inside the loop.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Sequence, Tuple
-
-from .errors import TableError
-
-#: A selection vector: sorted, duplicate-free positions into a batch.
-SelectionVector = List[int]
-
-
-class ColumnBatch:
-    """Named parallel columns — the unit flowing between batch kernels.
-
-    ``data[i]`` is the value column for ``columns[i]``; all columns have
-    equal length.  A batch is a *view* by default: kernels that take one
-    must not mutate the column lists.
-    """
-
-    __slots__ = ("columns", "data", "_positions")
-
-    def __init__(self, columns: Sequence[str], data: Sequence[List[Any]]) -> None:
-        if len(columns) != len(data):
-            raise TableError(
-                f"batch needs one column list per name: {len(columns)} names, "
-                f"{len(data)} columns"
-            )
-        self.columns: Tuple[str, ...] = tuple(columns)
-        self.data: Tuple[List[Any], ...] = tuple(data)
-        self._positions: Dict[str, int] = {n: i for i, n in enumerate(self.columns)}
-
-    def __len__(self) -> int:
-        return len(self.data[0]) if self.data else 0
-
-    def position(self, column: str) -> int:
-        try:
-            return self._positions[column]
-        except KeyError:
-            raise TableError(
-                f"batch has no column {column!r} (has {list(self.columns)})"
-            ) from None
-
-    def column(self, name: str) -> List[Any]:
-        return self.data[self.position(name)]
-
-    def row(self, position: int) -> tuple:
-        return tuple(col[position] for col in self.data)
-
-    def take(self, selection: Sequence[int]) -> "ColumnBatch":
-        """Materialize the selected positions into a new batch."""
-        return ColumnBatch(
-            self.columns, [[col[i] for i in selection] for col in self.data]
-        )
-
-    def iter_rows(self) -> Iterator[tuple]:
-        return zip(*self.data) if self.data else iter(())
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"ColumnBatch({list(self.columns)}, rows={len(self)})"
-
-
-# ---------------------------------------------------------------------------
-# Bitmap / selection-vector kernels
-# ---------------------------------------------------------------------------
-
-def mask_and(a: bytearray, b: bytearray) -> bytearray:
-    return bytearray(x & y for x, y in zip(a, b))
-
-
-def mask_or(a: bytearray, b: bytearray) -> bytearray:
-    return bytearray(x | y for x, y in zip(a, b))
-
-
-def mask_not(a: bytearray) -> bytearray:
-    return bytearray(1 - x for x in a)
-
-
-def mask_to_selection(mask: bytearray) -> SelectionVector:
-    """Positions of the set bits, ascending."""
-    return [i for i, bit in enumerate(mask) if bit]
-
-
-def selection_to_mask(selection: Sequence[int], length: int) -> bytearray:
-    mask = bytearray(length)
-    for i in selection:
-        mask[i] = 1
-    return mask
+from typing import List, Sequence
 
 
 def intersect_sorted(a: Sequence[int], b: Sequence[int]) -> List[int]:
@@ -128,17 +37,3 @@ def intersect_sorted(a: Sequence[int], b: Sequence[int]) -> List[int]:
         else:
             j += 1
     return out
-
-
-def intersect_many(vectors: Sequence[Sequence[int]]) -> List[int]:
-    """k-way sorted intersection, smallest vector first so an empty
-    running result exits early."""
-    if not vectors:
-        return []
-    ordered = sorted(vectors, key=len)
-    result = list(ordered[0])
-    for vector in ordered[1:]:
-        if not result:
-            break
-        result = intersect_sorted(result, vector)
-    return result

@@ -1,4 +1,4 @@
-"""The Database object: a registry of named tables plus temp tables.
+"""The Database object: a registry of named tables.
 
 The catalog and baselines each create their tables through one
 :class:`Database`, so storage accounting (bench E5) and debugging have a
@@ -7,7 +7,6 @@ single place to enumerate everything a scheme stores.
 
 from __future__ import annotations
 
-import itertools
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import TableError
@@ -16,12 +15,11 @@ from .types import Column
 
 
 class Database:
-    """Named tables, temp-table lifecycle, and storage accounting."""
+    """Named tables, one undo-journal transaction, and storage accounting."""
 
     def __init__(self, name: str = "db") -> None:
         self.name = name
         self._tables: Dict[str, Table] = {}
-        self._temp_counter = itertools.count(1)
         self._journal: Optional[list] = None
 
     # ------------------------------------------------------------------
@@ -39,18 +37,6 @@ class Database:
         table.journal = self._journal
         self._tables[name] = table
         return table
-
-    def create_temp_table(self, prefix: str, columns: Sequence[Column]) -> Table:
-        """A uniquely named table for per-query scratch data (paper §4:
-        query criteria are inserted into temporary tables)."""
-        name = f"{prefix}_{next(self._temp_counter)}"
-        return self.create_table(name, columns)
-
-    def drop_table(self, name: str) -> None:
-        try:
-            del self._tables[name]
-        except KeyError:
-            raise TableError(f"no table {name!r}") from None
 
     def table(self, name: str) -> Table:
         try:

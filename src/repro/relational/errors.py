@@ -15,7 +15,3 @@ class TableError(RelationalError):
 
 class ConstraintError(RelationalError):
     """Primary-key or NOT NULL violation."""
-
-
-class PlanError(RelationalError):
-    """A query-plan operator was combined with incompatible inputs."""

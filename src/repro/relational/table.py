@@ -1,37 +1,23 @@
-"""Columnar tables with hash and sorted secondary indexes.
+"""Columnar tables with hash secondary indexes.
 
 Storage is column-oriented: one parallel Python list per column plus a
 validity bitmap (``bytearray``, ``1`` = live, ``0`` = tombstone).  A row
 id is a position shared by every column list, so rows are materialized
-as tuples only at the edges (``fetch``/``scan``/``lookup``); scans,
-predicate evaluation (:meth:`Table.matching_rowids`), and bulk deletes
-run as single passes over whole columns.  Indexes map key tuples to
-lists of row ids, as before.  The relative costs the benchmarks measure
-(scans vs index lookups vs joins) still mirror the RDBMS the paper ran
-on; the columnar layout removes the per-row interpretation overhead the
-old heap-of-tuples design paid on every cold scan (ROADMAP item 3).
+as tuples only at the edges (``fetch``/``scan``/``lookup``); callers
+that filter probe whole columns (:meth:`Table.column_data`) at the row
+ids an index lookup returned.  Indexes map key tuples to lists of row
+ids.  The relative costs the benchmarks measure (scans vs index
+lookups) still mirror the RDBMS the paper ran on; the columnar layout
+removes the per-row interpretation overhead a heap of tuples pays on
+every cold scan.
 """
 
 from __future__ import annotations
 
-import bisect
 import sys
-from typing import (
-    Any,
-    Dict,
-    Iterable,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-)
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from ..identifiers import quote_identifier
-from .batch import ColumnBatch
 from .errors import ConstraintError, TableError
-from .predicate import Predicate
 from .types import Column
 
 
@@ -78,72 +64,6 @@ class HashIndex:
         return self.buckets.get(key, [])
 
 
-class SortedIndex:
-    """Ordered index over a single column supporting range probes.
-
-    Maintained as parallel sorted lists (keys, rowids) via ``bisect`` —
-    adequate for the mostly-append workload of a metadata catalog.
-    NULL keys are not indexed (matching SQL b-tree behaviour for range
-    predicates, where NULL never matches).
-    """
-
-    __slots__ = ("name", "column", "position", "keys", "rowids")
-
-    def __init__(self, name: str, column: str, position: int) -> None:
-        self.name = name
-        self.column = column
-        self.position = position
-        self.keys: List[Any] = []
-        self.rowids: List[int] = []
-
-    def add(self, rowid: int, row: tuple) -> None:
-        key = row[self.position]
-        if key is None:
-            return
-        i = bisect.bisect_right(self.keys, key)
-        self.keys.insert(i, key)
-        self.rowids.insert(i, rowid)
-
-    def remove(self, rowid: int, row: tuple) -> None:
-        key = row[self.position]
-        if key is None:
-            return
-        i = bisect.bisect_left(self.keys, key)
-        while i < len(self.keys) and self.keys[i] == key:
-            if self.rowids[i] == rowid:
-                del self.keys[i]
-                del self.rowids[i]
-                return
-            i += 1
-
-    def remove_many(self, rowids: Set[int]) -> None:
-        """Drop every entry whose rowid is in ``rowids`` in one pass.
-
-        Each rowid appears at most once, so a single filtering rebuild
-        is O(n) total — versus O(n) *per victim* for repeated deletes
-        from the parallel lists.
-        """
-        if not rowids:
-            return
-        new_keys: List[Any] = []
-        new_rowids: List[int] = []
-        for key, rid in zip(self.keys, self.rowids):
-            if rid not in rowids:
-                new_keys.append(key)
-                new_rowids.append(rid)
-        self.keys = new_keys
-        self.rowids = new_rowids
-
-    def range(self, low: Any = None, high: Any = None, low_inclusive: bool = True, high_inclusive: bool = True) -> List[int]:
-        lo = 0
-        hi = len(self.keys)
-        if low is not None:
-            lo = bisect.bisect_left(self.keys, low) if low_inclusive else bisect.bisect_right(self.keys, low)
-        if high is not None:
-            hi = bisect.bisect_right(self.keys, high) if high_inclusive else bisect.bisect_left(self.keys, high)
-        return self.rowids[lo:hi]
-
-
 class Table:
     """A columnar table with a schema, optional primary key, and indexes."""
 
@@ -174,7 +94,6 @@ class Table:
         #: an insert to undo, a tuple marks a delete to restore.
         self.journal: Optional[List[Tuple["Table", int, Optional[tuple]]]] = None
         self._hash_indexes: List[HashIndex] = []
-        self._sorted_indexes: List[SortedIndex] = []
         self.primary_key: Optional[Tuple[str, ...]] = None
         if primary_key:
             self.primary_key = tuple(primary_key)
@@ -192,16 +111,6 @@ class Table:
     def positions(self, columns: Sequence[str]) -> Tuple[int, ...]:
         return tuple(self.position(c) for c in columns)
 
-    def ddl(self) -> str:
-        """Render as SQL DDL (used by the sqlite backend)."""
-        cols = ", ".join(c.ddl() for c in self.columns)
-        pk = f", PRIMARY KEY ({', '.join(self.primary_key)})" if self.primary_key else ""
-        # cols/pk render Column definitions fixed at schema build time;
-        # the table name is the only externally-influenced identifier.
-        return (  # reprolint: ignore[SQL01] cols/pk are Column DDL fragments
-            f"CREATE TABLE {quote_identifier(self.name)} ({cols}{pk})"
-        )
-
     # ------------------------------------------------------------------
     # Indexes
     # ------------------------------------------------------------------
@@ -213,23 +122,10 @@ class Table:
         self._hash_indexes.append(index)
         return index
 
-    def create_sorted_index(self, name: str, column: str) -> SortedIndex:
-        index = SortedIndex(name, column, self.position(column))
-        for rowid in self.live_rowids():
-            index.add(rowid, self._row(rowid))
-        self._sorted_indexes.append(index)
-        return index
-
     def find_hash_index(self, columns: Sequence[str]) -> Optional[HashIndex]:
         want = tuple(columns)
         for index in self._hash_indexes:
             if index.columns == want:
-                return index
-        return None
-
-    def find_sorted_index(self, column: str) -> Optional[SortedIndex]:
-        for index in self._sorted_indexes:
-            if index.column == column:
                 return index
         return None
 
@@ -257,8 +153,6 @@ class Table:
         self._live += 1
         for index in self._hash_indexes:
             index.add(rowid, row)
-        for sindex in self._sorted_indexes:
-            sindex.add(rowid, row)
         if self.journal is not None:
             self.journal.append((self, rowid, None))
         return rowid
@@ -270,64 +164,18 @@ class Table:
             row[self.position(name)] = value
         return self.insert(row)
 
-    def insert_many(self, rows: Iterable[Sequence[Any]]) -> int:
-        count = 0
-        for row in rows:
-            self.insert(row)
-            count += 1
-        return count
+    def delete_rowids(self, rowids: Iterable[int]) -> None:
+        """Tombstone the live rows ``rowids`` (any order, no duplicates).
 
-    def delete_where(self, predicate: Predicate) -> int:
-        """Tombstone every matching row in one batched pass.
-
-        The predicate is evaluated vectorized over whole columns, then
-        all victims are journalled / unindexed / cleared together —
-        sorted indexes in particular rebuild once instead of paying a
-        bisect-and-shift per row.
-        """
-        victims = self.matching_rowids(predicate)
-        if victims:
-            self._tombstone_many(victims)
-        return len(victims)
-
-    def clear(self) -> None:
-        if self.journal is not None:
-            for rowid in self.live_rowids():
-                self.journal.append((self, rowid, self._row(rowid)))
-        for col in self._cols:
-            col.clear()
-        self._valid = bytearray()
-        self._live = 0
-        for index in self._hash_indexes:
-            index.buckets.clear()
-        for sindex in self._sorted_indexes:
-            sindex.keys.clear()
-            sindex.rowids.clear()
-
-    def _tombstone(self, rowid: int, row: tuple) -> None:
-        self._valid[rowid] = 0
-        for col in self._cols:
-            col[rowid] = None
-        self._live -= 1
-        for index in self._hash_indexes:
-            index.remove(rowid, row)
-        for sindex in self._sorted_indexes:
-            sindex.remove(rowid, row)
-        if self.journal is not None:
-            self.journal.append((self, rowid, row))
-
-    def _tombstone_many(self, rowids: Sequence[int]) -> None:
-        """Tombstone ``rowids`` (ascending, live) with batched index
-        maintenance.  Journal entries stay per-row and in ascending
-        order, so rollback replays identically to the per-row path."""
+        Journal entries are per-row and ascending by row id whatever
+        order the caller found the rows in (an index bucket is not in
+        rowid order once a rollback has refilled it), so rollback
+        replays one deterministic sequence."""
+        rowids = sorted(rowids)
         rows = [self._row(rowid) for rowid in rowids]
         for index in self._hash_indexes:
             for rowid, row in zip(rowids, rows):
                 index.remove(rowid, row)
-        if self._sorted_indexes:
-            gone = set(rowids)
-            for sindex in self._sorted_indexes:
-                sindex.remove_many(gone)
         valid = self._valid
         cols = self._cols
         for rowid in rowids:
@@ -339,6 +187,17 @@ class Table:
             for rowid, row in zip(rowids, rows):
                 self.journal.append((self, rowid, row))
 
+    def clear(self) -> None:
+        if self.journal is not None:
+            for rowid in self.live_rowids():
+                self.journal.append((self, rowid, self._row(rowid)))
+        for col in self._cols:
+            col.clear()
+        self._valid = bytearray()
+        self._live = 0
+        for index in self._hash_indexes:
+            index.buckets.clear()
+
     # ------------------------------------------------------------------
     # Undo (transaction rollback; journal entries replay in reverse so
     # the table returns to exactly its pre-transaction state)
@@ -349,8 +208,6 @@ class Table:
         row = self._row(rowid)
         for index in self._hash_indexes:
             index.remove(rowid, row)
-        for sindex in self._sorted_indexes:
-            sindex.remove(rowid, row)
         if rowid == len(self._valid) - 1:
             for col in self._cols:
                 col.pop()
@@ -372,8 +229,6 @@ class Table:
         self._live += 1
         for index in self._hash_indexes:
             index.add(rowid, row)
-        for sindex in self._sorted_indexes:
-            sindex.add(rowid, row)
 
     # ------------------------------------------------------------------
     # Access
@@ -448,38 +303,8 @@ class Table:
     def column_data(self, column: str) -> List[Any]:
         """The raw value column, one slot per row id (tombstoned slots
         hold None).  A borrowed view: callers must not mutate it and
-        should pair slot probes with :meth:`validity`."""
+        should probe it only at live row ids (:meth:`lookup_rowids`)."""
         return self._cols[self.position(column)]
-
-    def validity(self) -> bytearray:
-        """The validity bitmap (borrowed view; 1 = live)."""
-        return self._valid
-
-    def batch(self) -> ColumnBatch:
-        """The whole table as one borrowed ColumnBatch (all slots,
-        including tombstones — filter with :meth:`validity`)."""
-        return ColumnBatch(self.column_names, self._cols)
-
-    def matching_rowids(self, predicate: Predicate) -> List[int]:
-        """Row ids of live rows matching ``predicate``, ascending.
-
-        Evaluates the vectorized predicate over the full column batch,
-        then masks with validity (tombstoned slots are all-None, which
-        e.g. ``IsNull`` would otherwise match)."""
-        mask = predicate.compile_batch(self.column_names)(self.batch())
-        valid = self._valid
-        return [i for i, bit in enumerate(mask) if bit and valid[i]]
-
-    def live_columns(self) -> List[List[Any]]:
-        """Copies of every column restricted to live rows, in rowid
-        order — the columnar bulk-export used by ``Relation.from_table``."""
-        if self._compact:
-            return [list(col) for col in self._cols]
-        valid = self._valid
-        return [
-            [value for value, bit in zip(col, valid) if bit]
-            for col in self._cols
-        ]
 
     def iter_values(self, *columns: str) -> Iterator[tuple]:
         """Tuples of the named columns for live rows, in rowid order —

@@ -50,16 +50,6 @@ class ColumnType(enum.Enum):
             raise TypeError(f"expected str, got {type(value).__name__}: {value!r}")
         return value
 
-    @property
-    def sql_name(self) -> str:
-        """Type name used when the schema is rendered as SQL DDL."""
-        return {
-            ColumnType.INTEGER: "INTEGER",
-            ColumnType.REAL: "REAL",
-            ColumnType.TEXT: "TEXT",
-            ColumnType.CLOB: "TEXT",
-        }[self]
-
 
 class Column:
     """A named, typed column with optional NOT NULL constraint."""
@@ -79,10 +69,6 @@ class Column:
                 raise TypeError(f"column {self.name!r} is NOT NULL")
             return None
         return self.type.validate(value)
-
-    def ddl(self) -> str:
-        suffix = "" if self.nullable else " NOT NULL"
-        return f"{self.name} {self.type.sql_name}{suffix}"
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Column({self.name!r}, {self.type.value})"

@@ -12,3 +12,7 @@ class BadStore:
 
     def waived(self, row):
         self.db.table("objects").insert(row)  # reprolint: ignore[TXN01] fixture waiver
+
+    def purge(self, rowids):
+        # Engine delete with no transaction context.
+        self.db.table("objects").delete_rowids(rowids)

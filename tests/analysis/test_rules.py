@@ -28,10 +28,11 @@ class TestTxnSafety:
     def test_flags_unbracketed_mutations(self):
         findings = lint_fixture("txn_bad", TxnSafetyRule())
         live = active(findings)
-        assert len(live) == 2
-        assert {f.line for f in live} == {7, 11}
+        assert len(live) == 3
+        assert {f.line for f in live} == {7, 11, 18}
         assert all(f.rule_id == "TXN01" for f in live)
         assert any("insert" in f.message for f in live)
+        assert any("delete_rowids" in f.message for f in live)
         assert any("execute" in f.message for f in live)
 
     def test_pragma_waives_but_stays_in_report(self):

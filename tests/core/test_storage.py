@@ -4,6 +4,7 @@ import pytest
 
 from repro.core import HybridCatalog, MemoryHybridStore
 from repro.errors import CatalogError
+from repro.faults.sites import OBJECT_ROW_TABLES
 from repro.grid import FIG3_DOCUMENT, define_fig3_attributes, lead_schema
 
 
@@ -35,6 +36,15 @@ class TestInstall:
         }
         expected = {n.order for n in schema.attribute_by_tag("theme").ancestors()}
         assert ancestors == expected
+
+    def test_object_row_tables_are_indexed_by_object(self, schema):
+        # delete_object and the per-object reads reach rows through
+        # lookup_rowids(["object_id"], ...), which silently degrades to
+        # a full scan on a table without the index.
+        store = MemoryHybridStore()
+        store.install_schema(schema)
+        for name in OBJECT_ROW_TABLES:
+            assert store.db.table(name).find_hash_index(["object_id"]), name
 
 
 class TestObjectRows(object):

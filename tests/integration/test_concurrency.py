@@ -16,6 +16,7 @@ both backends:
   serves a pre-write answer after the write completes.
 """
 
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -26,6 +27,7 @@ from hypothesis import strategies as st
 from repro.backends import SqliteHybridStore
 from repro.core import AttributeCriteria, HybridCatalog, ObjectQuery, Op, PlanTrace
 from repro.core.integrity import check_catalog
+from repro.errors import CatalogError
 from repro.grid import CF_STANDARD_NAMES, CorpusConfig, LeadCorpusGenerator, lead_schema
 
 CONFIG = CorpusConfig(seed=1212, themes=2, keys_per_theme=3, dynamic_groups=2,
@@ -164,6 +166,49 @@ def test_query_racing_write_sees_before_or_after_never_between(backend, tmp_path
     assert not errors, errors
     allowed = {tuple(before), tuple(after)}
     assert set(observed) <= allowed, set(observed) - allowed
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_racing_deletes_of_one_object_succeed_exactly_once(backend, tmp_path):
+    """N threads delete the same id at once: one wins, the rest get
+    ``no object`` — the existence check runs inside the transaction, so
+    a loser can no longer pass it, delete nothing, and be counted."""
+    catalog = build_catalog(backend, tmp_path)
+    victims = [r.object_id for r in catalog.ingest_many(DOCUMENTS[:10])]
+    deletes = catalog.metrics.counter("catalog_deletes_total")
+    counted_before = deletes.value
+    threads = 8
+    barrier = threading.Barrier(threads)
+    outcomes = {victim: [] for victim in victims}
+
+    def deleter():
+        for victim in victims:
+            barrier.wait(timeout=30)
+            try:
+                catalog.delete(victim)
+            except CatalogError as exc:
+                outcomes[victim].append(str(exc))
+            else:
+                outcomes[victim].append("deleted")
+
+    workers = [threading.Thread(target=deleter) for _ in range(threads)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    for victim in victims:
+        assert sorted(outcomes[victim]) == (
+            ["deleted"] + [f"no object {victim}"] * (threads - 1)
+        )
+    assert deletes.value - counted_before == len(victims)
+    assert catalog.store.object_count() == 0
+    assert check_catalog(catalog) == []
 
 
 # ----------------------------------------------------------------------

@@ -1,79 +1,9 @@
-"""Batch kernels and vectorized-predicate agreement.
+"""The sorted id-vector intersection kernel."""
 
-The columnar path (``compile_batch`` → bitmap) must agree bit-for-bit
-with the legacy scalar path (``compile`` → per-row closure); the
-hypothesis property at the bottom drives random predicate trees over
-random NULL-bearing batches to pin that equivalence.
-"""
-
-import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.relational import (
-    ColumnBatch,
-    TableError,
-    eq,
-    ge,
-    gt,
-    in_,
-    intersect_many,
-    intersect_sorted,
-    is_null,
-    le,
-    lt,
-    mask_and,
-    mask_not,
-    mask_or,
-    mask_to_selection,
-    ne,
-    not_null,
-    selection_to_mask,
-)
-
-
-class TestColumnBatch:
-    def test_length_and_row_access(self):
-        batch = ColumnBatch(("a", "b"), [[1, 2, 3], ["x", "y", "z"]])
-        assert len(batch) == 3
-        assert batch.row(1) == (2, "y")
-        assert batch.column("b") == ["x", "y", "z"]
-        assert list(batch.iter_rows()) == [(1, "x"), (2, "y"), (3, "z")]
-
-    def test_empty_batch(self):
-        assert len(ColumnBatch((), [])) == 0
-        assert list(ColumnBatch((), []).iter_rows()) == []
-
-    def test_mismatched_columns_rejected(self):
-        with pytest.raises(TableError):
-            ColumnBatch(("a", "b"), [[1]])
-
-    def test_unknown_column_raises(self):
-        with pytest.raises(TableError):
-            ColumnBatch(("a",), [[1]]).column("zz")
-
-    def test_take_materializes_selection(self):
-        batch = ColumnBatch(("a", "b"), [[1, 2, 3], [10, 20, 30]])
-        taken = batch.take([0, 2])
-        assert list(taken.iter_rows()) == [(1, 10), (3, 30)]
-        # take copies: mutating the projection leaves the source alone.
-        taken.data[0][0] = 99
-        assert batch.column("a") == [1, 2, 3]
-
-
-class TestMaskKernels:
-    def test_and_or_not(self):
-        a = bytearray([1, 1, 0, 0])
-        b = bytearray([1, 0, 1, 0])
-        assert mask_and(a, b) == bytearray([1, 0, 0, 0])
-        assert mask_or(a, b) == bytearray([1, 1, 1, 0])
-        assert mask_not(a) == bytearray([0, 0, 1, 1])
-
-    def test_mask_selection_roundtrip(self):
-        mask = bytearray([0, 1, 1, 0, 1])
-        selection = mask_to_selection(mask)
-        assert selection == [1, 2, 4]
-        assert selection_to_mask(selection, 5) == mask
+from repro.relational import intersect_sorted
 
 
 class TestIntersect:
@@ -90,70 +20,11 @@ class TestIntersect:
         assert intersect_sorted(small, big) == small
         assert intersect_sorted(big, small) == small
 
-    def test_intersect_many(self):
-        vectors = [[1, 2, 3, 4], [2, 3, 4, 5], [0, 2, 4, 6]]
-        assert intersect_many(vectors) == [2, 4]
-        assert intersect_many([]) == []
-        assert intersect_many([[1, 2], [], [1]]) == []
+
+id_vectors = st.sets(st.integers(min_value=0, max_value=400)).map(sorted)
 
 
-# ---------------------------------------------------------------------------
-# Property: compile_batch agrees bit-for-bit with the scalar compile.
-# ---------------------------------------------------------------------------
-
-COLUMNS = ("a", "b")
-
-ints = st.one_of(st.none(), st.integers(min_value=-5, max_value=5))
-texts = st.one_of(st.none(), st.sampled_from(["", "x", "yy", "zzz"]))
-
-int_value = st.integers(min_value=-5, max_value=5)
-text_value = st.sampled_from(["", "x", "yy", "zzz"])
-
-leaves = st.one_of(
-    st.builds(eq, st.just("a"), int_value),
-    st.builds(ne, st.just("a"), int_value),
-    st.builds(lt, st.just("a"), int_value),
-    st.builds(le, st.just("a"), int_value),
-    st.builds(gt, st.just("a"), int_value),
-    st.builds(ge, st.just("a"), int_value),
-    st.builds(eq, st.just("b"), text_value),
-    st.builds(in_, st.just("a"), st.lists(int_value, max_size=4)),
-    st.builds(in_, st.just("b"), st.lists(text_value, max_size=3)),
-    st.builds(is_null, st.sampled_from(COLUMNS)),
-    st.builds(not_null, st.sampled_from(COLUMNS)),
-)
-
-predicates = st.recursive(
-    leaves,
-    lambda inner: st.one_of(
-        st.builds(lambda p, q: p & q, inner, inner),
-        st.builds(lambda p, q: p | q, inner, inner),
-        st.builds(lambda p: ~p, inner),
-    ),
-    max_leaves=8,
-)
-
-batches = st.lists(st.tuples(ints, texts), max_size=40)
-
-
-@settings(max_examples=200, deadline=None)
-@given(predicates, batches)
-def test_vectorized_matches_scalar(predicate, rows):
-    batch = ColumnBatch(
-        COLUMNS, [[r[0] for r in rows], [r[1] for r in rows]]
-    )
-    mask = predicate.compile_batch(COLUMNS)(batch)
-    row_fn = predicate.compile(COLUMNS)
-    assert len(mask) == len(rows)
-    assert [bool(bit) for bit in mask] == [bool(row_fn(r)) for r in rows]
-
-
-@settings(max_examples=100, deadline=None)
-@given(predicates, batches)
-def test_matching_positions_is_the_set_bits(predicate, rows):
-    batch = ColumnBatch(
-        COLUMNS, [[r[0] for r in rows], [r[1] for r in rows]]
-    )
-    positions = predicate.matching_positions(batch)
-    row_fn = predicate.compile(COLUMNS)
-    assert positions == [i for i, r in enumerate(rows) if row_fn(r)]
+@given(id_vectors, id_vectors)
+def test_intersect_matches_set_intersection(a, b):
+    # Covers both the merge walk and the >8x-skew probe path.
+    assert intersect_sorted(a, b) == sorted(set(a) & set(b))

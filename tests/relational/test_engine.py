@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.relational import Database, TableError, integer, text
+from repro.relational import Database, integer, text
+from repro.relational.errors import TableError
 
 
 @pytest.fixture()
@@ -25,20 +26,6 @@ class TestDDL:
         with pytest.raises(TableError):
             db.table("zzz")
 
-    def test_drop(self, db):
-        db.drop_table("t1")
-        assert not db.has_table("t1")
-
-    def test_drop_unknown_raises(self, db):
-        with pytest.raises(TableError):
-            db.drop_table("zzz")
-
-    def test_temp_tables_get_unique_names(self, db):
-        a = db.create_temp_table("tmp", [integer("x")])
-        b = db.create_temp_table("tmp", [integer("x")])
-        assert a.name != b.name
-        assert db.has_table(a.name) and db.has_table(b.name)
-
     def test_iteration(self, db):
         db.create_table("t2", [integer("y")])
         assert {t.name for t in db} == {"t1", "t2"}
@@ -49,7 +36,9 @@ class TestAccounting:
         assert db.row_counts() == {"t1": 1}
 
     def test_total_rows(self, db):
-        db.create_table("t2", [integer("y")]).insert_many([[1], [2]])
+        t2 = db.create_table("t2", [integer("y")])
+        t2.insert([1])
+        t2.insert([2])
         assert db.total_rows() == 3
 
     def test_storage_report_sorted_by_bytes(self, db):

@@ -4,15 +4,17 @@ import sys
 
 import pytest
 
-from repro.relational import (
-    ConstraintError,
-    Table,
-    TableError,
-    eq,
-    integer,
-    real,
-    text,
-)
+from repro.relational import Table, integer, real, text
+from repro.relational.engine import Database
+from repro.relational.errors import ConstraintError, TableError
+
+
+def delete_eq(table, column, value):
+    """Retire the rows whose ``column`` equals ``value``; returns how
+    many there were."""
+    rowids = table.lookup_rowids([column], [value])
+    table.delete_rowids(rowids)
+    return len(rowids)
 
 
 @pytest.fixture()
@@ -44,11 +46,6 @@ class TestSchema:
         with pytest.raises(TableError):
             people.position("zzz")
 
-    def test_ddl(self, people):
-        ddl = people.ddl()
-        assert ddl.startswith("CREATE TABLE people (")
-        assert "PRIMARY KEY (id)" in ddl
-
 
 class TestInsert:
     def test_insert_returns_rowids(self):
@@ -67,11 +64,6 @@ class TestInsert:
     def test_insert_dict_fills_nulls(self, people):
         people.insert_dict(id=4, name="dee")
         assert people.lookup(["id"], [4])[0][2] is None
-
-    def test_insert_many_counts(self):
-        t = Table("t", [integer("x")])
-        assert t.insert_many([[i] for i in range(5)]) == 5
-        assert len(t) == 5
 
     def test_primary_key_enforced(self, people):
         with pytest.raises(ConstraintError):
@@ -112,71 +104,23 @@ class TestIndexes:
         people.insert([4, "dee", 50.0])
         assert len(people.lookup(["age"], [50.0])) == 1
 
-    def test_sorted_index_range(self, people):
-        people.create_sorted_index("age_sorted", "age")
-        index = people.find_sorted_index("age")
-        rowids = index.range(low=30.0, high=35.0)
-        assert len(rowids) == 2
-
-    def test_sorted_index_open_ranges(self, people):
-        index = people.create_sorted_index("age_sorted", "age")
-        assert len(index.range(low=31.0)) == 1
-        assert len(index.range(high=31.0)) == 2
-        assert len(index.range()) == 3
-
-    def test_sorted_index_exclusive_bounds(self, people):
-        index = people.create_sorted_index("age_sorted", "age")
-        assert len(index.range(low=30.0, low_inclusive=False)) == 1
-
-    def test_sorted_index_skips_nulls(self):
-        t = Table("t", [integer("x")])
-        t.insert([None])
-        t.insert([5])
-        index = t.create_sorted_index("by_x", "x")
-        assert index.range() == [1]
-
-    def test_sorted_index_duplicate_keys(self):
-        t = Table("t", [integer("x")])
-        for x in (7, 7, 7, 3, 9):
-            t.insert([x])
-        index = t.create_sorted_index("by_x", "x")
-        # All three duplicates fall inside a closed [7, 7] range...
-        assert sorted(index.range(low=7, high=7)) == [0, 1, 2]
-        # ...and an exclusive bound excludes the whole duplicate run,
-        # not just its first entry.
-        assert index.range(low=7, high=9, low_inclusive=False) == [4]
-        assert sorted(index.range(low=3, high=7, high_inclusive=False)) == [3]
-
-    def test_sorted_index_range_excludes_tombstones(self):
-        t = Table("t", [integer("id"), integer("x")], primary_key=["id"])
-        for i in range(6):
-            t.insert([i, 10 * i])
-        index = t.create_sorted_index("by_x", "x")
-        t.delete_where(eq("x", 20))
-        rowids = index.range(low=0, high=50)
-        assert 2 not in rowids
-        assert sorted(rowids) == [0, 1, 3, 4, 5]
-        # Boundary rows next to the tombstone survive untouched.
-        assert sorted(index.range(low=10, high=30)) == [1, 3]
-
 
 class TestDelete:
-    def test_delete_where(self, people):
-        deleted = people.delete_where(eq("age", 30.0))
-        assert deleted == 2
+    def test_delete_rowids(self, people):
+        assert delete_eq(people, "age", 30.0) == 2
         assert len(people) == 1
 
     def test_delete_updates_indexes(self, people):
         people.create_index("by_age", ["age"])
-        people.delete_where(eq("id", 1))
+        delete_eq(people, "id", 1)
         assert {r[1] for r in people.lookup(["age"], [30.0])} == {"cat"}
 
     def test_deleted_rows_not_scanned(self, people):
-        people.delete_where(eq("id", 2))
+        delete_eq(people, "id", 2)
         assert [r[0] for r in people.scan()] == [1, 3]
 
     def test_fetch_deleted_row_raises(self, people):
-        people.delete_where(eq("id", 1))
+        delete_eq(people, "id", 1)
         with pytest.raises(TableError):
             people.fetch(0)
 
@@ -186,26 +130,44 @@ class TestDelete:
         assert len(people) == 0
         assert people.lookup(["age"], [30.0]) == []
 
-    def test_bulk_delete_single_pass(self):
-        # Regression: delete_where must tombstone every match in one
-        # pass, keeping hash and sorted indexes consistent even when
-        # the predicate hits a large, interleaved set of rows.
+    def test_bulk_delete_keeps_indexes_consistent(self):
+        # A large, interleaved victim set, handed over in descending
+        # order: every hash index must drop exactly the victims.
         t = Table("t", [integer("id"), text("kind"), real("w")],
                   primary_key=["id"])
         t.create_index("by_kind", ["kind"])
-        sorted_index = t.create_sorted_index("by_w", "w")
         for i in range(200):
             t.insert([i, "even" if i % 2 == 0 else "odd", float(i)])
-        deleted = t.delete_where(eq("kind", "even"))
-        assert deleted == 100
+        t.delete_rowids(reversed(t.lookup_rowids(["kind"], ["even"])))
         assert len(t) == 100
         assert t.lookup(["kind"], ["even"]) == []
         assert len(t.lookup(["kind"], ["odd"])) == 100
-        assert len(sorted_index.range(low=0.0, high=199.0)) == 100
+        assert t.lookup(["id"], [4]) == []
         assert all(r[0] % 2 == 1 for r in t.scan())
 
+    def test_unsorted_delete_journals_ascending_and_rolls_back(self):
+        db = Database()
+        t = db.create_table(
+            "t", [integer("id"), text("kind")], primary_key=["id"]
+        )
+        by_kind = t.create_index("by_kind", ["kind"])
+        for i in range(6):
+            t.insert([i, "a" if i < 4 else "b"])
+        before_rows = t.rows()
+        db.begin()
+        t.delete_rowids([3, 0, 2])
+        assert [(tbl.name, rowid) for tbl, rowid, _ in db._journal] == [
+            ("t", 0), ("t", 2), ("t", 3),
+        ]
+        assert by_kind.lookup(("a",)) == [1]
+        db.rollback()
+        assert t.rows() == before_rows
+        assert sorted(by_kind.lookup(("a",))) == [0, 1, 2, 3]
+        assert by_kind.lookup(("b",)) == [4, 5]
+        assert t.lookup(["id"], [2]) == [(2, "a")]
+
     def test_reinsert_pk_after_delete(self, people):
-        people.delete_where(eq("id", 1))
+        delete_eq(people, "id", 1)
         people.insert([1, "ann2", 31.0])
         assert people.lookup(["id"], [1])[0][1] == "ann2"
 
@@ -222,7 +184,7 @@ class TestAccounting:
         # footprint plus 4 payload bytes; the validity bitmap is listed
         # separately.
         assert breakdown["s"] == sys.getsizeof(t.column_data("s")) + 4
-        assert breakdown["<validity>"] == sys.getsizeof(t.validity())
+        assert breakdown["<validity>"] == sys.getsizeof(t._valid)
         assert t.estimated_bytes() == sum(breakdown.values())
 
     def test_storage_breakdown_grows_with_payload(self):
@@ -237,6 +199,6 @@ class TestAccounting:
         for i in range(10):
             t.insert([i, "z" * 500])
         before = t.estimated_bytes()
-        t.delete_where(eq("id", 3))
+        delete_eq(t, "id", 3)
         # The slot pointer survives (tombstone), the payload does not.
         assert t.estimated_bytes() <= before - 500

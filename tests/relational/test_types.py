@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.relational import Column, ColumnType, clob, integer, real, text
+from repro.relational import integer
+from repro.relational.types import Column, ColumnType
 
 
 class TestColumnType:
@@ -36,9 +37,6 @@ class TestColumnType:
         for t in ColumnType:
             assert t.validate(None) is None
 
-    def test_clob_renders_as_sql_text(self):
-        assert ColumnType.CLOB.sql_name == "TEXT"
-
 
 class TestColumn:
     def test_not_null_enforced(self):
@@ -56,9 +54,3 @@ class TestColumn:
 
     def test_underscore_names_allowed(self):
         assert Column("value_num", ColumnType.REAL).name == "value_num"
-
-    def test_ddl_rendering(self):
-        assert integer("id", nullable=False).ddl() == "id INTEGER NOT NULL"
-        assert text("name").ddl() == "name TEXT"
-        assert real("score").ddl() == "score REAL"
-        assert clob("content").ddl() == "content TEXT"
