@@ -35,13 +35,9 @@ __all__ = [
 ]
 
 #: Context-manager method names that acquire the class's RWLock.
-RWLOCK_METHODS = frozenset(
-    {"read_locked", "write_locked", "transaction", "run_transaction"}
-)
+RWLOCK_METHODS = frozenset({"read_locked", "write_locked", "run_transaction"})
 #: Of those, the ones that take (or may take) the write side.
-RWLOCK_WRITE_METHODS = frozenset(
-    {"write_locked", "transaction", "run_transaction"}
-)
+RWLOCK_WRITE_METHODS = frozenset({"write_locked", "run_transaction"})
 
 
 class LockAcquisition:
@@ -122,7 +118,7 @@ def acquisition_token(
     * ``self._lock`` / ``self._cond`` — a plain mutex attribute
       (always exclusive).
     * ``self.read_locked()`` / ``self.write_locked()`` /
-      ``self.transaction(...)`` — the class RWLock, read or write side.
+      ``self.run_transaction(...)`` — the class RWLock, read or write side.
     * ``<anything>.read_locked()`` etc. on a non-self receiver — the
       RWLock of whichever class defines the method when the receiver
       is a known attribute; otherwise a receiver-less generic token.
@@ -158,7 +154,7 @@ def acquisition_token(
                 value = receiver.value
                 if isinstance(value, ast.Name) and value.id in ("self", "cls"):
                     return f"{_method_owner(program, fn, name)}.rwlock", write
-                # store.read_locked(), self._store.transaction(): token per
+                # store.read_locked(), self._store.run_transaction(): token per
                 # the class that defines the method, if unambiguous.
                 defs = {
                     f.cls.name for f in program.by_name.get(name, [])

@@ -31,7 +31,7 @@ from ..linter import (
 )
 
 #: Calls whose first positional argument is a transaction-site label.
-_TXN_CALLS = frozenset({"run_transaction", "transaction"})
+_TXN_CALLS = frozenset({"run_transaction"})
 
 
 class FaultSiteRule(Rule):

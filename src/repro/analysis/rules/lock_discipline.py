@@ -88,8 +88,8 @@ _STORE_SPEC = EntryPointSpec(
     read_entries=frozenset({
         "is_initialized", "attach_schema", "load_definition_rows",
         "load_objects", "has_object", "object_count", "max_clob_seq",
-        "instance_counts", "match_objects", "collect_statistics",
-        "build_responses", "storage_report",
+        "instance_counts", "match_objects", "_execute_plan",
+        "collect_statistics", "build_responses", "storage_report",
     }),
     write_entries=frozenset({
         "sync_definitions", "store_object", "append_rows",
@@ -99,11 +99,10 @@ _STORE_SPEC = EntryPointSpec(
     # read obligation (the :memory: fast path reads on the writer
     # connection inside an open transaction).
     read_protections=frozenset({
-        "read_locked", "_reader", "write_locked", "transaction",
-        "run_transaction",
+        "read_locked", "_reader", "write_locked", "run_transaction",
     }),
     write_protections=frozenset({
-        "run_transaction", "transaction", "write_locked",
+        "run_transaction", "write_locked",
     }),
 )
 
@@ -121,11 +120,10 @@ _SHARD_SPEC = EntryPointSpec(
         "resync_definitions",
     }),
     read_protections=frozenset({
-        "read_locked", "_reader", "write_locked", "transaction",
-        "run_transaction",
+        "read_locked", "_reader", "write_locked", "run_transaction",
     }),
     write_protections=frozenset({
-        "run_transaction", "transaction", "write_locked",
+        "run_transaction", "write_locked",
     }),
 )
 
@@ -147,11 +145,10 @@ _SERVICE_SPEC = EntryPointSpec(
         "publish", "unpublish", "record_derivation",
     }),
     read_protections=frozenset({
-        "read_locked", "_reader", "write_locked", "transaction",
-        "run_transaction",
+        "read_locked", "_reader", "write_locked", "run_transaction",
     }),
     write_protections=frozenset({
-        "run_transaction", "transaction", "write_locked",
+        "run_transaction", "write_locked",
     }),
 )
 

@@ -3,18 +3,16 @@
 PR 2 made crash safety depend on one convention: a write statement
 (a row ``insert``/``delete_rowids`` on the memory engine, an
 ``INSERT``/``UPDATE``/``DELETE`` statement on sqlite) may only execute
-from code reachable via ``run_transaction`` (or a
-``with store.transaction():`` block), because that is where the
+from code reachable via ``run_transaction``, because that is where the
 BEGIN IMMEDIATE/undo-journal bracketing, rollback, and retry live.  A
 mutation on any other path silently bypasses the whole protocol — it
 would still pass the functional tests, and only a crash would reveal
 it.  This rule makes the convention lexical:
 
 * a mutation is **safe** when it sits inside a nested function or
-  lambda passed to ``run_transaction`` in the same method, inside a
-  ``with self.transaction(...):`` block, or inside a method that is
-  *only ever called* from such contexts (computed as a greatest
-  fixpoint over the class's internal call graph);
+  lambda passed to ``run_transaction`` in the same method, or inside
+  a method that is *only ever called* from such contexts (computed as
+  a greatest fixpoint over the class's internal call graph);
 * anything else is a finding.
 
 Read-path scratch writes (the sqlite backend's ``CREATE TEMP TABLE``
@@ -135,19 +133,6 @@ class TxnSafetyRule(Rule):
                 safe.add(nested_defs[fn.id])
         return safe
 
-    def _txn_with_blocks(self, method: ast.AST) -> List[ast.With]:
-        """``with self.transaction(...):`` blocks inside ``method``."""
-        blocks: List[ast.With] = []
-        for node in ast.walk(method):
-            if not isinstance(node, ast.With):
-                continue
-            for item in node.items:
-                expr = item.context_expr
-                if isinstance(expr, ast.Call) and call_name(expr) == "transaction":
-                    blocks.append(node)
-                    break
-        return blocks
-
     def _check_class(
         self, ctx: LintContext, module: SourceModule, cls: ast.ClassDef,
         module_consts: Dict[str, str],
@@ -159,17 +144,6 @@ class TxnSafetyRule(Rule):
         safe_scopes: Dict[str, Set[ast.AST]] = {
             name: self._safe_scopes_for_method(m) for name, m in methods.items()
         }
-        with_blocks: Dict[str, List[ast.With]] = {
-            name: self._txn_with_blocks(m) for name, m in methods.items()
-        }
-        with_members: Dict[str, Set[ast.AST]] = {
-            name: {
-                inner
-                for block in blocks
-                for inner in ast.walk(block)
-            }
-            for name, blocks in with_blocks.items()
-        }
 
         def context_is_safe(
             method_name: str, node: ast.AST, txn_only: Set[str]
@@ -177,8 +151,6 @@ class TxnSafetyRule(Rule):
             method = methods[method_name]
             chain = chains[method][node]
             if any(scope in safe_scopes[method_name] for scope in chain):
-                return True
-            if node in with_members[method_name]:
                 return True
             # The body of a transaction-only helper is safe throughout
             # (but not its own nested defs that escape — none do here).
@@ -197,10 +169,7 @@ class TxnSafetyRule(Rule):
         # start from every internally-called method, drop any with a
         # call site outside a safe context.
         txn_only: Set[str] = greatest_fixpoint(
-            {
-                name for name in call_sites
-                if name not in ("run_transaction", "transaction")
-            },
+            {name for name in call_sites if name != "run_transaction"},
             lambda name, others: all(
                 context_is_safe(caller, node, others)
                 for caller, node in call_sites[name]
@@ -219,7 +188,7 @@ class TxnSafetyRule(Rule):
                     self.id, module, node.lineno,
                     f"{cls.name}.{method_name} mutates catalog state outside "
                     f"a transaction ({call_name(node)}); route it through "
-                    "run_transaction or store.transaction()",
+                    "run_transaction",
                 )
 
     def check(self, ctx: LintContext) -> None:

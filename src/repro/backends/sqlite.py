@@ -54,14 +54,14 @@ from contextlib import contextmanager
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..core.definitions import DefinitionRegistry
-from ..core.logical import LogicalPlan, build_plan
+from ..core.logical import LogicalPlan
 from ..core.ordering import ancestor_pairs
 from ..core.query import Op
 from ..core.response import record_response_metrics
 from ..core.schema import AnnotatedSchema
 from ..core.shredder import ShredResult
 from ..core.stats import StatsSnapshot
-from ..core.storage import HybridStore, PlanTrace, record_plan
+from ..core.storage import HybridStore
 from ..errors import CatalogError
 from ..identifiers import quote_identifier
 from ..obs import names as metric_names
@@ -298,6 +298,8 @@ class _TrackedConnection:
 
 class SqliteHybridStore(HybridStore):
     """The hybrid layout and plans on a real RDBMS (sqlite)."""
+
+    backend = "sqlite"
 
     def __init__(
         self,
@@ -718,34 +720,18 @@ class SqliteHybridStore(HybridStore):
         )
         return sql, params
 
-    def match_objects(self, shredded_query, trace: Optional[PlanTrace] = None) -> List[int]:
-        plan = (
-            shredded_query
-            if isinstance(shredded_query, LogicalPlan)
-            else build_plan(shredded_query)
-        )
-        if trace is None:
-            trace = PlanTrace()
-        # One contextvar read per query is the whole disabled-profiling
-        # cost on this path (bench E13's ≤1% budget).
-        prof = current_profile()
+    def _execute_plan(
+        self, plan: LogicalPlan, prof: Optional[QueryProfile]
+    ) -> List[int]:
         # Temp tables are per-connection, so a pooled reader executes
         # the whole plan in its own namespace, in parallel with other
         # readers and (on WAL catalogs) with the writer.
         with self._reader() as cur:
-            object_ids = self._match_objects(cur, plan, trace, prof)
-        if prof is not None:
-            prof.record_plan(plan, backend="sqlite", trace=trace)
-        return object_ids
+            return self._run_stages(cur, plan, prof)
 
-    def _match_objects(
-        self,
-        cur,
-        plan: LogicalPlan,
-        trace: PlanTrace,
-        prof: Optional[QueryProfile] = None,
+    def _run_stages(
+        self, cur, plan: LogicalPlan, prof: Optional[QueryProfile]
     ) -> List[int]:
-        query = plan.query
         suffix = next(self._temp_ids)
         qm = quote_identifier(f"q_matches_{suffix}")
         qs = quote_identifier(f"q_satisfied_{suffix}")
@@ -757,18 +743,9 @@ class SqliteHybridStore(HybridStore):
             f"CREATE TEMP TABLE {qs} (qattr_id INTEGER, object_id INTEGER,"
             " seq_id INTEGER)"
         )
-        trace.add(
-            "query-criteria",
-            len(query.qattrs) + len(query.qelems),
-            f"{len(query.qattrs)} attribute, "
-            f"{len(query.qelems)} element criteria"
-            + (" (simplified plan)" if plan.simple else ""),
-        )
         try:
             # ElementSeek stages, in the optimizer's order; a seek with
             # no matches empties the conjunctive result — skip the rest.
-            match_rows = 0
-            short_circuited = False
             clock = time.perf_counter if prof is not None else None
             for seek in plan.seeks:
                 t0 = clock() if clock is not None else 0.0
@@ -777,23 +754,14 @@ class SqliteHybridStore(HybridStore):
                 plan.actuals[seek.key()] = seek_rows
                 if clock is not None:
                     prof.stage_seconds[seek.key()] = clock() - t0
-                match_rows += seek_rows
                 if seek_rows == 0:
-                    short_circuited = True
-                    break
-            trace.add(
-                "elements-meeting-criteria",
-                match_rows,
-                "short-circuited: a criterion matched nothing"
-                if short_circuited else "",
-            )
-            if short_circuited:
-                return self._empty_result(plan, trace)
+                    return plan.short_circuit()
 
             # DirectCountMatch stages: GROUP BY ... HAVING COUNT per
             # attribute criterion (by object under the §4 rewrite, by
             # attribute instance otherwise); existence-only criteria
             # take every instance of their definition.
+            survivors: Dict[int, int] = {}
             for count in plan.counts:
                 t0 = clock() if clock is not None else 0.0
                 if count.required == 0:
@@ -828,46 +796,41 @@ class SqliteHybridStore(HybridStore):
                     rows = cur.execute(  # reprolint: ignore[TXN01] temp-table scratch
                         sql, (count.qattr_id, count.qattr_id, count.required)
                     ).rowcount
-                plan.actuals[count.key()] = rows
+                plan.actuals[count.key()] = survivors[count.qattr_id] = rows
                 if clock is not None:
                     prof.stage_seconds[count.key()] = clock() - t0
-            direct_rows = cur.execute(f"SELECT COUNT(*) FROM {qs}").fetchone()[0]
-            trace.add("attributes-direct", direct_rows)
 
             # AncestorCountMatch stages: one set-based DELETE per
             # criteria edge, joining the inverted list (bottom-up order
-            # fixed by the plan builder).
-            if not plan.simple:
-                for edge in plan.containments:
-                    t0 = clock() if clock is not None else 0.0
-                    cur.execute(  # reprolint: ignore[TXN01] temp-table scratch
-                        f"""
-                        DELETE FROM {qs}
-                        WHERE qattr_id = ?
-                          AND NOT EXISTS (
-                            SELECT 1
-                            FROM attr_ancestors aa
-                            JOIN {qs} cs
-                              ON cs.qattr_id = ?
-                             AND cs.object_id = aa.object_id
-                             AND cs.seq_id = aa.desc_seq
-                            WHERE aa.desc_attr_id = ?
-                              AND aa.anc_attr_id = ?
-                              AND aa.distance >= 1
-                              AND aa.object_id = {qs}.object_id
-                              AND aa.anc_seq = {qs}.seq_id)
-                        """,
-                        (edge.parent_qattr_id, edge.child_qattr_id,
-                         edge.child_def_id, edge.parent_def_id),
-                    )
-                    plan.actuals[edge.key()] = cur.execute(
-                        f"SELECT COUNT(*) FROM {qs} WHERE qattr_id = ?",
-                        (edge.parent_qattr_id,),
-                    ).fetchone()[0]
-                    if clock is not None:
-                        prof.stage_seconds[edge.key()] = clock() - t0
-                indirect_rows = cur.execute(f"SELECT COUNT(*) FROM {qs}").fetchone()[0]
-                trace.add("attributes-indirect", indirect_rows)
+            # fixed by the plan builder; none under the §4 rewrite).
+            # What the DELETE leaves of the parent's rows is the
+            # edge's output.
+            for edge in plan.containments:
+                t0 = clock() if clock is not None else 0.0
+                deleted = cur.execute(  # reprolint: ignore[TXN01] temp-table scratch
+                    f"""
+                    DELETE FROM {qs}
+                    WHERE qattr_id = ?
+                      AND NOT EXISTS (
+                        SELECT 1
+                        FROM attr_ancestors aa
+                        JOIN {qs} cs
+                          ON cs.qattr_id = ?
+                         AND cs.object_id = aa.object_id
+                         AND cs.seq_id = aa.desc_seq
+                        WHERE aa.desc_attr_id = ?
+                          AND aa.anc_attr_id = ?
+                          AND aa.distance >= 1
+                          AND aa.object_id = {qs}.object_id
+                          AND aa.anc_seq = {qs}.seq_id)
+                    """,
+                    (edge.parent_qattr_id, edge.child_qattr_id,
+                     edge.child_def_id, edge.parent_def_id),
+                ).rowcount
+                survivors[edge.parent_qattr_id] -= deleted
+                plan.actuals[edge.key()] = survivors[edge.parent_qattr_id]
+                if clock is not None:
+                    prof.stage_seconds[edge.key()] = clock() - t0
 
             # ObjectIntersect: the required number of satisfied tops.
             t0 = clock() if clock is not None else 0.0
@@ -887,29 +850,10 @@ class SqliteHybridStore(HybridStore):
             plan.actuals[plan.intersect.key()] = len(object_ids)
             if clock is not None:
                 prof.stage_seconds[plan.intersect.key()] = clock() - t0
-            trace.add("object-ids", len(object_ids))
-            record_plan(trace, self.metrics_registry())
             return object_ids
         finally:
             for table in (qm, qs):
                 cur.execute(f"DROP TABLE {quote_identifier(table)}")
-
-    def _empty_result(self, plan: LogicalPlan, trace: PlanTrace) -> List[int]:
-        """Uniform trace completion after a seek short-circuit (the
-        memory interpreter emits the identical stage sequence)."""
-        for seek in plan.seeks:
-            plan.actuals.setdefault(seek.key(), 0)
-        for count in plan.counts:
-            plan.actuals[count.key()] = 0
-        trace.add("attributes-direct", 0)
-        if not plan.simple:
-            for edge in plan.containments:
-                plan.actuals[edge.key()] = 0
-            trace.add("attributes-indirect", 0)
-        plan.actuals[plan.intersect.key()] = 0
-        trace.add("object-ids", 0)
-        record_plan(trace, self.metrics_registry())
-        return []
 
     # ------------------------------------------------------------------
     # Statistics (optimizer inputs)

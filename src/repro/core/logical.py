@@ -28,7 +28,7 @@ stages that *both* backends execute:
 plus optional :class:`~repro.core.stats.CatalogStatistics` and produces
 a :class:`LogicalPlan`; the memory interpreter
 (:func:`repro.core.planner.match_objects_memory`) and the IR→SQL
-compiler (:meth:`repro.backends.sqlite.SqliteHybridStore.match_objects`)
+compiler (:meth:`repro.backends.sqlite.SqliteHybridStore._execute_plan`)
 run the same plan object, and property tests hold them to identical
 results.  The §4 simplified plan is an IR-level rewrite
 (``plan.simple``) rather than a boolean consulted independently by each
@@ -191,6 +191,14 @@ class LogicalPlan:
 
     def stage_count(self) -> int:
         return len(self.seeks) + len(self.counts) + len(self.containments) + 1
+
+    def short_circuit(self) -> List[int]:
+        """Finish a run whose last seek matched nothing: the query is
+        conjunctive, so every stage that has not run produces zero rows
+        and the answer is empty."""
+        for stage in (*self.seeks, *self.counts, *self.containments, self.intersect):
+            self.actuals.setdefault(stage.key(), 0)
+        return []
 
     # ------------------------------------------------------------------
     # EXPLAIN rendering

@@ -47,13 +47,13 @@ from __future__ import annotations
 
 import time
 from collections import defaultdict
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
-from ..obs.profile import QueryProfile, current_profile
+from ..obs.profile import QueryProfile
 from ..relational.batch import intersect_sorted
-from .logical import LogicalPlan, build_plan
-from .query import Op, ShreddedQuery
-from .storage import MemoryHybridStore, PlanTrace, record_plan
+from .logical import LogicalPlan
+from .query import Op
+from .storage import MemoryHybridStore
 
 Instance = Tuple[int, int]  # (object_id, seq_id)
 
@@ -66,12 +66,6 @@ HANDLED_STAGE_KINDS = (
     "AncestorCountMatch",
     "ObjectIntersect",
 )
-
-
-def _as_plan(query: Union[ShreddedQuery, LogicalPlan]) -> LogicalPlan:
-    if isinstance(query, LogicalPlan):
-        return query
-    return build_plan(query)
 
 
 # ---------------------------------------------------------------------------
@@ -128,44 +122,28 @@ def _seek_expected(qelem) -> Any:
 
 def match_objects_memory(
     store: MemoryHybridStore,
-    query: Union[ShreddedQuery, LogicalPlan],
-    trace: Optional[PlanTrace] = None,
+    plan: LogicalPlan,
+    prof: Optional[QueryProfile] = None,
 ) -> List[int]:
     """Interpret the count-matching plan; returns sorted object ids.
 
-    Accepts either a bare :class:`ShreddedQuery` (compiled on the spot,
-    unoptimized) or a pre-built :class:`LogicalPlan` (what the catalog's
-    plan cache hands down).
+    The executor contract (shared with the sqlite compiler): leave each
+    stage's produced row count in ``plan.actuals``, time the stages
+    into ``prof.stage_seconds`` when a profile is collecting, return
+    the ids.  The Fig-4 trace, the stage histogram and the profile rows
+    are derived from the actuals by :meth:`HybridStore.match_objects`.
     """
-    plan = _as_plan(query)
-    if trace is None:
-        trace = PlanTrace()
-    # One contextvar read per query is the whole disabled-profiling
-    # cost on this path (bench E13's ≤1% budget).
-    prof = current_profile()
     if plan.simple:
-        object_ids = _interpret_simple(store, plan, trace, prof)
-    else:
-        object_ids = _interpret_general(store, plan, trace, prof)
-    record_plan(trace, store.metrics_registry())
-    if prof is not None:
-        prof.record_plan(plan, backend="memory", trace=trace)
-    return object_ids
+        return _interpret_simple(store, plan, prof)
+    return _interpret_general(store, plan, prof)
 
 
 def _interpret_general(
     store: MemoryHybridStore,
     plan: LogicalPlan,
-    trace: PlanTrace,
     prof: Optional[QueryProfile] = None,
 ) -> List[int]:
     query = plan.query
-    trace.add(
-        "query-criteria",
-        len(query.qattrs) + len(query.qelems),
-        f"{len(query.qattrs)} attribute, {len(query.qelems)} element criteria",
-    )
-
     elements = store.db.table("elements")
     attributes = store.db.table("attributes")
     ancestors = store.db.table("attr_ancestors")
@@ -182,8 +160,6 @@ def _interpret_general(
     # per-instance criterion counting becomes set intersection below.
     # ------------------------------------------------------------------
     seek_instances: Dict[int, List[Set[Instance]]] = defaultdict(list)
-    match_rows = 0
-    short_circuited = False
     clock = time.perf_counter if prof is not None else None
     for seek in plan.seeks:
         t0 = clock() if clock is not None else 0.0
@@ -195,24 +171,14 @@ def _interpret_general(
         vals = e_num if qelem.numeric else e_text
         hits = _seek_hits(qelem.op, vals, _seek_expected(qelem), rowids)
         seek_instances[seek.qattr_id].append({(e_obj[r], e_seq[r]) for r in hits})
-        seek_rows = len(hits)
-        plan.actuals[seek.key()] = seek_rows
+        plan.actuals[seek.key()] = len(hits)
         if clock is not None:
             prof.stage_seconds[seek.key()] = clock() - t0
-        match_rows += seek_rows
-        if seek_rows == 0:
+        if not hits:
             # Conjunctive query: an unmatched criterion empties the
-            # result — skip the remaining seeks entirely (the payoff of
-            # most-selective-first ordering).
-            short_circuited = True
-            break
-    trace.add(
-        "elements-meeting-criteria",
-        match_rows,
-        "short-circuited: a criterion matched nothing" if short_circuited else "",
-    )
-    if short_circuited:
-        return _empty_result(plan, trace, simple=False)
+            # result — skip the remaining stages entirely (the payoff
+            # of most-selective-first ordering).
+            return plan.short_circuit()
 
     # ------------------------------------------------------------------
     # DirectCountMatch stages (per attribute criterion).  An instance
@@ -220,7 +186,6 @@ def _interpret_general(
     # appears in every per-seek id set — a k-way set intersection.
     # ------------------------------------------------------------------
     satisfied: Dict[int, Set[Instance]] = {}
-    direct_rows = 0
     for count in plan.counts:
         t0 = clock() if clock is not None else 0.0
         if count.required == 0:
@@ -237,8 +202,6 @@ def _interpret_general(
         plan.actuals[count.key()] = len(candidates)
         if clock is not None:
             prof.stage_seconds[count.key()] = clock() - t0
-        direct_rows += len(candidates)
-    trace.add("attributes-direct", direct_rows)
 
     # ------------------------------------------------------------------
     # AncestorCountMatch stages (bottom-up containment via the
@@ -273,10 +236,6 @@ def _interpret_general(
             plan.actuals[edge.key()] = len(surviving)
         if clock is not None:
             prof.stage_seconds[edge.key()] = clock() - t0
-    indirect_rows = sum(
-        len(satisfied[q.qattr_id]) for q in query.qattrs if q.child_qattr_ids
-    )
-    trace.add("attributes-indirect", indirect_rows)
 
     # ------------------------------------------------------------------
     # ObjectIntersect: every top criterion satisfied — sorted id
@@ -293,14 +252,12 @@ def _interpret_general(
     plan.actuals[plan.intersect.key()] = len(object_ids)
     if clock is not None:
         prof.stage_seconds[plan.intersect.key()] = clock() - t0
-    trace.add("object-ids", len(object_ids))
     return object_ids
 
 
 def _interpret_simple(
     store: MemoryHybridStore,
     plan: LogicalPlan,
-    trace: PlanTrace,
     prof: Optional[QueryProfile] = None,
 ) -> List[int]:
     """The §4 simplified rewrite: with at most one instance of each
@@ -309,12 +266,6 @@ def _interpret_simple(
     intersected per criterion, no per-instance bookkeeping and no
     inverted-list stage."""
     query = plan.query
-    trace.add(
-        "query-criteria",
-        len(query.qattrs) + len(query.qelems),
-        f"{len(query.qattrs)} attribute, {len(query.qelems)} element criteria "
-        "(simplified plan)",
-    )
     elements = store.db.table("elements")
     attributes = store.db.table("attributes")
     e_obj = elements.column_data("object_id")
@@ -324,8 +275,6 @@ def _interpret_simple(
     # One index probe + kernel per criterion; each seek yields the
     # object ids it matched.
     seek_objects: Dict[int, List[Set[int]]] = defaultdict(list)
-    match_rows = 0
-    short_circuited = False
     clock = time.perf_counter if prof is not None else None
     for seek in plan.seeks:
         t0 = clock() if clock is not None else 0.0
@@ -334,24 +283,13 @@ def _interpret_simple(
         vals = e_num if qelem.numeric else e_text
         hits = _seek_hits(qelem.op, vals, _seek_expected(qelem), rowids)
         seek_objects[seek.qattr_id].append({e_obj[r] for r in hits})
-        seek_rows = len(hits)
-        plan.actuals[seek.key()] = seek_rows
+        plan.actuals[seek.key()] = len(hits)
         if clock is not None:
             prof.stage_seconds[seek.key()] = clock() - t0
-        match_rows += seek_rows
-        if seek_rows == 0:
-            short_circuited = True
-            break
-    trace.add(
-        "elements-meeting-criteria",
-        match_rows,
-        "short-circuited: a criterion matched nothing" if short_circuited else "",
-    )
-    if short_circuited:
-        return _empty_result(plan, trace, simple=True)
+        if not hits:
+            return plan.short_circuit()
 
     result: Optional[List[int]] = None
-    satisfied_rows = 0
     for count in plan.counts:
         t0 = clock() if clock is not None else 0.0
         if count.required == 0:
@@ -364,7 +302,6 @@ def _interpret_simple(
         plan.actuals[count.key()] = len(objects)
         if clock is not None:
             prof.stage_seconds[count.key()] = clock() - t0
-        satisfied_rows += len(objects)
         vector = sorted(objects)
         result = vector if result is None else intersect_sorted(result, vector)
         # No early exit on an empty running intersection: the sqlite
@@ -372,29 +309,9 @@ def _interpret_simple(
         # the per-stage actuals must stay backend-identical (profile
         # parity).  The expensive case — a criterion matching nothing —
         # already short-circuited at the seek stage above.
-    trace.add("attributes-direct", satisfied_rows)
     object_ids = result or []
     plan.actuals[plan.intersect.key()] = len(object_ids)
-    trace.add("object-ids", len(object_ids))
     return object_ids
-
-
-def _empty_result(plan: LogicalPlan, trace: PlanTrace, simple: bool) -> List[int]:
-    """Finish the trace uniformly after a seek short-circuit: the
-    remaining stages run over empty inputs, so record them as zero-row
-    stages (both backends emit the identical stage sequence)."""
-    for seek in plan.seeks:
-        plan.actuals.setdefault(seek.key(), 0)
-    for count in plan.counts:
-        plan.actuals[count.key()] = 0
-    trace.add("attributes-direct", 0)
-    if not simple:
-        for edge in plan.containments:
-            plan.actuals[edge.key()] = 0
-        trace.add("attributes-indirect", 0)
-    plan.actuals[plan.intersect.key()] = 0
-    trace.add("object-ids", 0)
-    return []
 
 
 # ---------------------------------------------------------------------------
@@ -403,47 +320,25 @@ def _empty_result(plan: LogicalPlan, trace: PlanTrace, simple: bool) -> List[int
 # tested against; not used by the catalog's query path.
 # ---------------------------------------------------------------------------
 
-def match_objects_memory_rows(
-    store: MemoryHybridStore,
-    query: Union[ShreddedQuery, LogicalPlan],
-    trace: Optional[PlanTrace] = None,
-) -> List[int]:
+def match_objects_memory_rows(store: MemoryHybridStore, plan: LogicalPlan) -> List[int]:
     """Row-at-a-time reference interpretation of the plan."""
-    plan = _as_plan(query)
-    if trace is None:
-        trace = PlanTrace()
     if plan.simple:
-        object_ids = _interpret_simple_rows(store, plan, trace)
-    else:
-        object_ids = _interpret_general_rows(store, plan, trace)
-    record_plan(trace, store.metrics_registry())
-    return object_ids
+        return _interpret_simple_rows(store, plan)
+    return _interpret_general_rows(store, plan)
 
 
-def _interpret_general_rows(
-    store: MemoryHybridStore,
-    plan: LogicalPlan,
-    trace: PlanTrace,
-) -> List[int]:
+def _interpret_general_rows(store: MemoryHybridStore, plan: LogicalPlan) -> List[int]:
     query = plan.query
-    trace.add(
-        "query-criteria",
-        len(query.qattrs) + len(query.qelems),
-        f"{len(query.qattrs)} attribute, {len(query.qelems)} element criteria",
-    )
-
     elements = store.db.table("elements")
     attributes = store.db.table("attributes")
     ancestors = store.db.table("attr_ancestors")
 
     # matches[qattr_id][instance] = set of qelem ids that matched there
     matches: Dict[int, Dict[Instance, Set[int]]] = defaultdict(lambda: defaultdict(set))
-    match_rows = 0
     ev_text = elements.position("value_text")
     ev_num = elements.position("value_num")
     e_obj = elements.position("object_id")
     e_seq = elements.position("seq_id")
-    short_circuited = False
     for seek in plan.seeks:
         qelem = query.qelems[seek.qelem_id - 1]
         qattr = query.qattr(seek.qattr_id)
@@ -459,20 +354,10 @@ def _interpret_general_rows(
                 matches[seek.qattr_id][(row[e_obj], row[e_seq])].add(seek.qelem_id)
                 seek_rows += 1
         plan.actuals[seek.key()] = seek_rows
-        match_rows += seek_rows
         if seek_rows == 0:
-            short_circuited = True
-            break
-    trace.add(
-        "elements-meeting-criteria",
-        match_rows,
-        "short-circuited: a criterion matched nothing" if short_circuited else "",
-    )
-    if short_circuited:
-        return _empty_result(plan, trace, simple=False)
+            return plan.short_circuit()
 
     satisfied: Dict[int, Set[Instance]] = {}
-    direct_rows = 0
     for count in plan.counts:
         if count.required == 0:
             instance_rows = attributes.lookup(["attr_id"], [count.attr_def_id])
@@ -485,8 +370,6 @@ def _interpret_general_rows(
             }
         satisfied[count.qattr_id] = candidates
         plan.actuals[count.key()] = len(candidates)
-        direct_rows += len(candidates)
-    trace.add("attributes-direct", direct_rows)
 
     for edge in plan.containments:
         base = satisfied[edge.parent_qattr_id]
@@ -509,10 +392,6 @@ def _interpret_general_rows(
             surviving = base & anc_ok
             satisfied[edge.parent_qattr_id] = surviving
             plan.actuals[edge.key()] = len(surviving)
-    indirect_rows = sum(
-        len(satisfied[q.qattr_id]) for q in query.qattrs if q.child_qattr_ids
-    )
-    trace.add("attributes-indirect", indirect_rows)
 
     result: Optional[Set[int]] = None
     for top_id in plan.intersect.top_qattr_ids:
@@ -522,22 +401,11 @@ def _interpret_general_rows(
             break
     object_ids = sorted(result or set())
     plan.actuals[plan.intersect.key()] = len(object_ids)
-    trace.add("object-ids", len(object_ids))
     return object_ids
 
 
-def _interpret_simple_rows(
-    store: MemoryHybridStore,
-    plan: LogicalPlan,
-    trace: PlanTrace,
-) -> List[int]:
+def _interpret_simple_rows(store: MemoryHybridStore, plan: LogicalPlan) -> List[int]:
     query = plan.query
-    trace.add(
-        "query-criteria",
-        len(query.qattrs) + len(query.qelems),
-        f"{len(query.qattrs)} attribute, {len(query.qelems)} element criteria "
-        "(simplified plan)",
-    )
     elements = store.db.table("elements")
     attributes = store.db.table("attributes")
     e_obj = elements.position("object_id")
@@ -545,8 +413,6 @@ def _interpret_simple_rows(
     ev_num = elements.position("value_num")
 
     met: Dict[int, Dict[int, Set[int]]] = defaultdict(lambda: defaultdict(set))
-    match_rows = 0
-    short_circuited = False
     for seek in plan.seeks:
         qelem = query.qelems[seek.qelem_id - 1]
         rows = elements.lookup(["elem_id"], [qelem.elem_def_id])
@@ -559,20 +425,10 @@ def _interpret_simple_rows(
                 met[seek.qattr_id][row[e_obj]].add(seek.qelem_id)
                 seek_rows += 1
         plan.actuals[seek.key()] = seek_rows
-        match_rows += seek_rows
         if seek_rows == 0:
-            short_circuited = True
-            break
-    trace.add(
-        "elements-meeting-criteria",
-        match_rows,
-        "short-circuited: a criterion matched nothing" if short_circuited else "",
-    )
-    if short_circuited:
-        return _empty_result(plan, trace, simple=True)
+            return plan.short_circuit()
 
     result: Optional[Set[int]] = None
-    satisfied_rows = 0
     for count in plan.counts:
         if count.required == 0:
             objects = {
@@ -584,10 +440,7 @@ def _interpret_simple_rows(
                 if len(hits) == count.required
             }
         plan.actuals[count.key()] = len(objects)
-        satisfied_rows += len(objects)
         result = objects if result is None else (result & objects)
-    trace.add("attributes-direct", satisfied_rows)
     object_ids = sorted(result or set())
     plan.actuals[plan.intersect.key()] = len(object_ids)
-    trace.add("object-ids", len(object_ids))
     return object_ids

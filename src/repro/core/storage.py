@@ -39,7 +39,7 @@ from __future__ import annotations
 import abc
 import threading
 from contextlib import contextmanager
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from ..errors import CatalogClosedError, CatalogError
 from ..faults import DEFAULT_RETRY, FaultPlan, RetryPolicy
@@ -47,12 +47,14 @@ from ..faults.sites import OBJECT_ROW_TABLES, check_site
 from ..obs import names as metric_names
 from ..obs.events import EventLog
 from ..obs.metrics import MetricsRegistry, default_registry
-from ..obs.profile import current_profile
+from ..obs.profile import QueryProfile, current_profile
 from ..obs.tracing import current_span
 from ..relational import Database, Table, clob, integer, real, text
 from .concurrency import RWLock
 from .definitions import DefinitionRegistry
+from .logical import LogicalPlan, build_plan
 from .ordering import ancestor_pairs
+from .query import ShreddedQuery
 from .schema import AnnotatedSchema
 from .shredder import ShredResult
 
@@ -76,13 +78,12 @@ class PlanStage:
 
 
 class PlanTrace:
-    """Ordered stage list recorded while matching a query.
+    """Ordered stage list of a matched query, for the caller to read.
 
-    Stages are mirrored into the observability layer by the planners:
-    each stage lands on the active :func:`repro.obs.span` as an event
-    and its row count is observed into the ``planner_stage_rows``
-    histogram, so the Fig-4 trace and the metrics pipeline are one
-    mechanism.
+    :meth:`HybridStore.match_objects` fills it from the same
+    :func:`fig4_stages` list it feeds to :func:`record_plan`, so the
+    Fig-4 trace, the ``planner_stage_rows`` histogram and the span
+    events are one mechanism.
     """
 
     def __init__(self) -> None:
@@ -120,11 +121,47 @@ ROW_BUCKETS = (0, 1, 5, 10, 50, 100, 500, 1000, 5000, 10000,
                50000, 100000, float("inf"))
 
 
-def record_plan(trace: PlanTrace, registry: MetricsRegistry) -> None:
-    """Mirror an executed plan trace into the observability layer:
+#: Note on ``elements-meeting-criteria`` when a seek matched nothing.
+SHORT_CIRCUIT_NOTE = "short-circuited: a criterion matched nothing"
+
+
+def fig4_stages(plan: LogicalPlan) -> List[PlanStage]:
+    """The five Fig-4 stages of an executed plan, as a view of
+    ``plan.actuals`` — what either backend's run of the plan traces."""
+    query = plan.query
+    actuals = plan.actuals
+    seek_rows = [actuals[seek.key()] for seek in plan.seeks]
+    stages = [
+        PlanStage(
+            "query-criteria",
+            len(query.qattrs) + len(query.qelems),
+            f"{len(query.qattrs)} attribute, {len(query.qelems)} element criteria"
+            + (" (simplified plan)" if plan.simple else ""),
+        ),
+        PlanStage(
+            "elements-meeting-criteria",
+            sum(seek_rows),
+            SHORT_CIRCUIT_NOTE if 0 in seek_rows else "",
+        ),
+        PlanStage(
+            "attributes-direct", sum(actuals[count.key()] for count in plan.counts)
+        ),
+    ]
+    if not plan.simple:
+        # A parent criterion's edges are consecutive and each whittles
+        # its survivors further, so its last edge holds the final count.
+        survivors = {
+            edge.parent_qattr_id: actuals[edge.key()] for edge in plan.containments
+        }
+        stages.append(PlanStage("attributes-indirect", sum(survivors.values())))
+    stages.append(PlanStage("object-ids", actuals[plan.intersect.key()]))
+    return stages
+
+
+def record_plan(stages: Sequence[PlanStage], registry: MetricsRegistry) -> None:
+    """Mirror an executed plan's stages into the observability layer:
     one ``planner_stage_rows{stage=...}`` observation per stage, plus
-    span events on the active query span (both backends call this at
-    the end of ``match_objects``)."""
+    span events on the active query span."""
     stage_rows = registry.histogram(
         "planner_stage_rows",
         "row count produced by each query-plan stage",
@@ -132,7 +169,7 @@ def record_plan(trace: PlanTrace, registry: MetricsRegistry) -> None:
         buckets=ROW_BUCKETS,
     )
     span = current_span()
-    for stage in trace.stages:
+    for stage in stages:
         stage_rows.labels(stage=stage.name).observe(stage.rows)
         if span is not None:
             if stage.note:
@@ -155,9 +192,9 @@ class HybridStore(abc.ABC):
     Every mutation runs inside a transaction: subclasses implement the
     ``_txn_begin``/``_txn_commit``/``_txn_rollback`` primitives (sqlite
     issues ``BEGIN IMMEDIATE``; the memory store journals undo entries)
-    and the shared :meth:`transaction` / :meth:`run_transaction` logic
-    handles reentrancy, rollback on any exception, bounded retry with
-    exponential backoff for transient failures, and the
+    and the shared :meth:`run_transaction` logic handles reentrancy,
+    rollback on any exception, bounded retry with exponential backoff
+    for transient failures, and the
     ``txn_commits_total`` / ``txn_rollbacks_total`` /
     ``txn_retries_total`` metrics.  A :class:`~repro.faults.FaultPlan`
     installed via :meth:`install_faults` is consulted before every
@@ -170,12 +207,14 @@ class HybridStore(abc.ABC):
     serialized (the S32 single-writer protocol); read surfaces run
     under :meth:`read_locked`, so any number of reader threads proceed
     in parallel and never observe a half-applied mutation.  Transaction
-    reentrancy is *per thread* — a nested ``transaction()`` joins the
+    reentrancy is *per thread* — a nested ``run_transaction`` joins the
     outer one only on the thread that owns it; any other thread queues
     on the write lock.  Fault plans likewise only fire for statements
     issued by the transaction-owning thread, keeping deterministic
     ``fail_at=N`` crash sweeps stable under concurrent readers."""
 
+    #: Backend name stamped on query profiles.
+    backend: Optional[str] = None
     metrics: Optional[MetricsRegistry] = None
     events: Optional[EventLog] = None
     fault_plan: Optional[FaultPlan] = None
@@ -332,43 +371,6 @@ class HybridStore(abc.ABC):
         if self.events is not None:
             self.events.emit("txn_retry", site=site)
 
-    @contextmanager
-    def transaction(self, site: str = "txn") -> Iterator[None]:
-        """One transaction around the ``with`` body; reentrant per
-        thread (a nested ``transaction()`` on the owning thread joins
-        the outer one, so a logical catalog operation commits exactly
-        once; any other thread queues on the write lock)."""
-        if self.in_transaction():
-            self._txn_depth += 1
-            try:
-                yield
-            finally:
-                self._txn_depth -= 1
-            return
-        self._check_open()
-        with self._rwlock().write_locked():
-            self._check_open()
-            self._txn_owner = threading.get_ident()
-            self._txn_depth = 1
-            try:
-                self._txn_begin(site)
-                yield
-            except BaseException:
-                self._txn_depth = 0
-                self._txn_owner = None
-                self._txn_rollback(site)
-                self._count_rollback(site)
-                raise
-            self._txn_depth = 0
-            self._txn_owner = None
-            try:
-                self._txn_commit(site)
-            except BaseException:
-                self._txn_rollback(site)
-                self._count_rollback(site)
-                raise
-            self._count_commit(site)
-
     def run_transaction(self, site: str, fn: Callable[[], "object"]):
         """Run ``fn`` inside one transaction, retrying the whole thing
         (the rollback restored a clean state) on transient failures —
@@ -376,11 +378,7 @@ class HybridStore(abc.ABC):
         Already inside this thread's transaction, ``fn`` simply joins
         it: retry is the outermost operation's business.  The write
         lock is held begin-through-commit, serializing transactions
-        across threads.
-
-        This is the write hot path (every ingest crosses it), so the
-        transaction bracketing is inlined rather than delegated to the
-        :meth:`transaction` context manager."""
+        across threads."""
         if self.in_transaction():
             return fn()
         self._check_open()
@@ -497,13 +495,47 @@ class HybridStore(abc.ABC):
     @abc.abstractmethod
     def object_count(self) -> int: ...
 
-    @abc.abstractmethod
-    def match_objects(self, shredded_query, trace: Optional[PlanTrace] = None) -> List[int]:
+    def match_objects(
+        self,
+        query: Union[ShreddedQuery, LogicalPlan],
+        trace: Optional[PlanTrace] = None,
+    ) -> List[int]:
         """Execute the Fig-4 count-matching plan; return matching object
         ids.  Accepts either a :class:`~repro.core.query.ShreddedQuery`
         (compiled into an unoptimized plan on the spot) or a pre-built
         :class:`~repro.core.logical.LogicalPlan` — the catalog facade
-        passes optimized, cached plans down this path."""
+        passes optimized, cached plans down this path.
+
+        The backend only runs the stages (:meth:`_execute_plan`); the
+        Fig-4 trace, the ``planner_stage_rows`` histogram, the span
+        events and the profile rows are all read off ``plan.actuals``
+        here, so they cannot differ between backends."""
+        plan = query if isinstance(query, LogicalPlan) else build_plan(query)
+        # One contextvar read per query is the whole disabled-profiling
+        # cost on this path (bench E13's ≤1% budget).
+        prof = current_profile()
+        # A re-executed plan must not keep an earlier run's counts for
+        # stages this run short-circuits past.
+        plan.actuals.clear()
+        object_ids = self._execute_plan(plan, prof)
+        stages = fig4_stages(plan)
+        record_plan(stages, self.metrics_registry())
+        if trace is not None:
+            trace.stages.extend(stages)
+        if prof is not None:
+            prof.record_plan(plan, self.backend)
+        return object_ids
+
+    @abc.abstractmethod
+    def _execute_plan(
+        self, plan: LogicalPlan, prof: Optional[QueryProfile]
+    ) -> List[int]:
+        """Run the plan's stages under a read section.  The executor
+        contract: leave every stage's produced row count in
+        ``plan.actuals`` (a seek that matches nothing ends the run
+        through :meth:`LogicalPlan.short_circuit`), time each stage
+        into ``prof.stage_seconds`` when ``prof`` is not ``None``, and
+        return the sorted matching object ids."""
 
     @abc.abstractmethod
     def collect_statistics(self):
@@ -527,6 +559,8 @@ class HybridStore(abc.ABC):
 
 class MemoryHybridStore(HybridStore):
     """Hybrid layout on the from-scratch relational engine."""
+
+    backend = "memory"
 
     def __init__(self) -> None:
         self.db = Database("hybrid")
@@ -864,11 +898,13 @@ class MemoryHybridStore(HybridStore):
         )
 
     # -- Query / response (implemented in planner.py / response.py) -------
-    def match_objects(self, shredded_query, trace: Optional[PlanTrace] = None) -> List[int]:
+    def _execute_plan(
+        self, plan: LogicalPlan, prof: Optional[QueryProfile]
+    ) -> List[int]:
         from .planner import match_objects_memory
 
         with self.read_locked():
-            return match_objects_memory(self, shredded_query, trace)
+            return match_objects_memory(self, plan, prof)
 
     # -- Statistics (optimizer inputs) --------------------------------------
     def collect_statistics(self):

@@ -89,7 +89,6 @@ TRANSACTION_SITES: FrozenSet[str] = frozenset(
         "remove_attribute_instance",
         "catalog.ingest",
         "catalog.add_attribute",
-        "txn",  # the bare default of HybridStore.transaction()
     }
 )
 

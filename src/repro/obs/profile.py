@@ -2,7 +2,8 @@
 
 A :class:`QueryProfile` rides one plan execution: the backend times
 each IR stage as it runs, and when the plan finishes
-:meth:`QueryProfile.record_plan` derives the per-stage row flow —
+:meth:`QueryProfile.record_plan` (called by the shared
+``HybridStore.match_objects``) derives the per-stage row flow —
 rows-in, rows-out, and the optimizer's estimate — from the plan's
 ``actuals`` map.  Because *both* backends fill ``actuals`` identically
 (the PAR01 parity property), the row columns of a profile are computed
@@ -103,15 +104,15 @@ class QueryProfile:
     cache/lock/pool wait breakdown, and total wall time.
 
     Backends fill ``stage_seconds`` (stage key → seconds) while
-    executing and call :meth:`record_plan` once at the end; the
-    contention hooks call :meth:`add_wait` from wherever the query
+    executing and ``HybridStore.match_objects`` calls
+    :meth:`record_plan` once at the end; the contention hooks call :meth:`add_wait` from wherever the query
     blocked.  A result-cache hit leaves the stage list empty with
     ``result_cache_hit`` set — no plan ran.
     """
 
     __slots__ = ("backend", "stage_seconds", "waits",
                  "total_seconds", "result_cache_hit", "plan_cache_hit",
-                 "simple", "trace_stages", "_t0",
+                 "simple", "_t0",
                  "_plan", "_actuals", "_stages", "_short_circuited")
 
     def __init__(self) -> None:
@@ -122,7 +123,6 @@ class QueryProfile:
         self.result_cache_hit = False
         self.plan_cache_hit: Optional[bool] = None
         self.simple: Optional[bool] = None
-        self.trace_stages: List[str] = []
         self._t0 = time.perf_counter()
         # Stage rows are derived lazily (first access of ``stages``):
         # ``record_plan`` on the query hot path only snapshots the
@@ -144,7 +144,7 @@ class QueryProfile:
         if self.total_seconds is None:
             self.total_seconds = time.perf_counter() - self._t0
 
-    def record_plan(self, plan, backend: str, trace=None) -> None:
+    def record_plan(self, plan, backend: Optional[str]) -> None:
         """Snapshot an executed plan so the stage rows can be derived.
 
         The row flow is a pure function of the plan, so both backends
@@ -158,8 +158,6 @@ class QueryProfile:
         """
         self.backend = backend
         self.simple = plan.simple
-        if trace is not None:
-            self.trace_stages = trace.stage_names()
         self._plan = plan
         self._actuals = dict(plan.actuals)
         self._stages = None
@@ -348,10 +346,3 @@ def deactivate(profile: QueryProfile, token) -> None:
     """Undo :func:`activate` and stamp the profile's total wall time."""
     _current.reset(token)
     profile.finish()
-
-
-def stage_clock(profile: Optional[QueryProfile]):
-    """The per-stage clock for a backend's execution loop: a real
-    ``perf_counter`` when profiling, ``None`` otherwise (so the
-    disabled path never touches a clock)."""
-    return time.perf_counter if profile is not None else None

@@ -44,9 +44,6 @@ class Database:
         except KeyError:
             raise TableError(f"no table {name!r}") from None
 
-    def has_table(self, name: str) -> bool:
-        return name in self._tables
-
     def tables(self) -> List[Table]:
         return list(self._tables.values())
 

@@ -49,9 +49,10 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional, Tuple
 from urllib.parse import urlsplit
 
-from ..errors import CatalogError
+from ..errors import CatalogError, ReproError
 from ..grid.service import MyLeadService
 from ..obs import render_prometheus
+from ..xmlkit import XMLSyntaxError
 from .auth import SessionManager
 from .protocol import query_from_payload
 from .ratelimit import RateLimiter
@@ -87,10 +88,13 @@ class ServerConfig:
         self.default_page_limit = default_page_limit
 
 
-def _status_for(exc: CatalogError) -> int:
-    """Map a service-layer rejection to an HTTP status: ownership and
+def _status_for(exc: Exception) -> int:
+    """Map a rejected request to an HTTP status: ownership and
     visibility refusals are 403, unknown names 404, duplicates 409,
-    anything else a plain 400 — never a 5xx."""
+    anything else — including a document that does not parse, shred or
+    validate — a plain 400; never a 5xx."""
+    if not isinstance(exc, CatalogError):
+        return 400
     message = str(exc)
     if "not visible" in message or "belongs to" in message:
         return 403
@@ -468,7 +472,7 @@ class _CatalogRequestHandler(BaseHTTPRequestHandler):
                                        token=token)
             else:
                 status, body = handler(user, payload, parsed.query)
-        except CatalogError as exc:
+        except (ReproError, XMLSyntaxError) as exc:
             self._finish(route.endpoint, _status_for(exc),
                          {"error": str(exc)}, start, user)
             return

@@ -54,7 +54,6 @@ from ..core.schema import AnnotatedSchema, ValueType
 from ..core.shredder import Shredder
 from ..core.stats import StatsSnapshot
 from ..core.storage import HybridStore, PlanTrace
-from ..core.result_cache import result_key
 from ..errors import CatalogClosedError, CatalogError
 from ..faults.plan import FaultPlan
 from ..faults.sites import check_site
@@ -634,12 +633,6 @@ class ShardedCatalog:
             )
             self.last_profile = profile
         return ShardedExplanation(legs, profile=profile)
-
-    def result_cache_key(self, query: ObjectQuery, user: Optional[str] = None):
-        """The per-shard result-cache key this query uses (identical
-        on every shard — one shared registry shreds it).  Exposed for
-        the shard-scoped invalidation assertions in the tests."""
-        return result_key(self.shards[0].shred_query(query, user=user))
 
     # ------------------------------------------------------------------
     # Responses

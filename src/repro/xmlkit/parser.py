@@ -58,14 +58,20 @@ _NAME_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_:")
 _NAME_CHARS = _NAME_START | set("0123456789.-")
 _WHITESPACE = set(" \t\r\n")
 
+#: Deepest element nesting accepted.  The parser recurses two frames
+#: per level, so the cap keeps any input far from the interpreter's
+#: recursion limit; LEAD and CLRC documents nest fewer than 20 levels.
+MAX_NESTING_DEPTH = 100
+
 
 class _Parser:
-    __slots__ = ("source", "pos", "length")
+    __slots__ = ("source", "pos", "length", "depth")
 
     def __init__(self, source: str) -> None:
         self.source = source
         self.pos = 0
         self.length = len(source)
+        self.depth = 0
 
     # -- low-level helpers ------------------------------------------------
     def error(self, message: str, offset: Optional[int] = None) -> XMLSyntaxError:
@@ -150,7 +156,11 @@ class _Parser:
             self.pos += 2
             return Element(tag, attributes=attributes, source_span=(start, self.pos))
         self.expect(">")
+        if self.depth == MAX_NESTING_DEPTH:
+            raise self.error(f"nesting deeper than {MAX_NESTING_DEPTH}", start)
+        self.depth += 1
         children = self.parse_content(tag)
+        self.depth -= 1
         element = Element(tag, attributes=attributes, children=children)
         element.source_span = (start, self.pos)
         return element

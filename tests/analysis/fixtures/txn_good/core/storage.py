@@ -13,10 +13,6 @@ class GoodStore:
             "store_object", lambda: self.db.table("objects").insert(row)
         )
 
-    def save_block(self, row):
-        with self.transaction("store_object"):
-            self.db.table("objects").insert(row)
-
     def _append(self, row):
         # Reached only through run_transaction callers: txn-only helper.
         self.db.table("objects").insert(row)

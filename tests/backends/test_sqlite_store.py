@@ -5,7 +5,14 @@ import pytest
 from repro.backends import SqliteHybridStore
 from repro.core import AttributeCriteria, HybridCatalog, ObjectQuery, Op, PlanTrace
 from repro.errors import CatalogClosedError, CatalogError
-from repro.grid import FIG3_DOCUMENT, define_fig3_attributes, lead_schema
+from repro.grid import (
+    FIG3_DOCUMENT,
+    LeadCorpusGenerator,
+    WorkloadGenerator,
+    define_fig3_attributes,
+    lead_schema,
+)
+from repro.obs import MetricsRegistry
 from repro.xmlkit import canonical, parse
 
 
@@ -140,6 +147,31 @@ class TestSqlPlan:
     def test_existence_only_criterion(self, catalog):
         query = ObjectQuery().add_attribute(AttributeCriteria("theme"))
         assert catalog.query(query) == [1]
+
+    def test_statements_per_query_are_the_plan_stages(
+        self, corpus_config, corpus_docs
+    ):
+        """One statement per stage plus temp-table housekeeping: row
+        counts come from the stage statements' own ``rowcount``, so a
+        bookkeeping ``SELECT COUNT(*)`` cannot come back unnoticed."""
+        registry = MetricsRegistry()
+        cat = HybridCatalog(
+            lead_schema(), store=SqliteHybridStore(), metrics=registry
+        )
+        LeadCorpusGenerator(corpus_config).register_definitions(cat)
+        cat.ingest_many(corpus_docs)
+        query = WorkloadGenerator(corpus_config).nested_query(1, depth=2)
+        plan, _hit = cat.plan_for(cat.shred_query(query))
+        assert len(plan.containments) == 2 and plan.seeks
+        executes = registry.get("sqlite_statements_total").labels(kind="execute")
+        before = executes.value
+        assert cat.store.match_objects(plan)
+        assert executes.value - before == (
+            2  # CREATE TEMP TABLE x2
+            + len(plan.seeks) + len(plan.counts) + len(plan.containments)
+            + 1  # ObjectIntersect
+            + 2  # DROP TABLE x2
+        )
 
     def test_temp_tables_cleaned_up(self, catalog):
         for _ in range(3):

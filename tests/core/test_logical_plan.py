@@ -6,12 +6,19 @@ every mutation that can change plan validity bumps the statistics
 generation, and the cache treats a generation mismatch as a miss.
 """
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.backends import SqliteHybridStore
 from repro.core import (
+    AncestorCountMatch,
     AttributeCriteria,
+    DirectCountMatch,
+    ElementSeek,
     HybridCatalog,
+    LogicalPlan,
+    ObjectIntersect,
     ObjectQuery,
     Op,
     PlanCache,
@@ -19,6 +26,7 @@ from repro.core import (
     plan_shape,
 )
 from repro.core.schema import ValueType
+from repro.core.storage import SHORT_CIRCUIT_NOTE, fig4_stages
 from repro.grid import lead_schema
 from repro.xmlkit import element, pretty_print
 
@@ -263,3 +271,92 @@ class TestStalePlanRegression:
         catalog.ingest(make_doc("doc-extra", grids=[{"nx": 70, "dx": 1000.0}]))
         explanation = catalog.explain(query)
         assert explanation.cache_hit is True
+
+
+class TestFig4Derivation:
+    """The Fig-4 trace is a pure view of a plan and its ``actuals`` —
+    exercised here on hand-built plans, no store involved."""
+
+    @staticmethod
+    def plan(n_qattrs, seek_qattrs, edges, simple=False):
+        query = SimpleNamespace(
+            qattrs=[None] * n_qattrs, qelems=[None] * len(seek_qattrs)
+        )
+        seeks = [
+            ElementSeek(i + 1, qattr_id, 100 + i, Op.EQ, True)
+            for i, qattr_id in enumerate(seek_qattrs)
+        ]
+        counts = [
+            DirectCountMatch(q, 10 + q, seek_qattrs.count(q), simple)
+            for q in range(1, n_qattrs + 1)
+        ]
+        containments = [
+            AncestorCountMatch(parent, child, 10 + parent, 10 + child)
+            for parent, child in edges
+        ]
+        return LogicalPlan(
+            query, seeks, counts, containments, ObjectIntersect((1,)),
+            simple, None, shape=(),
+        )
+
+    @staticmethod
+    def rows(plan):
+        return [(s.name, s.rows, s.note) for s in fig4_stages(plan)]
+
+    def test_general_plan_two_edges_under_one_parent(self):
+        # qattr 1 contains 2 and 3; 2 contains 4.
+        plan = self.plan(4, [1, 3, 4], edges=[(2, 4), (1, 2), (1, 3)])
+        plan.actuals.update({
+            ("seek", 1): 7, ("seek", 2): 5, ("seek", 3): 2,
+            ("count", 1): 7, ("count", 2): 9, ("count", 3): 5, ("count", 4): 2,
+            ("containment", 2, 4): 2,
+            ("containment", 1, 2): 4, ("containment", 1, 3): 3,
+            ("intersect",): 3,
+        })
+        assert self.rows(plan) == [
+            ("query-criteria", 7, "4 attribute, 3 element criteria"),
+            ("elements-meeting-criteria", 14, ""),
+            ("attributes-direct", 23, ""),
+            # Parents 2 and 1 after their *last* edge: 2 + 3, not 2 + 4 + 3.
+            ("attributes-indirect", 5, ""),
+            ("object-ids", 3, ""),
+        ]
+
+    def test_general_plan_without_edges_keeps_the_indirect_stage(self):
+        plan = self.plan(1, [1], edges=[])
+        plan.actuals.update({("seek", 1): 4, ("count", 1): 4, ("intersect",): 2})
+        assert self.rows(plan)[3] == ("attributes-indirect", 0, "")
+
+    def test_simple_plan_has_no_indirect_stage(self):
+        plan = self.plan(2, [1, 2], edges=[], simple=True)
+        plan.actuals.update({
+            ("seek", 1): 6, ("seek", 2): 3, ("count", 1): 6, ("count", 2): 3,
+            ("intersect",): 2,
+        })
+        assert self.rows(plan) == [
+            ("query-criteria", 4,
+             "2 attribute, 2 element criteria (simplified plan)"),
+            ("elements-meeting-criteria", 9, ""),
+            ("attributes-direct", 9, ""),
+            ("object-ids", 2, ""),
+        ]
+
+    @pytest.mark.parametrize("simple", [False, True])
+    def test_short_circuit_at_the_second_of_three_seeks(self, simple):
+        edges = [] if simple else [(1, 2)]
+        plan = self.plan(2, [1, 1, 2], edges=edges, simple=simple)
+        plan.actuals.update({("seek", 1): 8, ("seek", 2): 0})
+        assert plan.short_circuit() == []
+        assert plan.actuals[("seek", 3)] == 0  # never ran
+        assert set(plan.actuals) == {
+            stage.key()
+            for stage in (*plan.seeks, *plan.counts, *plan.containments,
+                          plan.intersect)
+        }
+        rows = self.rows(plan)
+        assert rows[1] == ("elements-meeting-criteria", 8, SHORT_CIRCUIT_NOTE)
+        assert [name for name, _r, _n in rows] == [
+            "query-criteria", "elements-meeting-criteria", "attributes-direct",
+            *([] if simple else ["attributes-indirect"]), "object-ids",
+        ]
+        assert all(r == 0 for _name, r, _n in rows[2:])

@@ -5,6 +5,7 @@ import pytest
 from repro.backends import SqliteHybridStore
 from repro.core import HybridCatalog, PlanTrace
 from repro.grid import LeadCorpusGenerator, WorkloadGenerator, lead_schema
+from repro.obs import MetricsRegistry
 from repro.xmlkit import canonical, parse
 
 
@@ -32,15 +33,40 @@ class TestQueryEquivalence:
             query = workload.marker_query(marker)
             assert memory.query(query) == sqlite.query(query)
 
-    def test_traces_have_same_stage_structure(self, catalogs, corpus_config):
+    def test_traces_have_same_stage_structure(self, corpus_config, corpus_docs):
+        """Name, row count and note of every Fig-4 stage agree, query by
+        query, and so do the ``planner_stage_rows`` histograms the two
+        catalogs accumulate (own registries: nothing else feeds them)."""
+        catalogs = []
+        for store in (None, SqliteHybridStore()):
+            catalog = HybridCatalog(
+                lead_schema(), store=store, metrics=MetricsRegistry()
+            )
+            LeadCorpusGenerator(corpus_config).register_definitions(catalog)
+            catalog.ingest_many(corpus_docs)
+            catalogs.append(catalog)
         memory, sqlite = catalogs
-        query = WorkloadGenerator(corpus_config).nested_query(1, depth=2)
-        mtrace, strace = PlanTrace(), PlanTrace()
-        memory.query(query, trace=mtrace)
-        sqlite.query(query, trace=strace)
-        assert mtrace.stage_names() == strace.stage_names()
-        # Final stage (object ids) must agree row for row.
-        assert mtrace.stages[-1].rows == strace.stages[-1].rows
+        workload = WorkloadGenerator(corpus_config)
+        queries = workload.mixed(30)
+        queries.append(workload.nested_query(1, depth=2))
+        queries += [workload.marker_query(m) for m in corpus_config.planted]
+        for i, query in enumerate(queries):
+            mtrace, strace = PlanTrace(), PlanTrace()
+            memory.query(query, trace=mtrace)
+            sqlite.query(query, trace=strace)
+            assert mtrace.as_dict() == strace.as_dict(), f"query {i}"
+
+        def stage_row_sums(catalog):
+            family = catalog.metrics.get("planner_stage_rows")
+            return {
+                labels["stage"]: (hist.count, hist.sum)
+                for labels, hist in family.series()
+            }
+
+        sums = stage_row_sums(memory)
+        assert sums == stage_row_sums(sqlite)
+        assert sums["attributes-indirect"][1] > 0
+        assert sums["object-ids"][0] == len(queries)
 
 
 class TestResponseEquivalence:

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 from repro.backends import SqliteHybridStore
 from repro.core import AttributeCriteria, HybridCatalog, ObjectQuery, Op, PlanTrace, build_plan
+from repro.core.storage import fig4_stages
 from repro.grid import CF_STANDARD_NAMES, CorpusConfig, LeadCorpusGenerator, lead_schema
 
 CONFIG = CorpusConfig(seed=777, themes=2, keys_per_theme=3, dynamic_groups=2,
@@ -137,3 +138,23 @@ def test_cached_plan_equals_fresh_plan(memory_catalog, query):
     fresh = catalog.store.match_objects(build_plan(shredded, catalog.stats))
     plan, _hit = catalog.plan_for(shredded)  # may come from the cache
     assert catalog.store.match_objects(plan) == fresh
+
+
+@settings(max_examples=60, deadline=None)
+@given(queries)
+def test_trace_is_the_derivation_of_the_executed_plan(
+    memory_catalog, sqlite_catalog, query
+):
+    # What a caller's PlanTrace receives is exactly fig4_stages() of
+    # the plan that ran — on both backends, and therefore the same on
+    # both.
+    views = []
+    for catalog in (memory_catalog, sqlite_catalog):
+        trace = PlanTrace()
+        catalog.query(query, trace=trace)
+        explanation = catalog.explain(query)
+        derived = PlanTrace()
+        derived.stages.extend(fig4_stages(explanation.plan))
+        assert trace.as_dict() == derived.as_dict() == explanation.trace.as_dict()
+        views.append(trace.as_dict())
+    assert views[0] == views[1]

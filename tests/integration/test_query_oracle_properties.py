@@ -12,7 +12,9 @@ from hypothesis import strategies as st
 
 from repro.baselines import evaluate_shredded_query
 from repro.backends import SqliteHybridStore
-from repro.core import AttributeCriteria, HybridCatalog, ObjectQuery, Op, shred_query
+from repro.core import (
+    AttributeCriteria, HybridCatalog, ObjectQuery, Op, build_plan, shred_query,
+)
 from repro.grid import CF_STANDARD_NAMES, CorpusConfig, LeadCorpusGenerator, lead_schema
 from repro.xmlkit import parse
 
@@ -135,7 +137,7 @@ def test_batch_interpreter_matches_rows_interpreter(memory_env, query):
     from repro.core.planner import match_objects_memory, match_objects_memory_rows
 
     catalog, _documents = memory_env
-    shredded = shred_query(query, catalog.registry)
-    batch_ids = match_objects_memory(catalog.store, shredded)
-    row_ids = match_objects_memory_rows(catalog.store, shredded)
+    plan = build_plan(shred_query(query, catalog.registry))
+    batch_ids = match_objects_memory(catalog.store, plan)
+    row_ids = match_objects_memory_rows(catalog.store, plan)
     assert batch_ids == row_ids

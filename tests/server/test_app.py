@@ -153,6 +153,40 @@ class TestCatalogRoundTrip:
             assert status == 200
             assert listing["experiments"][0]["files"] == 1
 
+    def test_hostile_documents_400_and_the_connection_survives(self, server):
+        """A document that does not parse, has the wrong root, or nests
+        deep enough to exhaust a recursive parser is the client's
+        error: 400, never 5xx, and the keep-alive connection stays
+        usable for the next request."""
+        service, srv = server
+        hostile = {
+            "malformed": "<LEADresource><data>",
+            "wrong root": "<notLEAD><data/></notLEAD>",
+            "deeply nested": "<a>" * 1000 + "</a>" * 1000,
+        }
+        client = logged_in_client(srv)
+        with client:
+            _, exp = client.create_experiment("run-1")
+            for label, document in hostile.items():
+                status, body = client.add_file(exp["experiment_id"], document)
+                assert status == 400, (label, status, body)
+                assert "internal error" not in body["error"], label
+            status, receipt = client.add_file(
+                exp["experiment_id"], FIG3_DOCUMENT, name="fig3"
+            )
+            assert status == 201
+            assert client.query(theme_query())[1]["ids"] == [receipt["object_id"]]
+        requests = service.catalog.metrics.get("server_requests_total")
+        by_status = {}
+        for labels, metric in requests.series():
+            if labels["endpoint"] == "files":
+                by_status[labels["status"]] = metric.value
+        assert by_status == {"400": 3, "201": 1}
+        assert not [
+            labels for labels, _m in requests.series()
+            if labels["status"].startswith("5")
+        ]
+
     def test_visibility_enforced_over_http(self, server):
         _service, srv = server
         ann = logged_in_client(srv, "ann")

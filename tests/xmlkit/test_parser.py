@@ -3,6 +3,7 @@
 import pytest
 
 from repro.xmlkit import Element, XMLSyntaxError, parse, parse_fragment, parse_span
+from repro.xmlkit.parser import MAX_NESTING_DEPTH
 
 
 class TestBasicParsing:
@@ -179,3 +180,26 @@ class TestErrorPickling:
         assert (clone.line, clone.column, clone.offset) == (
             exc.line, exc.column, exc.offset,
         )
+
+
+class TestNestingLimit:
+    @staticmethod
+    def nested(levels, leaf=""):
+        return "<a>" * levels + leaf + "</a>" * levels
+
+    def test_limit_boundary(self):
+        element = parse(self.nested(MAX_NESTING_DEPTH, "x")).root
+        for _ in range(MAX_NESTING_DEPTH - 1):
+            element = element.find("a")
+        assert element.text() == "x"
+        # An empty element opens no content, so it may sit one deeper.
+        parse(self.nested(MAX_NESTING_DEPTH, "<a/>"))
+        with pytest.raises(XMLSyntaxError, match="nesting deeper than"):
+            parse(self.nested(MAX_NESTING_DEPTH + 1))
+
+    @pytest.mark.parametrize("levels", [1_000, 5_000, 100_000])
+    def test_recursion_error_never_escapes(self, levels):
+        with pytest.raises(XMLSyntaxError, match="nesting deeper than"):
+            parse(self.nested(levels))
+        with pytest.raises(XMLSyntaxError):
+            parse("<a>" * levels)
