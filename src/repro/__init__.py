@@ -64,7 +64,7 @@ from .errors import (
     ValidationError,
 )
 from .faults import FaultError, FaultPlan, RetryPolicy, TransientFault
-from .sharding import ShardedCatalog
+from .sharding import ShardedStore
 
 __version__ = "1.0.0"
 
@@ -96,7 +96,7 @@ __all__ = [
     "RetryPolicy",
     "SchemaError",
     "SchemaNode",
-    "ShardedCatalog",
+    "ShardedStore",
     "ShredError",
     "Shredder",
     "TransientFault",

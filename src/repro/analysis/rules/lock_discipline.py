@@ -4,15 +4,16 @@ Since PR 5 the catalog's consistency under threads rests on a
 hand-maintained protocol: every store write runs under the write side
 of the store's RWLock (via ``run_transaction``/``transaction``), every
 read surface under the read side (``read_locked`` / the pooled
-``_reader``), and the sharding facade serializes id allocation and
-routing-map updates behind its own mutex.  Nothing enforced that
+``_reader``), and the sharded store serializes routing-map updates
+behind its own mutex.  Nothing enforced that
 protocol — deleting one ``with self.read_locked():`` would pass every
 functional test and fail only probabilistically under the concurrency
 suites.  These two rules make it machine-checked:
 
 * **LCK01** — every configured public read/write entry point on the
-  storage backends and on :class:`ShardedCatalog` must *reach* the
-  correct lock acquisition through the optimistic whole-program call
+  storage backends (the sharded store is one: its entries discharge
+  on the shard stores they route to) must *reach* the correct lock
+  acquisition through the optimistic whole-program call
   graph.  Over-approximate resolution is the right polarity here: a
   call edge we cannot rule out may be the one that takes the lock, so
   LCK01 only fires when **no** path can possibly acquire it.
@@ -106,27 +107,6 @@ _STORE_SPEC = EntryPointSpec(
     }),
 )
 
-#: The facade's writes end on a shard's transaction protocol; its
-#: reads end on a shard store's read surface.
-_SHARD_SPEC = EntryPointSpec(
-    root="ShardedCatalog",
-    read_entries=frozenset({
-        "query", "explain", "fetch", "search", "collect_statistics",
-        "storage_report", "shard_status",
-    }),
-    write_entries=frozenset({
-        "ingest", "ingest_many", "delete", "add_attribute",
-        "remove_attribute", "define_attribute", "define_element",
-        "resync_definitions",
-    }),
-    read_protections=frozenset({
-        "read_locked", "_reader", "write_locked", "run_transaction",
-    }),
-    write_protections=frozenset({
-        "run_transaction", "write_locked",
-    }),
-)
-
 #: The service facade's bookkeeping (users, experiments, ownership,
 #: the published set, provenance links) is guarded by its own RWLock;
 #: mutators hold the write side, multi-step reads the read side.  The
@@ -152,9 +132,7 @@ _SERVICE_SPEC = EntryPointSpec(
     }),
 )
 
-DEFAULT_SPECS: Tuple[EntryPointSpec, ...] = (
-    _STORE_SPEC, _SHARD_SPEC, _SERVICE_SPEC,
-)
+DEFAULT_SPECS: Tuple[EntryPointSpec, ...] = (_STORE_SPEC, _SERVICE_SPEC)
 
 
 class LockReachabilityRule(Rule):

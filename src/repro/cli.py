@@ -96,11 +96,12 @@ from .obs import (
 )
 from .server import CatalogServer, ServerConfig
 from .sharding import (
-    ShardedCatalog,
+    ShardedStore,
     Topology,
     check_sharded_catalog,
     read_topology,
     router_for,
+    sharded_store,
     topology_sidecar,
     write_topology,
 )
@@ -170,27 +171,24 @@ def _schema_for(db_path: str, xsd: Optional[str]):
 
 
 def _open(db_path: str, registry: MetricsRegistry,
-          xsd: Optional[str] = None,
+          schema=None,
           events: Optional[EventLog] = None,
-          slow_threshold: Optional[float] = None):
-    """Open the catalog at ``db_path`` — a :class:`ShardedCatalog`
-    when the ``<db>.shards.json`` topology sidecar says the path is a
-    federation, a plain :class:`HybridCatalog` otherwise.  The event
-    log and slow-query threshold apply to the single-catalog layout
-    only (the federated query path has no per-query audit surface
-    yet)."""
+          slow_threshold: Optional[float] = None) -> HybridCatalog:
+    """Open the catalog at ``db_path``: over the shard databases when
+    the ``<db>.shards.json`` topology sidecar says the path is a
+    federation, over the one sqlite file otherwise."""
     topology = read_topology(db_path)
     if topology is not None:
-        return ShardedCatalog(
-            _schema_for(db_path, xsd),
-            shards=topology.shards,
+        store = sharded_store(
+            topology.shards,
             path=db_path,
             router=router_for(topology.router, topology.shards),
-            metrics=registry,
         )
+    else:
+        store = SqliteHybridStore(db_path)
     return HybridCatalog(
-        _schema_for(db_path, xsd),
-        store=SqliteHybridStore(db_path),
+        schema if schema is not None else _schema_for(db_path, None),
+        store=store,
         metrics=registry,
         events=events,
         slow_query_threshold=slow_threshold,
@@ -843,25 +841,18 @@ def _run_command(args, registry: MetricsRegistry) -> int:
             print("error: --shards must be >= 1", file=sys.stderr)
             return 1
         schema = _schema_for(args.db, args.xsd)
-        if args.shards > 1 or args.by_user:
-            router_kind = "user" if args.by_user else "hash"
-            catalog = ShardedCatalog(
-                schema,
-                shards=args.shards,
-                path=args.db,
-                router=router_for(router_kind, args.shards),
-                metrics=registry,
+        sharded = args.shards > 1 or args.by_user
+        if sharded:
+            write_topology(
+                args.db,
+                Topology(args.shards, "user" if args.by_user else "hash"),
             )
-            catalog.close()
-            write_topology(args.db, Topology(args.shards, router_kind))
-        else:
-            HybridCatalog(schema, store=SqliteHybridStore(args.db), metrics=registry)
+        _open(args.db, registry, schema=schema).store.close()
         if args.xsd:
             pathlib.Path(args.db + ".xsd").write_text(
                 pathlib.Path(args.xsd).read_text()
             )
-        layout = (f"{args.shards} shard(s)" if args.shards > 1 or args.by_user
-                  else "unsharded")
+        layout = f"{args.shards} shard(s)" if sharded else "unsharded"
         print(f"created catalog {args.db} with schema {schema.name!r} "
               f"({schema.max_order()} ordered nodes, {layout})")
         return 0
@@ -883,14 +874,7 @@ def _run_command(args, registry: MetricsRegistry) -> int:
             # thread a consistent snapshot of the same catalog state.
             import concurrent.futures
 
-            catalog = _open(args.db, registry)
-            # A sharded catalog federates the snapshot itself; a plain
-            # one exposes it on the store.
-            collect = (
-                catalog.collect_statistics
-                if isinstance(catalog, ShardedCatalog)
-                else catalog.store.collect_statistics
-            )
+            collect = _open(args.db, registry).store.collect_statistics
             with concurrent.futures.ThreadPoolExecutor(args.threads) as pool:
                 snaps = list(pool.map(lambda _i: collect(), range(args.threads)))
             first = snaps[0]
@@ -910,9 +894,9 @@ def _run_command(args, registry: MetricsRegistry) -> int:
             for name, rows, size in catalog.storage_report():
                 print(f"  {name:<16} {rows:>8} rows  {size:>10} bytes")
             # Columnar backends (the memory engine) can account bytes
-            # per column; sqlite and sharded catalogs report whole
+            # per column; sqlite and sharded stores report whole
             # tables only.
-            engine = getattr(getattr(catalog, "store", None), "db", None)
+            engine = getattr(catalog.store, "db", None)
             breakdown = getattr(engine, "storage_breakdown", None)
             if breakdown is not None:
                 print("columns:")
@@ -943,10 +927,7 @@ def _run_command(args, registry: MetricsRegistry) -> int:
                     slow_threshold=slow_threshold)
     if args.retry_attempts is not None or args.retry_backoff is not None:
         try:
-            if isinstance(catalog, ShardedCatalog):
-                catalog.set_retry_policy(_cli_retry_policy(args))
-            else:
-                catalog.store.set_retry_policy(_cli_retry_policy(args))
+            catalog.store.set_retry_policy(_cli_retry_policy(args))
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
@@ -1105,11 +1086,6 @@ def _run_command(args, registry: MetricsRegistry) -> int:
         return 0
 
     if args.command == "serve":
-        if isinstance(catalog, ShardedCatalog):
-            print("error: serve requires an unsharded catalog "
-                  "(shard-per-process serving is a roadmap item)",
-                  file=sys.stderr)
-            return 1
         service = MyLeadService(catalog.schema, catalog)
         config = ServerConfig(
             host=args.host,
@@ -1139,10 +1115,10 @@ def _run_command(args, registry: MetricsRegistry) -> int:
     if args.command == "fsck":
         from .core import check_catalog
 
-        if isinstance(catalog, ShardedCatalog):
+        if isinstance(catalog.store, ShardedStore):
             violations = check_sharded_catalog(catalog, deep=args.deep)
             summary = (f"ok: {len(catalog)} objects across "
-                       f"{catalog.shard_count} shard(s), no violations")
+                       f"{len(catalog.store.stores)} shard(s), no violations")
         else:
             violations = check_catalog(catalog, deep=args.deep)
             summary = f"ok: {len(catalog)} objects, no violations"
@@ -1154,13 +1130,13 @@ def _run_command(args, registry: MetricsRegistry) -> int:
         return 1
 
     if args.command == "shard-status":
-        if not isinstance(catalog, ShardedCatalog):
+        if not isinstance(catalog.store, ShardedStore):
             print(f"{args.db} is not sharded (no topology sidecar)")
             return 0
-        print(f"router: {catalog.router.describe()}")
+        print(f"router: {catalog.store.router.describe()}")
         print(f"{'shard':>5}  {'objects':>8}  {'bytes':>12}  path")
         total_objects = total_bytes = 0
-        for index, path, objects, size in catalog.shard_status():
+        for index, path, objects, size in catalog.store.shard_status():
             total_objects += objects
             total_bytes += size
             print(f"{index:>5}  {objects:>8}  {size:>12}  {path or '-'}")

@@ -182,12 +182,10 @@ class HybridCatalog:
     # ------------------------------------------------------------------
     # Shared metric handles (one creation call site per name — OBS01)
     # ------------------------------------------------------------------
-    def _set_objects_gauge(self, count: Optional[int] = None) -> None:
-        # ``count`` lets a federating facade (repro.sharding) publish
-        # the catalog-wide total through the same single creation site.
+    def _set_objects_gauge(self) -> None:
         self.metrics.gauge(
             "catalog_objects", "objects currently cataloged"
-        ).set(len(self._names) if count is None else count)
+        ).set(len(self._names))
 
     def _count_query(self) -> None:
         self.metrics.counter("catalog_queries_total", "queries executed").inc()
@@ -269,7 +267,6 @@ class HybridCatalog:
         name: Optional[str] = "",
         owner: str = "",
         user: Optional[str] = None,
-        object_id: Optional[int] = None,
     ) -> IngestReceipt:
         """Shred and store one metadata document.
 
@@ -277,10 +274,7 @@ class HybridCatalog:
         :class:`~repro.xmlkit.Document`.  ``user`` scopes dynamic
         definition lookups (and auto-definitions in ``"define"`` mode).
         ``name=None`` auto-names the object ``object-<id>`` from its
-        allocated id.  ``object_id`` forces a caller-allocated id
-        instead of drawing from this catalog's counter — the sharded
-        facade allocates ids globally so hash routing stays
-        deterministic.  All writes (definition sync + object rows) are
+        allocated id.  All writes (definition sync + object rows) are
         one store transaction: a failure anywhere leaves the catalog
         exactly as it was.
         """
@@ -288,8 +282,7 @@ class HybridCatalog:
             if isinstance(document, str):
                 document = parse(document)
             shred = self.shredder.shred(document, user=user)
-            if object_id is None:
-                object_id = next(self._object_ids)
+            object_id = next(self._object_ids)
             if name is None:
                 name = f"object-{object_id}"
                 current.set(object_name=name)

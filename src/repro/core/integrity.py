@@ -23,7 +23,7 @@ healthy); it never mutates the store.
 
 from __future__ import annotations
 
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Tuple
 
 from ..errors import SchemaError
 from ..identifiers import quote_identifier
@@ -31,11 +31,18 @@ from ..xmlkit import XMLSyntaxError, parse_fragment
 from .catalog import HybridCatalog
 
 Violation = str
+#: ``(object_id, attr_id, seq_id)`` — one attribute instance.
+Instance = Tuple[int, int, int]
 
 
-def check_catalog(catalog: HybridCatalog, deep: bool = False) -> List[Violation]:
-    """Run every integrity check; returns violations (empty = healthy)."""
-    store = catalog.store
+def check_catalog(
+    catalog: HybridCatalog, deep: bool = False, store=None
+) -> List[Violation]:
+    """Run every integrity check; returns violations (empty = healthy).
+    ``store`` checks that store instead of ``catalog.store`` — one
+    shard of a sharded catalog, under the catalog's schema."""
+    if store is None:
+        store = catalog.store
     tables = {
         name: _rows(store, name)
         for name in (
@@ -163,7 +170,6 @@ def _check_inverted(tables) -> List[Violation]:
                 "self row"
             )
     # Endpoints + transitivity.
-    edges: Dict[Tuple[int, int, int], Set[Tuple[int, int, int]]] = {}
     all_rows = set()
     for row in tables["attr_ancestors"]:
         object_id, d_attr, d_seq, a_attr, a_seq, distance = row
@@ -176,12 +182,15 @@ def _check_inverted(tables) -> List[Violation]:
             out.append(f"attr_ancestors: missing ancestor instance {anc}")
             continue
         all_rows.add((desc, anc, distance))
-    for desc, anc, m in all_rows:
-        if m == 0:
-            continue
-        for desc2, anc2, n in all_rows:
-            if n == 0 or desc2 != anc:
-                continue
+    # Each proper-ancestor row only has to meet the rows that start at
+    # its ancestor, so bucket those by descendant (an all-pairs scan is
+    # quadratic in the inverted list).
+    proper = [row for row in all_rows if row[2] > 0]
+    by_desc: Dict[Instance, List[Tuple[Instance, int]]] = {}
+    for desc, anc, n in proper:
+        by_desc.setdefault(desc, []).append((anc, n))
+    for desc, anc, m in proper:
+        for anc2, n in by_desc.get(anc, ()):
             if (desc, anc2, m + n) not in all_rows:
                 out.append(
                     f"attr_ancestors: missing transitive row {desc} -> "

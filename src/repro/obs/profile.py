@@ -171,21 +171,11 @@ class QueryProfile:
             )
         return self._stages
 
-    @stages.setter
-    def stages(self, value: List[StageProfile]) -> None:
-        # Synthetic profiles (the sharded scatter-gather merge) build
-        # their stage list directly instead of from a plan snapshot.
-        self._stages = value
-
     @property
     def short_circuited(self) -> bool:
         if self._plan is not None and self._stages is None:
             self.stages  # force derivation
         return self._short_circuited
-
-    @short_circuited.setter
-    def short_circuited(self, value: bool) -> None:
-        self._short_circuited = value
 
     def _build_stages(self) -> List[StageProfile]:
         plan = self._plan

@@ -1,14 +1,16 @@
-"""Sharded catalog federation: N hybrid catalogs behind one API.
+"""Sharded catalog federation: N hybrid stores behind one catalog.
 
 Partition a catalog across N sqlite WAL databases (hash-by-id or
 by-owner routing), scatter the unchanged logical IR to every shard,
 and gather with an order-preserving k-way merge — proven equivalent
-to a single catalog by the sharding parity suite
-(``tests/integration/test_shard_parity_properties.py``).
+to a single store by the sharding parity suite
+(``tests/integration/test_shard_parity_properties.py``).  A sharded
+catalog is ``HybridCatalog(schema, store=sharded_store(3, path=...))``.
 """
 
-from .catalog import ShardedCatalog, ShardedExplanation, check_sharded_catalog
+from .integrity import check_sharded_catalog
 from .router import HashRouter, ShardRouter, UserRouter, router_for
+from .store import ShardedStore, sharded_store
 from .topology import (
     Topology,
     read_topology,
@@ -18,8 +20,8 @@ from .topology import (
 )
 
 __all__ = [
-    "ShardedCatalog",
-    "ShardedExplanation",
+    "ShardedStore",
+    "sharded_store",
     "check_sharded_catalog",
     "ShardRouter",
     "HashRouter",

@@ -11,7 +11,7 @@ both mix their key through fixed integer arithmetic.
 Two routers ship:
 
 * :class:`HashRouter` — partition by object id.  Ids are allocated
-  globally and sequentially by the sharded facade, so a bit-mixing
+  globally and sequentially by the catalog, so a bit-mixing
   step (a splitmix64-style finalizer) spreads consecutive ids across
   shards instead of striping them modulo N.
 * :class:`UserRouter` — partition by the ``owner`` string (CRC-32 of

@@ -52,6 +52,16 @@ class TestHealthyCatalogs:
         catalog.remove_attribute(1, "theme", seq=1)
         assert check_catalog(catalog, deep=True) == []
 
+    def test_large_generated_corpus_clean(self):
+        """1,200 documents / 22.8k inverted-list rows: the transitivity
+        check is bucketed by descendant, so this is well under a second
+        (the all-pairs scan it replaced took ~5 s here)."""
+        generator = LeadCorpusGenerator(CorpusConfig(seed=11))
+        cat = HybridCatalog(lead_schema())
+        generator.register_definitions(cat)
+        cat.ingest_many(list(generator.documents(1200)))
+        assert check_catalog(cat) == []
+
     def test_store_only_content_is_legal(self):
         """Lenient validation leaves CLOBs without shredded rows — not a
         violation (paper §3)."""
@@ -110,6 +120,30 @@ class TestCorruptionDetection:
         violations = check_catalog(catalog)
         assert any("self row" in v for v in violations)
 
+    @pytest.mark.parametrize("backend", ["memory", "sqlite"])
+    def test_missing_transitive_row_in_three_level_chain(self, backend):
+        """grid -> section-l1 -> section-l2 -> section-l3: drop one
+        distance-2 row and exactly the implied rows are reported —
+        the same strings an all-pairs scan of the list reports."""
+        store = SqliteHybridStore() if backend == "sqlite" else None
+        cat = HybridCatalog(lead_schema(), store=store)
+        generator = LeadCorpusGenerator(CorpusConfig(seed=8, dynamic_depth=3))
+        generator.register_definitions(cat)
+        cat.ingest_many(list(generator.documents(3)))
+        assert check_catalog(cat) == []
+        corrupt(
+            cat,
+            "DELETE FROM attr_ancestors WHERE rowid = "
+            "(SELECT MIN(rowid) FROM attr_ancestors WHERE distance = 2)",
+            lambda db: _memory_delete_first_where(db, "attr_ancestors", 5, 2),
+        )
+        violations = check_catalog(cat)
+        assert violations and all(
+            "missing transitive row" in v and v.endswith("at distance 2")
+            for v in violations
+        )
+        assert sorted(violations) == sorted(_all_pairs_transitivity(cat))
+
     def test_unknown_definition(self, catalog):
         corrupt(
             catalog,
@@ -154,6 +188,35 @@ def _memory_update(db, table_name, column_index, value):
         if i == 0:
             mutated[column_index] = value
         table.insert(mutated)
+
+
+def _memory_delete_first_where(db, table_name, column_index, value):
+    table = db.table(table_name)
+    rows = table.rows()
+    victim = next(i for i, r in enumerate(rows) if r[column_index] == value)
+    table.clear()
+    for i, row in enumerate(rows):
+        if i != victim:
+            table.insert(row)
+
+
+def _all_pairs_transitivity(catalog):
+    """The reference transitivity check: every proper-ancestor row
+    against every other (quadratic; what ``_check_inverted`` replaced
+    with buckets)."""
+    from repro.core.integrity import _rows
+
+    rows = {
+        ((o, da, ds), (o, aa, as_), dist)
+        for o, da, ds, aa, as_, dist in _rows(catalog.store, "attr_ancestors")
+    }
+    return [
+        f"attr_ancestors: missing transitive row {desc} -> {anc2} "
+        f"at distance {m + n}"
+        for desc, anc, m in rows if m
+        for desc2, anc2, n in rows if n and desc2 == anc
+        if (desc, anc2, m + n) not in rows
+    ]
 
 
 def _memory_delete_first(db, table_name):

@@ -38,9 +38,9 @@ _SCHEMA_SITES = frozenset({"insert:schema_order", "insert:node_ancestors"})
 #: two-backend write sweep.
 _POOL_SITES = frozenset({"pool:acquire"})
 
-#: Federation sites consulted by the sharded-catalog facade; exercised
+#: Federation sites consulted by the sharded store; exercised
 #: by the dedicated sweeps in ``test_shard_sites.py`` (they need a
-#: :class:`~repro.sharding.ShardedCatalog`, not a bare store).
+#: :class:`~repro.sharding.ShardedStore`, not a bare store).
 _SHARD_SITES = frozenset({"shard:write", "shard:sync", "shard:query"})
 
 

@@ -1,4 +1,5 @@
-"""The sharding parity suite: ShardedCatalog(N) == one catalog.
+"""The sharding parity suite: a catalog over ShardedStore(N) == a
+catalog over one store.
 
 Hypothesis draws random query shapes (keyword lookups, numeric range
 predicates over grid parameters, nested sub-attribute chains, and
@@ -9,26 +10,31 @@ unsharded catalog holding the same corpus:
 * **query** — the globally merged id list is equal (same members,
   same order),
 * **fetch** — the set-wise tagged-XML responses are byte-identical,
-* **explain** — the federated plan executes the same stage keys, and
-  the summed ObjectIntersect actuals equal the unsharded actuals
-  (objects are disjoint across shards, so the final stage sums
-  exactly),
+* **explain / trace** — the same Fig-4 stage names, the same
+  ``object-ids`` row and the same ObjectIntersect actual (objects are
+  disjoint across shards, so the final stage sums exactly); every
+  other stage's summed rows equal the unsharded plan's when no leg
+  short-circuits, and never exceed them when both catalogs ran the
+  seeks in the same order (a leg that short-circuits on a locally
+  empty criterion reports zero for the stages it skipped),
 * **accounting** — per-table row counts sum to the unsharded counts,
-  and every sharded catalog passes the federation fsck.
+  and every sharded catalog passes the federation fsck,
+
+and a delete / add_attribute / remove_attribute sequence keeps it so.
 
 All five catalogs ingest the identical generated corpus in the same
-order; the sharded facade allocates the same global ids the unsharded
-catalog does, which is what makes id-level comparison meaningful.
+order, so the one id counter of each catalog hands out the same ids,
+which is what makes id-level comparison meaningful.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import AttributeCriteria, HybridCatalog, ObjectQuery, Op
+from repro.core import AttributeCriteria, HybridCatalog, ObjectQuery, Op, PlanTrace
 from repro.grid import CF_STANDARD_NAMES, CorpusConfig, LeadCorpusGenerator, lead_schema
 from repro.obs import MetricsRegistry
-from repro.sharding import ShardedCatalog, check_sharded_catalog
+from repro.sharding import check_sharded_catalog, sharded_store
 
 CONFIG = CorpusConfig(seed=20060815, themes=2, keys_per_theme=3,
                       dynamic_groups=2, params_per_group=5, dynamic_depth=3)
@@ -44,19 +50,30 @@ def _ingest_corpus(catalog):
     return catalog
 
 
+def _build_oracle():
+    return _ingest_corpus(HybridCatalog(lead_schema(), metrics=MetricsRegistry()))
+
+
+def _build_sharded():
+    return {
+        shards: _ingest_corpus(
+            HybridCatalog(
+                lead_schema(), store=sharded_store(shards),
+                metrics=MetricsRegistry(),
+            )
+        )
+        for shards in SHARD_COUNTS
+    }
+
+
 @pytest.fixture(scope="module")
 def oracle():
-    return _ingest_corpus(HybridCatalog(lead_schema(), metrics=MetricsRegistry()))
+    return _build_oracle()
 
 
 @pytest.fixture(scope="module")
 def sharded():
-    return {
-        shards: _ingest_corpus(
-            ShardedCatalog(lead_schema(), shards=shards, metrics=MetricsRegistry())
-        )
-        for shards in SHARD_COUNTS
-    }
+    return _build_sharded()
 
 
 # -- query-shape strategies (the oracle suite's shapes, reseeded) ----------
@@ -141,28 +158,57 @@ def test_sharded_responses_byte_identical(oracle, sharded, query):
         assert catalog.search(query) == [expected[i] for i in ids]
 
 
+def _assert_plan_parity(oracle, catalog, query, label):
+    """Same ids, same Fig-4 rows that must be equal, and the summed
+    stage rows related to the unsharded ones as the module docstring
+    says."""
+    reference = oracle.explain(query)
+    explanation = catalog.explain(query)
+    assert explanation.object_ids == reference.object_ids, label
+    assert explanation.trace.stage_names() == reference.trace.stage_names(), label
+    assert (
+        explanation.trace.stages[-1].rows,
+        explanation.trace.stages[-1].name,
+    ) == (reference.trace.stages[-1].rows, "object-ids"), label
+    wanted = reference.plan.actuals
+    summed = explanation.plan.actuals
+    assert set(summed) == set(wanted), label
+    intersect = reference.plan.intersect.key()
+    assert summed[intersect] == wanted[intersect], label
+    # Which legs short-circuit: run the same plan on each shard store.
+    legs = []
+    for store in catalog.store.stores:
+        leg = explanation.plan.rebind(explanation.plan.query)
+        store._execute_plan(leg, None)
+        legs.append(leg)
+    if all(leg.actuals[seek.key()] for leg in legs for seek in leg.seeks):
+        assert summed == wanted, label
+    if [s.qelem_id for s in explanation.plan.seeks] == [
+        s.qelem_id for s in reference.plan.seeks
+    ]:
+        assert all(summed[key] <= wanted[key] for key in wanted), label
+
+
 @settings(max_examples=40, deadline=None)
 @given(queries)
 def test_sharded_explain_row_totals(oracle, sharded, query):
-    """The federated plan runs the same stage keys, and the final
-    ObjectIntersect actuals sum exactly to the unsharded actuals.
-    (Seek/count stages may legitimately under-count when a shard
-    short-circuits on a locally empty criterion, so only the
-    intersect stage — whose inputs are disjoint object sets — must
-    sum exactly.)"""
-    reference = oracle.explain(query)
-    intersect_key = reference.plan.intersect.key()
     for shards, catalog in sharded.items():
-        explanation = catalog.explain(query)
-        assert explanation.object_ids == reference.object_ids
-        assert explanation.stage_keys() <= set(reference.plan.actuals), (
-            f"shards={shards}: federated legs ran stages the "
-            f"unsharded plan does not have"
-        )
-        merged = explanation.merged_actuals()
-        assert merged.get(intersect_key, 0) == reference.plan.actuals.get(
-            intersect_key, 0
-        ), f"shards={shards}"
+        _assert_plan_parity(oracle, catalog, query, f"shards={shards}")
+
+
+@settings(max_examples=40, deadline=None)
+@given(queries)
+def test_sharded_trace_is_the_unsharded_fig4_trace(oracle, sharded, query):
+    """``query(trace=...)`` on a sharded catalog shows the five Fig-4
+    rows of one store — no per-leg or merge rows — ending in the same
+    ``object-ids`` count."""
+    wanted = PlanTrace()
+    expected = oracle.query(query, trace=wanted)
+    for shards, catalog in sharded.items():
+        trace = PlanTrace()
+        assert catalog.query(query, trace=trace) == expected
+        assert trace.stage_names() == wanted.stage_names(), f"shards={shards}"
+        assert trace.stages[-1].rows == wanted.stages[-1].rows == len(expected)
 
 
 def test_storage_rows_sum_to_unsharded(oracle, sharded):
@@ -185,18 +231,76 @@ def test_every_sharded_catalog_is_fsck_clean(sharded):
 
 
 def test_profiled_query_keeps_parity(oracle, sharded):
-    """profile=True must not change answers, and the merged profile
-    ends with the synthetic ScatterGather stage for N > 1."""
+    """profile=True must not change answers; the profile has the
+    stages of one store's run (rows summed over the legs) and names
+    the sharded backend."""
     query = _make_query([
         AttributeCriteria("theme").add_element(
             "themekey", "", CF_STANDARD_NAMES[0], Op.EQ
         )
     ])
-    expected = oracle.query(query)
+    # A trace bypasses the result cache, so a plan actually runs.
+    expected = oracle.query(query, trace=PlanTrace(), profile=True)
+    wanted = oracle.last_profile
     for shards, catalog in sharded.items():
-        assert catalog.query(query, profile=True) == expected
+        assert catalog.query(query, trace=PlanTrace(), profile=True) == expected
         profile = catalog.last_profile
-        assert profile is not None
-        if shards > 1:
-            assert profile.backend == "sharded"
-            assert profile.stage_names()[-1] == "ScatterGather"
+        assert profile.backend == "sharded"
+        assert profile.stage_names() == wanted.stage_names()
+        assert profile.rows_out()[-1] == wanted.rows_out()[-1] == len(expected)
+        # The legs' stage clocks were summed into the one profile
+        # (the first seek runs on every leg, whatever it matches).
+        assert profile.stages[0].seconds > 0
+
+
+WRITE_PROBES = [
+    _make_query([AttributeCriteria("theme")]),
+    _make_query([
+        AttributeCriteria("theme").add_element(
+            "themekey", "", "late_added_key", Op.EQ
+        )
+    ]),
+    _make_query([_nested_criteria(1, 0.0)]),
+    _make_query([
+        AttributeCriteria("grid", "ARPS").add_element("nx", "ARPS", 50, Op.GE)
+    ]),
+]
+
+
+def test_parity_survives_delete_add_and_remove_attribute():
+    """The write verbs route to the owning shard and leave every
+    catalog — N ∈ {1, 2, 3, 5} and the unsharded oracle — answering,
+    tracing and fetching identically, fsck-clean after each step."""
+    oracle = _build_oracle()
+    catalogs = _build_sharded()
+    fragment = (
+        "<theme><themekt>CF</themekt>"
+        "<themekey>late_added_key</themekey></theme>"
+    )
+
+    def check(step):
+        for query in WRITE_PROBES:
+            ids = oracle.query(query)
+            xml = oracle.fetch(ids)
+            for shards, catalog in catalogs.items():
+                label = f"{step}, shards={shards}"
+                assert catalog.query(query) == ids, label
+                assert catalog.fetch(ids) == xml, label
+                _assert_plan_parity(oracle, catalog, query, label)
+        for shards, catalog in catalogs.items():
+            assert check_sharded_catalog(catalog, deep=True) == [], (
+                f"{step}, shards={shards}"
+            )
+
+    steps = [
+        ("delete", lambda c: c.delete(3)),
+        ("add_attribute", lambda c: c.add_attribute(5, fragment)),
+        ("add_attribute again", lambda c: c.add_attribute(8, fragment)),
+        ("remove_attribute", lambda c: c.remove_attribute(5, "theme", seq=1)),
+        ("delete after amend", lambda c: c.delete(8)),
+    ]
+    check("before")
+    for step, apply in steps:
+        for catalog in (oracle, *catalogs.values()):
+            apply(catalog)
+        check(step)

@@ -1,26 +1,33 @@
-"""ShardedCatalog behaviour: topology, reopen, lifecycle, and the
-shard-scoped cache-token contract.
+"""A catalog over a ShardedStore: topology, reopen, lifecycle and the
+routing bookkeeping.
 
-The equivalence-with-one-catalog property lives in
+The equivalence-with-one-store property lives in
 ``tests/integration/test_shard_parity_properties.py``; this module
 pins the federation mechanics around it.
 """
 
+import os
+import sqlite3
+
 import pytest
 
-from repro.core import AttributeCriteria, ObjectQuery, Op
+from repro.core import AttributeCriteria, HybridCatalog, ObjectQuery, Op
 from repro.errors import CatalogClosedError, CatalogError
+from repro.faults import FaultError, FaultPlan
 from repro.grid import FIG3_DOCUMENT, define_fig3_attributes, lead_schema
 from repro.obs import MetricsRegistry
 from repro.sharding import (
-    ShardedCatalog,
+    HashRouter,
+    ShardedStore,
     Topology,
     UserRouter,
     check_sharded_catalog,
     read_topology,
     shard_db_paths,
+    sharded_store,
     write_topology,
 )
+from repro.xmlkit import parse
 
 
 def theme_query():
@@ -31,54 +38,71 @@ def theme_query():
     )
 
 
-def build(shards=3, path=None, router=None, ingest=5):
-    catalog = ShardedCatalog(
-        lead_schema(), shards=shards, path=path, router=router,
+def open_catalog(shards=3, path=None, router=None):
+    return HybridCatalog(
+        lead_schema(),
+        store=sharded_store(shards, path=path, router=router),
         metrics=MetricsRegistry(),
     )
+
+
+def build(shards=3, path=None, router=None, ingest=5):
+    catalog = open_catalog(shards, path, router)
     define_fig3_attributes(catalog)
     for index in range(ingest):
         catalog.ingest(FIG3_DOCUMENT, name=f"o{index}", owner=f"u{index % 2}")
     return catalog
 
 
+def table_rows(store, table):
+    return dict((name, rows) for name, rows, _size in store.storage_report())[table]
+
+
 class TestConstruction:
     def test_rejects_zero_shards(self):
         with pytest.raises(CatalogError):
-            ShardedCatalog(lead_schema(), shards=0, metrics=MetricsRegistry())
+            sharded_store(0)
+        with pytest.raises(CatalogError):
+            ShardedStore([], HashRouter(1))
 
     def test_rejects_mismatched_router(self):
         with pytest.raises(CatalogError, match="router covers"):
-            ShardedCatalog(
-                lead_schema(), shards=3, router=UserRouter(2),
-                metrics=MetricsRegistry(),
-            )
+            sharded_store(3, router=UserRouter(2))
+
+    def test_is_a_hybrid_store_that_only_executes_the_plan(self):
+        from repro.core import HybridStore
+
+        assert issubclass(ShardedStore, HybridStore)
+        assert "_execute_plan" in vars(ShardedStore)
+        assert "match_objects" not in vars(ShardedStore)
 
     def test_objects_spread_across_shards(self):
         catalog = build(shards=3, ingest=12)
-        held = {index for index in catalog._locations.values()}
+        held = set(catalog.store._locations.values())
         assert len(held) > 1
-        assert sum(len(cat) for cat in catalog.shards) == 12
+        assert sum(s.object_count() for s in catalog.store.stores) == 12
 
     def test_shared_registry_is_every_shards_registry(self):
+        """One registry above the store; every shard's definition
+        tables mirror it (definition ids are federation-wide, which is
+        what makes one plan runnable on every shard)."""
         catalog = build()
-        for cat in catalog.shards:
-            assert cat.registry is catalog.registry
-            assert cat.shredder is catalog.shredder
+        attrs = len(list(catalog.registry.all_attributes()))
+        elems = len(list(catalog.registry.all_elements()))
+        for store in catalog.store.stores:
+            assert table_rows(store, "attr_defs") == attrs
+            assert table_rows(store, "elem_defs") == elems
 
     def test_ids_allocated_globally_and_sequentially(self):
         catalog = build(ingest=7)
-        assert sorted(catalog._locations) == list(range(1, 8))
+        assert sorted(catalog.store._locations) == list(range(1, 8))
 
     def test_user_router_colocates_owner(self):
-        catalog = ShardedCatalog(
-            lead_schema(), shards=4, router=UserRouter(4),
-            metrics=MetricsRegistry(),
-        )
+        catalog = open_catalog(4, router=UserRouter(4))
         define_fig3_attributes(catalog)
         for index in range(8):
             catalog.ingest(FIG3_DOCUMENT, name=f"o{index}", owner="ann")
-        assert len(set(catalog._locations.values())) == 1
+        assert len(set(catalog.store._locations.values())) == 1
 
 
 class TestTopologySidecar:
@@ -110,11 +134,9 @@ class TestReopen:
         catalog.define_element(extra, "tool", "LAB")
         expected = catalog.query(theme_query())
         expected_xml = catalog.fetch(expected)
-        catalog.close()
+        catalog.store.close()
 
-        reopened = ShardedCatalog(
-            lead_schema(), shards=3, path=base, metrics=MetricsRegistry()
-        )
+        reopened = open_catalog(3, path=base)
         assert len(reopened) == 6
         assert reopened.query(theme_query()) == expected
         assert reopened.fetch(expected) == expected_xml
@@ -123,53 +145,98 @@ class TestReopen:
         # Id allocation resumes after the global max, not a shard max.
         receipt = reopened.ingest(FIG3_DOCUMENT, name="later")
         assert receipt.object_id == 7
-        reopened.close()
+        reopened.store.close()
 
     def test_reopen_heals_lagging_definition_sync(self, tmp_path):
         """A shard missing definition rows (the mid-fan-out crash
         leftover) is caught up by the union-rehydrate + sync pass that
         every open performs."""
-        from repro.faults import FaultError, FaultPlan
-
         base = str(tmp_path / "cat.db")
         catalog = build(shards=3, path=base, ingest=3)
-        catalog.install_faults(FaultPlan(site="shard:sync", site_occurrence=2))
+        catalog.store.install_faults(
+            FaultPlan(site="shard:sync", site_occurrence=2)
+        )
         with pytest.raises(FaultError):
             catalog.define_attribute("lagged", "LAB")
-        catalog.clear_faults()
-        catalog.close()
+        catalog.store.clear_faults()
+        catalog.store.close()
 
-        reopened = ShardedCatalog(
-            lead_schema(), shards=3, path=base, metrics=MetricsRegistry()
-        )
+        reopened = open_catalog(3, path=base)
         assert reopened.registry.lookup_attribute("lagged", "LAB") is not None
-        counts = {
-            dict((n, r) for n, r, _s in cat.storage_report())["attr_defs"]
-            for cat in reopened.shards
-        }
+        counts = {table_rows(s, "attr_defs") for s in reopened.store.stores}
         assert len(counts) == 1
-        reopened.close()
+        reopened.store.close()
+
+    def test_never_initialised_shard_file_gets_schema_and_definitions(
+        self, tmp_path
+    ):
+        """One shard file lost (or never created) before a reopen: the
+        open installs the schema there and the definition sync fills
+        its definition tables, so the federation is whole again."""
+        base = str(tmp_path / "cat.db")
+        catalog = build(shards=3, path=base, ingest=2)
+        expected = catalog.query(theme_query())
+        empty = next(
+            i for i in range(3) if i not in catalog.store._locations.values()
+        )
+        catalog.store.close()
+        for suffix in ("", "-wal", "-shm"):
+            lost = shard_db_paths(base, 3)[empty] + suffix
+            if os.path.exists(lost):
+                os.remove(lost)
+
+        reopened = open_catalog(3, path=base)
+        assert reopened.query(theme_query()) == expected
+        attrs = len(list(reopened.registry.all_attributes()))
+        assert table_rows(reopened.store.stores[empty], "attr_defs") == attrs
+        assert check_sharded_catalog(reopened, deep=True) == []
+        reopened.store.close()
+
+    def test_object_on_two_shards_is_rejected_at_open(self, tmp_path):
+        base = str(tmp_path / "cat.db")
+        catalog = build(shards=3, path=base, ingest=4)
+        victim = 1
+        wrong = (catalog.store.shard_of(victim) + 1) % 3
+        shred = catalog.shredder.shred(parse(FIG3_DOCUMENT))
+        catalog.store.stores[wrong].store_object(victim, "dup", "", shred)
+        catalog.store.close()
+        with pytest.raises(CatalogError, match="object 1 present in shards"):
+            open_catalog(3, path=base)
+
+    def test_definition_disagreement_is_rejected_at_open(self, tmp_path):
+        base = str(tmp_path / "cat.db")
+        catalog = build(shards=3, path=base, ingest=1)
+        attr_id = catalog.registry.lookup_attribute("grid", "ARPS").attr_id
+        catalog.store.close()
+        conn = sqlite3.connect(shard_db_paths(base, 3)[1])
+        conn.execute(
+            "UPDATE attr_defs SET name = 'girder' WHERE attr_id = ?", (attr_id,)
+        )
+        conn.commit()
+        conn.close()
+        with pytest.raises(
+            CatalogError, match=f"disagrees on attribute definition {attr_id}"
+        ):
+            open_catalog(3, path=base)
 
 
 class TestLifecycle:
     def test_close_is_idempotent(self):
         catalog = build()
-        catalog.close()
-        catalog.close()  # no-op, no raise
+        catalog.store.close()
+        catalog.store.close()  # no-op, no raise
 
     def test_query_after_close_raises(self):
         catalog = build()
-        expected_token = catalog.cache_token()
-        catalog.query(theme_query())  # warm the per-shard caches
-        assert catalog.cache_token() == expected_token
-        catalog.close()
+        catalog.query(theme_query())  # warm the result cache
+        catalog.store.close()
         with pytest.raises(CatalogClosedError):
             catalog.query(theme_query())
 
     @pytest.mark.parametrize("op", ["ingest", "delete", "define", "fetch", "stats"])
     def test_every_surface_checks_closed(self, op):
         catalog = build()
-        catalog.close()
+        catalog.store.close()
         with pytest.raises(CatalogClosedError):
             if op == "ingest":
                 catalog.ingest(FIG3_DOCUMENT, name="late")
@@ -180,56 +247,23 @@ class TestLifecycle:
             elif op == "fetch":
                 catalog.fetch([1])
             else:
-                catalog.collect_statistics()
+                catalog.store.collect_statistics()
 
     def test_one_shard_closed_fails_whole_query(self):
-        """The per-leg re-check (PR 5's lifecycle contract, extended
-        to the sharded path): a federation with one closed shard
-        raises instead of serving the remaining shards' rows — even
-        when every leg's result cache is warm."""
+        """A federation with one closed shard raises instead of
+        serving the remaining shards' rows — even when the catalog's
+        result cache holds the answer."""
         catalog = build(shards=3)
-        catalog.query(theme_query())  # warm every per-shard cache
-        catalog.shards[1].store.close()
+        catalog.query(theme_query())  # warm the result cache
+        catalog.store.stores[1].close()
         with pytest.raises(CatalogClosedError):
             catalog.query(theme_query())
 
     def test_close_closes_rest_when_one_shard_already_closed(self):
         catalog = build(shards=3)
-        catalog.shards[0].store.close()  # pre-closed: close() is idempotent
-        catalog.close()
-        assert all(cat.store._closed for cat in catalog.shards)
-
-
-class TestCacheScoping:
-    def test_write_moves_exactly_one_token_slot(self):
-        catalog = build(shards=3, ingest=6)
-        before = catalog.cache_token()
-        receipt = catalog.ingest(FIG3_DOCUMENT, name="probe", owner="zz")
-        after = catalog.cache_token()
-        moved = [
-            index for index in range(3) if before[index] != after[index]
-        ]
-        assert moved == [catalog.shard_of(receipt.object_id)]
-
-    def test_untouched_shards_keep_serving_warm_hits(self):
-        catalog = build(shards=3, ingest=9)
-        catalog.query(theme_query())  # cold: every leg misses
-        hits = lambda: catalog.metrics.counter(  # noqa: E731
-            "query_cache_hits_total",
-            "query results served from the result cache",
-        ).value
-        warm_before = hits()
-        catalog.query(theme_query())  # warm: every leg hits
-        assert hits() == warm_before + 3
-        # A write to one shard invalidates that shard's leg only.
-        receipt = catalog.ingest(FIG3_DOCUMENT, name="inval", owner="q")
-        touched = catalog.shard_of(receipt.object_id)
-        before = hits()
-        assert catalog.query(theme_query())  # N-1 hits + 1 recompute
-        assert hits() == before + 2
-        # And the recomputed leg was the touched shard's: its token
-        # moved, the others did not (asserted per-slot above).
-        assert touched in range(3)
+        catalog.store.stores[0].close()  # pre-closed: close() is idempotent
+        catalog.store.close()
+        assert all(store._closed for store in catalog.store.stores)
 
 
 class TestAccounting:
@@ -243,26 +277,37 @@ class TestAccounting:
     def test_shard_of_unknown_object(self):
         catalog = build()
         with pytest.raises(CatalogError):
-            catalog.shard_of(12345)
+            catalog.store.shard_of(12345)
 
     def test_delete_updates_routing_map(self):
         catalog = build(ingest=4)
-        shard = catalog.shard_of(2)
         catalog.delete(2)
-        assert 2 not in catalog._locations
+        assert 2 not in catalog.store._locations
         assert len(catalog) == 3
         assert check_sharded_catalog(catalog, deep=True) == []
-        assert shard in range(3)
+
+    def test_object_gauges_follow_every_write(self):
+        catalog = build(ingest=6)
+        catalog.delete(3)
+        gauge = catalog.metrics.gauge(
+            "shard_objects", "objects currently held by each shard",
+            labels=("shard",),
+        )
+        for index, store in enumerate(catalog.store.stores):
+            assert gauge.labels(shard=str(index)).value == store.object_count()
+        assert catalog.store._counts == [
+            s.object_count() for s in catalog.store.stores
+        ]
 
     def test_shard_status_totals_match(self):
         catalog = build(ingest=6)
-        status = catalog.shard_status()
+        status = catalog.store.shard_status()
         assert [index for index, *_rest in status] == [0, 1, 2]
         assert sum(objects for _i, _p, objects, _b in status) == 6
 
     def test_fsck_detects_routing_map_drift(self):
         catalog = build(ingest=4)
-        catalog._locations[999] = 0  # phantom entry
+        catalog.store._locations[999] = 0  # phantom entry
         violations = check_sharded_catalog(catalog)
         assert any("no shard stores it" in v for v in violations)
 
@@ -270,11 +315,10 @@ class TestAccounting:
         """An object stored on a shard its router disowns (e.g. after
         a topology change) is a reported violation."""
         catalog = build(shards=3, ingest=5)
-        victim = next(iter(catalog._locations))
-        owner_shard = catalog._locations[victim]
-        wrong = (owner_shard + 1) % 3
+        victim = next(iter(catalog.store._locations))
+        wrong = (catalog.store.shard_of(victim) + 1) % 3
         # Copy the object's rows onto the wrong shard out-of-band.
-        doc_xml = catalog.fetch([victim])[victim]
-        catalog.shards[wrong].ingest(doc_xml, name="dup", object_id=victim)
+        shred = catalog.shredder.shred(parse(catalog.fetch([victim])[victim]))
+        catalog.store.stores[wrong].store_object(victim, "dup", "", shred)
         violations = check_sharded_catalog(catalog)
         assert any("stored in shards" in v for v in violations)
