@@ -1,10 +1,10 @@
-"""A campaign-scale bulk load into a persisted catalog.
+"""A campaign-scale load into a persisted catalog.
 
 Shows the operational path a LEAD campaign would use: a sqlite-backed
-catalog file, the vocabulary registered once, documents bulk-loaded
-(with the process-pool shredder), attributes added incrementally as the
-campaign produces new insights, and the whole catalog reopened later
-with all definitions and objects intact.
+catalog file, the vocabulary registered once, documents loaded with
+``ingest_many``, attributes added incrementally as the campaign
+produces new insights, and the whole catalog reopened later with all
+definitions and objects intact.
 
 Run:  python examples/bulk_campaign.py
 """
@@ -14,7 +14,7 @@ import tempfile
 import time
 
 from repro.backends import SqliteHybridStore
-from repro.core import AttributeCriteria, BulkLoader, HybridCatalog, ObjectQuery, Op
+from repro.core import AttributeCriteria, HybridCatalog, ObjectQuery, Op
 from repro.grid import CorpusConfig, LeadCorpusGenerator, PlantedMarker, lead_schema
 
 
@@ -30,16 +30,15 @@ def main() -> None:
     generator = LeadCorpusGenerator(config)
     documents = list(generator.documents(120))
 
-    # ---- session 1: create, register vocabulary, bulk load ----------
+    # ---- session 1: create, register vocabulary, load ---------------
     catalog = HybridCatalog(lead_schema(), store=SqliteHybridStore(db_path))
     generator.register_definitions(catalog)
 
     start = time.perf_counter()
-    with BulkLoader(catalog, processes=2) as loader:
-        receipts = loader.load(documents, owner="campaign", name_prefix="run")
+    receipts = catalog.ingest_many(documents, owner="campaign")
     elapsed = time.perf_counter() - start
     warnings = sum(len(r.warnings) for r in receipts)
-    print(f"bulk-loaded {len(receipts)} documents in {elapsed:.2f}s "
+    print(f"loaded {len(receipts)} documents in {elapsed:.2f}s "
           f"({len(receipts) / elapsed:.0f} docs/s), {warnings} warnings")
 
     # Post-hoc annotation: QC keywords added to the first three runs

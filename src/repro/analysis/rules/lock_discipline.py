@@ -82,7 +82,9 @@ class EntryPointSpec:
 
 
 #: Write entries hold the RWLock write side via the transaction
-#: protocol.  ``install_schema`` is deliberately absent: it runs on the
+#: protocol: they are ``HybridStore``'s own concrete shells (checked on
+#: the root itself) plus ``ShardedStore``'s routing overrides.
+#: ``install_schema`` is deliberately absent: it runs on the
 #: construction path before the store is shared, by contract.
 _STORE_SPEC = EntryPointSpec(
     root="HybridStore",

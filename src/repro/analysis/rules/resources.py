@@ -1,7 +1,7 @@
 """RES01 — resource lifecycle: acquisitions are released on every path.
 
-PR 5's BulkLoader leak — a pooled connection checked out and dropped on
-an exception path — is the template.  The rule tracks calls that mint
+A pooled connection checked out and dropped on an exception path is
+the template.  The rule tracks calls that mint
 an owned resource (a sqlite connection, a pool checkout, a file
 handle) and requires each acquisition to be *discharged* in its
 function by one of the ownership idioms the codebase actually uses:

@@ -15,6 +15,13 @@ it.  This rule makes the convention lexical:
   a greatest fixpoint over the class's internal call graph);
 * anything else is a finding.
 
+The call graph of a class includes the methods it **inherits**: the
+write algorithms live once on ``HybridStore`` and reach each backend's
+row primitives (``self._insert_rows(...)``) by virtual dispatch, so a
+primitive is transaction-only exactly when every call site in the
+backend *and* in the inherited shells is — and a backend method that
+calls a primitive directly, outside ``run_transaction``, is a finding.
+
 Read-path scratch writes (the sqlite backend's ``CREATE TEMP TABLE``
 query pipeline) are deliberate exceptions and carry
 ``# reprolint: ignore[TXN01]`` pragmas — the waiver is visible in the
@@ -65,32 +72,40 @@ class TxnSafetyRule(Rule):
         self.targets = targets
 
     # -- mutation detection --------------------------------------------
-    def _module_constants(self, tree: ast.Module) -> Dict[str, str]:
-        """Module-level ``NAME = "literal"`` bindings (resolves the DDL
-        script constant on the sqlite backend)."""
-        out: Dict[str, str] = {}
+    def _module_constants(self, tree: ast.Module) -> Dict[str, List[str]]:
+        """Module-level ``NAME = "literal"`` bindings (the DDL script
+        constant on the sqlite backend) and ``NAME = {key: "literal",
+        ...}`` statement tables (every value a ``NAME[key]`` can be)."""
+        out: Dict[str, List[str]] = {}
         for node in tree.body:
             if isinstance(node, ast.Assign) and len(node.targets) == 1:
                 target = node.targets[0]
-                value = str_prefix(node.value)
-                if isinstance(target, ast.Name) and value is not None:
-                    out[target.id] = value
+                if not isinstance(target, ast.Name):
+                    continue
+                if isinstance(node.value, ast.Dict):
+                    values = [str_prefix(v) for v in node.value.values]
+                else:
+                    values = [str_prefix(node.value)]
+                if values and None not in values:
+                    out[target.id] = values
         return out
 
     def _sql_texts(
         self,
         arg: ast.AST,
         scope: Optional[ast.AST],
-        module_consts: Dict[str, str],
+        module_consts: Dict[str, List[str]],
     ) -> Optional[List[str]]:
         """Candidate SQL texts for an executor's first argument; ``None``
         when the argument cannot be resolved statically."""
         prefix = str_prefix(arg)
         if prefix is not None:
             return [prefix]
+        if isinstance(arg, ast.Subscript):
+            arg = arg.value  # NAME[key]: any statement of the table
         if isinstance(arg, ast.Name):
             if arg.id in module_consts:
-                return [module_consts[arg.id]]
+                return module_consts[arg.id]
             if scope is not None:
                 return local_str_values(scope, arg.id)
         return None
@@ -99,7 +114,7 @@ class TxnSafetyRule(Rule):
         self,
         node: ast.Call,
         scope: Optional[ast.AST],
-        module_consts: Dict[str, str],
+        module_consts: Dict[str, List[str]],
     ) -> bool:
         name = call_name(node)
         if name in _ENGINE_MUTATORS:
@@ -135,11 +150,21 @@ class TxnSafetyRule(Rule):
 
     def _check_class(
         self, ctx: LintContext, module: SourceModule, cls: ast.ClassDef,
-        module_consts: Dict[str, str],
+        module_consts: Dict[str, List[str]],
     ) -> None:
-        methods: Dict[str, ast.FunctionDef] = {
+        own: Dict[str, ast.FunctionDef] = {
             node.name: node for node in cls.body if isinstance(node, ast.FunctionDef)
         }
+        # Own methods plus the inherited ones they do not override: a
+        # base-class shell calling ``self._primitive()`` is a call site
+        # of this class's primitive.
+        methods = dict(own)
+        program = ctx.program
+        for info in program.classes.get(cls.name, ()):
+            if info.node is cls:
+                for base in program.bases_of(info):
+                    for name, fn in base.methods.items():
+                        methods.setdefault(name, fn.node)
         chains = {m: enclosing_functions(m) for m in methods.values()}
         safe_scopes: Dict[str, Set[ast.AST]] = {
             name: self._safe_scopes_for_method(m) for name, m in methods.items()
@@ -176,7 +201,7 @@ class TxnSafetyRule(Rule):
             ),
         )
 
-        for method_name, method in methods.items():
+        for method_name, method in own.items():
             for node in ast.walk(method):
                 if not isinstance(node, ast.Call):
                     continue
@@ -210,8 +235,3 @@ class TxnSafetyRule(Rule):
                                 f"module-level function {node.name} mutates "
                                 "catalog state outside any transaction",
                             )
-
-    # Convenience for tests.
-    @staticmethod
-    def sql_verb(sql: str) -> Optional[str]:
-        return _sql_verb(sql)

@@ -53,15 +53,12 @@ import time
 from contextlib import contextmanager
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from ..core.definitions import DefinitionRegistry
 from ..core.logical import LogicalPlan
-from ..core.ordering import ancestor_pairs
 from ..core.query import Op
 from ..core.response import record_response_metrics
 from ..core.schema import AnnotatedSchema
-from ..core.shredder import ShredResult
 from ..core.stats import StatsSnapshot
-from ..core.storage import HybridStore
+from ..core.storage import HybridStore, schema_order_rows
 from ..errors import CatalogError
 from ..identifiers import quote_identifier
 from ..obs import names as metric_names
@@ -149,6 +146,42 @@ CREATE TABLE elem_defs (
     scope TEXT NOT NULL
 );
 """
+
+#: The write statements, one literal each: nothing is interpolated,
+#: and the leading verb names the fault site (:func:`_statement_site`).
+#: Definition rows are additive, hence ``OR IGNORE``.
+_INSERT_SQL = {
+    "objects": "INSERT INTO objects VALUES (?, ?, ?)",
+    "clobs": "INSERT INTO clobs VALUES (?, ?, ?, ?)",
+    "attributes": "INSERT INTO attributes VALUES (?, ?, ?, ?, ?)",
+    "elements": "INSERT INTO elements VALUES (?, ?, ?, ?, ?, ?, ?)",
+    "attr_ancestors": "INSERT INTO attr_ancestors VALUES (?, ?, ?, ?, ?, ?)",
+    "schema_order": "INSERT INTO schema_order VALUES (?, ?, ?)",
+    "node_ancestors": "INSERT INTO node_ancestors VALUES (?, ?)",
+    "attr_defs": "INSERT OR IGNORE INTO attr_defs VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
+    "elem_defs": "INSERT OR IGNORE INTO elem_defs VALUES (?, ?, ?, ?, ?, ?)",
+}
+
+#: ``(table, *equality columns)`` -> the DELETE over one object's rows.
+_DELETE_SQL = {
+    ("objects",): "DELETE FROM objects WHERE object_id = ?",
+    ("clobs",): "DELETE FROM clobs WHERE object_id = ?",
+    ("attributes",): "DELETE FROM attributes WHERE object_id = ?",
+    ("elements",): "DELETE FROM elements WHERE object_id = ?",
+    ("attr_ancestors",): "DELETE FROM attr_ancestors WHERE object_id = ?",
+    ("clobs", "schema_order", "clob_seq"):
+        "DELETE FROM clobs WHERE object_id = ? AND schema_order = ? AND clob_seq = ?",
+    ("attributes", "attr_id", "seq_id"):
+        "DELETE FROM attributes WHERE object_id = ? AND attr_id = ? AND seq_id = ?",
+    ("elements", "attr_id", "seq_id"):
+        "DELETE FROM elements WHERE object_id = ? AND attr_id = ? AND seq_id = ?",
+    ("attr_ancestors", "desc_attr_id", "desc_seq"):
+        "DELETE FROM attr_ancestors WHERE object_id = ? AND desc_attr_id = ? "
+        "AND desc_seq = ?",
+    ("attr_ancestors", "anc_attr_id", "anc_seq"):
+        "DELETE FROM attr_ancestors WHERE object_id = ? AND anc_attr_id = ? "
+        "AND anc_seq = ?",
+}
 
 _BIG_SEQ = 1 << 60
 
@@ -328,7 +361,6 @@ class SqliteHybridStore(HybridStore):
         else:
             self.connection.execute("PRAGMA journal_mode = MEMORY")
             self.connection.execute("PRAGMA synchronous = OFF")
-        self.schema: Optional[AnnotatedSchema] = None
         self._temp_ids = itertools.count(1)
         # Reader pool: only on-disk WAL catalogs — an in-memory sqlite
         # database is private to its connection, so ``:memory:`` readers
@@ -448,9 +480,7 @@ class SqliteHybridStore(HybridStore):
                 "SELECT node_order, tag, last_child_order FROM schema_order "
                 "ORDER BY node_order"
             ).fetchall()
-        expected = [
-            (n.order, n.tag, n.last_child_order) for n in schema.ordered_nodes
-        ]
+        expected = schema_order_rows(schema)
         if stored != expected:
             raise CatalogError(
                 "the catalog file was created with a different schema "
@@ -475,114 +505,44 @@ class SqliteHybridStore(HybridStore):
                 "SELECT object_id, name, owner FROM objects ORDER BY object_id"
             ).fetchall()
 
-    def install_schema(self, schema: AnnotatedSchema) -> None:
-        if self.schema is not None:
-            raise CatalogError("schema already installed")
-        self._check_open()
-        cur = self.connection
-        self.schema = schema
+    def _create_tables(self) -> None:
         # DDL runs in autocommit (sqlite's executescript commits any
-        # pending transaction anyway); the ordering rows are one txn.
-        cur.executescript(_DDL)
-
-        def write() -> None:
-            cur.executemany(
-                "INSERT INTO schema_order VALUES (?, ?, ?)",
-                [(n.order, n.tag, n.last_child_order) for n in schema.ordered_nodes],
-            )
-            cur.executemany(
-                "INSERT INTO node_ancestors VALUES (?, ?)",
-                ancestor_pairs(schema.ordered_nodes),
-            )
-
-        self.run_transaction("install_schema", write)
-
-    def sync_definitions(self, registry: DefinitionRegistry) -> None:
-        self.run_transaction(
-            "sync_definitions", lambda: self._sync_definitions(registry)
-        )
-
-    def _sync_definitions(self, registry: DefinitionRegistry) -> None:
-        cur = self.connection
-        cur.executemany(
-            "INSERT OR IGNORE INTO attr_defs VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
-            [
-                (d.attr_id, d.name, d.source, d.parent_id, d.schema_order,
-                 d.scope, int(d.queryable), int(d.structural))
-                for d in registry.all_attributes()
-            ],
-        )
-        cur.executemany(
-            "INSERT OR IGNORE INTO elem_defs VALUES (?, ?, ?, ?, ?, ?)",
-            [
-                (e.elem_id, e.attr_id, e.name, e.source, e.value_type.value, e.scope)
-                for e in registry.all_elements()
-            ],
-        )
+        # pending transaction anyway).
+        self.connection.executescript(_DDL)
 
     # ------------------------------------------------------------------
-    # Ingest
+    # Row primitives (the write path itself is HybridStore's)
     # ------------------------------------------------------------------
-    def store_object(self, object_id: int, name: str, owner: str, shred: ShredResult) -> None:
-        def write() -> None:
-            self.connection.execute(
-                "INSERT INTO objects VALUES (?, ?, ?)", (object_id, name, owner)
-            )
-            self._append_rows(object_id, shred)
+    def _insert_rows(self, table: str, rows: Sequence[tuple]) -> None:
+        self.connection.executemany(_INSERT_SQL[table], rows)
 
-        self.run_transaction("store_object", write)
+    def _insert_new_definitions(self, table: str, rows: Sequence[tuple]) -> None:
+        # INSERT OR IGNORE: the primary key skips the ids already held.
+        self._insert_rows(table, rows)
 
-    def append_rows(self, object_id: int, shred: ShredResult) -> None:
-        self.run_transaction(
-            "append_rows", lambda: self._append_rows(object_id, shred)
-        )
+    def _delete_rows(self, table: str, object_id: int, **equals: int) -> int:
+        return self.connection.execute(
+            _DELETE_SQL[(table, *equals)], (object_id, *equals.values())
+        ).rowcount
 
-    def _append_rows(self, object_id: int, shred: ShredResult) -> None:
-        cur = self.connection
-        cur.executemany(
-            "INSERT INTO clobs VALUES (?, ?, ?, ?)",
-            [(object_id, c.schema_order, c.clob_seq, c.text) for c in shred.clobs],
-        )
-        cur.executemany(
-            "INSERT INTO attributes VALUES (?, ?, ?, ?, ?)",
-            [
-                (object_id, a.attr_id, a.seq_id, a.clob_order, a.clob_seq)
-                for a in shred.attributes
-            ],
-        )
-        cur.executemany(
-            "INSERT INTO elements VALUES (?, ?, ?, ?, ?, ?, ?)",
-            [
-                (object_id, e.attr_id, e.seq_id, e.elem_id, e.elem_seq,
-                 e.value_text, e.value_num)
-                for e in shred.elements
-            ],
-        )
-        cur.executemany(
-            "INSERT INTO attr_ancestors VALUES (?, ?, ?, ?, ?, ?)",
-            [
-                (object_id, i.desc_attr_id, i.desc_seq, i.anc_attr_id,
-                 i.anc_seq, i.distance)
-                for i in shred.inverted
-            ],
-        )
+    def _clob_key_of(
+        self, object_id: int, attr_id: int, seq_id: int
+    ) -> Optional[Tuple[int, int]]:
+        return self.connection.execute(
+            "SELECT clob_order, clob_seq FROM attributes "
+            "WHERE object_id = ? AND attr_id = ? AND seq_id = ?",
+            (object_id, attr_id, seq_id),
+        ).fetchone()
 
-    def delete_object(self, object_id: int) -> None:
-        def write() -> None:
-            cur = self.connection
-            for table in (
-                "objects", "clobs", "attributes", "elements", "attr_ancestors"
-            ):
-                deleted = cur.execute(
-                    f"DELETE FROM {quote_identifier(table)} WHERE object_id = ?",
-                    (object_id,),
-                ).rowcount
-                # Checked inside the transaction: of two racing deletes
-                # of one id, the second removes no row and fails.
-                if table == "objects" and not deleted:
-                    raise CatalogError(f"no object {object_id}")
-
-        self.run_transaction("delete_object", write)
+    def _descendant_instances(
+        self, object_id: int, attr_id: int, seq_id: int
+    ) -> List[Tuple[int, int]]:
+        return self.connection.execute(
+            "SELECT desc_attr_id, desc_seq FROM attr_ancestors "
+            "WHERE object_id = ? AND anc_attr_id = ? AND anc_seq = ? "
+            "AND distance >= 1",
+            (object_id, attr_id, seq_id),
+        ).fetchall()
 
     def has_object(self, object_id: int) -> bool:
         with self._reader() as cur:
@@ -611,68 +571,6 @@ class SqliteHybridStore(HybridStore):
                 (object_id,),
             ).fetchall()
         return {attr_id: seq for attr_id, seq in rows}
-
-    def remove_attribute_instance(
-        self, object_id: int, attr_id: int, seq_id: int
-    ) -> None:
-        self.run_transaction(
-            "remove_attribute_instance",
-            lambda: self._remove_attribute_instance(object_id, attr_id, seq_id),
-        )
-
-    def _remove_attribute_instance(
-        self, object_id: int, attr_id: int, seq_id: int
-    ) -> None:
-        cur = self.connection
-        target = cur.execute(
-            "SELECT clob_order, clob_seq FROM attributes "
-            "WHERE object_id = ? AND attr_id = ? AND seq_id = ?",
-            (object_id, attr_id, seq_id),
-        ).fetchone()
-        if target is None:
-            raise CatalogError(
-                f"object {object_id} has no instance {seq_id} of attribute "
-                f"{attr_id}"
-            )
-        clob_order, clob_seq = target
-        if clob_seq < 1:
-            raise CatalogError(
-                "only top-level attribute instances can be removed; "
-                f"attribute {attr_id} instance {seq_id} is a sub-attribute"
-            )
-        victims = [(attr_id, seq_id)] + cur.execute(
-            "SELECT desc_attr_id, desc_seq FROM attr_ancestors "
-            "WHERE object_id = ? AND anc_attr_id = ? AND anc_seq = ? "
-            "AND distance >= 1",
-            (object_id, attr_id, seq_id),
-        ).fetchall()
-        for victim_attr, victim_seq in victims:
-            key = (object_id, victim_attr, victim_seq)
-            cur.execute(
-                "DELETE FROM attributes WHERE object_id = ? AND attr_id = ? "
-                "AND seq_id = ?",
-                key,
-            )
-            cur.execute(
-                "DELETE FROM elements WHERE object_id = ? AND attr_id = ? "
-                "AND seq_id = ?",
-                key,
-            )
-            cur.execute(
-                "DELETE FROM attr_ancestors WHERE object_id = ? AND "
-                "desc_attr_id = ? AND desc_seq = ?",
-                key,
-            )
-            cur.execute(
-                "DELETE FROM attr_ancestors WHERE object_id = ? AND "
-                "anc_attr_id = ? AND anc_seq = ?",
-                key,
-            )
-        cur.execute(
-            "DELETE FROM clobs WHERE object_id = ? AND schema_order = ? "
-            "AND clob_seq = ?",
-            (object_id, clob_order, clob_seq),
-        )
 
     # ------------------------------------------------------------------
     # Query: compile the logical plan IR to SQL (Fig 4)

@@ -14,7 +14,6 @@ Modules map to the paper's sections:
 """
 
 from .builder import AttributeChoice, QueryBuilder
-from .bulk import BulkLoader
 from .catalog import Explanation, HybridCatalog, IngestReceipt
 from .definitions import ADMIN_SCOPE, AttributeDef, DefinitionRegistry, ElementDef
 from .logical import (
@@ -79,7 +78,6 @@ __all__ = [
     "AttributeChoice",
     "AttributeCriteria",
     "AttributeDef",
-    "BulkLoader",
     "CatalogStatistics",
     "DirectCountMatch",
     "ElementSeek",

@@ -346,8 +346,9 @@ class HybridCatalog:
         the next same-sibling sequence, so no stored key is rewritten —
         the update-cost benefit of schema-level ordering (§2).
         """
-        if not self.store.has_object(object_id):
-            raise CatalogError(f"no object {object_id}")
+        # Fails fast on an unknown id; the store checks again inside
+        # the transaction, where a racing delete cannot slip past.
+        name = self.object_name(object_id)
         if isinstance(fragment, str):
             fragment = parse(fragment)
         snode = self.schema.attribute_by_tag(fragment.root.tag)
@@ -356,25 +357,32 @@ class HybridCatalog:
                 f"<{fragment.root.tag}> is not a metadata attribute of the schema"
             )
         assert snode.order is not None
-        clob_seq = self.store.max_clob_seq(object_id, snode.order) + 1
-        shred = self.shredder.shred_attribute_fragment(
-            fragment,
-            clob_seq=clob_seq,
-            seq_base=self.store.instance_counts(object_id),
-            user=user,
-        )
+        # Definitions the shred auto-registers; kept across a retried
+        # attempt, whose re-shred finds them registered already.
+        defined: List[AttributeDef] = []
 
-        def write() -> None:
-            if shred.defined:
+        def write() -> ShredResult:
+            # The sequence reads, the shred and the rows are one
+            # transaction: a concurrent delete or add_attribute on the
+            # object lands entirely before or entirely after it.
+            shred = self.shredder.shred_attribute_fragment(
+                fragment,
+                clob_seq=self.store.max_clob_seq(object_id, snode.order) + 1,
+                seq_base=self.store.instance_counts(object_id),
+                user=user,
+            )
+            defined.extend(shred.defined)
+            if defined:
                 self.store.sync_definitions(self.registry)
             self.store.append_rows(object_id, shred)
+            return shred
 
-        self.store.run_transaction("catalog.add_attribute", write)
-        if shred.defined:
+        shred = self.store.run_transaction("catalog.add_attribute", write)
+        if defined:
             self.stats.invalidate()
         else:
             self.stats.record_shred(shred, new_object=False)
-        return IngestReceipt(object_id, self.object_name(object_id), shred)
+        return IngestReceipt(object_id, name, shred)
 
     def remove_attribute(
         self,

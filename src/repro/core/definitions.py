@@ -417,6 +417,21 @@ class DefinitionRegistry:
     def all_elements(self) -> Iterator[ElementDef]:
         return iter(self._elem_defs.values())
 
+    def rows(self) -> Tuple[List[tuple], List[tuple]]:
+        """``(attr_defs rows, elem_defs rows)`` in the tables' column
+        order — the inverse of :meth:`rehydrate`."""
+        return (
+            [
+                (d.attr_id, d.name, d.source, d.parent_id, d.schema_order,
+                 d.scope, int(d.queryable), int(d.structural))
+                for d in self._attr_defs.values()
+            ],
+            [
+                (e.elem_id, e.attr_id, e.name, e.source, e.value_type.value, e.scope)
+                for e in self._elem_defs.values()
+            ],
+        )
+
     def visible_to(self, user: Optional[str]) -> List[AttributeDef]:
         """Attribute definitions ``user`` may query: admin plus own."""
         scopes = {ADMIN_SCOPE}

@@ -30,7 +30,7 @@ element has no definition in the registry:
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from ..errors import ShredError, ValidationError
 from ..obs.metrics import MetricsRegistry, default_registry
@@ -40,84 +40,48 @@ from .schema import AnnotatedSchema, DynamicSpec, NodeKind, SchemaNode, ValueTyp
 
 ON_UNKNOWN_POLICIES = ("store", "reject", "define")
 
+# The four row classes are tuples whose field order is their table's
+# column order minus the leading ``object_id``: a store writes
+# ``(object_id, *row)`` and nothing converts in between.
 
-class ClobRow:
+
+class ClobRow(NamedTuple):
     """One stored CLOB: a metadata attribute subtree, verbatim."""
 
-    __slots__ = ("schema_order", "clob_seq", "text")
-
-    def __init__(self, schema_order: int, clob_seq: int, text: str) -> None:
-        self.schema_order = schema_order
-        self.clob_seq = clob_seq
-        self.text = text
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"ClobRow(order={self.schema_order}, seq={self.clob_seq}, len={len(self.text)})"
+    schema_order: int
+    clob_seq: int
+    text: str
 
 
-class AttributeRow:
+class AttributeRow(NamedTuple):
     """One metadata-attribute (or sub-attribute) instance."""
 
-    __slots__ = ("attr_id", "seq_id", "clob_order", "clob_seq")
-
-    def __init__(self, attr_id: int, seq_id: int, clob_order: int, clob_seq: int) -> None:
-        self.attr_id = attr_id
-        self.seq_id = seq_id
-        self.clob_order = clob_order
-        self.clob_seq = clob_seq
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"AttributeRow(attr={self.attr_id}, seq={self.seq_id})"
+    attr_id: int
+    seq_id: int
+    clob_order: int
+    clob_seq: int
 
 
-class ElementRow:
+class ElementRow(NamedTuple):
     """One metadata-element value inside an attribute instance."""
 
-    __slots__ = ("attr_id", "seq_id", "elem_id", "elem_seq", "value_text", "value_num")
-
-    def __init__(
-        self,
-        attr_id: int,
-        seq_id: int,
-        elem_id: int,
-        elem_seq: int,
-        value_text: str,
-        value_num: Optional[float],
-    ) -> None:
-        self.attr_id = attr_id
-        self.seq_id = seq_id
-        self.elem_id = elem_id
-        self.elem_seq = elem_seq
-        self.value_text = value_text
-        self.value_num = value_num
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return (
-            f"ElementRow(attr={self.attr_id}.{self.seq_id}, elem={self.elem_id}, "
-            f"value={self.value_text!r})"
-        )
+    attr_id: int
+    seq_id: int
+    elem_id: int
+    elem_seq: int
+    value_text: str
+    value_num: Optional[float]
 
 
-class InvertedRow:
+class InvertedRow(NamedTuple):
     """Sub-attribute instance → ancestor attribute instance, with the
     number of levels between them (0 = self)."""
 
-    __slots__ = ("desc_attr_id", "desc_seq", "anc_attr_id", "anc_seq", "distance")
-
-    def __init__(
-        self, desc_attr_id: int, desc_seq: int, anc_attr_id: int, anc_seq: int, distance: int
-    ) -> None:
-        self.desc_attr_id = desc_attr_id
-        self.desc_seq = desc_seq
-        self.anc_attr_id = anc_attr_id
-        self.anc_seq = anc_seq
-        self.distance = distance
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return (
-            f"InvertedRow({self.desc_attr_id}.{self.desc_seq} -> "
-            f"{self.anc_attr_id}.{self.anc_seq} @ {self.distance})"
-        )
+    desc_attr_id: int
+    desc_seq: int
+    anc_attr_id: int
+    anc_seq: int
+    distance: int
 
 
 class ShredResult:
@@ -138,37 +102,6 @@ class ShredResult:
             f"ShredResult(clobs={len(self.clobs)}, attrs={len(self.attributes)}, "
             f"elems={len(self.elements)}, inverted={len(self.inverted)})"
         )
-
-    # ------------------------------------------------------------------
-    # Compact wire form — plain tuples pickle an order of magnitude
-    # faster than row instances, which matters when results cross a
-    # process boundary (the bulk loader's pool).
-    # ------------------------------------------------------------------
-    def to_payload(self) -> tuple:
-        return (
-            [(c.schema_order, c.clob_seq, c.text) for c in self.clobs],
-            [(a.attr_id, a.seq_id, a.clob_order, a.clob_seq) for a in self.attributes],
-            [
-                (e.attr_id, e.seq_id, e.elem_id, e.elem_seq, e.value_text, e.value_num)
-                for e in self.elements
-            ],
-            [
-                (i.desc_attr_id, i.desc_seq, i.anc_attr_id, i.anc_seq, i.distance)
-                for i in self.inverted
-            ],
-            list(self.warnings),
-        )
-
-    @classmethod
-    def from_payload(cls, payload: tuple) -> "ShredResult":
-        clobs, attributes, elements, inverted, warnings = payload
-        result = cls()
-        result.clobs = [ClobRow(*row) for row in clobs]
-        result.attributes = [AttributeRow(*row) for row in attributes]
-        result.elements = [ElementRow(*row) for row in elements]
-        result.inverted = [InvertedRow(*row) for row in inverted]
-        result.warnings = warnings
-        return result
 
 
 class Shredder:

@@ -49,7 +49,7 @@ from ..obs.events import EventLog
 from ..obs.metrics import MetricsRegistry, default_registry
 from ..obs.profile import QueryProfile, current_profile
 from ..obs.tracing import current_span
-from ..relational import Database, Table, clob, integer, real, text
+from ..relational import Database, clob, integer, real, text
 from .concurrency import RWLock
 from .definitions import DefinitionRegistry
 from .logical import LogicalPlan, build_plan
@@ -181,6 +181,12 @@ def record_plan(stages: Sequence[PlanStage], registry: MetricsRegistry) -> None:
     ).inc()
 
 
+def schema_order_rows(schema: AnnotatedSchema) -> List[Tuple[int, str, int]]:
+    """The ``schema_order`` table of ``schema``: what installation
+    loads and what a reopen verifies the stored rows against."""
+    return [(n.order, n.tag, n.last_child_order) for n in schema.ordered_nodes]
+
+
 class HybridStore(abc.ABC):
     """Backend interface for the hybrid catalog.
 
@@ -215,6 +221,7 @@ class HybridStore(abc.ABC):
 
     #: Backend name stamped on query profiles.
     backend: Optional[str] = None
+    schema: Optional[AnnotatedSchema] = None
     metrics: Optional[MetricsRegistry] = None
     events: Optional[EventLog] = None
     fault_plan: Optional[FaultPlan] = None
@@ -418,9 +425,25 @@ class HybridStore(abc.ABC):
                 self._count_commit(site)
                 return result
 
-    @abc.abstractmethod
     def install_schema(self, schema: AnnotatedSchema) -> None:
-        """Create the layout and load the global-ordering tables."""
+        """Create the layout and load the schema-level global ordering
+        (built once — §2).  The ordering rows are one transaction: a
+        crash mid-load must not leave a half-ordered schema behind."""
+        if self.schema is not None:
+            raise CatalogError("schema already installed")
+        self._check_open()
+        self.schema = schema
+        self._create_tables()
+
+        def write() -> None:
+            self._insert_rows("schema_order", schema_order_rows(schema))
+            self._insert_rows("node_ancestors", ancestor_pairs(schema.ordered_nodes))
+
+        self.run_transaction("install_schema", write)
+
+    @abc.abstractmethod
+    def _create_tables(self) -> None:
+        """Create the empty layout (DDL; runs outside a transaction)."""
 
     def is_initialized(self) -> bool:
         """True when the store already holds a catalog (reopened file).
@@ -453,24 +476,121 @@ class HybridStore(abc.ABC):
         """``(object_id, name, owner)`` rows for catalog rehydration."""
         raise CatalogError("this store cannot be reopened")
 
+    # ------------------------------------------------------------------
+    # Write path.  The algorithms — transaction shell, table order,
+    # existence checks, the victim walk of a removed instance — live
+    # here once; a backend supplies the five row primitives and nothing
+    # else (the write-side twin of ``_execute_plan``).  Rows are tuples
+    # in their table's column order.
+    # ------------------------------------------------------------------
     @abc.abstractmethod
-    def sync_definitions(self, registry: DefinitionRegistry) -> None:
-        """Upsert definition rows to match the registry."""
+    def _insert_rows(self, table: str, rows: Sequence[tuple]) -> None:
+        """Insert ``rows`` into ``table``."""
 
     @abc.abstractmethod
+    def _insert_new_definitions(self, table: str, rows: Sequence[tuple]) -> None:
+        """Insert those definition ``rows`` whose id (first column) the
+        table does not hold yet."""
+
+    @abc.abstractmethod
+    def _delete_rows(self, table: str, object_id: int, **equals: int) -> int:
+        """Delete the rows of ``object_id`` whose named columns hold
+        the given values; returns how many there were."""
+
+    @abc.abstractmethod
+    def _clob_key_of(
+        self, object_id: int, attr_id: int, seq_id: int
+    ) -> Optional[Tuple[int, int]]:
+        """``(clob_order, clob_seq)`` of an attribute instance, or
+        ``None`` when the object has no such instance."""
+
+    @abc.abstractmethod
+    def _descendant_instances(
+        self, object_id: int, attr_id: int, seq_id: int
+    ) -> List[Tuple[int, int]]:
+        """``(attr_id, seq_id)`` of every sub-attribute instance below
+        the given one (the inverted list at distance >= 1)."""
+
+    def sync_definitions(self, registry: DefinitionRegistry) -> None:
+        """Insert the registry's definition rows the store lacks."""
+        def write() -> None:
+            attr_rows, elem_rows = registry.rows()
+            self._insert_new_definitions("attr_defs", attr_rows)
+            self._insert_new_definitions("elem_defs", elem_rows)
+
+        self.run_transaction("sync_definitions", write)
+
+    def _insert_object_rows(self, object_id: int, shred: ShredResult) -> None:
+        for table, rows in (
+            ("clobs", shred.clobs),
+            ("attributes", shred.attributes),
+            ("elements", shred.elements),
+            ("attr_ancestors", shred.inverted),
+        ):
+            self._insert_rows(table, [(object_id, *row) for row in rows])
+
     def store_object(
         self, object_id: int, name: str, owner: str, shred: ShredResult
     ) -> None:
         """Persist one shredded document."""
+        def write() -> None:
+            self._insert_rows("objects", [(object_id, name, owner)])
+            self._insert_object_rows(object_id, shred)
 
-    @abc.abstractmethod
-    def delete_object(self, object_id: int) -> None:
-        """Remove an object and all its rows."""
+        self.run_transaction("store_object", write)
 
-    @abc.abstractmethod
     def append_rows(self, object_id: int, shred: ShredResult) -> None:
         """Add an incremental fragment's rows to an existing object
         (paper §5: attributes may be inserted after the original shred)."""
+        def write() -> None:
+            # Checked inside the transaction: a delete that won the
+            # race must not be followed by orphan rows.
+            if not self.has_object(object_id):
+                raise CatalogError(f"no object {object_id}")
+            self._insert_object_rows(object_id, shred)
+
+        self.run_transaction("append_rows", write)
+
+    def delete_object(self, object_id: int) -> None:
+        """Remove an object and all its rows."""
+        def write() -> None:
+            for table in OBJECT_ROW_TABLES:
+                deleted = self._delete_rows(table, object_id)
+                # Checked inside the transaction: of two racing deletes
+                # of one id, the second removes no row and fails.
+                if table == "objects" and not deleted:
+                    raise CatalogError(f"no object {object_id}")
+
+        self.run_transaction("delete_object", write)
+
+    def remove_attribute_instance(
+        self, object_id: int, attr_id: int, seq_id: int
+    ) -> None:
+        """Remove one top-level attribute instance (its CLOB, rows, and
+        all descendant sub-attribute instances)."""
+        def write() -> None:
+            clob_key = self._clob_key_of(object_id, attr_id, seq_id)
+            if clob_key is None:
+                raise CatalogError(
+                    f"object {object_id} has no instance {seq_id} of attribute "
+                    f"{attr_id}"
+                )
+            clob_order, clob_seq = clob_key
+            if clob_seq < 1:
+                raise CatalogError(
+                    "only top-level attribute instances can be removed; "
+                    f"attribute {attr_id} instance {seq_id} is a sub-attribute"
+                )
+            victims = [(attr_id, seq_id)]
+            victims += self._descendant_instances(object_id, attr_id, seq_id)
+            for v_attr, v_seq in victims:
+                self._delete_rows("attributes", object_id, attr_id=v_attr, seq_id=v_seq)
+                self._delete_rows("elements", object_id, attr_id=v_attr, seq_id=v_seq)
+                self._delete_rows("attr_ancestors", object_id, desc_attr_id=v_attr, desc_seq=v_seq)
+                self._delete_rows("attr_ancestors", object_id, anc_attr_id=v_attr, anc_seq=v_seq)
+            self._delete_rows("clobs", object_id, schema_order=clob_order, clob_seq=clob_seq)
+
+        self.run_transaction("remove_attribute_instance", write)
 
     @abc.abstractmethod
     def max_clob_seq(self, object_id: int, schema_order: int) -> int:
@@ -481,13 +601,6 @@ class HybridStore(abc.ABC):
     @abc.abstractmethod
     def instance_counts(self, object_id: int) -> Dict[int, int]:
         """Max stored sequence id per attribute definition for an object."""
-
-    @abc.abstractmethod
-    def remove_attribute_instance(
-        self, object_id: int, attr_id: int, seq_id: int
-    ) -> None:
-        """Remove one top-level attribute instance (its CLOB, rows, and
-        all descendant sub-attribute instances)."""
 
     @abc.abstractmethod
     def has_object(self, object_id: int) -> bool: ...
@@ -564,7 +677,6 @@ class MemoryHybridStore(HybridStore):
 
     def __init__(self) -> None:
         self.db = Database("hybrid")
-        self.schema: Optional[AnnotatedSchema] = None
 
     # -- Transactions (engine undo journal) -----------------------------
     def _txn_begin(self, site: str) -> None:
@@ -578,10 +690,7 @@ class MemoryHybridStore(HybridStore):
             self.db.rollback()
 
     # -- DDL ------------------------------------------------------------
-    def install_schema(self, schema: AnnotatedSchema) -> None:
-        if self.schema is not None:
-            raise CatalogError("schema already installed")
-        self.schema = schema
+    def _create_tables(self) -> None:
         db = self.db
         db.create_table(
             "objects",
@@ -682,119 +791,50 @@ class MemoryHybridStore(HybridStore):
             ],
             primary_key=["elem_id"],
         )
-        # Load the schema-level global ordering (built once — §2) under
-        # a transaction: a crash mid-load must not leave a half-ordered
-        # schema behind (TXN01).
-        def load_ordering() -> None:
-            order_table = db.table("schema_order")
-            for node in schema.ordered_nodes:
-                self._fault("insert:schema_order")
-                order_table.insert([node.order, node.tag, node.last_child_order])
-            anc_table = db.table("node_ancestors")
-            for node_order, anc_order in ancestor_pairs(schema.ordered_nodes):
-                self._fault("insert:node_ancestors")
-                anc_table.insert([node_order, anc_order])
 
-        self.run_transaction("install_schema", load_ordering)
+    # -- Row primitives ---------------------------------------------------
+    def _insert_rows(self, table: str, rows: Sequence[tuple]) -> None:
+        insert = self.db.table(table).insert
+        armed = self.fault_plan is not None  # skip the per-row consult call
+        for row in rows:
+            if armed:
+                self._fault(check_site(f"insert:{table}"))
+            insert(row)
 
-    def sync_definitions(self, registry: DefinitionRegistry) -> None:
-        self.run_transaction(
-            "sync_definitions", lambda: self._sync_definitions(registry)
-        )
+    def _insert_new_definitions(self, table: str, rows: Sequence[tuple]) -> None:
+        known = {row[0] for row in self.db.table(table).scan()}
+        self._insert_rows(table, [row for row in rows if row[0] not in known])
 
-    def _sync_definitions(self, registry: DefinitionRegistry) -> None:
-        attr_table = self.db.table("attr_defs")
-        known = {row[0] for row in attr_table.scan()}
-        for d in registry.all_attributes():
-            if d.attr_id not in known:
-                self._fault("insert:attr_defs")
-                attr_table.insert(
-                    [
-                        d.attr_id, d.name, d.source, d.parent_id, d.schema_order,
-                        d.scope, int(d.queryable), int(d.structural),
-                    ]
-                )
-        elem_table = self.db.table("elem_defs")
-        known = {row[0] for row in elem_table.scan()}
-        for e in registry.all_elements():
-            if e.elem_id not in known:
-                self._fault("insert:elem_defs")
-                elem_table.insert(
-                    [e.elem_id, e.attr_id, e.name, e.source, e.value_type.value, e.scope]
-                )
-
-    # -- Ingest -----------------------------------------------------------
-    def store_object(
-        self, object_id: int, name: str, owner: str, shred: ShredResult
-    ) -> None:
-        def write() -> None:
-            self._fault("insert:objects")
-            self.db.table("objects").insert([object_id, name, owner])
-            self._append_rows(object_id, shred)
-
-        self.run_transaction("store_object", write)
-
-    def append_rows(self, object_id: int, shred: ShredResult) -> None:
-        self.run_transaction(
-            "append_rows", lambda: self._append_rows(object_id, shred)
-        )
-
-    def _append_rows(self, object_id: int, shred: ShredResult) -> None:
-        db = self.db
-        clobs = db.table("clobs")
-        for row in shred.clobs:
-            self._fault("insert:clobs")
-            clobs.insert([object_id, row.schema_order, row.clob_seq, row.text])
-        attributes = db.table("attributes")
-        for arow in shred.attributes:
-            self._fault("insert:attributes")
-            attributes.insert(
-                [object_id, arow.attr_id, arow.seq_id, arow.clob_order, arow.clob_seq]
-            )
-        elements = db.table("elements")
-        for erow in shred.elements:
-            self._fault("insert:elements")
-            elements.insert(
-                [
-                    object_id, erow.attr_id, erow.seq_id, erow.elem_id,
-                    erow.elem_seq, erow.value_text, erow.value_num,
-                ]
-            )
-        ancestors = db.table("attr_ancestors")
-        for irow in shred.inverted:
-            self._fault("insert:attr_ancestors")
-            ancestors.insert(
-                [
-                    object_id, irow.desc_attr_id, irow.desc_seq,
-                    irow.anc_attr_id, irow.anc_seq, irow.distance,
-                ]
-            )
-
-    def delete_object(self, object_id: int) -> None:
-        def write() -> None:
-            for name in OBJECT_ROW_TABLES:
-                self._fault(check_site(f"delete:{name}"))
-                deleted = self._delete_object_rows(self.db.table(name), object_id)
-                # Checked inside the transaction: of two racing deletes
-                # of one id, the second removes no row and fails.
-                if name == "objects" and not deleted:
-                    raise CatalogError(f"no object {object_id}")
-
-        self.run_transaction("delete_object", write)
-
-    @staticmethod
-    def _delete_object_rows(table: Table, object_id: int, **equals: int) -> int:
-        """Retire the rows of ``object_id`` whose named columns hold the
-        given values, found through the table's ``object_id`` index;
-        returns how many there were."""
-        probes = [(table.column_data(c), v) for c, v in equals.items()]
+    def _delete_rows(self, table: str, object_id: int, **equals: int) -> int:
+        """Victims are found through the table's ``object_id`` index."""
+        self._fault(check_site(f"delete:{table}"))
+        target = self.db.table(table)
+        probes = [(target.column_data(c), v) for c, v in equals.items()]
         victims = [
             r
-            for r in table.lookup_rowids(["object_id"], [object_id])
+            for r in target.lookup_rowids(["object_id"], [object_id])
             if all(col[r] == v for col, v in probes)
         ]
-        table.delete_rowids(victims)
+        target.delete_rowids(victims)
         return len(victims)
+
+    def _clob_key_of(
+        self, object_id: int, attr_id: int, seq_id: int
+    ) -> Optional[Tuple[int, int]]:
+        rows = self.db.table("attributes").lookup(
+            ["object_id", "attr_id", "seq_id"], [object_id, attr_id, seq_id]
+        )
+        return rows[0][3:] if rows else None  # the two columns after the key
+
+    def _descendant_instances(
+        self, object_id: int, attr_id: int, seq_id: int
+    ) -> List[Tuple[int, int]]:
+        return [
+            (desc_attr, desc_seq)
+            for _, desc_attr, desc_seq, anc_attr, anc_seq, distance
+            in self.db.table("attr_ancestors").lookup(["object_id"], [object_id])
+            if anc_attr == attr_id and anc_seq == seq_id and distance >= 1
+        ]
 
     def has_object(self, object_id: int) -> bool:
         with self.read_locked():
@@ -829,73 +869,6 @@ class MemoryHybridStore(HybridStore):
                 if seq_id > counts.get(attr_id, 0):
                     counts[attr_id] = seq_id
             return counts
-
-    def remove_attribute_instance(
-        self, object_id: int, attr_id: int, seq_id: int
-    ) -> None:
-        self.run_transaction(
-            "remove_attribute_instance",
-            lambda: self._remove_attribute_instance(object_id, attr_id, seq_id),
-        )
-
-    def _remove_attribute_instance(
-        self, object_id: int, attr_id: int, seq_id: int
-    ) -> None:
-        attributes = self.db.table("attributes")
-        a_attr = attributes.column_data("attr_id")
-        a_seq = attributes.column_data("seq_id")
-        target = [
-            r
-            for r in attributes.lookup_rowids(["object_id"], [object_id])
-            if a_attr[r] == attr_id and a_seq[r] == seq_id
-        ]
-        if not target:
-            raise CatalogError(
-                f"object {object_id} has no instance {seq_id} of attribute "
-                f"{attr_id}"
-            )
-        clob_order = attributes.column_data("clob_order")[target[0]]
-        clob_seq = attributes.column_data("clob_seq")[target[0]]
-        if clob_seq < 1:
-            raise CatalogError(
-                "only top-level attribute instances can be removed; "
-                f"attribute {attr_id} instance {seq_id} is a sub-attribute"
-            )
-        # The victim plus every descendant sub-attribute instance (via
-        # the inverted list, distance >= 1).
-        ancestors = self.db.table("attr_ancestors")
-        n_desc_attr = ancestors.column_data("desc_attr_id")
-        n_desc_seq = ancestors.column_data("desc_seq")
-        n_anc_attr = ancestors.column_data("anc_attr_id")
-        n_anc_seq = ancestors.column_data("anc_seq")
-        n_dist = ancestors.column_data("distance")
-        victims = {(attr_id, seq_id)}
-        for r in ancestors.lookup_rowids(["object_id"], [object_id]):
-            if n_anc_attr[r] == attr_id and n_anc_seq[r] == seq_id and n_dist[r] >= 1:
-                victims.add((n_desc_attr[r], n_desc_seq[r]))
-        elements = self.db.table("elements")
-        for victim_attr, victim_seq in victims:
-            self._fault("delete:attributes")
-            self._delete_object_rows(
-                attributes, object_id, attr_id=victim_attr, seq_id=victim_seq
-            )
-            self._fault("delete:elements")
-            self._delete_object_rows(
-                elements, object_id, attr_id=victim_attr, seq_id=victim_seq
-            )
-            self._fault("delete:attr_ancestors")
-            self._delete_object_rows(
-                ancestors, object_id, desc_attr_id=victim_attr, desc_seq=victim_seq
-            )
-            self._fault("delete:attr_ancestors")
-            self._delete_object_rows(
-                ancestors, object_id, anc_attr_id=victim_attr, anc_seq=victim_seq
-            )
-        self._fault("delete:clobs")
-        self._delete_object_rows(
-            self.db.table("clobs"), object_id,
-            schema_order=clob_order, clob_seq=clob_seq,
-        )
 
     # -- Query / response (implemented in planner.py / response.py) -------
     def _execute_plan(

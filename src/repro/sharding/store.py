@@ -93,6 +93,7 @@ class ShardedStore(HybridStore):
         self._locations: Dict[int, int] = {}
         self._counts: List[int] = [0] * len(self.stores)
         self._lock = threading.Lock()
+        self._txn_lock = threading.RLock()
         # Leg workers spawn lazily on first submit; one shard needs none.
         self._executor: Optional[ThreadPoolExecutor] = (
             ThreadPoolExecutor(
@@ -190,12 +191,20 @@ class ShardedStore(HybridStore):
     # ------------------------------------------------------------------
     def run_transaction(self, site: str, fn):
         self._check_open()
-        return fn()
+        # The catalog's read-then-write operations (add_attribute takes
+        # the next clob_seq) must not interleave; the routed writes
+        # inside ``fn`` still commit per shard.
+        with self._txn_lock:
+            return fn()
 
-    def _txn_begin(self, site: str) -> None:
-        raise CatalogError("a sharded store opens no transaction of its own")
+    def _unsupported(self, *args, **kwargs):
+        raise CatalogError(
+            "a sharded store opens no transaction and holds no rows of its own"
+        )
 
-    _txn_commit = _txn_rollback = _txn_begin
+    _txn_begin = _txn_commit = _txn_rollback = _create_tables = _unsupported
+    _insert_rows = _insert_new_definitions = _delete_rows = _unsupported
+    _clob_key_of = _descendant_instances = _unsupported
 
     # ------------------------------------------------------------------
     # Schema / definitions (fan out)

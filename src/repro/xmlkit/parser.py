@@ -26,12 +26,7 @@ from .nodes import Document, Element
 
 
 class XMLSyntaxError(ValueError):
-    """Raised for malformed documents; carries line/column context.
-
-    Must survive a pickle round trip: the bulk loader shreds in worker
-    processes, and an exception the executor cannot unpickle kills the
-    whole pool (``BrokenProcessPool``) instead of failing one batch.
-    """
+    """Raised for malformed documents; carries line/column context."""
 
     def __init__(self, message: str, source: str, offset: int) -> None:
         line = source.count("\n", 0, offset) + 1
@@ -41,17 +36,6 @@ class XMLSyntaxError(ValueError):
         self.offset = offset
         self.line = line
         self.column = column
-
-    def __reduce__(self):
-        # Rebuild from the already-formatted message; position fields
-        # are restored from the state dict, not recomputed.
-        return (_rebuild_syntax_error, (self.args[0],), self.__dict__)
-
-
-def _rebuild_syntax_error(message: str) -> "XMLSyntaxError":
-    exc = XMLSyntaxError.__new__(XMLSyntaxError)
-    ValueError.__init__(exc, message)
-    return exc
 
 
 _NAME_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_:")

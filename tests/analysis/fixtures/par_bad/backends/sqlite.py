@@ -4,10 +4,10 @@ from ..core.storage import HybridStore
 
 
 class SqliteHybridStore(HybridStore):
-    def store_object(self, shred):
+    def _insert_rows(self, table, rows):
         pass
 
-    def delete_object(self, object_id):
+    def _delete_rows(self, table, object_id, **equals):
         pass
 
     def checkpoint(self):

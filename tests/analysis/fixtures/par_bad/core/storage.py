@@ -5,11 +5,11 @@ import abc
 
 class HybridStore(abc.ABC):
     @abc.abstractmethod
-    def store_object(self, shred):
+    def _insert_rows(self, table, rows):
         ...
 
     @abc.abstractmethod
-    def delete_object(self, object_id):
+    def _delete_rows(self, table, object_id, **equals):
         ...
 
     def close(self):
@@ -17,10 +17,10 @@ class HybridStore(abc.ABC):
 
 
 class MemoryHybridStore(HybridStore):
-    def store_object(self, shred):
+    def _insert_rows(self, table, rows):
         pass
 
-    # delete_object is missing — abstract method not overridden.
+    # _delete_rows is missing — abstract primitive not overridden.
 
     def vacuum(self):
         """Public method that exists on no other backend."""

@@ -5,22 +5,26 @@ import abc
 
 class HybridStore(abc.ABC):
     @abc.abstractmethod
-    def store_object(self, shred):
+    def _insert_rows(self, table, rows):
         ...
 
     @abc.abstractmethod
-    def delete_object(self, object_id):
+    def _delete_rows(self, table, object_id, **equals):
         ...
+
+    def store_object(self, object_id, shred):
+        """The write algorithms are concrete, on the base."""
+        self._insert_rows("objects", [(object_id,)])
 
     def close(self):
         pass
 
 
 class MemoryHybridStore(HybridStore):
-    def store_object(self, shred):
+    def _insert_rows(self, table, rows):
         pass
 
-    def delete_object(self, object_id):
+    def _delete_rows(self, table, object_id, **equals):
         pass
 
     def _journal(self):

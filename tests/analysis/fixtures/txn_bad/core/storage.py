@@ -16,3 +16,24 @@ class BadStore:
     def purge(self, rowids):
         # Engine delete with no transaction context.
         self.db.table("objects").delete_rowids(rowids)
+
+
+class ShellStore:
+    def store(self, rows):
+        def write():
+            self._insert_rows("objects", rows)
+
+        self.run_transaction("store_object", write)
+
+
+class LeakyBackend(ShellStore):
+    def _insert_rows(self, table, rows):
+        # Transaction-only via the inherited shell ... until repair()
+        # below calls it bare.
+        self.conn.executemany(_INSERT_SQL[table], rows)
+
+    def repair(self, rows):
+        self._insert_rows("objects", rows)
+
+
+_INSERT_SQL = {"objects": "INSERT INTO objects VALUES (?)"}

@@ -21,3 +21,22 @@ class GoodStore:
     def read_all(self):
         # Reads never need a transaction.
         return self.conn.execute("SELECT * FROM objects").fetchall()
+
+
+class ShellStore:
+    """The write algorithm lives on the base; backends supply rows."""
+
+    def store(self, rows):
+        def write():
+            self._insert_rows("objects", rows)
+
+        self.run_transaction("store_object", write)
+
+
+class RowBackend(ShellStore):
+    def _insert_rows(self, table, rows):
+        # Reached only from the inherited shell: txn-only by dispatch.
+        self.conn.executemany(_INSERT_SQL[table], rows)
+
+
+_INSERT_SQL = {"objects": "INSERT INTO objects VALUES (?)"}

@@ -120,7 +120,7 @@ class TestReporters:
         findings = lint_fixture("txn_bad", TxnSafetyRule())
         text = render_text_report(findings)
         assert "(suppressed)" in text
-        assert text.endswith("3 finding(s), 1 suppressed")
+        assert text.endswith("4 finding(s), 1 suppressed")
 
     def test_json_schema_and_counts(self):
         import json
@@ -128,7 +128,7 @@ class TestReporters:
         findings = lint_fixture("txn_bad", TxnSafetyRule())
         payload = json.loads(render_json_report(findings))
         assert payload["schema"] == "repro.lint/v1"
-        assert payload["counts"] == {"total": 4, "active": 3, "suppressed": 1}
+        assert payload["counts"] == {"total": 5, "active": 4, "suppressed": 1}
         assert all(
             set(entry) == {"rule", "path", "line", "severity", "message",
                            "suppressed"}

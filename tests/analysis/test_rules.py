@@ -28,8 +28,8 @@ class TestTxnSafety:
     def test_flags_unbracketed_mutations(self):
         findings = lint_fixture("txn_bad", TxnSafetyRule())
         live = active(findings)
-        assert len(live) == 3
-        assert {f.line for f in live} == {7, 11, 18}
+        assert len(live) == 4
+        assert {f.line for f in live} == {7, 11, 18, 33}
         assert all(f.rule_id == "TXN01" for f in live)
         assert any("insert" in f.message for f in live)
         assert any("delete_rowids" in f.message for f in live)
@@ -49,6 +49,18 @@ class TestTxnSafety:
         # callers — the fixpoint must classify it as transaction-only.
         findings = lint_fixture("txn_good", TxnSafetyRule())
         assert not [f for f in findings if "_append" in f.message]
+
+    def test_primitive_is_txn_only_through_the_inherited_shell(self):
+        # RowBackend._insert_rows runs a statement from a module-level
+        # table and is called only by ShellStore.store's transaction;
+        # LeakyBackend adds one bare call and loses the proof.
+        assert lint_fixture("txn_good", TxnSafetyRule()) == []
+        leaks = [
+            f for f in active(lint_fixture("txn_bad", TxnSafetyRule()))
+            if "LeakyBackend._insert_rows" in f.message
+        ]
+        assert [f.line for f in leaks] == [33]
+        assert "executemany" in leaks[0].message
 
 
 class TestFaultSites:
@@ -201,7 +213,7 @@ class TestBackendParity:
         assert len(findings) == 3
         assert any(
             "MemoryHybridStore does not override abstract "
-            "HybridStore.delete_object" in m
+            "HybridStore._delete_rows" in m
             for m in messages
         )
         assert any("MemoryHybridStore.vacuum is public" in m for m in messages)

@@ -12,6 +12,7 @@ from repro.analysis.rules import (
     LockOrderRule,
     LockReachabilityRule,
     ResourceLifecycleRule,
+    TxnSafetyRule,
 )
 
 SRC = pathlib.Path(__file__).parents[2] / "src" / "repro"
@@ -137,3 +138,32 @@ class TestSeededBugs:
         assert "_acquire() result bound to 'conn' is never released" in (
             findings[0].message
         )
+
+    def test_primitive_called_outside_a_transaction_is_caught(self, tmp_path):
+        """The row primitives are transaction-only because every call
+        reaches them from a HybridStore shell's ``run_transaction``; a
+        backend method that calls one bare breaks the proof, on either
+        backend."""
+        tree = copy_tree(tmp_path)
+        assert active(run_lint(tree, rules=[TxnSafetyRule()])) == []
+        for path, cls, mutator in (
+            (tree / "backends" / "sqlite.py", "SqliteHybridStore", "execute"),
+            (tree / "core" / "storage.py", "MemoryHybridStore", "delete_rowids"),
+        ):
+            mutate(
+                path,
+                "    def has_object(self, object_id: int) -> bool:\n"
+                "        with self.",
+                "    def drop_clobs(self, object_id):\n"
+                "        self._delete_rows(\"clobs\", object_id)\n"
+                "\n"
+                "    def has_object(self, object_id: int) -> bool:\n"
+                "        with self.",
+            )
+            findings = active(run_lint(tree, rules=[TxnSafetyRule()]))
+            assert [f.rule_id for f in findings] == ["TXN01"]
+            assert (
+                f"{cls}._delete_rows mutates catalog state outside a "
+                f"transaction ({mutator})"
+            ) in findings[0].message
+            shutil.copy(SRC / path.relative_to(tree), path)

@@ -13,7 +13,11 @@ both backends:
   against a serial oracle;
 * **isolation** — a query racing a write returns either the pre- or
   post-write answer, never a mixture, and the result cache never
-  serves a pre-write answer after the write completes.
+  serves a pre-write answer after the write completes;
+* **add_attribute is one transaction** — its existence check, its two
+  sequence reads, the shred and the rows commit together, so a racing
+  delete leaves no orphan rows and racing appenders never collide on a
+  ``clob_seq`` (memory, sqlite file and a 2-shard store).
 """
 
 import sys
@@ -26,9 +30,10 @@ from hypothesis import strategies as st
 
 from repro.backends import SqliteHybridStore
 from repro.core import AttributeCriteria, HybridCatalog, ObjectQuery, Op, PlanTrace
-from repro.core.integrity import check_catalog
+from repro.core.integrity import _rows, check_catalog
 from repro.errors import CatalogError
 from repro.grid import CF_STANDARD_NAMES, CorpusConfig, LeadCorpusGenerator, lead_schema
+from repro.sharding import check_sharded_catalog, sharded_store
 
 CONFIG = CorpusConfig(seed=1212, themes=2, keys_per_theme=3, dynamic_groups=2,
                       params_per_group=4, dynamic_depth=2)
@@ -209,6 +214,136 @@ def test_racing_deletes_of_one_object_succeed_exactly_once(backend, tmp_path):
     assert deletes.value - counted_before == len(victims)
     assert catalog.store.object_count() == 0
     assert check_catalog(catalog) == []
+
+
+# ----------------------------------------------------------------------
+# add_attribute: reads + shred + rows are one transaction
+# ----------------------------------------------------------------------
+
+STORES = ("memory", "sqlite", "sharded")
+NEW_THEME = "<theme><themekt>CF</themekt><themekey>late_key</themekey></theme>"
+
+
+def build_store_catalog(kind, tmp_path):
+    if kind == "sharded":
+        catalog = HybridCatalog(lead_schema(), store=sharded_store(2))
+        GENERATOR.register_definitions(catalog)
+        return catalog
+    return build_catalog(kind, tmp_path)
+
+
+def fsck(kind, catalog):
+    check = check_sharded_catalog if kind == "sharded" else check_catalog
+    return check(catalog, deep=True)
+
+
+def theme_clob_seqs(kind, catalog, object_id):
+    """Stored ``clob_seq`` values of the object's <theme> CLOBs, sorted."""
+    order = catalog.schema.attribute_by_tag("theme").order
+    stores = catalog.store.stores if kind == "sharded" else [catalog.store]
+    return sorted(
+        row[2]
+        for store in stores
+        for row in _rows(store, "clobs")
+        if row[0] == object_id and row[1] == order
+    )
+
+
+@pytest.mark.parametrize("kind", STORES)
+def test_delete_landing_inside_add_attribute_leaves_no_orphans(kind, tmp_path):
+    """The deterministic interleaving: the object's rows are deleted
+    after add_attribute's existence check and before its rows are
+    written.  The append must fail as ``no object`` and commit nothing.
+    (On one store the same-thread delete joins the transaction and is
+    rolled back with it; on the sharded store it commits on its shard.
+    Either way no theme row outlives its object.)"""
+    catalog = build_store_catalog(kind, tmp_path)
+    victim = catalog.ingest(DOCUMENTS[0]).object_id
+    keeper = catalog.ingest(DOCUMENTS[1]).object_id
+    before = theme_clob_seqs(kind, catalog, victim)
+    real = catalog.store.instance_counts
+
+    def delete_then_count(object_id):
+        counts = real(object_id)
+        catalog.store.instance_counts = real
+        catalog.store.delete_object(object_id)
+        return counts
+
+    catalog.store.instance_counts = delete_then_count
+    with pytest.raises(CatalogError, match=f"no object {victim}"):
+        catalog.add_attribute(victim, NEW_THEME)
+    assert fsck(kind, catalog) == []
+    survived = catalog.store.has_object(victim)
+    assert survived == (kind != "sharded")
+    assert theme_clob_seqs(kind, catalog, victim) == (before if survived else [])
+    # The catalog still takes appends.
+    catalog.add_attribute(keeper, NEW_THEME)
+    assert fsck(kind, catalog) == []
+
+
+@pytest.mark.parametrize("kind", STORES)
+def test_racing_add_attributes_take_contiguous_sequences(kind, tmp_path):
+    """Two writers append themes to one object while a third thread
+    deletes it at the end: every append that succeeded took the next
+    ``clob_seq`` (no collision ever surfaces as a backend constraint
+    error), the rest fail as ``no object``, and fsck stays clean."""
+    catalog = build_store_catalog(kind, tmp_path)
+    target = catalog.ingest(DOCUMENTS[0]).object_id
+    start = theme_clob_seqs(kind, catalog, target)
+    assert start == list(range(1, len(start) + 1))
+    rounds = 15
+    barrier = threading.Barrier(2)
+    errors = []
+    appended = []
+
+    def writer():
+        barrier.wait(timeout=30)
+        for _ in range(rounds):
+            try:
+                catalog.add_attribute(target, NEW_THEME)
+            except CatalogError as exc:
+                assert str(exc) == f"no object {target}"
+            except BaseException as exc:  # a ConstraintError/IntegrityError
+                errors.append(exc)
+            else:
+                appended.append(1)
+
+    writers = [threading.Thread(target=writer) for _ in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for worker in writers:
+            worker.start()
+        for worker in writers:
+            worker.join(timeout=60)
+        assert not any(worker.is_alive() for worker in writers)
+        assert not errors, errors
+        assert len(appended) == 2 * rounds
+        assert theme_clob_seqs(kind, catalog, target) == list(
+            range(1, len(start) + 2 * rounds + 1)
+        )
+        assert fsck(kind, catalog) == []
+        # Now the same race with a deleter in it.
+        appended.clear()
+        barrier = threading.Barrier(3)
+
+        def deleter():
+            barrier.wait(timeout=30)
+            catalog.delete(target)
+
+        racers = [threading.Thread(target=writer) for _ in range(2)]
+        racers.append(threading.Thread(target=deleter))
+        for worker in racers:
+            worker.start()
+        for worker in racers:
+            worker.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in racers)
+    assert not errors, errors
+    assert theme_clob_seqs(kind, catalog, target) == []
+    assert catalog.store.object_count() == 0
+    assert fsck(kind, catalog) == []
 
 
 # ----------------------------------------------------------------------

@@ -72,6 +72,6 @@ class TestExamples:
 
     def test_bulk_campaign(self, capsys):
         out = run_example("bulk_campaign", capsys)
-        assert "bulk-loaded 120 documents" in out
+        assert "loaded 120 documents" in out
         assert "reopened" in out
         assert "QC-annotated runs   : [1, 2, 3]" in out

@@ -164,24 +164,6 @@ class TestParseFragment:
         assert el.find("themekt").text() == "CF"
 
 
-class TestErrorPickling:
-    def test_syntax_error_survives_pickle(self):
-        # Regression: an unpicklable parse error raised inside a bulk
-        # loader worker used to kill the whole process pool
-        # (BrokenProcessPool) instead of failing the one batch.
-        import pickle
-
-        with pytest.raises(XMLSyntaxError) as info:
-            parse("<unclosed>")
-        exc = info.value
-        clone = pickle.loads(pickle.dumps(exc))
-        assert isinstance(clone, XMLSyntaxError)
-        assert str(clone) == str(exc)
-        assert (clone.line, clone.column, clone.offset) == (
-            exc.line, exc.column, exc.offset,
-        )
-
-
 class TestNestingLimit:
     @staticmethod
     def nested(levels, leaf=""):
