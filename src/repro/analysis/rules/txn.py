@@ -1,7 +1,7 @@
 """TXN01 — every catalog-table mutation runs inside a transaction.
 
 PR 2 made crash safety depend on one convention: a write statement
-(a row ``insert``/``delete_rowids`` on the memory engine, an
+(a row ``extend``/``insert``/``delete_rowids`` on the memory engine, an
 ``INSERT``/``UPDATE``/``DELETE`` statement on sqlite) may only execute
 from code reachable via ``run_transaction``, because that is where the
 BEGIN IMMEDIATE/undo-journal bracketing, rollback, and retry live.  A
@@ -44,7 +44,8 @@ from ..linter import (
     str_prefix,
 )
 
-#: Memory-engine table mutators.
+#: Memory-engine table mutators (``Table.extend`` is matched by its
+#: ``.table(...)`` receiver in ``_is_mutation``).
 _ENGINE_MUTATORS = frozenset({"insert", "delete_rowids"})
 
 #: SQL verbs that mutate rows (DDL and SELECT are not crash points).
@@ -119,6 +120,10 @@ class TxnSafetyRule(Rule):
         name = call_name(node)
         if name in _ENGINE_MUTATORS:
             return True
+        if name == "extend" and isinstance(node.func, ast.Attribute):
+            # ``list.extend`` shares the name: only ``<db>.table(...).extend(rows)``.
+            receiver = node.func.value
+            return isinstance(receiver, ast.Call) and call_name(receiver) == "table"
         if name in _SQL_EXECUTORS and node.args:
             texts = self._sql_texts(node.args[0], scope, module_consts)
             if texts is None:

@@ -794,12 +794,10 @@ class MemoryHybridStore(HybridStore):
 
     # -- Row primitives ---------------------------------------------------
     def _insert_rows(self, table: str, rows: Sequence[tuple]) -> None:
-        insert = self.db.table(table).insert
-        armed = self.fault_plan is not None  # skip the per-row consult call
-        for row in rows:
-            if armed:
+        if self.fault_plan is not None:  # one consult per row, ahead of the batch
+            for _ in rows:
                 self._fault(check_site(f"insert:{table}"))
-            insert(row)
+        self.db.table(table).extend(rows)
 
     def _insert_new_definitions(self, table: str, rows: Sequence[tuple]) -> None:
         known = {row[0] for row in self.db.table(table).scan()}

@@ -6,10 +6,12 @@ id is a position shared by every column list, so rows are materialized
 as tuples only at the edges (``fetch``/``scan``/``lookup``); callers
 that filter probe whole columns (:meth:`Table.column_data`) at the row
 ids an index lookup returned.  Indexes map key tuples to lists of row
-ids.  The relative costs the benchmarks measure (scans vs index
-lookups) still mirror the RDBMS the paper ran on; the columnar layout
-removes the per-row interpretation overhead a heap of tuples pays on
-every cold scan.
+ids.  Rows arrive by :meth:`Table.extend` (a checked, all-or-none
+batch: the catalog's one call per table per document) or one at a time
+by :meth:`Table.insert` (baselines).  The relative costs the benchmarks
+measure (scans vs index lookups) still mirror the RDBMS the paper ran
+on; the columnar layout removes the per-row interpretation overhead a
+heap of tuples pays on every cold scan.
 """
 
 from __future__ import annotations
@@ -132,8 +134,67 @@ class Table:
     # ------------------------------------------------------------------
     # Mutation
     # ------------------------------------------------------------------
+    def extend(self, rows: Sequence[Sequence[Any]]) -> None:
+        """Insert full rows (positional), all or none — the catalog's
+        write path: one call per table per document.
+
+        Row lengths, every column's values (:meth:`Column.validate_many`)
+        and every unique key — against the index *and* within the batch
+        — are checked before the first column is touched, so a failure
+        leaves the table unchanged.  Columns, validity bitmap, each hash
+        index and the undo journal are then updated once per batch.
+        """
+        for values in rows:
+            if len(values) != len(self.columns):
+                raise TableError(
+                    f"table {self.name!r} expects {len(self.columns)} values, got {len(values)}"
+                )
+        if not rows:
+            return
+        columns = [col.validate_many(vals) for col, vals in zip(self.columns, zip(*rows))]
+        keyed = []
+        for index in self._hash_indexes:
+            keys = list(zip(*[columns[p] for p in index.positions]))
+            if index.unique:
+                seen: set = set()
+                for key in keys:
+                    if key in index.buckets or key in seen:
+                        raise ConstraintError(
+                            f"unique index {index.name!r} violated for key {key!r}"
+                        )
+                    seen.add(key)
+            keyed.append((index.buckets, keys))
+        # One int object per row, shared by every index bucket and the
+        # journal (a fresh ``range`` per index would allocate it again).
+        first = len(self._valid)
+        rowids = list(range(first, first + len(rows)))
+        # Columns and bitmap grow by ``append``: ``extend`` over-allocates
+        # on another schedule and ``storage_breakdown`` counts capacity.
+        for col, vals in zip(self._cols, columns):
+            append = col.append
+            for value in vals:
+                append(value)
+        append = self._valid.append
+        for _ in rowids:
+            append(1)
+        self._live += len(rowids)
+        for buckets, keys in keyed:
+            for key, rowid in zip(keys, rowids):
+                bucket = buckets.get(key)
+                if bucket is None:
+                    buckets[key] = [rowid]
+                else:
+                    bucket.append(rowid)
+        if self.journal is not None:
+            self.journal.extend([(self, rowid, None) for rowid in rowids])
+
     def insert(self, values: Sequence[Any]) -> int:
-        """Insert a full row (positional); returns the row id."""
+        """Insert one full row (positional); returns the row id.
+
+        The row-at-a-time path of the baselines and of tests; the
+        catalog writes through :meth:`extend`.  Kept beside it because a
+        one-row ``extend`` costs 8.0 µs against 6.3 µs here (E1: edge
+        -21 %, inlining -12 %)."""
         if len(values) != len(self.columns):
             raise TableError(
                 f"table {self.name!r} expects {len(self.columns)} values, got {len(values)}"

@@ -10,7 +10,7 @@ the catalog needs are provided.
 from __future__ import annotations
 
 import enum
-from typing import Any
+from typing import Any, Sequence
 
 
 class ColumnType(enum.Enum):
@@ -51,10 +51,19 @@ class ColumnType(enum.Enum):
         return value
 
 
+_STORED_AS = {
+    ColumnType.INTEGER: int,
+    ColumnType.REAL: float,
+    ColumnType.TEXT: str,
+    ColumnType.CLOB: str,
+}
+_NULL = type(None)
+
+
 class Column:
     """A named, typed column with optional NOT NULL constraint."""
 
-    __slots__ = ("name", "type", "nullable")
+    __slots__ = ("name", "type", "nullable", "_stored")
 
     def __init__(self, name: str, type: ColumnType, nullable: bool = True) -> None:
         if not name or not name.replace("_", "").isalnum():
@@ -62,6 +71,8 @@ class Column:
         self.name = name
         self.type = type
         self.nullable = nullable
+        #: Exact types a value may have to be stored as it is.
+        self._stored = {_STORED_AS[type], _NULL} if nullable else {_STORED_AS[type]}
 
     def validate(self, value: Any) -> Any:
         if value is None:
@@ -69,6 +80,15 @@ class Column:
                 raise TypeError(f"column {self.name!r} is NOT NULL")
             return None
         return self.type.validate(value)
+
+    def validate_many(self, values: Sequence[Any]) -> Sequence[Any]:
+        """:meth:`validate` over a column of values.  Values that all
+        have the stored type already (``bool`` is not ``int``) are
+        accepted as they are; anything else — coercion, every error —
+        takes the per-value path."""
+        if set(map(type, values)) <= self._stored:
+            return values
+        return [self.validate(value) for value in values]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Column({self.name!r}, {self.type.value})"

@@ -51,7 +51,8 @@ def unescape(value: str) -> str:
     Raises
     ------
     ValueError
-        If a reference is malformed or names an unknown entity.
+        If a reference is malformed, names an unknown entity or a
+        character outside Unicode (and nothing but ``ValueError``).
     """
     if "&" not in value:
         return value
@@ -70,10 +71,12 @@ def unescape(value: str) -> str:
         body = value[i + 1 : end]
         if not body:
             raise ValueError(f"empty entity reference at offset {i}")
-        if body.startswith("#x") or body.startswith("#X"):
-            out.append(chr(int(body[2:], 16)))
-        elif body.startswith("#"):
-            out.append(chr(int(body[1:], 10)))
+        if body.startswith("#"):
+            hexadecimal = body[1:2] in ("x", "X")
+            try:
+                out.append(chr(int(body[2:], 16) if hexadecimal else int(body[1:], 10)))
+            except (ValueError, OverflowError):  # bad digits / beyond U+10FFFF
+                raise ValueError(f"invalid character reference &{body};") from None
         else:
             try:
                 out.append(_NAMED_ENTITIES[body])

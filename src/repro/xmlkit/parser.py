@@ -12,14 +12,20 @@ knowing, for every element, the exact offsets of its serialized form in
 the source text — which ``xml.etree`` does not expose.  The parser here
 records a half-open ``(start, end)`` span on every element.
 
-The implementation is a single left-to-right scan (no backtracking), so
-parsing is O(n) in the document length — the property the ingest
-benchmarks (E1) rely on.
+The implementation is a single left-to-right scan with one explicit
+stack of open elements and no recursion.  Every regex is matched
+**anchored at the cursor** (``pattern.match(source, pos)``, never
+``search``/``finditer``): a pattern that scans ahead re-reads whatever
+follows each comment, PI or CDATA section it cannot match, which is
+quadratic on ``<a>`` + n x ``<!---->``.  Anchored, parsing is O(n) in
+the document length — the property the ingest benchmarks (E1) and the
+server's body limit rely on.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+import re
+from typing import Dict, List, Tuple
 
 from .escape import unescape
 from .nodes import Document, Element
@@ -38,195 +44,139 @@ class XMLSyntaxError(ValueError):
         self.column = column
 
 
-_NAME_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_:")
-_NAME_CHARS = _NAME_START | set("0123456789.-")
-_WHITESPACE = set(" \t\r\n")
+#: XML whitespace and names, as this parser has always read them: the
+#: four ASCII blanks (not ``\s``) and ASCII-only names.
+_S = r"[ \t\r\n]"
+_NAME = r"[A-Za-z_:][A-Za-z0-9_:.\-]*"
+_SPACES = re.compile(f"{_S}*")
+_TAG_NAME = re.compile(f"</?{_NAME}")
+_ATTRIBUTE = re.compile(rf"""{_S}+({_NAME}){_S}*={_S}*(?:"([^"]*)"|'([^']*)')""")
+#: An attribute piece by piece, with what to say when a piece is missing.
+_ATTRIBUTE_STEPS = tuple(
+    (re.compile(pattern), message)
+    for pattern, message in (
+        (f"{_S}+", "expected whitespace before attribute"),
+        (_NAME, "expected a name"),
+        (f"{_S}*=", "expected '='"),
+        (f"{_S}*[\"']", "expected quoted attribute value"),
+    )
+)
+#: One token: the character data up to the next ``<``, then — when it
+#: is well formed — one end tag, or a start tag's name and, if the tag
+#: has no attributes, its end.  Everything else a ``<`` can open
+#: (comment, PI, CDATA, a malformed tag) leaves the tag part unmatched
+#: and goes to :func:`_markup`.
+_TOKEN = re.compile(rf"([^<]*)(?:<(?:/({_NAME}){_S}*>|({_NAME})(?:{_S}*(/?)>)?))?")
+_TAG_END = re.compile(f"{_S}*(/?)>")
+#: ``(opener, closer, what)`` of the constructs skipped around the root
+#: (``_MISC``) and, with CDATA sections kept as text, inside elements.
+_MISC = (("<!--", "-->", "comment"), ("<?", "?>", "processing instruction"))
+_SKIPPED = _MISC + (("<![CDATA[", "]]>", "CDATA section"),)
 
-#: Deepest element nesting accepted.  The parser recurses two frames
-#: per level, so the cap keeps any input far from the interpreter's
-#: recursion limit; LEAD and CLRC documents nest fewer than 20 levels.
+#: Deepest element nesting accepted.  LEAD and CLRC documents nest
+#: fewer than 20 levels; the cap bounds the open-element stack (and the
+#: recursion of everything downstream that walks the tree).
 MAX_NESTING_DEPTH = 100
 
 
-class _Parser:
-    __slots__ = ("source", "pos", "length", "depth")
+def _resolve(raw: str, source: str, offset: int) -> str:
+    """``raw`` with its references resolved; ``offset`` places a bad one."""
+    try:
+        return unescape(raw)
+    except ValueError as exc:
+        raise XMLSyntaxError(str(exc), source, offset) from None
 
-    def __init__(self, source: str) -> None:
-        self.source = source
-        self.pos = 0
-        self.length = len(source)
-        self.depth = 0
 
-    # -- low-level helpers ------------------------------------------------
-    def error(self, message: str, offset: Optional[int] = None) -> XMLSyntaxError:
-        return XMLSyntaxError(message, self.source, self.pos if offset is None else offset)
-
-    def skip_whitespace(self) -> None:
-        src, n = self.source, self.length
-        i = self.pos
-        while i < n and src[i] in _WHITESPACE:
-            i += 1
-        self.pos = i
-
-    def expect(self, literal: str) -> None:
-        if not self.source.startswith(literal, self.pos):
-            raise self.error(f"expected {literal!r}")
-        self.pos += len(literal)
-
-    def read_name(self) -> str:
-        src = self.source
-        start = self.pos
-        if start >= self.length or src[start] not in _NAME_START:
-            raise self.error("expected a name")
-        i = start + 1
-        n = self.length
-        while i < n and src[i] in _NAME_CHARS:
-            i += 1
-        self.pos = i
-        return src[start:i]
-
-    # -- prolog / misc -----------------------------------------------------
-    def skip_misc(self) -> None:
-        """Skip whitespace, comments, PIs and the XML declaration."""
-        while True:
-            self.skip_whitespace()
-            if self.source.startswith("<?", self.pos):
-                end = self.source.find("?>", self.pos + 2)
-                if end < 0:
-                    raise self.error("unterminated processing instruction")
-                self.pos = end + 2
-            elif self.source.startswith("<!--", self.pos):
-                end = self.source.find("-->", self.pos + 4)
-                if end < 0:
-                    raise self.error("unterminated comment")
-                self.pos = end + 3
-            elif self.source.startswith("<!DOCTYPE", self.pos):
-                # Skip a simple (bracket-free or internal-subset) doctype.
-                depth = 0
-                i = self.pos
-                while i < self.length:
-                    ch = self.source[i]
-                    if ch == "[":
-                        depth += 1
-                    elif ch == "]":
-                        depth -= 1
-                    elif ch == ">" and depth == 0:
-                        self.pos = i + 1
-                        break
-                    i += 1
-                else:
-                    raise self.error("unterminated DOCTYPE")
-            else:
-                return
-
-    # -- element parsing -----------------------------------------------------
-    def parse_document(self) -> Document:
-        self.skip_misc()
-        if self.pos >= self.length or self.source[self.pos] != "<":
-            raise self.error("expected root element")
-        root = self.parse_element()
-        self.skip_misc()
-        if self.pos != self.length:
-            raise self.error("trailing content after root element")
-        return Document(root, source=self.source)
-
-    def parse_element(self) -> Element:
-        start = self.pos
-        self.expect("<")
-        tag = self.read_name()
-        attributes = self.parse_attributes()
-        self.skip_whitespace()
-        if self.source.startswith("/>", self.pos):
-            self.pos += 2
-            return Element(tag, attributes=attributes, source_span=(start, self.pos))
-        self.expect(">")
-        if self.depth == MAX_NESTING_DEPTH:
-            raise self.error(f"nesting deeper than {MAX_NESTING_DEPTH}", start)
-        self.depth += 1
-        children = self.parse_content(tag)
-        self.depth -= 1
-        element = Element(tag, attributes=attributes, children=children)
-        element.source_span = (start, self.pos)
-        return element
-
-    def parse_attributes(self) -> dict:
-        attributes: dict = {}
-        while True:
-            before = self.pos
-            self.skip_whitespace()
-            if self.pos >= self.length:
-                raise self.error("unterminated start tag")
-            ch = self.source[self.pos]
-            if ch in (">", "/"):
-                return attributes
-            if self.pos == before:
-                raise self.error("expected whitespace before attribute")
-            name = self.read_name()
-            self.skip_whitespace()
-            self.expect("=")
-            self.skip_whitespace()
-            if self.pos >= self.length or self.source[self.pos] not in "\"'":
-                raise self.error("expected quoted attribute value")
-            quote = self.source[self.pos]
-            self.pos += 1
-            end = self.source.find(quote, self.pos)
+def _end_of_skipped(source: str, pos: int, kinds: tuple) -> int:
+    """End of the comment / PI / CDATA section opening at ``pos``, or -1."""
+    for opener, closer, what in kinds:
+        if source.startswith(opener, pos):
+            end = source.find(closer, pos + len(opener))
             if end < 0:
-                raise self.error("unterminated attribute value")
-            raw = self.source[self.pos : end]
-            if "<" in raw:
-                raise self.error("'<' not allowed in attribute value")
-            if name in attributes:
-                raise self.error(f"duplicate attribute {name!r}")
-            attributes[name] = unescape(raw)
-            self.pos = end + 1
+                raise XMLSyntaxError(f"unterminated {what}", source, pos)
+            return end + len(closer)
+    return -1
 
-    def parse_content(self, open_tag: str) -> List:
-        children: List = []
-        src = self.source
-        while True:
-            if self.pos >= self.length:
-                raise self.error(f"unclosed element <{open_tag}>")
-            next_lt = src.find("<", self.pos)
-            if next_lt < 0:
-                raise self.error(f"unclosed element <{open_tag}>")
-            if next_lt > self.pos:
-                text = src[self.pos : next_lt]
-                self.pos = next_lt
-                try:
-                    children.append(unescape(text))
-                except ValueError as exc:
-                    raise self.error(str(exc)) from None
-            if src.startswith("</", self.pos):
-                close_start = self.pos
-                self.pos += 2
-                name = self.read_name()
-                if name != open_tag:
-                    raise self.error(
-                        f"mismatched end tag </{name}> for <{open_tag}>", close_start
-                    )
-                self.skip_whitespace()
-                self.expect(">")
-                return children
-            if src.startswith("<!--", self.pos):
-                end = src.find("-->", self.pos + 4)
-                if end < 0:
-                    raise self.error("unterminated comment")
-                self.pos = end + 3
-                continue
-            if src.startswith("<![CDATA[", self.pos):
-                end = src.find("]]>", self.pos + 9)
-                if end < 0:
-                    raise self.error("unterminated CDATA section")
-                children.append(src[self.pos + 9 : end])
-                self.pos = end + 3
-                continue
-            if src.startswith("<?", self.pos):
-                end = src.find("?>", self.pos + 2)
-                if end < 0:
-                    raise self.error("unterminated processing instruction")
-                self.pos = end + 2
-                continue
-            children.append(self.parse_element())
+
+def _skip_misc(source: str, pos: int) -> int:
+    """Skip whitespace, comments, PIs (the XML declaration) and DOCTYPEs."""
+    while True:
+        pos = _SPACES.match(source, pos).end()
+        end = _end_of_skipped(source, pos, _MISC)
+        if end < 0:
+            if not source.startswith("<!DOCTYPE", pos):
+                return pos
+            end = _end_of_doctype(source, pos)
+        pos = end
+
+
+def _end_of_doctype(source: str, pos: int) -> int:
+    """End of a simple (bracket-free or internal-subset) doctype."""
+    depth = 0
+    for i in range(pos, len(source)):
+        ch = source[i]
+        if ch == "[":
+            depth += 1
+        elif ch == "]":
+            depth -= 1
+        elif ch == ">" and depth == 0:
+            return i + 1
+    raise XMLSyntaxError("unterminated DOCTYPE", source, pos)
+
+
+def _attributes(source: str, pos: int) -> Tuple[Dict[str, str], int]:
+    """The attributes written from ``pos`` on and the offset they stop at."""
+    attributes: Dict[str, str] = {}
+    while True:
+        m = _ATTRIBUTE.match(source, pos)
+        if m is None:
+            return attributes, pos
+        name, raw = m.group(1, m.lastindex)
+        if "<" in raw:
+            raise XMLSyntaxError("'<' not allowed in attribute value", source, m.start(m.lastindex))
+        if name in attributes:
+            raise XMLSyntaxError(f"duplicate attribute {name!r}", source, m.start(1))
+        attributes[name] = _resolve(raw, source, m.start(m.lastindex))
+        pos = m.end()
+
+
+def _markup(source: str, pos: int, open_tag: str, children: List) -> int:
+    """What ``_TOKEN`` left at ``pos`` inside ``<open_tag>``: skip a
+    comment or PI, keep a CDATA section as verbatim text, and raise for
+    everything else."""
+    if pos >= len(source):
+        raise XMLSyntaxError(f"unclosed element <{open_tag}>", source, pos)
+    end = _end_of_skipped(source, pos, _SKIPPED)
+    if end < 0:
+        raise _malformed_tag(source, pos)
+    if source.startswith("<![CDATA[", pos):
+        children.append(source[pos + 9 : end - 3])
+    return end
+
+
+def _malformed_tag(source: str, pos: int) -> XMLSyntaxError:
+    """Walk the tag at ``pos`` the way the grammar reads, to say where
+    it goes wrong."""
+
+    def error(message: str, offset: int) -> XMLSyntaxError:
+        return XMLSyntaxError(message, source, offset)
+
+    end_tag = source.startswith("</", pos)
+    m = _TAG_NAME.match(source, pos)
+    if m is None:
+        return error("expected a name", pos + 1 + end_tag)
+    pos = m.end() if end_tag else _attributes(source, m.end())[1]
+    after = _SPACES.match(source, pos).end()
+    if after == len(source):
+        return error(f"unterminated {'end' if end_tag else 'start'} tag", after)
+    if end_tag or source[after] in "/>":
+        return error("expected '>'", after + (source[after] == "/"))
+    for pattern, message in _ATTRIBUTE_STEPS:
+        m = pattern.match(source, pos)
+        if m is None:
+            return error(message, pos)
+        pos = m.end()
+    return error("unterminated attribute value", pos - 1)
 
 
 def parse(source: str) -> Document:
@@ -237,7 +187,58 @@ def parse(source: str) -> Document:
     XMLSyntaxError
         On any well-formedness violation, with line/column information.
     """
-    return _Parser(source).parse_document()
+    pos = _skip_misc(source, 0)
+    if not source.startswith("<", pos):
+        raise XMLSyntaxError("expected root element", source, pos)
+    top: List = []  # receives the root
+    children = top  # of the innermost open element
+    # (tag, attributes, '<' offset, siblings) of each open element.  The
+    # element itself is built when it closes, from its finished list of
+    # children: appended to in place, ``element.children`` would stay
+    # over-allocated (a retained tree is 3% larger).
+    stack: List[tuple] = []
+    token = _TOKEN.match
+    while True:
+        m = token(source, pos)
+        text, closed, tag, empty = m.groups()
+        if text:
+            children.append(_resolve(text, source, pos))
+        start, pos = m.end(1), m.end()
+        if tag is not None:
+            attributes = None
+            if empty is None:  # more than a name: attributes, then the end
+                attributes, pos = _attributes(source, pos)
+                m = _TAG_END.match(source, pos)
+                if m is None:
+                    raise _malformed_tag(source, start)
+                empty, pos = m.group(1), m.end()
+            if empty:
+                children.append(Element(tag, attributes, source_span=(start, pos)))
+                if not stack:
+                    break
+            elif len(stack) == MAX_NESTING_DEPTH:
+                raise XMLSyntaxError(f"nesting deeper than {MAX_NESTING_DEPTH}", source, start)
+            else:
+                stack.append((tag, attributes, start, children))
+                children = []
+        elif closed is not None and stack:
+            tag, attributes, opened, siblings = stack.pop()
+            if closed != tag:
+                raise XMLSyntaxError(f"mismatched end tag </{closed}> for <{tag}>", source, start)
+            siblings.append(Element(tag, attributes, children, (opened, pos)))
+            if not stack:
+                break
+            children = siblings
+        elif stack:
+            pos = _markup(source, start, stack[-1][0], children)
+        elif source.startswith("</", start):
+            raise XMLSyntaxError("expected root element", source, start)
+        else:
+            raise _malformed_tag(source, start)
+    pos = _skip_misc(source, pos)
+    if pos != len(source):
+        raise XMLSyntaxError("trailing content after root element", source, pos)
+    return Document(top[0], source=source)
 
 
 def parse_fragment(source: str) -> Element:

@@ -121,6 +121,28 @@ class TestSeededBugs:
             findings[0].message
         )
 
+    def test_batch_insert_outside_a_transaction_is_caught(self, tmp_path):
+        """``Table.extend`` shares its name with ``list.extend``; the
+        rule knows it by its ``.table(...)`` receiver, so the memory
+        ``_insert_rows`` stays transaction-only by proof."""
+        tree = copy_tree(tmp_path)
+        mutate(
+            tree / "core" / "storage.py",
+            "    def has_object(self, object_id: int) -> bool:\n"
+            "        with self.",
+            "    def plant(self, row):\n"
+            "        self._insert_rows(\"objects\", [row])\n"
+            "\n"
+            "    def has_object(self, object_id: int) -> bool:\n"
+            "        with self.",
+        )
+        findings = active(run_lint(tree, rules=[TxnSafetyRule()]))
+        assert [f.rule_id for f in findings] == ["TXN01"]
+        assert (
+            "MemoryHybridStore._insert_rows mutates catalog state outside a "
+            "transaction (extend)"
+        ) in findings[0].message
+
     def test_removed_finally_release_is_caught(self, tmp_path):
         tree = copy_tree(tmp_path)
         rule = ResourceLifecycleRule()

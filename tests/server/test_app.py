@@ -154,15 +154,19 @@ class TestCatalogRoundTrip:
             assert listing["experiments"][0]["files"] == 1
 
     def test_hostile_documents_400_and_the_connection_survives(self, server):
-        """A document that does not parse, has the wrong root, or nests
-        deep enough to exhaust a recursive parser is the client's
-        error: 400, never 5xx, and the keep-alive connection stays
-        usable for the next request."""
+        """A document that does not parse, has the wrong root, nests
+        deep enough to exhaust a recursive parser, or carries a
+        reference that resolves to nothing is the client's error: 400,
+        never 5xx, and the keep-alive connection stays usable for the
+        next request."""
         service, srv = server
         hostile = {
             "malformed": "<LEADresource><data>",
             "wrong root": "<notLEAD><data/></notLEAD>",
             "deeply nested": "<a>" * 1000 + "</a>" * 1000,
+            "unknown entity in an attribute": '<LEADresource x="&bogus;"/>',
+            "bad digits in an attribute": '<LEADresource x="&#xZZ;"></LEADresource>',
+            "character beyond Unicode": "<LEADresource>&#99999999999;</LEADresource>",
         }
         client = logged_in_client(srv)
         with client:
@@ -181,7 +185,7 @@ class TestCatalogRoundTrip:
         for labels, metric in requests.series():
             if labels["endpoint"] == "files":
                 by_status[labels["status"]] = metric.value
-        assert by_status == {"400": 3, "201": 1}
+        assert by_status == {"400": 6, "201": 1}
         assert not [
             labels for labels, _m in requests.series()
             if labels["status"].startswith("5")

@@ -137,6 +137,9 @@ class TestErrors:
             '<a "v"/>',
             "< a/>",
             '<a x="<"/>',
+            '<LEADresource x="&bogus;"/>',
+            '<LEADresource x="&#xZZ;"></LEADresource>',
+            "<LEADresource>&#99999999999;</LEADresource>",
         ],
     )
     def test_malformed_raises(self, bad):
