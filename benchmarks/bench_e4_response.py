@@ -3,7 +3,9 @@
 Paper claim (§5): responses are assembled by set-based operations over
 the CLOB keys, the ancestor inverted list and the global-ordering table
 — "no final tagging is needed at the server" — and the CLOBs themselves
-are not touched until the final join.  Comparators: the inlining scheme
+are not touched until the final join.  The hybrid column measures the
+one tagger every store shares (``core/response.py``) over the CLOB rows
+the memory store reads by primary key.  Comparators: the inlining scheme
 must re-join its tables and rebuild each tree through an external
 tagger; the edge scheme rebuilds node-by-node; CLOB passthrough is the
 lower bound (returns stored text directly).

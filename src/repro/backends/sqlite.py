@@ -1,8 +1,7 @@
 """Hybrid store on stdlib :mod:`sqlite3` (system S3).
 
 The identical table layout as :class:`MemoryHybridStore`, with the
-Fig-4 count-matching plan and the §5 response builder expressed as
-actual SQL:
+Fig-4 count-matching plan expressed as actual SQL:
 
 * the backend-neutral :class:`~repro.core.logical.LogicalPlan` is
   compiled stage by stage: each ``ElementSeek`` becomes one
@@ -13,11 +12,13 @@ actual SQL:
 * ``DirectCountMatch`` is ``GROUP BY ... HAVING COUNT(DISTINCT ...)``;
 * ``AncestorCountMatch`` is one set-based ``DELETE ... WHERE NOT
   EXISTS`` per criteria edge, joining the sub-attribute inverted list —
-  no recursive SQL;
-* responses are produced by a single ``UNION ALL`` event query over the
-  ancestor inverted list, the global-ordering table, and the CLOB
-  table, ordered so the rows concatenate directly into tagged XML ("no
-  final tagging is needed at the server").
+  no recursive SQL.
+
+Responses take one parameterised read per requested object — its CLOB
+rows, found by two primary-key seeks (``_CLOB_ROWS_SQL``) — and the
+§5 tagging shared by every store
+(:func:`~repro.core.response.tag_responses`), so a fetch reads only
+the objects it returns.
 
 Equivalence with the memory store is property-tested
 (``tests/integration/test_backend_equivalence.py``) and measured in
@@ -51,11 +52,10 @@ import itertools
 import sqlite3
 import time
 from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..core.logical import LogicalPlan
 from ..core.query import Op
-from ..core.response import record_response_metrics
 from ..core.schema import AnnotatedSchema
 from ..core.stats import StatsSnapshot
 from ..core.storage import HybridStore, schema_order_rows
@@ -183,7 +183,11 @@ _DELETE_SQL = {
         "AND anc_seq = ?",
 }
 
-_BIG_SEQ = 1 << 60
+#: The one read a response needs: an object's CLOB rows.
+_CLOB_ROWS_SQL = (
+    "SELECT c.schema_order, c.clob_seq, c.content FROM objects o "
+    "LEFT JOIN clobs c ON c.object_id = o.object_id WHERE o.object_id = ?"
+)
 
 #: Transaction-control verbs that bypass fault injection (they *are*
 #: the crash-safety machinery, not a crash point).
@@ -486,7 +490,7 @@ class SqliteHybridStore(HybridStore):
                 "the catalog file was created with a different schema "
                 f"({len(stored)} stored ordered nodes vs {len(expected)})"
             )
-        self.schema = schema
+        self._bind_schema(schema)
 
     def load_definition_rows(self):
         with self._reader() as cur:
@@ -780,65 +784,20 @@ class SqliteHybridStore(HybridStore):
         return StatsSnapshot(objects, elem_rows, elem_distinct, attr_rows)
 
     # ------------------------------------------------------------------
-    # Response (§5 in SQL: one ordered UNION ALL event stream)
+    # Response rows (the §5 tagging itself is HybridStore's)
     # ------------------------------------------------------------------
-    def build_responses(self, object_ids: Sequence[int]) -> Dict[int, str]:
-        assert self.schema is not None
+    def _clob_rows(self, object_ids: Iterable[int]) -> Dict[int, List[Tuple[int, int, str]]]:
+        # One statement per id, with constant text: two primary-key
+        # seeks, prepared once per connection by sqlite3's statement
+        # cache.  The LEFT JOIN tells a stored object without CLOBs
+        # (one all-NULL row) from an unknown one (no row).
+        found: Dict[int, List[Tuple[int, int, str]]] = {}
         with self._reader() as cur:
-            return self._build_responses(cur, object_ids)
-
-    def _build_responses(self, cur, object_ids: Sequence[int]) -> Dict[int, str]:
-        suffix = next(self._temp_ids)
-        req = quote_identifier(f"req_objects_{suffix}")
-        cur.execute(f"CREATE TEMP TABLE {req} (object_id INTEGER PRIMARY KEY)")
-        cur.executemany(  # reprolint: ignore[TXN01] temp-table scratch
-            f"INSERT OR IGNORE INTO {req} VALUES (?)", [(i,) for i in object_ids]
-        )
-        rows = cur.execute(
-            f"""
-            WITH required AS (
-                SELECT DISTINCT c.object_id, na.ancestor_order
-                FROM clobs c
-                JOIN {req} r ON r.object_id = c.object_id
-                JOIN node_ancestors na ON na.node_order = c.schema_order
-            )
-            SELECT object_id, pos, seq, kind, tie, frag FROM (
-                SELECT q.object_id AS object_id, so.node_order AS pos,
-                       0 AS seq, 0 AS kind, -so.node_order AS tie,
-                       '<' || so.tag || '>' AS frag
-                FROM required q
-                JOIN schema_order so ON so.node_order = q.ancestor_order
-                UNION ALL
-                SELECT q.object_id, so.last_child_order, ?, 2,
-                       -so.node_order, '</' || so.tag || '>'
-                FROM required q
-                JOIN schema_order so ON so.node_order = q.ancestor_order
-                UNION ALL
-                SELECT c.object_id, c.schema_order, c.clob_seq, 1, 0, c.content
-                FROM clobs c
-                JOIN {req} r ON r.object_id = c.object_id
-            )
-            ORDER BY object_id, pos, seq, kind, tie
-            """,
-            (_BIG_SEQ,),
-        ).fetchall()
-        responses: Dict[int, str] = {}
-        fragments: Dict[int, List[str]] = {}
-        for object_id, _pos, _seq, _kind, _tie, frag in rows:
-            fragments.setdefault(object_id, []).append(frag)
-        for object_id, frags in fragments.items():
-            responses[object_id] = "".join(frags)
-        # Objects that exist but have no CLOBs collapse to an empty root.
-        root_tag = self.schema.root.tag
-        present = cur.execute(
-            f"SELECT o.object_id FROM objects o JOIN {req} r ON r.object_id = o.object_id"
-        ).fetchall()
-        for (object_id,) in present:
-            if object_id not in responses:
-                responses[object_id] = f"<{root_tag}></{root_tag}>"
-        cur.execute(f"DROP TABLE {req}")
-        record_response_metrics(self.metrics_registry(), responses)
-        return responses
+            for object_id in object_ids:
+                rows = cur.execute(_CLOB_ROWS_SQL, (object_id,)).fetchall()
+                if rows:
+                    found[object_id] = [] if rows[0][0] is None else rows
+        return found
 
     # ------------------------------------------------------------------
     # Accounting

@@ -49,6 +49,17 @@ from .shredder import Shredder, ShredResult
 from .stats import CatalogStatistics
 from .storage import HybridStore, MemoryHybridStore, PlanTrace
 
+def _issuable(object_id: int) -> bool:
+    """Whether the id counter could have issued ``object_id``: it counts
+    up from 1, and sqlite's INTEGER is 64-bit signed.  Any other id is
+    no object, on every store."""
+    return 0 < object_id < 1 << 63
+
+
+def _require_issuable(object_id: int) -> None:
+    if not _issuable(object_id):
+        raise CatalogError(f"no object {object_id}")
+
 
 class IngestReceipt:
     """What :meth:`HybridCatalog.ingest` returns: the assigned object id
@@ -323,6 +334,7 @@ class HybridCatalog:
 
     def delete(self, object_id: int) -> None:
         with self.tracer.span("catalog.delete", object_id=object_id):
+            _require_issuable(object_id)
             self.store.delete_object(object_id)
             self._names.pop(object_id, None)
             self.stats.invalidate()
@@ -397,6 +409,7 @@ class HybridCatalog:
         attr_def = self.registry.lookup_attribute(name, source, user=user)
         if attr_def is None:
             raise CatalogError(f"no attribute definition ({name!r}, {source!r})")
+        _require_issuable(object_id)
         self.store.remove_attribute_instance(object_id, attr_def.attr_id, seq)
         self.stats.invalidate()
 
@@ -603,9 +616,12 @@ class HybridCatalog:
     # Responses
     # ------------------------------------------------------------------
     def fetch(self, object_ids: Sequence[int]) -> Dict[int, str]:
-        """Rebuild tagged XML responses for ``object_ids`` (paper §5)."""
+        """Rebuild tagged XML responses for ``object_ids`` (paper §5);
+        ids of no stored object are absent from the result."""
         with self.tracer.span("catalog.fetch", requested=len(object_ids)):
-            return self.store.build_responses(object_ids)
+            return self.store.build_responses(
+                [i for i in object_ids if _issuable(i)]
+            )
 
     def search(
         self,

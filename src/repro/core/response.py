@@ -1,32 +1,28 @@
-"""Query-response construction (paper §5).
+"""Query-response construction (paper §5): one tagger for every store.
 
-Responses are rebuilt from the stored CLOBs plus the schema-level
-global ordering, using only set-based operations:
+A backend reads the requested objects' CLOB rows ``(schema order,
+sequence, content)`` by primary key (:meth:`HybridStore._clob_rows`);
+:func:`tag_responses` rebuilds each document from them:
 
-1. Project the CLOB keys ``(object, schema order, sequence)`` for the
-   result objects — the CLOB *text* is not touched yet ("the join can
-   utilize the index without accessing the CLOBs until needed in the
-   final join").
-2. Join with the node-ancestor inverted list to find the **distinct**
-   wrapper nodes each object needs (many attributes are optional, so
-   the required ancestors differ per object).
-3. Join with the global-ordering table to turn each required ancestor
-   into an opening tag at its order and a closing tag after its
-   ``last_child_order`` — no external tagger.
-4. Final join fetches the CLOB text and a single sort of the event rows
-   yields the tagged document.
+1. the CLOB keys ``(schema order, sequence)`` of the object — the text
+   is not looked at until stage 4 ("the join can utilize the index
+   without accessing the CLOBs until needed in the final join");
+2. the node-ancestor inverted list gives the **distinct** wrapper nodes
+   the object needs (optional attributes make them differ per object);
+3. the global ordering turns each into an opening tag at its order and
+   a closing tag after its ``last_child_order`` — no external tagger;
+4. the CLOB text is spliced in and one sort of the events yields the
+   tagged document.
 
-Event sorting key: ``(position, sequence, close-depth)`` where opening
-tags sort before content at the same order (sequence 0), closing tags
-sort after everything at their ``last_child_order`` (sequence ∞), and
-deeper nodes close first when several close at the same position.
+Events sort by ``(position, sequence, kind, close-depth)``: opening tags
+before content at their order (sequence 0), closing tags after
+everything at their ``last_child_order`` (sequence ∞), deeper nodes
+closing first.  The key is unique per event, so text is never compared.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
-
-from .storage import MemoryHybridStore
+from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 _OPEN = 0
 _CONTENT = 1
@@ -34,70 +30,55 @@ _CLOSE = 2
 
 _INF_SEQ = 1 << 60
 
+#: The schema root's order: it wraps every response, one without CLOBs too.
+_ROOT = 1
 
-def build_responses_memory(
-    store: MemoryHybridStore, object_ids: Sequence[int]
+
+class ResponseTags:
+    """Stages 2–3's schema-sized maps, built once when a store binds its
+    schema, from its ``schema_order`` and ``node_ancestors`` rows: each
+    ordered node's proper ancestors and its opening/closing tag events."""
+
+    __slots__ = ("ancestors", "events")
+
+    def __init__(
+        self,
+        order_rows: Sequence[Tuple[int, str, int]],
+        ancestor_rows: Iterable[Tuple[int, int]],
+    ) -> None:
+        self.ancestors: Dict[int, List[int]] = {order: [] for order, _t, _l in order_rows}
+        for node, ancestor in ancestor_rows:
+            self.ancestors[node].append(ancestor)
+        self.events: Dict[int, Tuple[tuple, tuple]] = {
+            order: (
+                (order, 0, _OPEN, -order, f"<{tag}>"),
+                (last, _INF_SEQ, _CLOSE, -order, f"</{tag}>"),
+            )
+            for order, tag, last in order_rows
+        }
+
+
+def tag_responses(
+    clob_rows: Mapping[int, Sequence[Tuple[int, int, str]]], tags: ResponseTags
 ) -> Dict[int, str]:
-    """Reconstruct tagged XML for each object; objects unknown to the
-    store are silently absent from the result (mirroring a join)."""
-    schema = store.schema
-    assert schema is not None, "schema not installed"
-    clobs = store.db.table("clobs")
-    node_ancestors = store.db.table("node_ancestors")
-    schema_order = store.db.table("schema_order")
-
-    # Global-ordering table: order -> (tag, last_child_order).  Loaded
-    # once per call; it is schema-sized, not data-sized.
-    order_info: Dict[int, Tuple[str, int]] = {
-        order: (tag, last)
-        for order, tag, last in schema_order.iter_values(
-            "node_order", "tag", "last_child_order"
-        )
-    }
-    ancestor_map: Dict[int, List[int]] = {}
-    for node, anc in node_ancestors.iter_values("node_order", "ancestor_order"):
-        ancestor_map.setdefault(node, []).append(anc)
-
-    root_order = 1
-    root_tag = order_info[root_order][0]
-
-    c_order = clobs.column_data("schema_order")
-    c_seq = clobs.column_data("clob_seq")
-    c_text = clobs.column_data("content")
-
+    """Tagged XML for each object of ``clob_rows``."""
+    ancestors, events_of = tags.ancestors, tags.events
     responses: Dict[int, str] = {}
-    for object_id in object_ids:
-        if not store.has_object(object_id):
-            continue
-        # One index probe per object; both passes below reuse it and
-        # read straight from the key/content columns.
-        rowids = clobs.lookup_rowids(["object_id"], [object_id])
-        # Stage 1+2: distinct required ancestors from the CLOB keys
-        # (content deferred to the final join).
-        required: set = set()
-        for r in rowids:
-            for anc in ancestor_map.get(c_order[r], ()):
-                required.add(anc)
-        if not rowids:
-            responses[object_id] = f"<{root_tag}></{root_tag}>"
-            continue
-        # Stage 3: open/close tag events from the global-ordering table.
-        events: List[Tuple[int, int, int, int, str]] = []
-        for anc in required:
-            tag, last_child = order_info[anc]
-            events.append((anc, 0, _OPEN, -anc, f"<{tag}>"))
-            events.append((last_child, _INF_SEQ, _CLOSE, -anc, f"</{tag}>"))
-        # Stage 4: final join — fetch CLOB text.
-        for r in rowids:
-            events.append((c_order[r], c_seq[r], _CONTENT, 0, c_text[r]))
-        events.sort(key=lambda e: (e[0], e[1], e[2], e[3]))
-        responses[object_id] = "".join(e[4] for e in events)
-    record_response_metrics(store.metrics_registry(), responses)
+    for object_id, rows in clob_rows.items():
+        required = {_ROOT}
+        events: List[tuple] = []
+        for order, seq, text in rows:
+            required.update(ancestors[order])
+            events.append((order, seq, _CONTENT, 0, text))
+        for node in required:
+            events += events_of[node]
+        events.sort()
+        responses[object_id] = "".join([event[4] for event in events])
     return responses
 
 
 def record_response_metrics(registry, responses: Dict[int, str]) -> None:
-    """Count built responses.  Both backends route through this one
+    """Count built responses.  Every store routes through this one
     helper so the response counters have a single creation call site
     (OBS01)."""
     registry.counter(

@@ -23,8 +23,8 @@ The hybrid scheme stores, per catalog (paper §2–§3):
     — built once per schema (§2).
 ``node_ancestors``
     The inverted list mapping every ordered schema node to its
-    ancestors, used to find required wrapper tags when building
-    responses (§5).
+    ancestors: the required wrapper tags of a response (§5).  Written
+    at install, not read back: the tagger keeps its own copy.
 ``attr_defs`` / ``elem_defs``
     The definition tables mirroring :class:`DefinitionRegistry`.
 
@@ -39,7 +39,7 @@ from __future__ import annotations
 import abc
 import threading
 from contextlib import contextmanager
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from ..errors import CatalogClosedError, CatalogError
 from ..faults import DEFAULT_RETRY, FaultPlan, RetryPolicy
@@ -55,6 +55,7 @@ from .definitions import DefinitionRegistry
 from .logical import LogicalPlan, build_plan
 from .ordering import ancestor_pairs
 from .query import ShreddedQuery
+from .response import ResponseTags, record_response_metrics, tag_responses
 from .schema import AnnotatedSchema
 from .shredder import ShredResult
 
@@ -222,6 +223,7 @@ class HybridStore(abc.ABC):
     #: Backend name stamped on query profiles.
     backend: Optional[str] = None
     schema: Optional[AnnotatedSchema] = None
+    _response_tags: Optional[ResponseTags] = None
     metrics: Optional[MetricsRegistry] = None
     events: Optional[EventLog] = None
     fault_plan: Optional[FaultPlan] = None
@@ -432,7 +434,7 @@ class HybridStore(abc.ABC):
         if self.schema is not None:
             raise CatalogError("schema already installed")
         self._check_open()
-        self.schema = schema
+        self._bind_schema(schema)
         self._create_tables()
 
         def write() -> None:
@@ -440,6 +442,14 @@ class HybridStore(abc.ABC):
             self._insert_rows("node_ancestors", ancestor_pairs(schema.ordered_nodes))
 
         self.run_transaction("install_schema", write)
+
+    def _bind_schema(self, schema: AnnotatedSchema) -> None:
+        """Bind ``schema`` and build the response tagger's maps from the
+        ``schema_order`` / ``node_ancestors`` rows — once, not per fetch."""
+        self.schema = schema
+        self._response_tags = ResponseTags(
+            schema_order_rows(schema), ancestor_pairs(schema.ordered_nodes)
+        )
 
     @abc.abstractmethod
     def _create_tables(self) -> None:
@@ -657,9 +667,23 @@ class HybridStore(abc.ABC):
         distinct-value counts, per attribute-def instance counts, object
         total) — the rebuild path of the statistics layer."""
 
-    @abc.abstractmethod
     def build_responses(self, object_ids: Sequence[int]) -> Dict[int, str]:
-        """Reconstruct tagged XML for each object id (paper §5)."""
+        """Reconstruct tagged XML for each object id (paper §5); ids the
+        store does not hold are absent from the result.  The backend
+        only reads CLOB rows (:meth:`_clob_rows`); the tagging is
+        :func:`~repro.core.response.tag_responses`, one algorithm for
+        every store."""
+        tags = self._response_tags
+        assert tags is not None, "schema not installed"
+        responses = tag_responses(self._clob_rows(dict.fromkeys(object_ids)), tags)
+        record_response_metrics(self.metrics_registry(), responses)
+        return responses
+
+    @abc.abstractmethod
+    def _clob_rows(self, object_ids: Iterable[int]) -> Dict[int, List[Tuple[int, int, str]]]:
+        """``(schema_order, clob_seq, content)`` rows per distinct id,
+        under a read section: stored objects only, ``[]`` for one that
+        holds no CLOB."""
 
     @abc.abstractmethod
     def storage_report(self) -> List[Tuple[str, int, int]]:
@@ -868,7 +892,7 @@ class MemoryHybridStore(HybridStore):
                     counts[attr_id] = seq_id
             return counts
 
-    # -- Query / response (implemented in planner.py / response.py) -------
+    # -- Query (implemented in planner.py) / response rows ------------------
     def _execute_plan(
         self, plan: LogicalPlan, prof: Optional[QueryProfile]
     ) -> List[int]:
@@ -903,11 +927,18 @@ class MemoryHybridStore(HybridStore):
                 attr_rows,
             )
 
-    def build_responses(self, object_ids: Sequence[int]) -> Dict[int, str]:
-        from .response import build_responses_memory
-
+    def _clob_rows(self, object_ids: Iterable[int]) -> Dict[int, List[Tuple[int, int, str]]]:
         with self.read_locked():
-            return build_responses_memory(self, object_ids)
+            objects, clobs = self.db.table("objects"), self.db.table("clobs")
+            orders, seqs, texts = (
+                clobs.column_data(c) for c in ("schema_order", "clob_seq", "content")
+            )
+            return {
+                object_id: [(orders[r], seqs[r], texts[r])
+                            for r in clobs.lookup_rowids(["object_id"], [object_id])]
+                for object_id in object_ids
+                if objects.lookup_rowids(["object_id"], [object_id])
+            }
 
     # -- Accounting ---------------------------------------------------------
     def storage_report(self) -> List[Tuple[str, int, int]]:

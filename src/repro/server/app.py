@@ -367,9 +367,7 @@ class CatalogServer:
 
     def handle_fetch(self, user, payload, params):
         ids = payload.get("ids")
-        if not isinstance(ids, list) or not all(
-            isinstance(i, int) for i in ids
-        ):
+        if not isinstance(ids, list) or not all(map(_is_int, ids)):
             raise CatalogError("'ids' must be a list of integers")
         documents = self.service.fetch(user, ids)
         return 200, {"documents": {str(i): documents[i] for i in ids}}
@@ -378,9 +376,9 @@ class CatalogServer:
         query = query_from_payload(payload.get("query"))
         offset = payload.get("offset", 0)
         limit = payload.get("limit", self.config.default_page_limit)
-        if not isinstance(offset, int):
+        if not _is_int(offset):
             raise CatalogError("'offset' must be an integer")
-        if limit is not None and not isinstance(limit, int):
+        if limit is not None and not _is_int(limit):
             raise CatalogError("'limit' must be an integer or null")
         total, ids, documents = self.service.search_slice(
             user, query, offset, limit
@@ -395,9 +393,15 @@ def _required_str(payload: Dict[str, Any], key: str) -> str:
     return value
 
 
+def _is_int(value: Any) -> bool:
+    """A JSON integer: ``true`` / ``false`` decode to ``bool``, which
+    Python counts as ``int``."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _required_int(payload: Dict[str, Any], key: str) -> int:
     value = payload.get(key)
-    if not isinstance(value, int) or isinstance(value, bool):
+    if not _is_int(value):
         raise CatalogError(f"request needs an integer {key!r}")
     return value
 

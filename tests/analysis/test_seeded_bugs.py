@@ -50,6 +50,24 @@ class TestSeededBugs:
             findings[0].message
         )
 
+    def test_response_rows_read_without_the_read_lock_is_caught(self, tmp_path):
+        """``build_responses`` is one algorithm on ``HybridStore``; the
+        read section is the backend's ``_clob_rows``, so that is the
+        entry LCK01 holds to it."""
+        tree = copy_tree(tmp_path)
+        mutate(
+            tree / "core" / "storage.py",
+            "        with self.read_locked():\n"
+            "            objects, clobs = ",
+            "        if True:\n"
+            "            objects, clobs = ",
+        )
+        findings = active(run_lint(tree, rules=[LockReachabilityRule()]))
+        assert [f.rule_id for f in findings] == ["LCK01"]
+        assert "MemoryHybridStore._clob_rows is a read entry point" in (
+            findings[0].message
+        )
+
     def test_swapped_lock_order_is_caught(self, tmp_path):
         tree = copy_tree(tmp_path)
         path = tree / "sharding" / "store.py"

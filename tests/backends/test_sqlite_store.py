@@ -13,6 +13,7 @@ from repro.grid import (
     lead_schema,
 )
 from repro.obs import MetricsRegistry
+from repro.sharding import sharded_store
 from repro.xmlkit import canonical, parse
 
 
@@ -194,3 +195,44 @@ class TestSqlResponse:
         catalog.ingest(FIG3_DOCUMENT)
         responses = catalog.fetch([1, 2])
         assert canonical(parse(responses[1])) == canonical(parse(responses[2]))
+
+    def test_statements_per_fetch_are_the_distinct_ids(self):
+        """One primary-key read per distinct id: no temp table, no scan
+        of the CLOB table, and nothing at all for an empty request —
+        a fetch costs what it asks for, not what the catalog holds."""
+        def fig3_pair(store=None, registry=None):
+            cat = HybridCatalog(lead_schema(), store=store, metrics=registry)
+            define_fig3_attributes(cat)
+            cat.ingest(FIG3_DOCUMENT)
+            cat.ingest(FIG3_DOCUMENT.replace("ARPS", "WRF"))
+            return cat
+
+        registry = MetricsRegistry()
+        cat = fig3_pair(SqliteHybridStore(), registry)
+        family = registry.get("sqlite_statements_total")
+
+        def statement_counts():
+            return {kind: family.labels(kind=kind).value
+                    for kind in ("execute", "executemany", "script")}
+
+        raw = cat.store.connection._connection
+        traced = []
+        raw.set_trace_callback(traced.append)
+        before = statement_counts()
+        assert cat.fetch([]) == {}
+        assert statement_counts() == before and traced == []
+        request = [1, 1, 99, 2]
+        responses = cat.fetch(request)
+        raw.set_trace_callback(None)
+        assert statement_counts() == {**before, "execute": before["execute"] + 3}
+        assert len(traced) == 3
+        for sql in traced:
+            assert sql.split(None, 1)[0] == "SELECT", sql
+            plan = [row[3] for row in raw.execute("EXPLAIN QUERY PLAN " + sql)]
+            assert len(plan) == 2, plan
+            assert all(step.startswith("SEARCH") for step in plan), plan
+        assert set(responses) == {1, 2}
+        for store in (None, sharded_store(2)):
+            other = fig3_pair(store)
+            assert other.fetch(request) == responses
+            other.store.close()

@@ -2,9 +2,11 @@
 
 import pytest
 
+from repro.backends import SqliteHybridStore
 from repro.core import AttributeCriteria, HybridCatalog, ObjectQuery, ValueType
 from repro.errors import CatalogError, QueryError, ValidationError
 from repro.grid import FIG3_DOCUMENT, define_fig3_attributes, lead_schema
+from repro.sharding import sharded_store
 from repro.xmlkit import parse
 
 
@@ -78,6 +80,37 @@ class TestDelete:
     def test_delete_unknown_raises(self, fig3_catalog):
         with pytest.raises(CatalogError):
             fig3_catalog.delete(42)
+
+
+STORES = {
+    "memory": lambda: None,
+    "sqlite": SqliteHybridStore,
+    "sharded": lambda: sharded_store(2),
+}
+
+
+class TestIdsNoStoreCanHold:
+    """sqlite INTEGER is 64-bit signed; an id outside it used to raise
+    ``OverflowError`` on sqlite where memory found no object."""
+
+    @pytest.mark.parametrize("backend", sorted(STORES))
+    def test_are_unknown_objects(self, schema, backend):
+        catalog = HybridCatalog(schema, store=STORES[backend]())
+        define_fig3_attributes(catalog)
+        catalog.ingest(FIG3_DOCUMENT)
+        try:
+            for big in (1 << 63, -(1 << 63) - 1):
+                assert set(catalog.fetch([1, big, big])) == {1}
+                for call in (
+                    lambda: catalog.delete(big),
+                    lambda: catalog.remove_attribute(big, "theme"),
+                    lambda: catalog.add_attribute(big, "<theme/>"),
+                ):
+                    with pytest.raises(CatalogError, match="no object"):
+                        call()
+            assert len(catalog) == 1
+        finally:
+            catalog.store.close()
 
 
 class TestDefinitions:

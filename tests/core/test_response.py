@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.backends import SqliteHybridStore
 from repro.core import (
     AnnotatedSchema,
     HybridCatalog,
@@ -103,6 +104,15 @@ class TestReconstruction:
         assert canonical(parse(results[0])) == canonical(parse(doc))
 
 
+class TestReconstructionSqlite(TestReconstruction):
+    """The same reconstruction cases on the sqlite store: both stores
+    read CLOB rows and share one tagger."""
+
+    @pytest.fixture()
+    def catalog(self, schema):
+        return HybridCatalog(schema, store=SqliteHybridStore())
+
+
 class TestTagPlacement:
     def test_close_tags_nest_correctly(self, catalog):
         doc = (
@@ -125,8 +135,6 @@ class TestTagPlacement:
 class TestEmptyObjects:
     @pytest.mark.parametrize("backend", ["memory", "sqlite"])
     def test_object_with_no_attributes_yields_empty_root(self, schema, backend):
-        from repro.backends import SqliteHybridStore
-
         store = SqliteHybridStore() if backend == "sqlite" else None
         catalog = HybridCatalog(schema, store=store)
         oid = catalog.ingest("<root></root>").object_id

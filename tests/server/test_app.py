@@ -291,6 +291,25 @@ class TestStreamingSearch:
             )
         assert status == 400
 
+    def test_json_booleans_are_not_integers(self, server):
+        """``true`` decodes to ``bool``, which Python counts as ``int``:
+        it must not fetch object 1 or stand in for offset 1."""
+        _service, srv = server
+        client, ids = self._seed(srv, count=2)
+        query = {"attrs": [{"name": "theme"}]}
+        with client:
+            for path, payload in (
+                ("/v1/fetch", {"ids": [True]}),
+                ("/v1/fetch", {"ids": [ids[0], False]}),
+                ("/v1/search", {"query": query, "offset": True}),
+                ("/v1/search", {"query": query, "limit": False}),
+            ):
+                status, _headers, _data = client.request("POST", path, payload)
+                assert status == 400, (path, payload)
+                assert client.health()[0] == 200
+            status, fetched = client.fetch([ids[0]])
+        assert status == 200 and list(fetched["documents"]) == [str(ids[0])]
+
     def test_streamed_objects_counted(self, server):
         service, srv = server
         client, ids = self._seed(srv, count=3)

@@ -184,6 +184,13 @@ class TestFetchAndAdd:
         code, _out, err = run(capsys, "fetch", "--db", loaded, "9")
         assert code == 1
 
+    def test_fetch_id_past_sqlite_integer_is_missing(self, loaded, capsys):
+        big = str(1 << 63)
+        code, out, err = run(capsys, "fetch", "--db", loaded, "1", big)
+        assert code == 1
+        assert out.count("<LEADresource>") == 1
+        assert err == f"error: no objects [{big}]\n"
+
     def test_add_fragment(self, loaded, tmp_path, capsys):
         fragment = tmp_path / "theme.xml"
         fragment.write_text(
