@@ -15,7 +15,12 @@ either backend:
   endpoints that exist, and transitive closure (a→b at *m* and b→c at
   *n* implies a→c at *m + n*);
 * **CLOB well-formedness** — stored CLOBs parse as XML fragments whose
-  root tag matches their schema node (optional, ``deep=True``).
+  root tag matches their schema node (optional, ``deep=True``);
+* **index consistency** (memory stores, and each memory shard through
+  :func:`~repro.sharding.check_sharded_catalog`) — every live row filed
+  exactly once under its own key in every index of the engine, no dead
+  row id left, every bucket ascending
+  (:meth:`~repro.relational.Table.check_indexes`).
 
 ``check_catalog`` returns a list of human-readable violations (empty =
 healthy); it never mutates the store.
@@ -56,6 +61,12 @@ def check_catalog(
     violations += _check_dual_storage(tables)
     violations += _check_elements(tables)
     violations += _check_inverted(tables)
+    if hasattr(store, "db"):  # MemoryHybridStore
+        violations += [
+            f"{table.name}: {problem}"
+            for table in store.db
+            for problem in table.check_indexes()
+        ]
     if deep:
         violations += _check_clob_xml(tables, catalog)
     return violations

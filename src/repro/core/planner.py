@@ -11,12 +11,15 @@ whole row sets, never a per-object traversal — and uses the inverted
 lists to resolve sub-attribute containment without recursion (paper §4):
 
 1. **ElementSeek** (one per criterion, most-selective-first when
-   statistics are available) — probe the ``elem_id`` hash index for the
-   criterion's row ids, then run a *vectorized comparison kernel*
-   straight over the value column (no row tuples are built), producing
-   the matching ``(object, attribute instance)`` id set.  Because all
-   criteria are conjunctive, a seek that matches nothing
-   short-circuits the remaining stages.
+   statistics are available) — one call of the store's seek primitive
+   (:meth:`MemoryHybridStore._seek_rows`), which reads the criterion's
+   definition in the value-keyed posting index: EQ and IN_SET probe it,
+   CONTAINS, NE and ranges test each distinct value once.  It examines
+   the hits plus the distinct values, never every row of the
+   definition, and builds no row tuples; the hits become the matching
+   ``(object, attribute instance)`` id set.  Because all criteria are
+   conjunctive, a seek that matches nothing short-circuits the
+   remaining stages.
 2. **DirectCountMatch** — instances qualify when they contain the
    *required number of distinct* direct element criteria; since each
    criterion contributes one id set, that is exactly the set
@@ -40,14 +43,16 @@ The sqlite backend executes the same stages as SQL statements
 (:mod:`repro.backends.sqlite`); the two are property-tested to agree.
 The pre-columnar row-at-a-time interpreter is kept as
 :func:`match_objects_memory_rows` — it is the "before" baseline for
-bench E15 and a second oracle for the batch kernels.
+bench E15 and a second oracle for the batch kernels.  It reads every
+row of a criterion's definition (all of its postings) and tests each
+one with :meth:`Op.matches`.
 """
 
 from __future__ import annotations
 
 import time
 from collections import defaultdict
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from ..obs.profile import QueryProfile
 from ..relational.batch import intersect_sorted
@@ -69,52 +74,11 @@ HANDLED_STAGE_KINDS = (
 
 
 # ---------------------------------------------------------------------------
-# Vectorized seek kernels
+# Seeks
 # ---------------------------------------------------------------------------
 
-def _seek_hits(
-    op: Op,
-    vals: List[Any],
-    expected: Any,
-    rowids: Sequence[int],
-) -> List[int]:
-    """Row ids (of ``rowids``) whose column value matches ``op``.
-
-    One comprehension per operator over the raw value column — the
-    vectorized equivalent of calling :meth:`Op.matches` per row, and
-    bit-for-bit identical to it: NULL never matches, type-mismatched
-    inequalities are False (the except fallback), CONTAINS is substring
-    over ``str()``, IN_SET is set membership.
-    """
-    try:
-        if op is Op.EQ:
-            # expected is never None (query shredding validates it), so
-            # a NULL slot compares unequal without an explicit guard.
-            return [r for r in rowids if vals[r] == expected]
-        if op is Op.NE:
-            return [r for r in rowids if (v := vals[r]) is not None and v != expected]
-        if op is Op.IN_SET:
-            return [r for r in rowids if vals[r] in expected]
-        if op is Op.CONTAINS:
-            needle = str(expected)
-            return [
-                r for r in rowids
-                if (v := vals[r]) is not None and needle in str(v)
-            ]
-        if op is Op.LT:
-            return [r for r in rowids if (v := vals[r]) is not None and v < expected]
-        if op is Op.LE:
-            return [r for r in rowids if (v := vals[r]) is not None and v <= expected]
-        if op is Op.GT:
-            return [r for r in rowids if (v := vals[r]) is not None and v > expected]
-        return [r for r in rowids if (v := vals[r]) is not None and v >= expected]
-    except TypeError:
-        # Mixed-type column (possible only through raw table writes):
-        # fall back to the scalar path, which defines mismatch as False.
-        return [r for r in rowids if op.matches(vals[r], expected)]
-
-
 def _seek_expected(qelem) -> Any:
+    """The criterion's literal, typed as the column it compares."""
     if qelem.op is Op.IN_SET:
         return qelem.value_set
     return qelem.value_num if qelem.numeric else qelem.value_text
@@ -149,27 +113,24 @@ def _interpret_general(
     ancestors = store.db.table("attr_ancestors")
 
     e_obj = elements.column_data("object_id")
-    e_attr = elements.column_data("attr_id")
     e_seq = elements.column_data("seq_id")
-    e_text = elements.column_data("value_text")
-    e_num = elements.column_data("value_num")
 
     # ------------------------------------------------------------------
-    # ElementSeek stages (one index probe + comparison kernel per
-    # criterion, in plan order).  Each seek yields its instance id set;
-    # per-instance criterion counting becomes set intersection below.
+    # ElementSeek stages (one posting-index seek per criterion, in plan
+    # order).  Each seek yields its instance id set; per-instance
+    # criterion counting becomes set intersection below.
     # ------------------------------------------------------------------
     seek_instances: Dict[int, List[Set[Instance]]] = defaultdict(list)
     clock = time.perf_counter if prof is not None else None
     for seek in plan.seeks:
         t0 = clock() if clock is not None else 0.0
         qelem = query.qelems[seek.qelem_id - 1]
-        qattr = query.qattr(seek.qattr_id)
-        rowids = elements.lookup_rowids(["elem_id"], [qelem.elem_def_id])
-        attr_def_id = qattr.attr_def_id
-        rowids = [r for r in rowids if e_attr[r] == attr_def_id]
-        vals = e_num if qelem.numeric else e_text
-        hits = _seek_hits(qelem.op, vals, _seek_expected(qelem), rowids)
+        hits = store._seek_rows(
+            qelem.elem_def_id,
+            query.qattr(seek.qattr_id).attr_def_id,
+            qelem.op,
+            _seek_expected(qelem),
+        )
         seek_instances[seek.qattr_id].append({(e_obj[r], e_seq[r]) for r in hits})
         plan.actuals[seek.key()] = len(hits)
         if clock is not None:
@@ -269,19 +230,17 @@ def _interpret_simple(
     elements = store.db.table("elements")
     attributes = store.db.table("attributes")
     e_obj = elements.column_data("object_id")
-    e_text = elements.column_data("value_text")
-    e_num = elements.column_data("value_num")
 
-    # One index probe + kernel per criterion; each seek yields the
-    # object ids it matched.
+    # One posting-index seek per criterion; each yields the object ids
+    # it matched.
     seek_objects: Dict[int, List[Set[int]]] = defaultdict(list)
     clock = time.perf_counter if prof is not None else None
     for seek in plan.seeks:
         t0 = clock() if clock is not None else 0.0
         qelem = query.qelems[seek.qelem_id - 1]
-        rowids = elements.lookup_rowids(["elem_id"], [qelem.elem_def_id])
-        vals = e_num if qelem.numeric else e_text
-        hits = _seek_hits(qelem.op, vals, _seek_expected(qelem), rowids)
+        hits = store._seek_rows(
+            qelem.elem_def_id, None, qelem.op, _seek_expected(qelem)
+        )
         seek_objects[seek.qattr_id].append({e_obj[r] for r in hits})
         plan.actuals[seek.key()] = len(hits)
         if clock is not None:
@@ -320,6 +279,12 @@ def _interpret_simple(
 # tested against; not used by the catalog's query path.
 # ---------------------------------------------------------------------------
 
+def _definition_rows(store: MemoryHybridStore, elem_def_id: int) -> List[tuple]:
+    """Every ``elements`` row of one definition: all of its postings."""
+    elements = store.db.table("elements")
+    return [elements.fetch(r) for r in store.elements_by_value.rowids(elem_def_id)]
+
+
 def match_objects_memory_rows(store: MemoryHybridStore, plan: LogicalPlan) -> List[int]:
     """Row-at-a-time reference interpretation of the plan."""
     if plan.simple:
@@ -342,7 +307,7 @@ def _interpret_general_rows(store: MemoryHybridStore, plan: LogicalPlan) -> List
     for seek in plan.seeks:
         qelem = query.qelems[seek.qelem_id - 1]
         qattr = query.qattr(seek.qattr_id)
-        rows = elements.lookup(["elem_id"], [qelem.elem_def_id])
+        rows = _definition_rows(store, qelem.elem_def_id)
         op = qelem.op
         expected = _seek_expected(qelem)
         position = ev_num if qelem.numeric else ev_text
@@ -415,7 +380,7 @@ def _interpret_simple_rows(store: MemoryHybridStore, plan: LogicalPlan) -> List[
     met: Dict[int, Dict[int, Set[int]]] = defaultdict(lambda: defaultdict(set))
     for seek in plan.seeks:
         qelem = query.qelems[seek.qelem_id - 1]
-        rows = elements.lookup(["elem_id"], [qelem.elem_def_id])
+        rows = _definition_rows(store, qelem.elem_def_id)
         op = qelem.op
         expected = _seek_expected(qelem)
         position = ev_num if qelem.numeric else ev_text

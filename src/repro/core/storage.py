@@ -39,7 +39,7 @@ from __future__ import annotations
 import abc
 import threading
 from contextlib import contextmanager
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from ..errors import CatalogClosedError, CatalogError
 from ..faults import DEFAULT_RETRY, FaultPlan, RetryPolicy
@@ -50,11 +50,12 @@ from ..obs.metrics import MetricsRegistry, default_registry
 from ..obs.profile import QueryProfile, current_profile
 from ..obs.tracing import current_span
 from ..relational import Database, clob, integer, real, text
+from ..relational.table import HashIndex, PostingIndex
 from .concurrency import RWLock
 from .definitions import DefinitionRegistry
 from .logical import LogicalPlan, build_plan
 from .ordering import ancestor_pairs
-from .query import ShreddedQuery
+from .query import Op, ShreddedQuery
 from .response import ResponseTags, record_response_metrics, tag_responses
 from .schema import AnnotatedSchema
 from .shredder import ShredResult
@@ -694,10 +695,98 @@ class HybridStore(abc.ABC):
 # Memory store
 # ---------------------------------------------------------------------------
 
+def _seek_hits(
+    op: Op,
+    vals: List[Any],
+    expected: Any,
+    rowids: Sequence[int],
+) -> List[int]:
+    """Row ids (of ``rowids``) whose column value matches ``op``.
+
+    One comprehension per operator over the raw value column — the
+    vectorized equivalent of calling :meth:`Op.matches` per row, and
+    bit-for-bit identical to it: NULL never matches, type-mismatched
+    inequalities are False (the except fallback), CONTAINS is substring
+    over ``str()``, IN_SET is set membership.  The reference semantics
+    of :meth:`MemoryHybridStore._seek_rows`, and its fallback for a
+    seek the posting index cannot answer.
+    """
+    try:
+        if op is Op.EQ:
+            # expected is never None (query shredding validates it), so
+            # a NULL slot compares unequal without an explicit guard.
+            return [r for r in rowids if vals[r] == expected]
+        if op is Op.NE:
+            return [r for r in rowids if (v := vals[r]) is not None and v != expected]
+        if op is Op.IN_SET:
+            return [r for r in rowids if vals[r] in expected]
+        if op is Op.CONTAINS:
+            needle = str(expected)
+            return [
+                r for r in rowids
+                if (v := vals[r]) is not None and needle in str(v)
+            ]
+        if op is Op.LT:
+            return [r for r in rowids if (v := vals[r]) is not None and v < expected]
+        if op is Op.LE:
+            return [r for r in rowids if (v := vals[r]) is not None and v <= expected]
+        if op is Op.GT:
+            return [r for r in rowids if (v := vals[r]) is not None and v > expected]
+        return [r for r in rowids if (v := vals[r]) is not None and v >= expected]
+    except TypeError:
+        # Mixed-type column (possible only through raw table writes):
+        # fall back to the scalar path, which defines mismatch as False.
+        return [r for r in rowids if op.matches(vals[r], expected)]
+
+
+def _seek_postings(
+    index: PostingIndex, elem_id: int, op: Op, expected: Any, numeric: bool
+) -> Optional[List[int]]:
+    """The hits of one seek read off the posting index alone, value by
+    value; ``None`` when the definition's values cannot answer it.
+
+    A numeric EQ / IN_SET is a probe whatever else the group holds: a
+    float key is the row's ``value_num`` itself, and a text or NULL key
+    means ``value_num`` is NULL, which never matches.  Every other seek
+    needs the group's values to be all of the type the criterion reads
+    (text for text, float for numbers); then EQ / IN_SET probe, and
+    CONTAINS, NE and the ranges test each distinct value once — with
+    :func:`_seek_hits`' NULL and NaN semantics — and take its postings.
+    """
+    postings = index.postings(elem_id)
+    if not numeric or op not in (Op.EQ, Op.IN_SET):
+        if index.value_type(elem_id) is not (float if numeric else str):
+            return None
+    if op is Op.EQ:
+        # A NaN equals nothing, though a dict finds a NaN key by identity.
+        return list(postings.get(expected, ())) if expected == expected else []
+    if op is Op.IN_SET:
+        return [r for value in expected for r in postings.get(value, ())]
+    items = postings.items()
+    if op is Op.CONTAINS:
+        if numeric:
+            return None  # str() of a float is per row: -0.0 shares 0.0's key
+        return [r for v, rows in items if v is not None and expected in v for r in rows]
+    if op is Op.NE:
+        return [r for v, rows in items if v is not None and v != expected for r in rows]
+    if op is Op.LT:
+        return [r for v, rows in items if v is not None and v < expected for r in rows]
+    if op is Op.LE:
+        return [r for v, rows in items if v is not None and v <= expected for r in rows]
+    if op is Op.GT:
+        return [r for v, rows in items if v is not None and v > expected for r in rows]
+    return [r for v, rows in items if v is not None and v >= expected for r in rows]
+
+
 class MemoryHybridStore(HybridStore):
     """Hybrid layout on the from-scratch relational engine."""
 
     backend = "memory"
+    #: ``elements`` by definition, then by typed value: the access path
+    #: of every ElementSeek and the element statistics.
+    elements_by_value: PostingIndex
+    #: ``attributes`` by definition: the instance statistics.
+    attributes_by_def: HashIndex
 
     def __init__(self) -> None:
         self.db = Database("hybrid")
@@ -743,7 +832,7 @@ class MemoryHybridStore(HybridStore):
             ],
             primary_key=["object_id", "attr_id", "seq_id"],
         )
-        t.create_index("attributes_by_def", ["attr_id"])
+        self.attributes_by_def = t.create_index("attributes_by_def", ["attr_id"])
         t.create_index("attributes_by_object", ["object_id"])
         t = db.create_table(
             "elements",
@@ -757,7 +846,9 @@ class MemoryHybridStore(HybridStore):
                 real("value_num"),
             ],
         )
-        t.create_index("elements_by_def", ["elem_id"])
+        self.elements_by_value = t.create_posting_index(
+            "elements_by_value", "elem_id", "value_num", "value_text"
+        )
         t.create_index("elements_by_object", ["object_id"])
         t = db.create_table(
             "attr_ancestors",
@@ -901,30 +992,48 @@ class MemoryHybridStore(HybridStore):
         with self.read_locked():
             return match_objects_memory(self, plan, prof)
 
+    def _seek_rows(
+        self, elem_id: int, attr_id: Optional[int], op: Op, expected: Any
+    ) -> List[int]:
+        """The ElementSeek primitive: row ids of the ``elements`` rows
+        of definition ``elem_id`` (and of attribute definition
+        ``attr_id``, unless it is ``None``) whose value matches ``op``
+        against ``expected``, value by value.  A text ``expected`` (an
+        IN_SET of text) compares ``value_text``, a number compares
+        ``value_num``: the column query shredding chose.  The caller
+        holds the read section.
+
+        The examined rows are the hits plus the definition's distinct
+        values, not all of its rows; :func:`_seek_hits` over every row
+        of the definition answers the seeks the index cannot."""
+        probe = next(iter(expected)) if op is Op.IN_SET else expected
+        numeric = not isinstance(probe, str)
+        hits = _seek_postings(self.elements_by_value, elem_id, op, expected, numeric)
+        elements = self.db.table("elements")
+        if hits is None:
+            vals = elements.column_data("value_num" if numeric else "value_text")
+            hits = _seek_hits(op, vals, expected, self.elements_by_value.rowids(elem_id))
+        if attr_id is None:
+            return hits
+        attrs = elements.column_data("attr_id")
+        return [r for r in hits if attrs[r] == attr_id]
+
     # -- Statistics (optimizer inputs) --------------------------------------
     def collect_statistics(self):
+        """Read off the indexes, no table scanned: element rows are
+        posting lengths, distinct values are posting keys, attribute
+        rows are ``attributes_by_def`` bucket lengths."""
         from .stats import StatsSnapshot
 
         with self.read_locked():
-            # Projection scans: only the three referenced columns of
-            # ``elements`` (and one of ``attributes``) are touched.
-            elem_rows: Dict[int, int] = {}
-            elem_values: Dict[int, set] = {}
-            elements = self.db.table("elements")
-            for elem_id, text, num in elements.iter_values(
-                "elem_id", "value_text", "value_num"
-            ):
-                elem_rows[elem_id] = elem_rows.get(elem_id, 0) + 1
-                elem_values.setdefault(elem_id, set()).add((text, num))
-            attr_rows: Dict[int, int] = {}
-            attributes = self.db.table("attributes")
-            for (attr_id,) in attributes.iter_values("attr_id"):
-                attr_rows[attr_id] = attr_rows.get(attr_id, 0) + 1
+            groups = self.elements_by_value.groups
             return StatsSnapshot(
                 self.object_count(),
-                elem_rows,
-                {elem_id: len(values) for elem_id, values in elem_values.items()},
-                attr_rows,
+                {elem_id: sum(map(len, postings.values()))
+                 for elem_id, postings in groups.items()},
+                {elem_id: len(postings) for elem_id, postings in groups.items()},
+                {key[0]: len(rowids)
+                 for key, rowids in self.attributes_by_def.buckets.items()},
             )
 
     def _clob_rows(self, object_ids: Iterable[int]) -> Dict[int, List[Tuple[int, int, str]]]:

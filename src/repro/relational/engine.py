@@ -79,11 +79,12 @@ class Database:
 
     def rollback(self) -> None:
         """Undo every mutation since ``begin``, in reverse order."""
-        for table, rowid, row in reversed(self._end()):
-            if row is None:
-                table._undo_insert(rowid)
-            else:
-                table._undo_delete(rowid, row)
+        for table, target, row in reversed(self._end()):
+            if row is None:  # the range of row ids an insert added
+                for rowid in reversed(target):
+                    table._undo_insert(rowid)
+            else:  # the row id of a deleted row
+                table._undo_delete(target, row)
 
     # ------------------------------------------------------------------
     # Accounting

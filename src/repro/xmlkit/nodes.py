@@ -21,6 +21,12 @@ from .escape import escape_attribute, escape_text
 
 Child = Union["Element", str]
 
+#: The child list of every element built without children, shared: a
+#: leaf leaves the collector one object to track (itself), not two.
+#: Nothing mutates ``children`` in place; :meth:`Element.append` and
+#: :meth:`Element.extend` give an element its own list on first write.
+_NO_CHILDREN: List[Child] = []
+
 
 class Element:
     """An XML element: tag, attributes, and ordered children.
@@ -28,7 +34,8 @@ class Element:
     Children are either :class:`Element` instances or plain strings
     (character data).  ``source_span`` is ``(start, end)`` into the text
     the element was parsed from, or ``None`` for programmatically built
-    trees.
+    trees.  Add children with :meth:`append` / :meth:`extend`, not by
+    mutating ``children``: a leaf shares its empty list.
     """
 
     __slots__ = ("tag", "attributes", "children", "source_span")
@@ -42,7 +49,7 @@ class Element:
     ) -> None:
         self.tag = tag
         self.attributes: Dict[str, str] = dict(attributes or {})
-        self.children: List[Child] = list(children or [])
+        self.children: List[Child] = list(children) if children else _NO_CHILDREN
         self.source_span = source_span
 
     # ------------------------------------------------------------------
@@ -50,10 +57,14 @@ class Element:
     # ------------------------------------------------------------------
     def append(self, child: Child) -> "Element":
         """Append ``child`` and return ``self`` (chainable)."""
+        if self.children is _NO_CHILDREN:
+            self.children = []
         self.children.append(child)
         return self
 
     def extend(self, children: List[Child]) -> "Element":
+        if self.children is _NO_CHILDREN:
+            self.children = []
         self.children.extend(children)
         return self
 

@@ -12,6 +12,8 @@ from repro.grid import (
     define_fig3_attributes,
     lead_schema,
 )
+from repro.relational.table import PostingIndex
+from repro.sharding import check_sharded_catalog, sharded_store
 
 
 @pytest.fixture(params=["memory", "sqlite"])
@@ -174,6 +176,41 @@ class TestCorruptionDetection:
         )
         violations = check_catalog(catalog, deep=True)
         assert any("does not match schema node" in v for v in violations)
+
+
+class TestIndexConsistency:
+    """Memory stores also answer for their engine indexes: a posting a
+    delete forgot is a violation, on a plain store and on each memory
+    shard of a federation."""
+
+    @staticmethod
+    def _delete_leaving_postings(monkeypatch, catalog, object_id):
+        monkeypatch.setattr(PostingIndex, "remove", lambda self, rowid, row: None)
+        catalog.delete(object_id)
+        monkeypatch.undo()
+
+    def test_posting_left_behind_by_a_delete(self, monkeypatch):
+        catalog = HybridCatalog(lead_schema())
+        define_fig3_attributes(catalog)
+        catalog.ingest(FIG3_DOCUMENT)
+        catalog.ingest(FIG3_DOCUMENT)
+        self._delete_leaving_postings(monkeypatch, catalog, 1)
+        violations = check_catalog(catalog)
+        assert len(violations) == 11  # Fig 3 stores 11 element rows
+        assert all(v.startswith("elements: elements_by_value: dead row") for v in violations)
+
+    def test_posting_left_behind_on_a_memory_shard(self, monkeypatch):
+        catalog = HybridCatalog(lead_schema(), store=sharded_store(2))
+        define_fig3_attributes(catalog)
+        ids = [catalog.ingest(FIG3_DOCUMENT).object_id for _ in range(4)]
+        assert check_sharded_catalog(catalog) == []
+        shard = catalog.store.shard_of(ids[0])
+        self._delete_leaving_postings(monkeypatch, catalog, ids[0])
+        violations = check_sharded_catalog(catalog)
+        assert violations and all(
+            v.startswith(f"shard {shard}: elements: elements_by_value: dead row")
+            for v in violations
+        )
 
 
 # -- memory-store corruption helpers ------------------------------------

@@ -50,29 +50,57 @@ def shreds(memory_env):
 
 ops = st.sampled_from([Op.EQ, Op.NE, Op.LT, Op.LE, Op.GT, Op.GE])
 
-keyword_criteria = st.builds(
-    lambda kw, op: AttributeCriteria("theme").add_element(
-        "themekey", "", kw, op if op in (Op.EQ, Op.NE, Op.CONTAINS) else Op.EQ
+keywords = st.sampled_from(CF_STANDARD_NAMES + ["no_such_keyword"])
+
+keyword_criteria = st.one_of(
+    st.builds(
+        lambda kw, op: AttributeCriteria("theme").add_element("themekey", "", kw, op),
+        keywords,
+        # Ranges on text compare strings; the seek walks distinct values.
+        st.sampled_from([Op.EQ, Op.NE, Op.CONTAINS, Op.LT, Op.LE, Op.GT, Op.GE]),
     ),
-    st.sampled_from(CF_STANDARD_NAMES + ["no_such_keyword"]),
-    st.sampled_from([Op.EQ, Op.NE, Op.CONTAINS]),
+    st.builds(
+        lambda kws: AttributeCriteria("theme").add_element(
+            "themekey", "", set(kws), Op.IN_SET
+        ),
+        st.lists(keywords, min_size=1, max_size=3),
+    ),
 )
 
 # ARPS grid group parameters the generator emits with params_per_group=5.
 grid_params = st.sampled_from(["nx", "ny", "nz", "dx", "dy"])
 
-parameter_criteria = st.builds(
-    lambda param, value, op: AttributeCriteria("grid", "ARPS").add_element(
-        param, "ARPS", value, op
+parameter_values = st.one_of(
+    st.integers(min_value=-5, max_value=110),
+    st.floats(min_value=0.0, max_value=5500.0, allow_nan=False).map(
+        lambda f: round(f, 2)
     ),
-    grid_params,
-    st.one_of(
-        st.integers(min_value=-5, max_value=110),
-        st.floats(min_value=0.0, max_value=5500.0, allow_nan=False).map(
-            lambda f: round(f, 2)
+)
+
+parameter_criteria = st.one_of(
+    st.builds(
+        lambda param, value, op: AttributeCriteria("grid", "ARPS").add_element(
+            param, "ARPS", value, op
         ),
+        grid_params,
+        parameter_values,
+        ops,
     ),
-    ops,
+    # NE on a parameter takes every distinct value but one.
+    st.builds(
+        lambda param, value: AttributeCriteria("grid", "ARPS").add_element(
+            param, "ARPS", value, Op.NE
+        ),
+        grid_params,
+        parameter_values,
+    ),
+    st.builds(
+        lambda param, values: AttributeCriteria("grid", "ARPS").add_element(
+            param, "ARPS", set(values), Op.IN_SET
+        ),
+        grid_params,
+        st.lists(parameter_values, min_size=1, max_size=3),
+    ),
 )
 
 

@@ -1,0 +1,222 @@
+"""The memory store's ElementSeek primitive against its reference.
+
+``MemoryHybridStore._seek_rows`` reads a definition's value-keyed
+posting index; ``_seek_hits`` over every row of the definition, found
+by a scan, is what it must return.  Checked on raw rows the catalog
+never writes (a NULL ``value_num`` under a numeric definition, text and
+float values in one definition, NaN, -0.0, all-NULL values), and after
+every step of a hypothesis write sequence on a memory store and on
+``sharded_store(2)`` — ingest, delete, ``remove_attribute``, an
+``add_attribute`` and a delete that a fault rolls back, a query —
+together with ``Table.check_indexes()`` and statistics read off the
+indexes equal to a row scan.
+"""
+
+import math
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core import AttributeCriteria, HybridCatalog, ObjectQuery, Op, build_plan, shred_query
+from repro.core.planner import match_objects_memory_rows
+from repro.core.storage import _seek_hits
+from repro.errors import CatalogError
+from repro.faults import FaultError, FaultPlan
+from repro.grid import CF_STANDARD_NAMES, CorpusConfig, LeadCorpusGenerator, lead_schema
+from repro.sharding import sharded_store
+
+CONFIG = CorpusConfig(seed=515, themes=1, keys_per_theme=2, dynamic_groups=1,
+                      params_per_group=3, dynamic_depth=2)
+DOCUMENTS = list(LeadCorpusGenerator(CONFIG).documents(8))
+OPS = (Op.EQ, Op.NE, Op.LT, Op.LE, Op.GT, Op.GE, Op.CONTAINS, Op.IN_SET)
+
+
+def memory_stores(catalog):
+    store = catalog.store
+    return store.stores if hasattr(store, "stores") else [store]
+
+
+def scanned_rows(store):
+    """Live ``elements`` row ids by ``(elem_id, attr_id)``, from a scan."""
+    elements = store.db.table("elements")
+    e_elem, e_attr = elements.column_data("elem_id"), elements.column_data("attr_id")
+    rows = {}
+    for r in elements.live_rowids():
+        rows.setdefault((e_elem[r], e_attr[r]), []).append(r)
+    return rows
+
+
+def reference(store, rowids, op, expected):
+    probe = next(iter(expected)) if op is Op.IN_SET else expected
+    column = "value_text" if isinstance(probe, str) else "value_num"
+    vals = store.db.table("elements").column_data(column)
+    return sorted(_seek_hits(op, vals, expected, rowids))
+
+
+def probes(store, rowids):
+    """Literals worth comparing a definition with: two of its own
+    values of each type, a substring, and values it does not hold."""
+    elements = store.db.table("elements")
+    texts = sorted({elements.column_data("value_text")[r] for r in rowids} - {None})
+    nums = sorted(
+        {v for r in rowids if (v := elements.column_data("value_num")[r]) is not None},
+        key=lambda v: (v != v, v if v == v else 0.0),
+    )
+    out = texts[:1] + texts[-1:] + [t[1:3] for t in texts[:1]] + ["", "zzz"]
+    return out + nums[:1] + nums[-1:] + [0.0, -0.0, math.nan, 1e9]
+
+
+def assert_seeks_agree(store):
+    by_def = scanned_rows(store)
+    by_elem = {}
+    for (elem_id, attr_id), rowids in by_def.items():
+        by_elem.setdefault(elem_id, []).extend(rowids)
+    for (elem_id, attr_id), rowids in by_def.items():
+        for expected in probes(store, rowids):
+            for op in OPS:
+                literal = frozenset([expected]) if op is Op.IN_SET else expected
+                for attr in (attr_id, None):
+                    scope = rowids if attr is not None else by_elem[elem_id]
+                    got = store._seek_rows(elem_id, attr, op, literal)
+                    assert sorted(got) == reference(store, scope, op, literal), (
+                        elem_id, attr, op, literal)
+    # A definition the store never saw seeks nothing.
+    assert store._seek_rows(10**6, None, Op.NE, "x") == []
+
+
+def assert_statistics_scan_equal(catalog):
+    rows, distinct, instances = {}, {}, {}
+    objects = 0
+    for store in memory_stores(catalog):
+        values = {}
+        for _obj, _attr, _seq, elem_id, _eseq, text, num in store.db.table("elements").scan():
+            rows[elem_id] = rows.get(elem_id, 0) + 1
+            values.setdefault(elem_id, set()).add(text if num is None else num)
+        for elem_id, seen in values.items():
+            distinct[elem_id] = distinct.get(elem_id, 0) + len(seen)
+        for row in store.db.table("attributes").scan():
+            instances[row[1]] = instances.get(row[1], 0) + 1
+        objects += len(store.db.table("objects"))
+    snapshot = catalog.store.collect_statistics()
+    assert snapshot.objects == objects
+    assert snapshot.elem_rows == rows
+    assert snapshot.attr_rows == instances
+    assert snapshot.elem_distinct == distinct
+
+
+def assert_consistent(catalog):
+    for store in memory_stores(catalog):
+        for table in store.db:
+            assert table.check_indexes() == [], table.name
+        assert_seeks_agree(store)
+    assert_statistics_scan_equal(catalog)
+
+
+# ---------------------------------------------------------------------------
+# Raw rows the catalog never writes
+# ---------------------------------------------------------------------------
+
+def test_raw_rows_seek_like_the_reference():
+    catalog = HybridCatalog(lead_schema())
+    LeadCorpusGenerator(CONFIG).register_definitions(catalog)
+    catalog.ingest_many(DOCUMENTS[:3])
+    store = catalog.store
+    elements = store.db.table("elements")
+    e_elem, e_num = elements.column_data("elem_id"), elements.column_data("value_num")
+    numeric = next(e_elem[r] for r in elements.live_rowids() if e_num[r] is not None)
+    text = next(e_elem[r] for r in elements.live_rowids() if e_num[r] is None)
+    for elem_id, num, value in (
+        (numeric, None, "12"),        # NULL value_num under a numeric definition
+        (numeric, math.nan, "nan"),
+        (numeric, -0.0, "-0.0"),
+        (numeric, None, None),
+        (text, 3.0, "3"),             # text and float values in one definition
+        (text, None, None),
+        (text, 0.0, CF_STANDARD_NAMES[0]),
+    ):
+        elements.insert([1, 999, 1, elem_id, 1, value, num])
+    assert elements.check_indexes() == []
+    assert store.elements_by_value.value_type(numeric) is None
+    assert_seeks_agree(store)
+
+
+# ---------------------------------------------------------------------------
+# Write sequences
+# ---------------------------------------------------------------------------
+
+steps = st.lists(
+    st.one_of(
+        st.tuples(st.just("ingest"), st.integers(0, len(DOCUMENTS) - 1)),
+        st.tuples(st.just("delete"), st.integers(0, 50)),
+        st.tuples(st.just("delete_rolled_back"), st.integers(0, 50)),
+        st.tuples(st.just("remove_attribute"), st.integers(0, 50)),
+        st.tuples(st.just("add_attribute_rolled_back"), st.integers(0, 50)),
+        st.tuples(st.just("query"), st.sampled_from(CF_STANDARD_NAMES[:6])),
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+THEME = "<theme><themekt>CF</themekt><themekey>{}</themekey></theme>"
+
+
+def keyword_query(word):
+    theme = AttributeCriteria("theme").add_element("themekey", "", word[:5], Op.CONTAINS)
+    grid = AttributeCriteria("grid", "ARPS").add_element("dx", "ARPS", 2500.0, Op.LE)
+    return ObjectQuery().add_attribute(theme).add_attribute(grid)
+
+
+def run_step(catalog, live, step, arg):
+    if step == "ingest":
+        live.append(catalog.ingest(DOCUMENTS[arg]).object_id)
+    elif not live:
+        return
+    elif step == "delete":
+        catalog.delete(live.pop(arg % len(live)))
+    elif step == "delete_rolled_back":
+        # The element rows are gone when the fault fires: the rollback
+        # files them again, older row ids in between newer ones.
+        catalog.store.install_faults(FaultPlan(site="delete:attr_ancestors"))
+        try:
+            with pytest.raises(FaultError):
+                catalog.delete(live[arg % len(live)])
+        finally:
+            catalog.store.clear_faults()
+    elif step == "remove_attribute":
+        try:
+            catalog.remove_attribute(live[arg % len(live)], "theme", seq=1)
+        except CatalogError:
+            pass  # this object's first theme is already gone
+    elif step == "add_attribute_rolled_back":
+        # The fault fires after the element rows went in: the rollback
+        # must take their postings out again.
+        catalog.store.install_faults(FaultPlan(site="insert:attr_ancestors"))
+        try:
+            with pytest.raises(FaultError):
+                catalog.add_attribute(live[arg % len(live)], THEME.format("rolled_back"))
+        finally:
+            catalog.store.clear_faults()
+    else:
+        query = arg
+        plan = build_plan(shred_query(keyword_query(query), catalog.registry))
+        rows = sorted({
+            object_id
+            for store in memory_stores(catalog)
+            for object_id in match_objects_memory_rows(store, plan)
+        })
+        assert catalog.query(keyword_query(query)) == rows
+
+
+@pytest.mark.parametrize("layout", ["memory", "sharded"])
+@settings(max_examples=25, deadline=None)
+@given(sequence=steps)
+def test_write_sequences_keep_seeks_indexes_and_statistics_exact(layout, sequence):
+    store = sharded_store(2) if layout == "sharded" else None
+    catalog = HybridCatalog(lead_schema(), store=store)
+    LeadCorpusGenerator(CONFIG).register_definitions(catalog)
+    live = [catalog.ingest(DOCUMENTS[0]).object_id]
+    assert_consistent(catalog)
+    for step, arg in sequence:
+        run_step(catalog, live, step, arg)
+        assert_consistent(catalog)

@@ -19,6 +19,15 @@ class TestConstruction:
         e.extend([Element("b"), Element("c")])
         assert [c.tag for c in e.child_elements()] == ["b", "c"]
 
+    def test_parsed_leaves_share_one_empty_list_until_written(self):
+        root = parse("<a><b/><c></c><d/></a>").root
+        b, c, d = root.children
+        assert b.children is c.children is d.children == []
+        b.append("x")
+        c.extend([Element("e")])
+        assert b.children == ["x"] and [e.tag for e in c.children] == ["e"]
+        assert d.children == [] and d.to_xml() == "<d/>"
+
 
 class TestNavigation:
     def test_find_first_match(self):

@@ -1,6 +1,7 @@
 """The parser as a boundary: any ``str`` in, a ``Document`` or an
 ``XMLSyntaxError`` out — nothing else, and in time linear in the input."""
 
+import gc
 import time
 
 import pytest
@@ -62,15 +63,27 @@ def test_arbitrary_text_parses_or_raises_syntax_error(text):
     assert_document_or_syntax_error(text)
 
 
-def seconds(text):
-    best = float("inf")
-    for _ in range(3):
-        started = time.perf_counter()
-        try:
-            parse(text)
-        except XMLSyntaxError:
-            pass
-        best = min(best, time.perf_counter() - started)
+def best_seconds(texts, rounds=3):
+    """Best-of-``rounds`` parse time of each text.  The texts take turns,
+    so that a burst of load on the machine slows them alike instead of
+    covering one size and missing the other.  The collector stays on,
+    but the heap earlier tests built is frozen (``gc.freeze``): a full
+    collection then walks what the parse allocated, not a heap whose
+    size depends on which tests ran first."""
+    best = [float("inf")] * len(texts)
+    gc.collect()
+    gc.freeze()
+    try:
+        for _ in range(rounds):
+            for i, text in enumerate(texts):
+                started = time.perf_counter()
+                try:
+                    parse(text)
+                except XMLSyntaxError:
+                    pass
+                best[i] = min(best[i], time.perf_counter() - started)
+    finally:
+        gc.unfreeze()
     return best
 
 
@@ -88,9 +101,19 @@ def seconds(text):
     ],
 )
 def test_parse_time_is_linear(make):
-    """4x the input is 4x the time; a token loop that scans ahead
+    """4x the input is about 4x the time; a token loop that scans ahead
     (``search``/``finditer``) instead of matching at the cursor
-    re-reads what follows every comment and measured 15x."""
+    re-reads what follows every comment and measured 15x.
+
+    The bound comes from recorded ratios of the slowest case,
+    ``text+empty`` (80k retained leaf elements for the collector to
+    walk), on a 2-core x86-64 Linux VM with Python 3.11, pytest running
+    that one case: 50 runs alone, median 4.9, p95 5.1, max 7.6; 50 runs
+    beside a CPU-bound process, median 4.9, p95 5.3, max 6.4; five full
+    tier-1 runs, 5.1-5.6.  Before the earlier tests' heap was frozen
+    while timing, full tier-1 runs read 7.4-9.9: full collections
+    walked the ~100k objects those tests left.  10x clears the worst
+    recorded ratio by 1.3x and stays under a quadratic loop's 16x."""
     n = 20_000
-    small, large = seconds(make(n)), seconds(make(4 * n))
-    assert large <= 8 * max(small, 1e-4), (small, large)
+    small, large = best_seconds([make(n), make(4 * n)])
+    assert large <= 10 * max(small, 1e-4), (small, large)
