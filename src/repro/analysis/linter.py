@@ -13,7 +13,7 @@ to each registered :class:`Rule`, and collects structured
 
 A finding can be waived with an inline pragma on the offending line::
 
-    cur.execute(...)  # reprolint: ignore[TXN01] temp-table scratch
+    store._fault(site)  # reprolint: ignore[FLT01] read verbs never fire
 
 Waivers stay visible: suppressed findings are kept in the report (with
 ``suppressed: true`` in ``--json`` output) so they can be audited; they

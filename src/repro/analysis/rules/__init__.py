@@ -13,7 +13,6 @@ from .parity import BackendParityRule
 from .plan_purity import PlanPurityRule
 from .resources import ResourceLifecycleRule
 from .sql_safety import SqlSafetyRule
-from .stage_surface import StageSurfaceRule
 from .txn import TxnSafetyRule
 
 __all__ = [
@@ -26,20 +25,18 @@ __all__ = [
     "PlanPurityRule",
     "ResourceLifecycleRule",
     "SqlSafetyRule",
-    "StageSurfaceRule",
     "TxnSafetyRule",
     "build_default_rules",
 ]
 
 
 def build_default_rules() -> List[Rule]:
-    """All eleven repo rules, bound to the live site/metric registries."""
+    """All ten repo rules, bound to the live site/metric registries."""
     return [
         TxnSafetyRule(),
         FaultSiteRule(),
         MetricNameRule(),
         PlanPurityRule(),
-        StageSurfaceRule(),
         BackendParityRule(),
         LockReachabilityRule(),
         LockOrderRule(),

@@ -9,7 +9,8 @@ concatenation — and treats a string as SQL when its constant head
 starts with an uppercase SQL verb (``SELECT``/``INSERT``/``CREATE``
 …).  Matching on the *string*, not just on ``execute()`` arguments,
 catches SQL assembled in helpers and stored in locals before it
-reaches a cursor (the ``_compile_seek`` pattern).
+reaches a cursor.  Constant statements kept in a literal table (the
+sqlite backend's ``_INSERT_SQL`` and ``_SEEK_SQL``) need no waiver.
 
 Sanctioned interpolations:
 

@@ -22,9 +22,9 @@ primitive is transaction-only exactly when every call site in the
 backend *and* in the inherited shells is — and a backend method that
 calls a primitive directly, outside ``run_transaction``, is a finding.
 
-Read-path scratch writes (the sqlite backend's ``CREATE TEMP TABLE``
-query pipeline) are deliberate exceptions and carry
-``# reprolint: ignore[TXN01]`` pragmas — the waiver is visible in the
+The read path writes nothing: a query is keyed ``SELECT`` reads, so
+no waiver is needed.  A deliberate exception would carry a
+``# reprolint: ignore[TXN01]`` pragma — the waiver visible in the
 report rather than baked into the rule.
 """
 

@@ -1,18 +1,22 @@
 """Hybrid store on stdlib :mod:`sqlite3` (system S3).
 
-The identical table layout as :class:`MemoryHybridStore`, with the
-Fig-4 count-matching plan expressed as actual SQL:
+The identical table layout as :class:`MemoryHybridStore`, read through
+the same three keyed primitives the memory store gives the one plan
+interpreter (:mod:`repro.core.planner`):
 
-* the backend-neutral :class:`~repro.core.logical.LogicalPlan` is
-  compiled stage by stage: each ``ElementSeek`` becomes one
-  ``INSERT ... SELECT`` with a concrete operator predicate (so sqlite
-  drives the ``elements_by_def`` index per criterion, in the
-  optimizer's most-selective-first order, short-circuiting when a seek
-  matches nothing);
-* ``DirectCountMatch`` is ``GROUP BY ... HAVING COUNT(DISTINCT ...)``;
-* ``AncestorCountMatch`` is one set-based ``DELETE ... WHERE NOT
-  EXISTS`` per criteria edge, joining the sub-attribute inverted list —
-  no recursive SQL.
+* ``_seek_instances`` — one ``SELECT`` from ``_SEEK_SQL`` per
+  ElementSeek (per value for an IN_SET), a search of the
+  ``elements_by_def`` index by definition;
+* ``_instance_rows`` — an existence-only criterion's instances, by
+  ``attributes_by_def``;
+* ``_ancestor_rows`` — one criteria edge's inverted-list rows, by
+  ``anc_by_pair``.
+
+Every statement is constant text with ``?`` parameters, and a query
+runs them all on one reader connection (``_read_section``).  The set
+logic — counting, containment, intersection — is the interpreter's,
+so both stores produce the same stage actuals by construction; the
+paper's plan needs no recursive SQL and no scratch tables.
 
 Responses take one parameterised read per requested object — its CLOB
 rows, found by two primary-key seeks (``_CLOB_ROWS_SQL``) — and the
@@ -48,13 +52,12 @@ under the store's read lock.
 
 from __future__ import annotations
 
-import itertools
 import sqlite3
+import threading
 import time
 from contextlib import contextmanager
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from ..core.logical import LogicalPlan
 from ..core.query import Op
 from ..core.schema import AnnotatedSchema
 from ..core.stats import StatsSnapshot
@@ -63,18 +66,8 @@ from ..errors import CatalogError
 from ..identifiers import quote_identifier
 from ..obs import names as metric_names
 from ..obs.metrics import MetricsRegistry
-from ..obs.profile import QueryProfile, current_profile
+from ..obs.profile import current_profile
 from .pool import DEFAULT_CAPACITY, ReaderConnectionPool
-
-#: Stage kinds this compiler executes.  PLN02 (reprolint) asserts this
-#: declaration stays mirrored with the memory interpreter and with the
-#: ``kind`` markers on the stage classes in :mod:`repro.core.logical`.
-HANDLED_STAGE_KINDS = (
-    "ElementSeek",
-    "DirectCountMatch",
-    "AncestorCountMatch",
-    "ObjectIntersect",
-)
 
 _DDL = """
 CREATE TABLE objects (
@@ -187,6 +180,49 @@ _DELETE_SQL = {
 _CLOB_ROWS_SQL = (
     "SELECT c.schema_order, c.clob_seq, c.content FROM objects o "
     "LEFT JOIN clobs c ON c.object_id = o.object_id WHERE o.object_id = ?"
+)
+
+#: The ElementSeek reads, one literal per ``(operator, text column?)``:
+#: parameters ``(elem_id, attr_id or NULL, literal)``, rows
+#: ``(object_id, seq_id)``.  Each seeks ``elements_by_def`` by
+#: ``elem_id``; an IN_SET runs the EQ statement once per value.
+_SEEK_SQL = {
+    (Op.EQ, False): "SELECT object_id, seq_id FROM elements WHERE elem_id = ?1 "
+                    "AND (?2 IS NULL OR attr_id = ?2) AND value_num = ?3",
+    (Op.NE, False): "SELECT object_id, seq_id FROM elements WHERE elem_id = ?1 "
+                    "AND (?2 IS NULL OR attr_id = ?2) AND value_num <> ?3",
+    (Op.LT, False): "SELECT object_id, seq_id FROM elements WHERE elem_id = ?1 "
+                    "AND (?2 IS NULL OR attr_id = ?2) AND value_num < ?3",
+    (Op.LE, False): "SELECT object_id, seq_id FROM elements WHERE elem_id = ?1 "
+                    "AND (?2 IS NULL OR attr_id = ?2) AND value_num <= ?3",
+    (Op.GT, False): "SELECT object_id, seq_id FROM elements WHERE elem_id = ?1 "
+                    "AND (?2 IS NULL OR attr_id = ?2) AND value_num > ?3",
+    (Op.GE, False): "SELECT object_id, seq_id FROM elements WHERE elem_id = ?1 "
+                    "AND (?2 IS NULL OR attr_id = ?2) AND value_num >= ?3",
+    (Op.EQ, True): "SELECT object_id, seq_id FROM elements WHERE elem_id = ?1 "
+                   "AND (?2 IS NULL OR attr_id = ?2) AND value_text = ?3",
+    (Op.NE, True): "SELECT object_id, seq_id FROM elements WHERE elem_id = ?1 "
+                   "AND (?2 IS NULL OR attr_id = ?2) AND value_text <> ?3",
+    (Op.LT, True): "SELECT object_id, seq_id FROM elements WHERE elem_id = ?1 "
+                   "AND (?2 IS NULL OR attr_id = ?2) AND value_text < ?3",
+    (Op.LE, True): "SELECT object_id, seq_id FROM elements WHERE elem_id = ?1 "
+                   "AND (?2 IS NULL OR attr_id = ?2) AND value_text <= ?3",
+    (Op.GT, True): "SELECT object_id, seq_id FROM elements WHERE elem_id = ?1 "
+                   "AND (?2 IS NULL OR attr_id = ?2) AND value_text > ?3",
+    (Op.GE, True): "SELECT object_id, seq_id FROM elements WHERE elem_id = ?1 "
+                   "AND (?2 IS NULL OR attr_id = ?2) AND value_text >= ?3",
+    (Op.CONTAINS, True): "SELECT object_id, seq_id FROM elements WHERE elem_id = ?1 "
+                         "AND (?2 IS NULL OR attr_id = ?2) AND instr(value_text, ?3) > 0",
+}
+
+#: Every instance of one attribute definition (``attributes_by_def``).
+_INSTANCE_ROWS_SQL = "SELECT object_id, seq_id FROM attributes WHERE attr_id = ?"
+
+#: One definition pair's inverted-list rows below the self row
+#: (``anc_by_pair``).
+_ANCESTOR_ROWS_SQL = (
+    "SELECT object_id, desc_seq, anc_seq FROM attr_ancestors "
+    "WHERE desc_attr_id = ? AND anc_attr_id = ? AND distance >= 1"
 )
 
 #: Transaction-control verbs that bypass fault injection (they *are*
@@ -365,7 +401,8 @@ class SqliteHybridStore(HybridStore):
         else:
             self.connection.execute("PRAGMA journal_mode = MEMORY")
             self.connection.execute("PRAGMA synchronous = OFF")
-        self._temp_ids = itertools.count(1)
+        # The reader of the query running on each thread (_read_section).
+        self._section = threading.local()
         # Reader pool: only on-disk WAL catalogs — an in-memory sqlite
         # database is private to its connection, so ``:memory:`` readers
         # share the writer connection under the read lock instead.
@@ -577,185 +614,44 @@ class SqliteHybridStore(HybridStore):
         return {attr_id: seq for attr_id, seq in rows}
 
     # ------------------------------------------------------------------
-    # Query: compile the logical plan IR to SQL (Fig 4)
+    # Query reads (the interpreter is repro.core.planner's)
     # ------------------------------------------------------------------
-    _SQL_OPS = {
-        Op.EQ: "=", Op.NE: "<>", Op.LT: "<", Op.LE: "<=",
-        Op.GT: ">", Op.GE: ">=",
-    }
-
-    def _compile_seek(self, plan: LogicalPlan, seek, qm: str):
-        """One ``INSERT ... SELECT`` per ElementSeek: a concrete
-        predicate over the criterion's literal, so sqlite seeks the
-        ``elements_by_def (elem_id, value_num, value_text)`` index per
-        criterion instead of filtering a disjunction over all ops."""
-        qelem = plan.query.qelems[seek.qelem_id - 1]
-        params: list = [seek.qattr_id, seek.qelem_id, qelem.elem_def_id]
-        where = ["e.elem_id = ?"]
-        if not plan.simple:
-            # The general plan groups by attribute instance; pin the
-            # hosting definition exactly as the memory interpreter does.
-            where.append("e.attr_id = ?")
-            params.append(plan.query.qattr(seek.qattr_id).attr_def_id)
-        op = qelem.op
-        if op is Op.IN_SET:
-            values = sorted(qelem.value_set)  # deterministic placeholder order
-            marks = ", ".join("?" for _ in values)
-            column = "e.value_num" if qelem.numeric else "e.value_text"
-            where.append(f"{column} IN ({marks})")
-            params.extend(values)
-        elif op is Op.CONTAINS:
-            where.append("e.value_text IS NOT NULL AND instr(e.value_text, ?) > 0")
-            params.append(qelem.value_text)
-        elif qelem.numeric:
-            where.append(f"e.value_num IS NOT NULL AND e.value_num {self._SQL_OPS[op]} ?")
-            params.append(qelem.value_num)
-        else:
-            where.append(f"e.value_text IS NOT NULL AND e.value_text {self._SQL_OPS[op]} ?")
-            params.append(qelem.value_text)
-        # WHERE is assembled from the fixed _SQL_OPS table and ?-bound
-        # literals above — no external string ever reaches the SQL text.
-        sql = (  # reprolint: ignore[SQL01] fixed op table + ? params only
-            f"INSERT INTO {quote_identifier(qm)} "
-            "SELECT e.object_id, e.attr_id, e.seq_id, ?, ? FROM elements e "
-            "WHERE " + " AND ".join(f"({clause})" for clause in where)
-        )
-        return sql, params
-
-    def _execute_plan(
-        self, plan: LogicalPlan, prof: Optional[QueryProfile]
-    ) -> List[int]:
-        # Temp tables are per-connection, so a pooled reader executes
-        # the whole plan in its own namespace, in parallel with other
-        # readers and (on WAL catalogs) with the writer.
+    @contextmanager
+    def _read_section(self) -> Iterator[None]:
+        """One reader connection for the whole plan: every primitive
+        of the query reads the same snapshot."""
         with self._reader() as cur:
-            return self._run_stages(cur, plan, prof)
+            self._section.cursor = cur
+            try:
+                yield
+            finally:
+                self._section.cursor = None
 
-    def _run_stages(
-        self, cur, plan: LogicalPlan, prof: Optional[QueryProfile]
-    ) -> List[int]:
-        suffix = next(self._temp_ids)
-        qm = quote_identifier(f"q_matches_{suffix}")
-        qs = quote_identifier(f"q_satisfied_{suffix}")
-        cur.execute(
-            f"CREATE TEMP TABLE {qm} (object_id INTEGER, attr_id INTEGER,"
-            " seq_id INTEGER, qattr_id INTEGER, qelem_id INTEGER)"
-        )
-        cur.execute(
-            f"CREATE TEMP TABLE {qs} (qattr_id INTEGER, object_id INTEGER,"
-            " seq_id INTEGER)"
-        )
-        try:
-            # ElementSeek stages, in the optimizer's order; a seek with
-            # no matches empties the conjunctive result — skip the rest.
-            clock = time.perf_counter if prof is not None else None
-            for seek in plan.seeks:
-                t0 = clock() if clock is not None else 0.0
-                sql, params = self._compile_seek(plan, seek, qm)
-                seek_rows = cur.execute(sql, params).rowcount  # reprolint: ignore[TXN01] temp-table scratch
-                plan.actuals[seek.key()] = seek_rows
-                if clock is not None:
-                    prof.stage_seconds[seek.key()] = clock() - t0
-                if seek_rows == 0:
-                    return plan.short_circuit()
+    def _seek_instances(
+        self, elem_id: int, attr_id: Optional[int], op: Op, expected
+    ) -> List[Tuple[int, int]]:
+        cur = self._section.cursor
+        if op is Op.IN_SET:
+            sql = _SEEK_SQL[Op.EQ, isinstance(next(iter(expected)), str)]
+            return [
+                row
+                for value in expected
+                for row in cur.execute(sql, (elem_id, attr_id, value)).fetchall()
+            ]
+        sql = _SEEK_SQL[op, isinstance(expected, str)]
+        return cur.execute(sql, (elem_id, attr_id, expected)).fetchall()
 
-            # DirectCountMatch stages: GROUP BY ... HAVING COUNT per
-            # attribute criterion (by object under the §4 rewrite, by
-            # attribute instance otherwise); existence-only criteria
-            # take every instance of their definition.
-            survivors: Dict[int, int] = {}
-            for count in plan.counts:
-                t0 = clock() if clock is not None else 0.0
-                if count.required == 0:
-                    if count.per_object:
-                        sql = (
-                            f"INSERT INTO {qs} "
-                            "SELECT DISTINCT ?, a.object_id, 0 "
-                            "FROM attributes a WHERE a.attr_id = ?"
-                        )
-                    else:
-                        sql = (
-                            f"INSERT INTO {qs} "
-                            "SELECT ?, a.object_id, a.seq_id "
-                            "FROM attributes a WHERE a.attr_id = ?"
-                        )
-                    rows = cur.execute(sql, (count.qattr_id, count.attr_def_id)).rowcount  # reprolint: ignore[TXN01] temp-table scratch
-                else:
-                    if count.per_object:
-                        sql = (
-                            f"INSERT INTO {qs} "
-                            f"SELECT ?, m.object_id, 0 FROM {qm} m "
-                            "WHERE m.qattr_id = ? GROUP BY m.object_id "
-                            "HAVING COUNT(DISTINCT m.qelem_id) = ?"
-                        )
-                    else:
-                        sql = (
-                            f"INSERT INTO {qs} "
-                            f"SELECT ?, m.object_id, m.seq_id FROM {qm} m "
-                            "WHERE m.qattr_id = ? GROUP BY m.object_id, m.seq_id "
-                            "HAVING COUNT(DISTINCT m.qelem_id) = ?"
-                        )
-                    rows = cur.execute(  # reprolint: ignore[TXN01] temp-table scratch
-                        sql, (count.qattr_id, count.qattr_id, count.required)
-                    ).rowcount
-                plan.actuals[count.key()] = survivors[count.qattr_id] = rows
-                if clock is not None:
-                    prof.stage_seconds[count.key()] = clock() - t0
+    def _instance_rows(self, attr_def_id: int) -> List[Tuple[int, int]]:
+        return self._section.cursor.execute(
+            _INSTANCE_ROWS_SQL, (attr_def_id,)
+        ).fetchall()
 
-            # AncestorCountMatch stages: one set-based DELETE per
-            # criteria edge, joining the inverted list (bottom-up order
-            # fixed by the plan builder; none under the §4 rewrite).
-            # What the DELETE leaves of the parent's rows is the
-            # edge's output.
-            for edge in plan.containments:
-                t0 = clock() if clock is not None else 0.0
-                deleted = cur.execute(  # reprolint: ignore[TXN01] temp-table scratch
-                    f"""
-                    DELETE FROM {qs}
-                    WHERE qattr_id = ?
-                      AND NOT EXISTS (
-                        SELECT 1
-                        FROM attr_ancestors aa
-                        JOIN {qs} cs
-                          ON cs.qattr_id = ?
-                         AND cs.object_id = aa.object_id
-                         AND cs.seq_id = aa.desc_seq
-                        WHERE aa.desc_attr_id = ?
-                          AND aa.anc_attr_id = ?
-                          AND aa.distance >= 1
-                          AND aa.object_id = {qs}.object_id
-                          AND aa.anc_seq = {qs}.seq_id)
-                    """,
-                    (edge.parent_qattr_id, edge.child_qattr_id,
-                     edge.child_def_id, edge.parent_def_id),
-                ).rowcount
-                survivors[edge.parent_qattr_id] -= deleted
-                plan.actuals[edge.key()] = survivors[edge.parent_qattr_id]
-                if clock is not None:
-                    prof.stage_seconds[edge.key()] = clock() - t0
-
-            # ObjectIntersect: the required number of satisfied tops.
-            t0 = clock() if clock is not None else 0.0
-            tops = plan.intersect.top_qattr_ids
-            marks = ", ".join("?" for _ in tops)
-            rows = cur.execute(  # reprolint: ignore[SQL01] marks is ? placeholder expansion
-                f"""
-                SELECT object_id FROM {qs}
-                WHERE qattr_id IN ({marks})
-                GROUP BY object_id
-                HAVING COUNT(DISTINCT qattr_id) = ?
-                ORDER BY object_id
-                """,
-                [*tops, len(tops)],
-            ).fetchall()
-            object_ids = [row[0] for row in rows]
-            plan.actuals[plan.intersect.key()] = len(object_ids)
-            if clock is not None:
-                prof.stage_seconds[plan.intersect.key()] = clock() - t0
-            return object_ids
-        finally:
-            for table in (qm, qs):
-                cur.execute(f"DROP TABLE {quote_identifier(table)}")
+    def _ancestor_rows(
+        self, desc_def_id: int, anc_def_id: int
+    ) -> List[Tuple[int, int, int]]:
+        return self._section.cursor.execute(
+            _ANCESTOR_ROWS_SQL, (desc_def_id, anc_def_id)
+        ).fetchall()
 
     # ------------------------------------------------------------------
     # Statistics (optimizer inputs)
@@ -763,13 +659,16 @@ class SqliteHybridStore(HybridStore):
     def collect_statistics(self) -> StatsSnapshot:
         """One aggregation pass for the statistics layer: per element
         definition row/distinct counts, per attribute definition
-        instance counts, and the object total."""
+        instance counts, and the object total.  A distinct value is a
+        typed one, ``COALESCE(value_num, value_text)`` — the memory
+        store's posting key — so ``1000``, ``1000.000`` and ``1e3`` are
+        one value of a numeric definition on every store."""
         elem_rows: Dict[int, int] = {}
         elem_distinct: Dict[int, int] = {}
         with self._reader() as cur:
             for elem_id, rows, distinct in cur.execute(
                 "SELECT elem_id, COUNT(*), "
-                "COUNT(DISTINCT COALESCE(value_text, CAST(value_num AS TEXT))) "
+                "COUNT(DISTINCT COALESCE(value_num, value_text)) "
                 "FROM elements GROUP BY elem_id"
             ):
                 elem_rows[elem_id] = rows

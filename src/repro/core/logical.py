@@ -1,17 +1,13 @@
 """Backend-neutral logical query plan IR (the Fig-4 plan as data).
 
-Historically the count-matching plan existed twice — as set operations
-in :mod:`repro.core.planner` and as hand-assembled SQL in
-:mod:`repro.backends.sqlite` — so every plan improvement had to be
-written and verified twice, and neither copy ordered criteria by
-selectivity.  This module extracts the plan into a small DAG of typed
-stages that *both* backends execute:
+The count-matching plan as a small DAG of typed stages, built once and
+executed on every store:
 
 ``ElementSeek``
     One index seek per element criterion (Fig-4 stage 1, one row per
     criterion).  Seeks are ordered most-selective-first by the
     optimizer; a seek that matches nothing short-circuits the whole
-    conjunctive plan on either backend.
+    conjunctive plan.
 ``DirectCountMatch``
     Per attribute criterion: instances (or objects, in the §4
     simplified rewrite) that contain the required number of distinct
@@ -26,13 +22,10 @@ stages that *both* backends execute:
 
 :func:`build_plan` consumes a :class:`~repro.core.query.ShreddedQuery`
 plus optional :class:`~repro.core.stats.CatalogStatistics` and produces
-a :class:`LogicalPlan`; the memory interpreter
-(:func:`repro.core.planner.match_objects_memory`) and the IR→SQL
-compiler (:meth:`repro.backends.sqlite.SqliteHybridStore._execute_plan`)
-run the same plan object, and property tests hold them to identical
-results.  The §4 simplified plan is an IR-level rewrite
-(``plan.simple``) rather than a boolean consulted independently by each
-backend.
+a :class:`LogicalPlan`; one interpreter
+(:func:`repro.core.planner.match_plan`) runs it on every store, over
+three keyed reads each backend supplies.  The §4 simplified plan is an
+IR-level rewrite (``plan.simple``).
 
 :class:`PlanCache` memoizes built plans by query *shape* — the criteria
 tree with definition ids and operators but without comparison values —
@@ -147,7 +140,7 @@ class ObjectIntersect:
 class LogicalPlan:
     """One optimized Fig-4 plan, bound to a shredded query.
 
-    ``actuals`` is filled by whichever backend executes the plan —
+    ``actuals`` is filled by the interpreter that executes the plan —
     stage key → produced row count — and is what ``EXPLAIN`` renders
     next to the optimizer's estimates.  ``stats_generation`` records
     the statistics generation the plan was built under (``None`` when

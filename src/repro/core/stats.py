@@ -28,7 +28,7 @@ ordering signal).
 from __future__ import annotations
 
 import threading
-from typing import Dict, Optional, Set, Tuple
+from typing import Dict, Optional, Set, Tuple, Union
 
 from .query import Op, QAttr, QElem
 from .shredder import ShredResult
@@ -61,14 +61,15 @@ class _ElemStat:
     def __init__(self) -> None:
         self.rows = 0
         self.distinct = 0
-        # Exact value set while statistics are shred-fed; None once the
-        # counters came from a store rebuild (sealed).
-        self.values: Optional[Set[Tuple[Optional[str], Optional[float]]]] = set()
+        # Exact set of typed values, COALESCE(value_num, value_text) as
+        # a store rebuild counts them, while statistics are shred-fed;
+        # None once the counters came from a rebuild (sealed).
+        self.values: Optional[Set[Union[str, float, None]]] = set()
 
     def add_value(self, value_text: Optional[str], value_num: Optional[float]) -> None:
         self.rows += 1
         if self.values is not None:
-            self.values.add((value_text, value_num))
+            self.values.add(value_text if value_num is None else value_num)
             self.distinct = len(self.values)
 
 

@@ -39,7 +39,10 @@ from __future__ import annotations
 import abc
 import threading
 from contextlib import contextmanager
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Any, Callable, ContextManager, Dict, Iterable, Iterator, List, Optional,
+    Sequence, Tuple, Union,
+)
 
 from ..errors import CatalogClosedError, CatalogError
 from ..faults import DEFAULT_RETRY, FaultPlan, RetryPolicy
@@ -491,7 +494,7 @@ class HybridStore(abc.ABC):
     # Write path.  The algorithms — transaction shell, table order,
     # existence checks, the victim walk of a removed instance — live
     # here once; a backend supplies the five row primitives and nothing
-    # else (the write-side twin of ``_execute_plan``).  Rows are tuples
+    # else (the write-side twin of the three query reads).  Rows are tuples
     # in their table's column order.
     # ------------------------------------------------------------------
     @abc.abstractmethod
@@ -630,10 +633,10 @@ class HybridStore(abc.ABC):
         :class:`~repro.core.logical.LogicalPlan` — the catalog facade
         passes optimized, cached plans down this path.
 
-        The backend only runs the stages (:meth:`_execute_plan`); the
-        Fig-4 trace, the ``planner_stage_rows`` histogram, the span
-        events and the profile rows are all read off ``plan.actuals``
-        here, so they cannot differ between backends."""
+        :meth:`_execute_plan` runs the stages; the Fig-4 trace, the
+        ``planner_stage_rows`` histogram, the span events and the
+        profile rows are all read off ``plan.actuals`` here, so they
+        cannot differ between backends."""
         plan = query if isinstance(query, LogicalPlan) else build_plan(query)
         # One contextvar read per query is the whole disabled-profiling
         # cost on this path (bench E13's ≤1% budget).
@@ -650,16 +653,52 @@ class HybridStore(abc.ABC):
             prof.record_plan(plan, self.backend)
         return object_ids
 
-    @abc.abstractmethod
+    # ------------------------------------------------------------------
+    # Query path.  The interpreter (:mod:`repro.core.planner`) runs
+    # once, here; a backend supplies one read section and three keyed
+    # reads (the query-side twin of the five write primitives).
+    # ------------------------------------------------------------------
     def _execute_plan(
         self, plan: LogicalPlan, prof: Optional[QueryProfile]
     ) -> List[int]:
-        """Run the plan's stages under a read section.  The executor
+        """Run the plan's stages in one read section.  The executor
         contract: leave every stage's produced row count in
         ``plan.actuals`` (a seek that matches nothing ends the run
         through :meth:`LogicalPlan.short_circuit`), time each stage
         into ``prof.stage_seconds`` when ``prof`` is not ``None``, and
         return the sorted matching object ids."""
+        from .planner import match_plan
+
+        with self._read_section():
+            return match_plan(self, plan, prof)
+
+    @abc.abstractmethod
+    def _read_section(self) -> ContextManager[None]:
+        """The one read section a query's primitives run in: they see
+        one consistent state, and no write lands in between."""
+
+    @abc.abstractmethod
+    def _seek_instances(
+        self, elem_id: int, attr_id: Optional[int], op: Op, expected: Any
+    ) -> List[Tuple[int, int]]:
+        """The ElementSeek read: ``(object_id, seq_id)`` of each
+        ``elements`` row of definition ``elem_id`` (and of attribute
+        definition ``attr_id``, unless it is ``None``) whose value
+        matches ``op`` against ``expected``.  A text ``expected`` (an
+        IN_SET of text) compares ``value_text``, a number compares
+        ``value_num``: the column query shredding chose."""
+
+    @abc.abstractmethod
+    def _instance_rows(self, attr_def_id: int) -> List[Tuple[int, int]]:
+        """``(object_id, seq_id)`` of every instance of one attribute
+        definition."""
+
+    @abc.abstractmethod
+    def _ancestor_rows(
+        self, desc_def_id: int, anc_def_id: int
+    ) -> List[Tuple[int, int, int]]:
+        """``(object_id, desc_seq, anc_seq)`` of the inverted-list rows
+        of one definition pair at distance >= 1."""
 
     @abc.abstractmethod
     def collect_statistics(self):
@@ -983,25 +1022,44 @@ class MemoryHybridStore(HybridStore):
                     counts[attr_id] = seq_id
             return counts
 
-    # -- Query (implemented in planner.py) / response rows ------------------
-    def _execute_plan(
-        self, plan: LogicalPlan, prof: Optional[QueryProfile]
-    ) -> List[int]:
-        from .planner import match_objects_memory
+    # -- Query reads (the interpreter is planner.py's) -----------------------
+    def _read_section(self) -> ContextManager[None]:
+        return self.read_locked()
 
-        with self.read_locked():
-            return match_objects_memory(self, plan, prof)
+    def _seek_instances(
+        self, elem_id: int, attr_id: Optional[int], op: Op, expected: Any
+    ) -> List[Tuple[int, int]]:
+        elements = self.db.table("elements")
+        e_obj, e_seq = elements.column_data("object_id"), elements.column_data("seq_id")
+        return [(e_obj[r], e_seq[r]) for r in self._seek_rows(elem_id, attr_id, op, expected)]
+
+    def _instance_rows(self, attr_def_id: int) -> List[Tuple[int, int]]:
+        attributes = self.db.table("attributes")
+        a_obj, a_seq = attributes.column_data("object_id"), attributes.column_data("seq_id")
+        return [(a_obj[r], a_seq[r]) for r in self.attributes_by_def.lookup((attr_def_id,))]
+
+    def _ancestor_rows(
+        self, desc_def_id: int, anc_def_id: int
+    ) -> List[Tuple[int, int, int]]:
+        ancestors = self.db.table("attr_ancestors")
+        p_obj, p_desc, p_anc, p_dist = (
+            ancestors.column_data(c)
+            for c in ("object_id", "desc_seq", "anc_seq", "distance")
+        )
+        return [
+            (p_obj[r], p_desc[r], p_anc[r])
+            for r in ancestors.lookup_rowids(
+                ["desc_attr_id", "anc_attr_id"], [desc_def_id, anc_def_id]
+            )
+            if p_dist[r] >= 1
+        ]
 
     def _seek_rows(
         self, elem_id: int, attr_id: Optional[int], op: Op, expected: Any
     ) -> List[int]:
-        """The ElementSeek primitive: row ids of the ``elements`` rows
-        of definition ``elem_id`` (and of attribute definition
-        ``attr_id``, unless it is ``None``) whose value matches ``op``
-        against ``expected``, value by value.  A text ``expected`` (an
-        IN_SET of text) compares ``value_text``, a number compares
-        ``value_num``: the column query shredding chose.  The caller
-        holds the read section.
+        """The ``elements`` row ids behind :meth:`_seek_instances`,
+        read value by value off the posting index.  The caller holds
+        the read section.
 
         The examined rows are the hits plus the definition's distinct
         values, not all of its rows; :func:`_seek_hits` over every row

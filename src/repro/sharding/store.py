@@ -205,6 +205,8 @@ class ShardedStore(HybridStore):
     _txn_begin = _txn_commit = _txn_rollback = _create_tables = _unsupported
     _insert_rows = _insert_new_definitions = _delete_rows = _unsupported
     _clob_key_of = _descendant_instances = _clob_rows = _unsupported
+    # Queries fan out whole plans (_execute_plan), never single reads.
+    _read_section = _seek_instances = _instance_rows = _ancestor_rows = _unsupported
 
     # ------------------------------------------------------------------
     # Schema / definitions (fan out)

@@ -12,7 +12,6 @@ from repro.analysis.rules import (
     PlanPurityRule,
     ResourceLifecycleRule,
     SqlSafetyRule,
-    StageSurfaceRule,
     TxnSafetyRule,
 )
 from repro.obs.names import EventSpec, MetricSpec, SeriesSpec
@@ -180,30 +179,6 @@ class TestPlanPurity:
 
     def test_clean_fixture_passes(self):
         assert lint_fixture("pln_good", PlanPurityRule()) == []
-
-
-class TestStageSurface:
-    def test_flags_missing_declaration_and_drift(self):
-        findings = lint_fixture("pln2_bad", StageSurfaceRule())
-        assert len(findings) == 3
-        assert all(f.rule_id == "PLN02" for f in findings)
-        messages = " | ".join(f.message for f in findings)
-        assert "does not declare HANDLED_STAGE_KINDS" in messages
-        assert "missing stage kind(s) 'object-intersect'" in messages
-        assert "unknown stage kind(s) 'full-scan'" in messages
-
-    def test_drift_findings_point_at_declaration_line(self):
-        findings = lint_fixture("pln2_bad", StageSurfaceRule())
-        drift = [f for f in findings if "stage kind(s)" in f.message]
-        assert {f.line for f in drift} == {4}
-
-    def test_clean_fixture_passes(self):
-        # Declaration order does not matter — equality is as a set.
-        assert lint_fixture("pln2_good", StageSurfaceRule()) == []
-
-    def test_no_ir_module_stays_silent(self):
-        # Fixture trees without core/logical.py have no surface to pin.
-        assert lint_fixture("txn_good", StageSurfaceRule()) == []
 
 
 class TestBackendParity:

@@ -68,6 +68,29 @@ class TestSeededBugs:
             findings[0].message
         )
 
+    def test_query_read_section_without_its_lock_is_caught(self, tmp_path):
+        """A query is one interpreter over three keyed reads, all inside
+        the backend's ``_read_section``; that is the entry LCK01 holds
+        to the read lock on memory and to ``_reader()`` on sqlite."""
+        tree = copy_tree(tmp_path)
+        for path, cls, old, new in (
+            (tree / "core" / "storage.py", "MemoryHybridStore",
+             "        return self.read_locked()\n",
+             "        return nullcontext()\n"),
+            (tree / "backends" / "sqlite.py", "SqliteHybridStore",
+             "        with self._reader() as cur:\n"
+             "            self._section.cursor = cur\n",
+             "        with nullcontext(self.connection) as cur:\n"
+             "            self._section.cursor = cur\n"),
+        ):
+            mutate(path, old, new)
+            findings = active(run_lint(tree, rules=[LockReachabilityRule()]))
+            assert [f.rule_id for f in findings] == ["LCK01"]
+            assert f"{cls}._read_section is a read entry point" in (
+                findings[0].message
+            )
+            shutil.copy(SRC / path.relative_to(tree), path)
+
     def test_swapped_lock_order_is_caught(self, tmp_path):
         tree = copy_tree(tmp_path)
         path = tree / "sharding" / "store.py"

@@ -6,6 +6,7 @@ from repro.backends import SqliteHybridStore
 from repro.core import AttributeCriteria, HybridCatalog, ObjectQuery, Op, PlanTrace
 from repro.errors import CatalogClosedError, CatalogError
 from repro.grid import (
+    CF_STANDARD_NAMES,
     FIG3_DOCUMENT,
     LeadCorpusGenerator,
     WorkloadGenerator,
@@ -152,9 +153,10 @@ class TestSqlPlan:
     def test_statements_per_query_are_the_plan_stages(
         self, corpus_config, corpus_docs
     ):
-        """One statement per stage plus temp-table housekeeping: row
-        counts come from the stage statements' own ``rowcount``, so a
-        bookkeeping ``SELECT COUNT(*)`` cannot come back unnoticed."""
+        """A query is keyed reads and nothing else: one ``SELECT`` per
+        seek (per value for an IN_SET), per existence-only criterion
+        and per containment edge that reads rows.  No scratch table is
+        created or dropped, and every read searches an index."""
         registry = MetricsRegistry()
         cat = HybridCatalog(
             lead_schema(), store=SqliteHybridStore(), metrics=registry
@@ -162,17 +164,35 @@ class TestSqlPlan:
         LeadCorpusGenerator(corpus_config).register_definitions(cat)
         cat.ingest_many(corpus_docs)
         query = WorkloadGenerator(corpus_config).nested_query(1, depth=2)
+        query.add_attribute(AttributeCriteria("theme").add_element(
+            "themekey", "", set(CF_STANDARD_NAMES), Op.IN_SET))
         plan, _hit = cat.plan_for(cat.shred_query(query))
         assert len(plan.containments) == 2 and plan.seeks
         executes = registry.get("sqlite_statements_total").labels(kind="execute")
+        raw = cat.store.connection._connection
+        traced = []
         before = executes.value
+        raw.set_trace_callback(traced.append)
         assert cat.store.match_objects(plan)
-        assert executes.value - before == (
-            2  # CREATE TEMP TABLE x2
-            + len(plan.seeks) + len(plan.counts) + len(plan.containments)
-            + 1  # ObjectIntersect
-            + 2  # DROP TABLE x2
+        raw.set_trace_callback(None)
+        seeks = sum(
+            len(qelem.value_set) if qelem.op is Op.IN_SET else 1
+            for qelem in plan.query.qelems
         )
+        existence = sum(count.required == 0 for count in plan.counts)
+        # The nested top matched, so each of its edges met a non-empty
+        # parent and child: every edge read its rows.
+        assert executes.value - before == len(traced) == (
+            seeks + existence + len(plan.containments)
+        )
+        for sql in traced:
+            assert sql.split(None, 1)[0] == "SELECT", sql
+            steps = [row[3] for row in raw.execute("EXPLAIN QUERY PLAN " + sql)]
+            assert len(steps) == 1 and steps[0].startswith("SEARCH"), steps
+            assert any(
+                index in steps[0]
+                for index in ("elements_by_def", "attributes_by_def", "anc_by_pair")
+            ), steps
 
     def test_temp_tables_cleaned_up(self, catalog):
         for _ in range(3):

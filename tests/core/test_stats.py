@@ -15,9 +15,12 @@ from repro.core import (
     HybridCatalog,
     ObjectQuery,
     Op,
+    PlanTrace,
 )
 from repro.core.schema import ValueType
-from repro.grid import lead_schema
+from repro.grid import FIG3_DOCUMENT, define_fig3_attributes, lead_schema
+from repro.sharding import sharded_store
+from repro.sharding.router import UserRouter
 from repro.xmlkit import element, pretty_print
 
 
@@ -192,3 +195,46 @@ class TestConcurrentInvalidate:
         token = catalog.stats.cache_token()
         catalog.ingest(make_doc("doc-token", grids=[{"nx": 40.0, "dx": 1000.0}]))
         assert catalog.stats.cache_token() != token
+
+
+def test_distinct_counts_are_typed_values_on_every_store():
+    """``dx`` spelled ``1000.000``, ``1000`` and ``1e3`` is one value of
+    a numeric definition on memory, sqlite and a sharded store, whether
+    the statistics are shred-fed or rebuilt from the store.  So the EQ
+    estimates agree, the seeks run in one order, and a query whose
+    first seek matches nothing short-circuits alike on every store."""
+    documents = [
+        FIG3_DOCUMENT.replace("1000.000", spelling)
+        for spelling in ("1000.000", "1000", "1e3")
+    ]
+    query = ObjectQuery().add_attribute(
+        AttributeCriteria("grid", "ARPS")
+        .add_element("dz", "ARPS", 999)
+        .add_element("dx", "ARPS", 1000)
+    )
+    seen = []
+    # One owner: the user router keeps the documents on one shard, where
+    # summed per-shard distinct counts are exact.
+    for store in (None, SqliteHybridStore(), sharded_store(2, router=UserRouter(2))):
+        catalog = HybridCatalog(lead_schema(), store=store)
+        define_fig3_attributes(catalog)
+        assert catalog.query(query) == []  # statistics built while empty
+        for document in documents:
+            catalog.ingest(document, owner="ada")
+        dx = _elem_def(catalog, "dx").elem_id
+        shred_fed = catalog.stats.element_distinct(dx)
+        snapshot = catalog.store.collect_statistics()
+        catalog.stats.invalidate()  # the next plan reads the rebuild
+        trace = PlanTrace()
+        assert catalog.query(query, trace=trace) == []
+        seen.append((
+            shred_fed,
+            (snapshot.objects, snapshot.elem_rows, snapshot.elem_distinct,
+             snapshot.attr_rows),
+            trace.as_dict(),
+        ))
+        catalog.store.close()
+    assert seen[0] == seen[1] == seen[2]
+    shred_fed, (_objects, _rows, distinct, _attrs), trace = seen[0]
+    assert shred_fed == distinct[dx] == 1
+    assert trace["stages"][1]["rows"] == 0  # dz first: short-circuited

@@ -1,14 +1,15 @@
-"""Property: both executors of the logical plan IR agree, and the
-optimizer never changes results.
+"""Property: the plan interpreter answers alike over both row sources,
+and the optimizer never changes results.
 
 Hypothesis draws random attribute queries (keyword lookups, numeric
 ranges, nested sub-attribute chains, conjunctions) and checks two
 invariants of the plan layer:
 
-* **executor parity** — the memory interpreter and the IR→SQL compiler
-  run the *same* :class:`~repro.core.logical.LogicalPlan` object and
-  return identical object-id lists (and identical trace stage names,
-  so EXPLAIN output is backend-neutral);
+* **row-source parity** — the one interpreter runs the *same*
+  :class:`~repro.core.logical.LogicalPlan` over the memory store's
+  indexes and over sqlite's keyed ``SELECT``s and returns identical
+  object-id lists (and identical trace stage names, so EXPLAIN output
+  is backend-neutral);
 * **optimizer neutrality** — the statistics-ordered, cache-served plan
   (``catalog.query``) returns exactly what the unoptimized plan built
   straight from the shredded query (``store.match_objects(shredded)``)
@@ -113,6 +114,8 @@ queries = st.lists(criteria, min_size=1, max_size=3).map(_make_query)
 @settings(max_examples=80, deadline=None)
 @given(queries)
 def test_interpreter_and_compiler_agree(memory_catalog, sqlite_catalog, query):
+    """Memory and sqlite are still two row sources for the one
+    interpreter: the same query reads the same ids and stage names."""
     mem_trace, sql_trace = PlanTrace(), PlanTrace()
     mem_ids = memory_catalog.query(query, trace=mem_trace)
     sql_ids = sqlite_catalog.query(query, trace=sql_trace)

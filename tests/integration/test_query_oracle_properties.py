@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from repro.baselines import evaluate_shredded_query
 from repro.backends import SqliteHybridStore
 from repro.core import (
-    AttributeCriteria, HybridCatalog, ObjectQuery, Op, build_plan, shred_query,
+    AttributeCriteria, HybridCatalog, ObjectQuery, Op, shred_query,
 )
 from repro.grid import CF_STANDARD_NAMES, CorpusConfig, LeadCorpusGenerator, lead_schema
 from repro.xmlkit import parse
@@ -155,17 +155,3 @@ def test_sqlite_matches_memory(memory_env, sqlite_env, query):
     memory, _ = memory_env
     sqlite, _ = sqlite_env
     assert memory.query(query) == sqlite.query(query)
-
-
-@settings(max_examples=120, deadline=None)
-@given(queries)
-def test_batch_interpreter_matches_rows_interpreter(memory_env, query):
-    # The columnar interpreter and the retained row-at-a-time reference
-    # must agree on every query shape — the refactor's safety net.
-    from repro.core.planner import match_objects_memory, match_objects_memory_rows
-
-    catalog, _documents = memory_env
-    plan = build_plan(shred_query(query, catalog.registry))
-    batch_ids = match_objects_memory(catalog.store, plan)
-    row_ids = match_objects_memory_rows(catalog.store, plan)
-    assert batch_ids == row_ids

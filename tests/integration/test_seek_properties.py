@@ -7,9 +7,10 @@ never writes (a NULL ``value_num`` under a numeric definition, text and
 float values in one definition, NaN, -0.0, all-NULL values), and after
 every step of a hypothesis write sequence on a memory store and on
 ``sharded_store(2)`` — ingest, delete, ``remove_attribute``, an
-``add_attribute`` and a delete that a fault rolls back, a query —
-together with ``Table.check_indexes()`` and statistics read off the
-indexes equal to a row scan.
+``add_attribute`` and a delete that a fault rolls back, a query
+checked against the scan oracle — together with
+``Table.check_indexes()`` and statistics read off the indexes equal to
+a row scan.
 """
 
 import math
@@ -18,13 +19,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import AttributeCriteria, HybridCatalog, ObjectQuery, Op, build_plan, shred_query
-from repro.core.planner import match_objects_memory_rows
+from repro.baselines import evaluate_shredded_query
+from repro.core import AttributeCriteria, HybridCatalog, ObjectQuery, Op, shred_query
 from repro.core.storage import _seek_hits
 from repro.errors import CatalogError
 from repro.faults import FaultError, FaultPlan
 from repro.grid import CF_STANDARD_NAMES, CorpusConfig, LeadCorpusGenerator, lead_schema
 from repro.sharding import sharded_store
+from repro.xmlkit import parse
 
 CONFIG = CorpusConfig(seed=515, themes=1, keys_per_theme=2, dynamic_groups=1,
                       params_per_group=3, dynamic_depth=2)
@@ -198,14 +200,15 @@ def run_step(catalog, live, step, arg):
         finally:
             catalog.store.clear_faults()
     else:
-        query = arg
-        plan = build_plan(shred_query(keyword_query(query), catalog.registry))
-        rows = sorted({
+        # The scan oracle over each live object's shred, re-derived
+        # from the document the catalog returns for it.
+        shredded = shred_query(keyword_query(arg), catalog.registry)
+        expected = [
             object_id
-            for store in memory_stores(catalog)
-            for object_id in match_objects_memory_rows(store, plan)
-        })
-        assert catalog.query(keyword_query(query)) == rows
+            for object_id, document in sorted(catalog.fetch(live).items())
+            if evaluate_shredded_query(shredded, catalog.shredder.shred(parse(document)))
+        ]
+        assert catalog.query(keyword_query(arg)) == expected
 
 
 @pytest.mark.parametrize("layout", ["memory", "sharded"])
