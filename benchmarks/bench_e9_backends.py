@@ -1,12 +1,15 @@
 """E9 — Backend cross-check: from-scratch engine vs stdlib sqlite.
 
 Both backends hold the identical hybrid layout and run the same Fig-4
-plan stages; this experiment measures ingest, query, and response times
-on each.  The point is not which is faster — it is that the *relative*
-behaviour of the hybrid scheme (flat query latency, cheap responses)
-holds on a real RDBMS, so E2/E3/E4's shapes are not artifacts of the
-in-memory engine.
+plan stages; this experiment measures ingest, query, response and
+delete times on each, and the first query after a delete (a result-
+cache miss over statistics the delete kept exact).  The point is not
+which is faster — it is that the *relative* behaviour of the hybrid
+scheme (flat query latency, cheap responses) holds on a real RDBMS, so
+E2/E3/E4's shapes are not artifacts of the in-memory engine.
 """
+
+import time
 
 import pytest
 
@@ -48,7 +51,8 @@ def test_e9_summary_table(benchmark):
     def build_table():
         table = ResultTable(
             f"E9 - backend comparison ({CORPUS} docs; ms)",
-            ["backend", "ingest-batch", "query-mix", "fetch-25"],
+            ["backend", "ingest-batch", "query-mix", "fetch-25", "delete",
+             "query-after-delete"],
         )
         results = {}
         for backend in ("memory", "sqlite"):
@@ -59,8 +63,19 @@ def test_e9_summary_table(benchmark):
             )
             fetch_ids = list(range(1, 26))
             fetch_s, _ = measure(lambda c=catalog: c.fetch(fetch_ids), repeat=3)
+            victims = iter(range(CORPUS, 0, -1))
+            delete_s, _ = measure(lambda c=catalog: c.delete(next(victims)), repeat=10)
+
+            def query_after_delete(c=catalog):
+                c.delete(next(victims))
+                start = time.perf_counter()
+                c.query(WORKLOAD[0])
+                return time.perf_counter() - start
+
+            after_s = min(query_after_delete() for _ in range(5))
             results[backend] = catalog
-            table.add_row(backend, ingest_s * 1000, query_s * 1000, fetch_s * 1000)
+            table.add_row(backend, ingest_s * 1000, query_s * 1000, fetch_s * 1000,
+                          delete_s * 1000, after_s * 1000)
         # Cross-check correctness while we have both loaded.
         for query in WORKLOAD:
             assert results["memory"].query(query) == results["sqlite"].query(query)

@@ -1,12 +1,22 @@
 """Hybrid store on stdlib :mod:`sqlite3` (system S3).
 
-The identical table layout as :class:`MemoryHybridStore`, read through
-the same three keyed primitives the memory store gives the one plan
-interpreter (:mod:`repro.core.planner`):
+The identical table layout as :class:`MemoryHybridStore`, on disk in
+format v1 (``PRAGMA user_version = 1``).  ``attributes``, ``elements``
+and ``attr_ancestors`` are ``WITHOUT ROWID`` tables clustered by a
+primary key that leads with ``object_id`` — paper §5 keys every CLOB
+and row by object — so every write-path read and every ``DELETE`` of
+one object is a primary-key search over that object's rows alone.
+Opening an unstamped v0 file (rowid tables, plus the unread
+``node_ancestors``) migrates it in one transaction; a newer format is
+refused.
+
+Queries read through the same three keyed primitives the memory store
+gives the one plan interpreter (:mod:`repro.core.planner`):
 
 * ``_seek_instances`` — one ``SELECT`` from ``_SEEK_SQL`` per
   ElementSeek (per value for an IN_SET), a search of the
-  ``elements_by_def`` index by definition;
+  ``elements_by_def`` index by definition, which carries the primary
+  key and so answers the seek without touching the table;
 * ``_instance_rows`` — an existence-only criterion's instances, by
   ``attributes_by_def``;
 * ``_ancestor_rows`` — one criteria edge's inverted-list rows, by
@@ -17,6 +27,9 @@ runs them all on one reader connection (``_read_section``).  The set
 logic — counting, containment, intersection — is the interpreter's,
 so both stores produce the same stage actuals by construction; the
 paper's plan needs no recursive SQL and no scratch tables.
+
+Deletes return their rows (``RETURNING *``), which the statistics
+fold out of their counters instead of rebuilding them.
 
 Responses take one parameterised read per requested object — its CLOB
 rows, found by two primary-key seeks (``_CLOB_ROWS_SQL``) — and the
@@ -69,6 +82,76 @@ from ..obs.metrics import MetricsRegistry
 from ..obs.profile import current_profile
 from .pool import DEFAULT_CAPACITY, ReaderConnectionPool
 
+#: The on-disk format this module writes (``PRAGMA user_version``).
+#: v0, unstamped, kept ``attributes``, ``elements`` and
+#: ``attr_ancestors`` in rowid order and a ``node_ancestors`` table;
+#: v1 clusters each object's rows under its primary key.
+FORMAT_VERSION = 1
+_STAMP_SQL = "PRAGMA user_version = 1"
+
+#: The three object-row tables v1 clusters: each is its primary key
+#: (``WITHOUT ROWID``), which leads with ``object_id``.
+_CLUSTERED_DDL = (
+    """CREATE TABLE attributes (
+    object_id INTEGER NOT NULL,
+    attr_id INTEGER NOT NULL,
+    seq_id INTEGER NOT NULL,
+    clob_order INTEGER NOT NULL,
+    clob_seq INTEGER NOT NULL,
+    PRIMARY KEY (object_id, attr_id, seq_id)
+) WITHOUT ROWID""",
+    """CREATE TABLE elements (
+    object_id INTEGER NOT NULL,
+    attr_id INTEGER NOT NULL,
+    seq_id INTEGER NOT NULL,
+    elem_id INTEGER NOT NULL,
+    elem_seq INTEGER NOT NULL,
+    value_text TEXT,
+    value_num REAL,
+    PRIMARY KEY (object_id, attr_id, seq_id, elem_id, elem_seq)
+) WITHOUT ROWID""",
+    """CREATE TABLE attr_ancestors (
+    object_id INTEGER NOT NULL,
+    desc_attr_id INTEGER NOT NULL,
+    desc_seq INTEGER NOT NULL,
+    anc_attr_id INTEGER NOT NULL,
+    anc_seq INTEGER NOT NULL,
+    distance INTEGER NOT NULL,
+    PRIMARY KEY (object_id, desc_attr_id, desc_seq, anc_attr_id, anc_seq)
+) WITHOUT ROWID""",
+)
+
+#: Their secondary indexes, the keyed reads of a query.  A secondary
+#: index of a ``WITHOUT ROWID`` table carries the primary key, so
+#: ``elements_by_def`` covers every ElementSeek.
+_INDEX_DDL = (
+    "CREATE INDEX attributes_by_def ON attributes (attr_id)",
+    "CREATE INDEX elements_by_def ON elements (elem_id, value_num, value_text)",
+    "CREATE INDEX anc_by_pair ON attr_ancestors (desc_attr_id, anc_attr_id)",
+)
+
+#: The v0 -> v1 migration, one transaction: move each clustered
+#: table's rows into its v1 form, then drop ``node_ancestors``.
+_MIGRATE_V0_SQL = (
+    "ALTER TABLE attributes RENAME TO v0_attributes",
+    _CLUSTERED_DDL[0],
+    "INSERT INTO attributes SELECT * FROM v0_attributes",
+    "DROP TABLE v0_attributes",
+    _INDEX_DDL[0],
+    "ALTER TABLE elements RENAME TO v0_elements",
+    _CLUSTERED_DDL[1],
+    "INSERT INTO elements SELECT * FROM v0_elements",
+    "DROP TABLE v0_elements",
+    _INDEX_DDL[1],
+    "ALTER TABLE attr_ancestors RENAME TO v0_attr_ancestors",
+    _CLUSTERED_DDL[2],
+    "INSERT INTO attr_ancestors SELECT * FROM v0_attr_ancestors",
+    "DROP TABLE v0_attr_ancestors",
+    _INDEX_DDL[2],
+    "DROP TABLE IF EXISTS node_ancestors",
+    _STAMP_SQL,
+)
+
 _DDL = """
 CREATE TABLE objects (
     object_id INTEGER PRIMARY KEY,
@@ -82,44 +165,11 @@ CREATE TABLE clobs (
     content TEXT NOT NULL,
     PRIMARY KEY (object_id, schema_order, clob_seq)
 );
-CREATE TABLE attributes (
-    object_id INTEGER NOT NULL,
-    attr_id INTEGER NOT NULL,
-    seq_id INTEGER NOT NULL,
-    clob_order INTEGER NOT NULL,
-    clob_seq INTEGER NOT NULL,
-    PRIMARY KEY (object_id, attr_id, seq_id)
-);
-CREATE INDEX attributes_by_def ON attributes (attr_id);
-CREATE TABLE elements (
-    object_id INTEGER NOT NULL,
-    attr_id INTEGER NOT NULL,
-    seq_id INTEGER NOT NULL,
-    elem_id INTEGER NOT NULL,
-    elem_seq INTEGER NOT NULL,
-    value_text TEXT,
-    value_num REAL
-);
-CREATE INDEX elements_by_def ON elements (elem_id, value_num, value_text);
-CREATE TABLE attr_ancestors (
-    object_id INTEGER NOT NULL,
-    desc_attr_id INTEGER NOT NULL,
-    desc_seq INTEGER NOT NULL,
-    anc_attr_id INTEGER NOT NULL,
-    anc_seq INTEGER NOT NULL,
-    distance INTEGER NOT NULL
-);
-CREATE INDEX anc_by_pair ON attr_ancestors (desc_attr_id, anc_attr_id);
 CREATE TABLE schema_order (
     node_order INTEGER PRIMARY KEY,
     tag TEXT NOT NULL,
     last_child_order INTEGER NOT NULL
 );
-CREATE TABLE node_ancestors (
-    node_order INTEGER NOT NULL,
-    ancestor_order INTEGER NOT NULL
-);
-CREATE INDEX node_anc_by_node ON node_ancestors (node_order);
 CREATE TABLE attr_defs (
     attr_id INTEGER PRIMARY KEY,
     name TEXT NOT NULL,
@@ -137,8 +187,7 @@ CREATE TABLE elem_defs (
     source TEXT NOT NULL,
     value_type TEXT NOT NULL,
     scope TEXT NOT NULL
-);
-"""
+)"""
 
 #: The write statements, one literal each: nothing is interpolated,
 #: and the leading verb names the fault site (:func:`_statement_site`).
@@ -150,30 +199,33 @@ _INSERT_SQL = {
     "elements": "INSERT INTO elements VALUES (?, ?, ?, ?, ?, ?, ?)",
     "attr_ancestors": "INSERT INTO attr_ancestors VALUES (?, ?, ?, ?, ?, ?)",
     "schema_order": "INSERT INTO schema_order VALUES (?, ?, ?)",
-    "node_ancestors": "INSERT INTO node_ancestors VALUES (?, ?)",
     "attr_defs": "INSERT OR IGNORE INTO attr_defs VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
     "elem_defs": "INSERT OR IGNORE INTO elem_defs VALUES (?, ?, ?, ?, ?, ?)",
 }
 
-#: ``(table, *equality columns)`` -> the DELETE over one object's rows.
+#: ``(table, *equality columns)`` -> the DELETE over one object's rows,
+#: returning them.  Each searches the table's primary key by object.
 _DELETE_SQL = {
-    ("objects",): "DELETE FROM objects WHERE object_id = ?",
-    ("clobs",): "DELETE FROM clobs WHERE object_id = ?",
-    ("attributes",): "DELETE FROM attributes WHERE object_id = ?",
-    ("elements",): "DELETE FROM elements WHERE object_id = ?",
-    ("attr_ancestors",): "DELETE FROM attr_ancestors WHERE object_id = ?",
+    ("objects",): "DELETE FROM objects WHERE object_id = ? RETURNING *",
+    ("clobs",): "DELETE FROM clobs WHERE object_id = ? RETURNING *",
+    ("attributes",): "DELETE FROM attributes WHERE object_id = ? RETURNING *",
+    ("elements",): "DELETE FROM elements WHERE object_id = ? RETURNING *",
+    ("attr_ancestors",): "DELETE FROM attr_ancestors WHERE object_id = ? RETURNING *",
     ("clobs", "schema_order", "clob_seq"):
-        "DELETE FROM clobs WHERE object_id = ? AND schema_order = ? AND clob_seq = ?",
+        "DELETE FROM clobs WHERE object_id = ? AND schema_order = ? AND clob_seq = ? "
+        "RETURNING *",
     ("attributes", "attr_id", "seq_id"):
-        "DELETE FROM attributes WHERE object_id = ? AND attr_id = ? AND seq_id = ?",
+        "DELETE FROM attributes WHERE object_id = ? AND attr_id = ? AND seq_id = ? "
+        "RETURNING *",
     ("elements", "attr_id", "seq_id"):
-        "DELETE FROM elements WHERE object_id = ? AND attr_id = ? AND seq_id = ?",
+        "DELETE FROM elements WHERE object_id = ? AND attr_id = ? AND seq_id = ? "
+        "RETURNING *",
     ("attr_ancestors", "desc_attr_id", "desc_seq"):
         "DELETE FROM attr_ancestors WHERE object_id = ? AND desc_attr_id = ? "
-        "AND desc_seq = ?",
+        "AND desc_seq = ? RETURNING *",
     ("attr_ancestors", "anc_attr_id", "anc_seq"):
         "DELETE FROM attr_ancestors WHERE object_id = ? AND anc_attr_id = ? "
-        "AND anc_seq = ?",
+        "AND anc_seq = ? RETURNING *",
 }
 
 #: The one read a response needs: an object's CLOB rows.
@@ -513,9 +565,19 @@ class SqliteHybridStore(HybridStore):
 
     def attach_schema(self, schema: AnnotatedSchema) -> None:
         """Bind ``schema`` to a reopened catalog file, verifying the
-        stored global ordering matches it exactly."""
+        stored global ordering matches it exactly.  A v0 file migrates
+        to the current format first; a newer one is refused."""
         if self.schema is not None:
             raise CatalogError("schema already installed")
+        with self._reader() as cur:
+            version = cur.execute("PRAGMA user_version").fetchone()[0]
+        if version > FORMAT_VERSION:
+            raise CatalogError(
+                f"the catalog file has format v{version}; this version reads "
+                f"up to v{FORMAT_VERSION}"
+            )
+        if version < FORMAT_VERSION:
+            self.run_transaction("migrate_format", self._migrate_v0)
         with self._reader() as cur:
             stored = cur.execute(
                 "SELECT node_order, tag, last_child_order FROM schema_order "
@@ -549,7 +611,17 @@ class SqliteHybridStore(HybridStore):
     def _create_tables(self) -> None:
         # DDL runs in autocommit (sqlite's executescript commits any
         # pending transaction anyway).
-        self.connection.executescript(_DDL)
+        self.connection.executescript(
+            ";\n".join((_DDL, *_CLUSTERED_DDL, *_INDEX_DDL, _STAMP_SQL))
+        )
+
+    def _migrate_v0(self) -> None:
+        """Rewrite a v0 file in the v1 layout (inside a transaction)."""
+        try:
+            for sql in _MIGRATE_V0_SQL:
+                self.connection.execute(sql)
+        except sqlite3.IntegrityError as exc:
+            raise CatalogError(f"cannot migrate a v0 catalog file: {exc}") from exc
 
     # ------------------------------------------------------------------
     # Row primitives (the write path itself is HybridStore's)
@@ -561,10 +633,10 @@ class SqliteHybridStore(HybridStore):
         # INSERT OR IGNORE: the primary key skips the ids already held.
         self._insert_rows(table, rows)
 
-    def _delete_rows(self, table: str, object_id: int, **equals: int) -> int:
+    def _delete_rows(self, table: str, object_id: int, **equals: int) -> List[tuple]:
         return self.connection.execute(
             _DELETE_SQL[(table, *equals)], (object_id, *equals.values())
-        ).rowcount
+        ).fetchall()
 
     def _clob_key_of(
         self, object_id: int, attr_id: int, seq_id: int
@@ -657,30 +729,25 @@ class SqliteHybridStore(HybridStore):
     # Statistics (optimizer inputs)
     # ------------------------------------------------------------------
     def collect_statistics(self) -> StatsSnapshot:
-        """One aggregation pass for the statistics layer: per element
-        definition row/distinct counts, per attribute definition
-        instance counts, and the object total.  A distinct value is a
-        typed one, ``COALESCE(value_num, value_text)`` — the memory
-        store's posting key — so ``1000``, ``1000.000`` and ``1e3`` are
-        one value of a numeric definition on every store."""
-        elem_rows: Dict[int, int] = {}
-        elem_distinct: Dict[int, int] = {}
+        """One pass: per element definition the rows of each typed value,
+        ``COALESCE(value_num, value_text)`` as memory's posting key (so
+        ``1000`` and ``1e3`` are one value), read in ``elements_by_def``
+        order and merged here; instances per attribute definition; the
+        object total."""
+        values: Dict[int, Dict[object, int]] = {}
         with self._reader() as cur:
-            for elem_id, rows, distinct in cur.execute(
-                "SELECT elem_id, COUNT(*), "
-                "COUNT(DISTINCT COALESCE(value_num, value_text)) "
-                "FROM elements GROUP BY elem_id"
-            ):
-                elem_rows[elem_id] = rows
-                elem_distinct[elem_id] = distinct
-            attr_rows = {
-                attr_id: rows
-                for attr_id, rows in cur.execute(
-                    "SELECT attr_id, COUNT(*) FROM attributes GROUP BY attr_id"
-                )
-            }
+            for elem_id, num, text, rows in cur.execute(
+                "SELECT elem_id, value_num, value_text, COUNT(*) FROM elements "
+                "GROUP BY elem_id, value_num, value_text"
+            ).fetchall():
+                counts = values.setdefault(elem_id, {})
+                value = text if num is None else num
+                counts[value] = counts.get(value, 0) + rows
+            attr_rows = dict(cur.execute(
+                "SELECT attr_id, COUNT(*) FROM attributes GROUP BY attr_id"
+            ))
             objects = cur.execute("SELECT COUNT(*) FROM objects").fetchone()[0]
-        return StatsSnapshot(objects, elem_rows, elem_distinct, attr_rows)
+        return StatsSnapshot(objects, values, attr_rows)
 
     # ------------------------------------------------------------------
     # Response rows (the §5 tagging itself is HybridStore's)

@@ -879,10 +879,7 @@ def _run_command(args, registry: MetricsRegistry) -> int:
                 snaps = list(pool.map(lambda _i: collect(), range(args.threads)))
             first = snaps[0]
             for snap in snaps[1:]:
-                if (snap.objects, snap.elem_rows, snap.elem_distinct,
-                        snap.attr_rows) != (first.objects, first.elem_rows,
-                                            first.elem_distinct,
-                                            first.attr_rows):
+                if snap != first:
                     print("error: concurrent statistics snapshots "
                           "disagreed", file=sys.stderr)
                     return 1

@@ -153,10 +153,9 @@ class HybridCatalog:
         self.shredder = Shredder(
             schema, self.registry, on_unknown=on_unknown, metrics=self.metrics
         )
-        # Query planning: selectivity statistics (rebuilt lazily from
-        # the store, maintained incrementally on ingest) and the
-        # shape-keyed plan cache (entries retire when the statistics
-        # generation moves).
+        # Query planning: selectivity statistics (read from the store
+        # once, then kept exact by every write) and the shape-keyed plan
+        # cache (entries retire when the statistics generation moves).
         self.stats = CatalogStatistics(self.store)
         self.plan_cache = PlanCache()
         # Query-*result* memoization: fully-bound repeated queries skip
@@ -305,11 +304,10 @@ class HybridCatalog:
 
             self.store.run_transaction("catalog.ingest", write)
             self._names[object_id] = name
+            self.stats.record_shred(shred)
             if shred.defined:
                 # New definitions were synced: retire cached plans.
                 self.stats.invalidate()
-            else:
-                self.stats.record_shred(shred)
             current.set(object_id=object_id, clobs=len(shred.clobs),
                         warnings=len(shred.warnings))
         self.metrics.counter(
@@ -335,9 +333,9 @@ class HybridCatalog:
     def delete(self, object_id: int) -> None:
         with self.tracer.span("catalog.delete", object_id=object_id):
             _require_issuable(object_id)
-            self.store.delete_object(object_id)
+            removed = self.store.delete_object(object_id)
             self._names.pop(object_id, None)
-            self.stats.invalidate()
+            self.stats.record_removal(removed)
         self.metrics.counter("catalog_deletes_total", "objects deleted").inc()
         self._set_objects_gauge()
 
@@ -390,10 +388,9 @@ class HybridCatalog:
             return shred
 
         shred = self.store.run_transaction("catalog.add_attribute", write)
+        self.stats.record_shred(shred, new_object=False)
         if defined:
             self.stats.invalidate()
-        else:
-            self.stats.record_shred(shred, new_object=False)
         return IngestReceipt(object_id, name, shred)
 
     def remove_attribute(
@@ -410,8 +407,9 @@ class HybridCatalog:
         if attr_def is None:
             raise CatalogError(f"no attribute definition ({name!r}, {source!r})")
         _require_issuable(object_id)
-        self.store.remove_attribute_instance(object_id, attr_def.attr_id, seq)
-        self.stats.invalidate()
+        self.stats.record_removal(
+            self.store.remove_attribute_instance(object_id, attr_def.attr_id, seq)
+        )
 
     def object_name(self, object_id: int) -> str:
         try:

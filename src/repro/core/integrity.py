@@ -20,7 +20,11 @@ either backend:
   :func:`~repro.sharding.check_sharded_catalog`) — every live row filed
   exactly once under its own key in every index of the engine, no dead
   row id left, every bucket ascending
-  (:meth:`~repro.relational.Table.check_indexes`).
+  (:meth:`~repro.relational.Table.check_indexes`);
+* **exact statistics** (a whole single-store catalog, not a shard) —
+  the optimizer's counters, kept by folding every write, equal a fresh
+  ``collect_statistics()``.  Checked only once everything else holds:
+  a collection read off damaged rows or indexes proves nothing.
 
 ``check_catalog`` returns a list of human-readable violations (empty =
 healthy); it never mutates the store.
@@ -46,8 +50,7 @@ def check_catalog(
     """Run every integrity check; returns violations (empty = healthy).
     ``store`` checks that store instead of ``catalog.store`` — one
     shard of a sharded catalog, under the catalog's schema."""
-    if store is None:
-        store = catalog.store
+    store = catalog.store if store is None else store
     tables = {
         name: _rows(store, name)
         for name in (
@@ -69,7 +72,31 @@ def check_catalog(
         ]
     if deep:
         violations += _check_clob_xml(tables, catalog)
+    if store is catalog.store and not violations:
+        violations += _check_statistics(catalog)
     return violations
+
+
+def _check_statistics(catalog: HybridCatalog) -> List[Violation]:
+    """The catalog's statistics counters against a fresh collection."""
+    kept, fresh = catalog.stats.snapshot(), catalog.store.collect_statistics()
+    out: List[Violation] = []
+    if kept.objects != fresh.objects:
+        out.append(
+            f"statistics: {kept.objects} objects counted, the store holds "
+            f"{fresh.objects}"
+        )
+    for kind, mine, theirs in (
+        ("element definition", kept.elem_values, fresh.elem_values),
+        ("attribute definition", kept.attr_rows, fresh.attr_rows),
+    ):
+        for def_id in sorted(mine.keys() | theirs.keys()):
+            if mine.get(def_id) != theirs.get(def_id):
+                out.append(
+                    f"statistics: {kind} {def_id} counted {mine.get(def_id)!r}, "
+                    f"the store holds {theirs.get(def_id)!r}"
+                )
+    return out
 
 
 def _rows(store, name: str) -> List[tuple]:

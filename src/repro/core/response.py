@@ -36,8 +36,9 @@ _ROOT = 1
 
 class ResponseTags:
     """Stages 2–3's schema-sized maps, built once when a store binds its
-    schema, from its ``schema_order`` and ``node_ancestors`` rows: each
-    ordered node's proper ancestors and its opening/closing tag events."""
+    schema, from its ordering rows and ancestor pairs
+    (:func:`~repro.core.ordering.ancestor_pairs`): each ordered node's
+    proper ancestors and its opening/closing tag events."""
 
     __slots__ = ("ancestors", "events")
 

@@ -1,105 +1,102 @@
-"""Lightweight catalog statistics for the query optimizer (E8 payoff).
+"""Catalog statistics for the query optimizer (E8 payoff).
 
 The Fig-4 plan's cost tracks the number of *matching* rows (paper §4,
 measured in E8), so the planner wants to evaluate the most selective
-criteria first.  :class:`CatalogStatistics` maintains the inputs of
-that decision — per element-definition row and distinct-value counts,
-per attribute-definition instance counts, and the object total — and
-turns them into row estimates for each criterion kind.
+criteria first.  :class:`CatalogStatistics` keeps the inputs of that
+decision — per element definition a value histogram, per attribute
+definition an instance count, and the object total — and turns them
+into row estimates for each criterion kind.
 
 Maintenance protocol (driven by :class:`~repro.core.catalog.HybridCatalog`):
 
-* **ingest / add_attribute** call :meth:`record_shred`, which updates
-  the counters incrementally from the shredded rows — no store access.
-* **delete / remove_attribute / definition changes** call
-  :meth:`invalidate`, which bumps :attr:`generation` (cached plans key
-  on it, so they all miss) and marks the counters dirty; the next
-  estimate rebuilds them from the store via
-  :meth:`~repro.core.storage.HybridStore.collect_statistics`.
+* **open** reads the counters from the store once
+  (:meth:`~repro.core.storage.HybridStore.collect_statistics`).  Nothing
+  rebuilds them afterwards.
+* **ingest / add_attribute** fold the shredded rows in
+  (:meth:`record_shred`); **delete / remove_attribute** fold the rows
+  the store removed out (:meth:`record_removal`).  Neither reads the
+  store, and the counters stay equal to a fresh collection (``repro
+  fsck`` checks that).
+* **definition changes** (``define_*``, an auto-defining ingest) call
+  :meth:`invalidate`, which only bumps :attr:`generation` so that plans
+  cached under the old definitions retire.
 
-Estimates are advisory: they order plan stages, they never change which
-objects match.  Distinct-value counts maintained incrementally track
-exact sets only while the statistics were built from shred rows; after
-a rebuild from a sqlite store the per-value sets are sealed and later
-ingests keep the last distinct count (a lower bound — still a valid
-ordering signal).
+A value histogram maps each typed value, ``COALESCE(value_num,
+value_text)``, to the rows holding it: its length is the distinct count,
+a removal keeps it exact, and per-shard histograms merge by summing per
+value.  Estimates are advisory: they order plan stages, they never
+change which objects match.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Dict, Optional, Set, Tuple, Union
+from typing import Any, Dict, Iterable, Mapping, Sequence, Tuple
 
 from .query import Op, QAttr, QElem
 from .shredder import ShredResult
 
 
 class StatsSnapshot:
-    """Counter state collected from a store in one pass (the rebuild
-    payload of :meth:`HybridStore.collect_statistics`)."""
+    """Counter state: what :meth:`HybridStore.collect_statistics` reads
+    off a store, and what :meth:`CatalogStatistics.snapshot` returns."""
 
-    __slots__ = ("objects", "elem_rows", "elem_distinct", "attr_rows")
+    __slots__ = ("objects", "elem_values", "attr_rows")
 
     def __init__(
-        self,
-        objects: int,
-        elem_rows: Dict[int, int],
-        elem_distinct: Dict[int, int],
-        attr_rows: Dict[int, int],
+        self, objects: int, elem_values: Dict[int, Dict[Any, int]], attr_rows: Dict[int, int]
     ) -> None:
         self.objects = objects
-        self.elem_rows = elem_rows
-        self.elem_distinct = elem_distinct
+        self.elem_values = elem_values  # elem_id -> typed value -> rows
         self.attr_rows = attr_rows
+
+    @property
+    def elem_rows(self) -> Dict[int, int]:
+        return {elem_id: sum(values.values()) for elem_id, values in self.elem_values.items()}
+
+    @property
+    def elem_distinct(self) -> Dict[int, int]:
+        return {elem_id: len(values) for elem_id, values in self.elem_values.items()}
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, StatsSnapshot) and all(
+            getattr(self, name) == getattr(other, name) for name in self.__slots__
+        )
 
 
 class _ElemStat:
-    """Row count plus distinct-value tracking for one element def."""
+    """Row count and value histogram of one element definition."""
 
-    __slots__ = ("rows", "distinct", "values")
+    __slots__ = ("rows", "values")
 
-    def __init__(self) -> None:
-        self.rows = 0
-        self.distinct = 0
-        # Exact set of typed values, COALESCE(value_num, value_text) as
-        # a store rebuild counts them, while statistics are shred-fed;
-        # None once the counters came from a rebuild (sealed).
-        self.values: Optional[Set[Union[str, float, None]]] = set()
-
-    def add_value(self, value_text: Optional[str], value_num: Optional[float]) -> None:
-        self.rows += 1
-        if self.values is not None:
-            self.values.add(value_text if value_num is None else value_num)
-            self.distinct = len(self.values)
+    def __init__(self, values: Mapping[Any, int]) -> None:
+        self.values: Dict[Any, int] = dict(values)
+        self.rows = sum(self.values.values())
 
 
 class CatalogStatistics:
     """Selectivity statistics over one hybrid store.
 
     ``generation`` changes exactly when previously built plans may no
-    longer be trusted (definition changes, deletes); the plan cache
-    stores it per entry and treats a mismatch as a miss.
-    ``data_version`` additionally moves on *every* recorded write —
-    including plain ingests, which leave plans valid but change query
-    answers — so ``(generation, data_version)`` is the invalidation
-    token of the query-result cache (:meth:`cache_token`).
+    longer be trusted (definition changes); the plan cache stores it
+    per entry and treats a mismatch as a miss.  ``data_version`` moves
+    on *every* recorded write — which leaves plans valid but changes
+    query answers — so ``(generation, data_version)`` is the
+    invalidation token of the query-result cache (:meth:`cache_token`).
 
-    Thread safety: maintenance and the lazy rebuild are serialized by
-    an internal lock, and the rebuild publishes fully built counter
-    dicts in one swap — a reader racing :meth:`invalidate` sees either
-    the complete old statistics or the complete new ones, never a
-    half-rebuilt state that would order a plan from empty estimates.
+    Thread safety: writes fold under an internal lock; an estimate reads
+    one counter with one dict lookup, so it sees the count before or
+    after a concurrent fold, never a partial one.
     """
 
     def __init__(self, store) -> None:
-        self._store = store
-        self._lock = threading.RLock()
-        self._dirty = True
+        self._lock = threading.Lock()
         self.generation = 0
         self.data_version = 0
-        self._elems: Dict[int, _ElemStat] = {}
-        self._attrs: Dict[int, int] = {}
-        self._objects = 0
+        snapshot = store.collect_statistics()
+        self._elems = {e: _ElemStat(v) for e, v in snapshot.elem_values.items()}
+        self._attrs: Dict[int, int] = dict(snapshot.attr_rows)
+        self._objects = snapshot.objects
 
     # ------------------------------------------------------------------
     # Maintenance
@@ -110,71 +107,78 @@ class CatalogStatistics:
         return (self.generation, self.data_version)
 
     def invalidate(self) -> None:
-        """Definitions or stored rows changed in a way incremental
-        accounting does not cover: rebuild lazily, retire cached plans."""
+        """Definitions changed: retire cached plans (and answers)."""
         with self._lock:
-            self._dirty = True
             self.generation += 1
             self.data_version += 1
 
     def record_shred(self, shred: ShredResult, new_object: bool = True) -> None:
-        """Fold one ingested shred into the counters (no store access).
-        A dirty snapshot stays dirty — the pending rebuild will see the
-        new rows anyway."""
+        """Fold one ingested shred into the counters."""
+        self._fold(shred.elements, shred.attributes, 0, int(new_object), 1)
+
+    def record_removal(self, removed: Mapping[str, Sequence[tuple]]) -> None:
+        """Fold the rows a delete removed (``table -> rows`` in column
+        order, as the store's write verbs return them) out of the
+        counters."""
+        self._fold(removed.get("elements", ()), removed.get("attributes", ()), 1,
+                   len(removed.get("objects", ())), -1)
+
+    def _fold(self, elements: Iterable[tuple], attributes: Iterable[tuple],
+              key: int, objects: int, sign: int) -> None:
+        """``key`` is where a row's columns start after ``object_id``:
+        0 in a shred's rows, which have none, 1 in stored rows."""
+        e, t, n = 2 + key, 4 + key, 5 + key
         with self._lock:
             self.data_version += 1
-            if self._dirty:
-                return
-            for erow in shred.elements:
-                stat = self._elems.get(erow.elem_id)
+            self._objects += sign * objects
+            elems, attrs = self._elems, self._attrs
+            for row in elements:
+                elem_id, value = row[e], row[n]
+                if value is None:
+                    value = row[t]
+                stat = elems.get(elem_id)
                 if stat is None:
-                    stat = self._elems[erow.elem_id] = _ElemStat()
-                stat.add_value(erow.value_text, erow.value_num)
-            for arow in shred.attributes:
-                self._attrs[arow.attr_id] = self._attrs.get(arow.attr_id, 0) + 1
-            if new_object:
-                self._objects += 1
+                    stat = elems[elem_id] = _ElemStat({})
+                values = stat.values
+                count = values.get(value, 0) + sign
+                if count:
+                    values[value] = count
+                else:
+                    del values[value]
+                stat.rows += sign
+                if not stat.rows:
+                    del elems[elem_id]
+            for row in attributes:
+                count = attrs.get(row[key], 0) + sign
+                if count:
+                    attrs[row[key]] = count
+                else:
+                    del attrs[row[key]]
 
-    def _ensure(self) -> None:
-        if not self._dirty:
-            return
+    def snapshot(self) -> StatsSnapshot:
+        """The counters in the form a store collects them."""
         with self._lock:
-            if not self._dirty:
-                return  # another thread rebuilt while we waited
-            snapshot: StatsSnapshot = self._store.collect_statistics()
-            elems: Dict[int, _ElemStat] = {}
-            for elem_id, rows in snapshot.elem_rows.items():
-                stat = _ElemStat()
-                stat.rows = rows
-                stat.distinct = snapshot.elem_distinct.get(elem_id, 0)
-                stat.values = None  # sealed: counts known, value sets not
-                elems[elem_id] = stat
-            # Publish complete dicts in one swap; concurrent readers see
-            # old-or-new, never a partially filled rebuild.
-            self._elems = elems
-            self._attrs = dict(snapshot.attr_rows)
-            self._objects = snapshot.objects
-            self._dirty = False
+            return StatsSnapshot(
+                self._objects,
+                {elem_id: dict(stat.values) for elem_id, stat in self._elems.items()},
+                dict(self._attrs),
+            )
 
     # ------------------------------------------------------------------
     # Accessors
     # ------------------------------------------------------------------
     def object_count(self) -> int:
-        self._ensure()
         return self._objects
 
     def element_rows(self, elem_def_id: int) -> int:
-        self._ensure()
         stat = self._elems.get(elem_def_id)
         return stat.rows if stat is not None else 0
 
     def element_distinct(self, elem_def_id: int) -> int:
-        self._ensure()
         stat = self._elems.get(elem_def_id)
-        return stat.distinct if stat is not None else 0
+        return len(stat.values) if stat is not None else 0
 
     def attribute_rows(self, attr_def_id: int) -> int:
-        self._ensure()
         return self._attrs.get(attr_def_id, 0)
 
     # ------------------------------------------------------------------

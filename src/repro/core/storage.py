@@ -20,11 +20,9 @@ The hybrid scheme stores, per catalog (paper §2–§3):
     recursion (§4).
 ``schema_order``
     The schema-level global ordering: ``(order, tag, last_child_order)``
-    — built once per schema (§2).
-``node_ancestors``
-    The inverted list mapping every ordered schema node to its
-    ancestors: the required wrapper tags of a response (§5).  Written
-    at install, not read back: the tagger keeps its own copy.
+    — built once per schema (§2).  The wrapper tags a response requires
+    (§5) come from the schema's ancestor pairs, held in memory
+    (:class:`~repro.core.response.ResponseTags`), not from a table.
 ``attr_defs`` / ``elem_defs``
     The definition tables mirroring :class:`DefinitionRegistry`.
 
@@ -441,15 +439,14 @@ class HybridStore(abc.ABC):
         self._bind_schema(schema)
         self._create_tables()
 
-        def write() -> None:
-            self._insert_rows("schema_order", schema_order_rows(schema))
-            self._insert_rows("node_ancestors", ancestor_pairs(schema.ordered_nodes))
-
-        self.run_transaction("install_schema", write)
+        self.run_transaction(
+            "install_schema",
+            lambda: self._insert_rows("schema_order", schema_order_rows(schema)),
+        )
 
     def _bind_schema(self, schema: AnnotatedSchema) -> None:
-        """Bind ``schema`` and build the response tagger's maps from the
-        ``schema_order`` / ``node_ancestors`` rows — once, not per fetch."""
+        """Bind ``schema`` and build the response tagger's maps from its
+        ordering rows and ancestor pairs — once, not per fetch."""
         self.schema = schema
         self._response_tags = ResponseTags(
             schema_order_rows(schema), ancestor_pairs(schema.ordered_nodes)
@@ -495,7 +492,8 @@ class HybridStore(abc.ABC):
     # existence checks, the victim walk of a removed instance — live
     # here once; a backend supplies the five row primitives and nothing
     # else (the write-side twin of the three query reads).  Rows are tuples
-    # in their table's column order.
+    # in their table's column order, and the delete verbs return the rows
+    # they removed (``table -> rows``), which the statistics fold out.
     # ------------------------------------------------------------------
     @abc.abstractmethod
     def _insert_rows(self, table: str, rows: Sequence[tuple]) -> None:
@@ -507,9 +505,9 @@ class HybridStore(abc.ABC):
         table does not hold yet."""
 
     @abc.abstractmethod
-    def _delete_rows(self, table: str, object_id: int, **equals: int) -> int:
+    def _delete_rows(self, table: str, object_id: int, **equals: int) -> List[tuple]:
         """Delete the rows of ``object_id`` whose named columns hold
-        the given values; returns how many there were."""
+        the given values; returns them, in column order."""
 
     @abc.abstractmethod
     def _clob_key_of(
@@ -565,24 +563,27 @@ class HybridStore(abc.ABC):
 
         self.run_transaction("append_rows", write)
 
-    def delete_object(self, object_id: int) -> None:
-        """Remove an object and all its rows."""
-        def write() -> None:
+    def delete_object(self, object_id: int) -> Dict[str, List[tuple]]:
+        """Remove an object and all its rows; returns the removed rows."""
+        def write() -> Dict[str, List[tuple]]:
+            removed = {}
             for table in OBJECT_ROW_TABLES:
-                deleted = self._delete_rows(table, object_id)
+                removed[table] = self._delete_rows(table, object_id)
                 # Checked inside the transaction: of two racing deletes
                 # of one id, the second removes no row and fails.
-                if table == "objects" and not deleted:
+                if table == "objects" and not removed[table]:
                     raise CatalogError(f"no object {object_id}")
+            return removed
 
-        self.run_transaction("delete_object", write)
+        return self.run_transaction("delete_object", write)
 
     def remove_attribute_instance(
         self, object_id: int, attr_id: int, seq_id: int
-    ) -> None:
+    ) -> Dict[str, List[tuple]]:
         """Remove one top-level attribute instance (its CLOB, rows, and
-        all descendant sub-attribute instances)."""
-        def write() -> None:
+        all descendant sub-attribute instances); returns the removed
+        rows."""
+        def write() -> Dict[str, List[tuple]]:
             clob_key = self._clob_key_of(object_id, attr_id, seq_id)
             if clob_key is None:
                 raise CatalogError(
@@ -597,14 +598,18 @@ class HybridStore(abc.ABC):
                 )
             victims = [(attr_id, seq_id)]
             victims += self._descendant_instances(object_id, attr_id, seq_id)
+            removed: Dict[str, List[tuple]] = {"attributes": [], "elements": []}
             for v_attr, v_seq in victims:
-                self._delete_rows("attributes", object_id, attr_id=v_attr, seq_id=v_seq)
-                self._delete_rows("elements", object_id, attr_id=v_attr, seq_id=v_seq)
+                removed["attributes"] += self._delete_rows(
+                    "attributes", object_id, attr_id=v_attr, seq_id=v_seq)
+                removed["elements"] += self._delete_rows(
+                    "elements", object_id, attr_id=v_attr, seq_id=v_seq)
                 self._delete_rows("attr_ancestors", object_id, desc_attr_id=v_attr, desc_seq=v_seq)
                 self._delete_rows("attr_ancestors", object_id, anc_attr_id=v_attr, anc_seq=v_seq)
             self._delete_rows("clobs", object_id, schema_order=clob_order, clob_seq=clob_seq)
+            return removed
 
-        self.run_transaction("remove_attribute_instance", write)
+        return self.run_transaction("remove_attribute_instance", write)
 
     @abc.abstractmethod
     def max_clob_seq(self, object_id: int, schema_order: int) -> int:
@@ -703,9 +708,10 @@ class HybridStore(abc.ABC):
     @abc.abstractmethod
     def collect_statistics(self):
         """One aggregation pass producing a
-        :class:`~repro.core.stats.StatsSnapshot` (per element-def row and
-        distinct-value counts, per attribute-def instance counts, object
-        total) — the rebuild path of the statistics layer."""
+        :class:`~repro.core.stats.StatsSnapshot` (per element definition
+        the rows of each typed value, per attribute definition its
+        instances, the object total).  The statistics layer reads it
+        once, when the catalog opens."""
 
     def build_responses(self, object_ids: Sequence[int]) -> Dict[int, str]:
         """Reconstruct tagged XML for each object id (paper §5); ids the
@@ -911,14 +917,6 @@ class MemoryHybridStore(HybridStore):
             ],
             primary_key=["node_order"],
         )
-        t = db.create_table(
-            "node_ancestors",
-            [
-                integer("node_order", nullable=False),
-                integer("ancestor_order", nullable=False),
-            ],
-        )
-        t.create_index("node_anc_by_node", ["node_order"])
         db.create_table(
             "attr_defs",
             [
@@ -957,18 +955,16 @@ class MemoryHybridStore(HybridStore):
         known = {row[0] for row in self.db.table(table).scan()}
         self._insert_rows(table, [row for row in rows if row[0] not in known])
 
-    def _delete_rows(self, table: str, object_id: int, **equals: int) -> int:
+    def _delete_rows(self, table: str, object_id: int, **equals: int) -> List[tuple]:
         """Victims are found through the table's ``object_id`` index."""
         self._fault(check_site(f"delete:{table}"))
         target = self.db.table(table)
         probes = [(target.column_data(c), v) for c, v in equals.items()]
-        victims = [
+        return target.delete_rowids([
             r
             for r in target.lookup_rowids(["object_id"], [object_id])
             if all(col[r] == v for col, v in probes)
-        ]
-        target.delete_rowids(victims)
-        return len(victims)
+        ])
 
     def _clob_key_of(
         self, object_id: int, attr_id: int, seq_id: int
@@ -1078,18 +1074,16 @@ class MemoryHybridStore(HybridStore):
 
     # -- Statistics (optimizer inputs) --------------------------------------
     def collect_statistics(self):
-        """Read off the indexes, no table scanned: element rows are
-        posting lengths, distinct values are posting keys, attribute
-        rows are ``attributes_by_def`` bucket lengths."""
+        """Read off the indexes, no table scanned: a value's rows are
+        its posting length, a definition's instances its
+        ``attributes_by_def`` bucket length."""
         from .stats import StatsSnapshot
 
         with self.read_locked():
-            groups = self.elements_by_value.groups
             return StatsSnapshot(
                 self.object_count(),
-                {elem_id: sum(map(len, postings.values()))
-                 for elem_id, postings in groups.items()},
-                {elem_id: len(postings) for elem_id, postings in groups.items()},
+                {elem_id: {value: len(rowids) for value, rowids in postings.items()}
+                 for elem_id, postings in self.elements_by_value.groups.items()},
                 {key[0]: len(rowids)
                  for key, rowids in self.attributes_by_def.buckets.items()},
             )

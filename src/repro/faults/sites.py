@@ -62,7 +62,6 @@ STATEMENT_SITES: FrozenSet[str] = frozenset(
         "delete:attr_ancestors",
         # Schema installation (sqlite loads ordering rows in bulk).
         "insert:schema_order",
-        "insert:node_ancestors",
         # Reader-pool connection acquisition (sqlite on-disk catalogs).
         # Consulted only by plans that target it explicitly, so the
         # deterministic fail_at sweeps over write statements are not
@@ -82,6 +81,7 @@ STATEMENT_SITES: FrozenSet[str] = frozenset(
 TRANSACTION_SITES: FrozenSet[str] = frozenset(
     {
         "install_schema",
+        "migrate_format",
         "sync_definitions",
         "store_object",
         "append_rows",

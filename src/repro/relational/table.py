@@ -401,8 +401,9 @@ class Table:
             row[self.position(name)] = value
         return self.insert(row)
 
-    def delete_rowids(self, rowids: Iterable[int]) -> None:
-        """Tombstone the live rows ``rowids`` (any order, no duplicates).
+    def delete_rowids(self, rowids: Iterable[int]) -> List[tuple]:
+        """Tombstone the live rows ``rowids`` (any order, no duplicates);
+        returns them, ascending by row id.
 
         Journal entries are per-row and ascending by row id whatever
         order the caller found the rows in (a posting index hands out a
@@ -423,6 +424,7 @@ class Table:
         if self.journal is not None:
             for rowid, row in zip(rowids, rows):
                 self.journal.append((self, rowid, row))
+        return rows
 
     def clear(self) -> None:
         if self.journal is not None:

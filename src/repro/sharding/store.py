@@ -33,8 +33,8 @@ single store.  What the store does with each call:
   for the stages it skipped, so summed seek/count rows may be lower
   than one store's; the ``object-ids`` row is always equal.
 * **sums** ``collect_statistics`` / ``storage_report`` /
-  ``object_count`` (row counts add exactly; summed distinct-value
-  counts are an upper bound — estimates only order stages).
+  ``object_count``.  Statistics merge value by value, so a value held
+  on two shards is one distinct value, as on one store.
 
 Fault sites: ``shard:write`` (before a write routes), ``shard:sync``
 (before each definition-sync leg) and ``shard:query`` (before each
@@ -297,14 +297,15 @@ class ShardedStore(HybridStore):
             self._counts[shard] += 1
             self._object_gauges[shard].set(self._counts[shard])
 
-    def delete_object(self, object_id: int) -> None:
+    def delete_object(self, object_id: int) -> Dict[str, List[tuple]]:
         self._shard_fault(SHARD_WRITE)
         shard = self.shard_of(object_id)
-        self.stores[shard].delete_object(object_id)
+        removed = self.stores[shard].delete_object(object_id)
         with self._lock:
             if self._locations.pop(object_id, None) is not None:
                 self._counts[shard] -= 1
                 self._object_gauges[shard].set(self._counts[shard])
+        return removed
 
     def append_rows(self, object_id: int, shred: ShredResult) -> None:
         self._shard_fault(SHARD_WRITE)
@@ -312,9 +313,9 @@ class ShardedStore(HybridStore):
 
     def remove_attribute_instance(
         self, object_id: int, attr_id: int, seq_id: int
-    ) -> None:
+    ) -> Dict[str, List[tuple]]:
         self._shard_fault(SHARD_WRITE)
-        self._owner_store(object_id).remove_attribute_instance(
+        return self._owner_store(object_id).remove_attribute_instance(
             object_id, attr_id, seq_id
         )
 
@@ -421,14 +422,15 @@ class ShardedStore(HybridStore):
         return sum(store.object_count() for store in self.stores)
 
     def collect_statistics(self) -> StatsSnapshot:
-        total = StatsSnapshot(0, {}, {}, {})
-        for store in self.stores:
-            snapshot = store.collect_statistics()
+        total = StatsSnapshot(0, {}, {})
+        for snapshot in (store.collect_statistics() for store in self.stores):
             total.objects += snapshot.objects
-            for name in ("elem_rows", "elem_distinct", "attr_rows"):
-                summed = getattr(total, name)
-                for key, count in getattr(snapshot, name).items():
-                    summed[key] = summed.get(key, 0) + count
+            for elem_id, values in snapshot.elem_values.items():
+                summed = total.elem_values.setdefault(elem_id, {})
+                for value, rows in values.items():
+                    summed[value] = summed.get(value, 0) + rows
+            for attr_id, rows in snapshot.attr_rows.items():
+                total.attr_rows[attr_id] = total.attr_rows.get(attr_id, 0) + rows
         return total
 
     def storage_report(self) -> List[Tuple[str, int, int]]:

@@ -203,6 +203,79 @@ class TestSqlPlan:
         assert leftovers == []
 
 
+class TestWritePathPlans:
+    """Deleting an object and removing an attribute cost that object's
+    rows: every statement of the write path searches a key that leads
+    with ``object_id``, and none scans a row table."""
+
+    DELETES = {
+        ("objects",): "SEARCH objects USING INTEGER PRIMARY KEY (rowid=?)",
+        ("clobs",):
+            "SEARCH clobs USING COVERING INDEX sqlite_autoindex_clobs_1 (object_id=?)",
+        ("attributes",): "SEARCH attributes USING PRIMARY KEY (object_id=?)",
+        ("elements",): "SEARCH elements USING PRIMARY KEY (object_id=?)",
+        ("attr_ancestors",): "SEARCH attr_ancestors USING PRIMARY KEY (object_id=?)",
+        ("clobs", "schema_order", "clob_seq"):
+            "SEARCH clobs USING INDEX sqlite_autoindex_clobs_1 "
+            "(object_id=? AND schema_order=? AND clob_seq=?)",
+        ("attributes", "attr_id", "seq_id"):
+            "SEARCH attributes USING PRIMARY KEY (object_id=? AND attr_id=? AND seq_id=?)",
+        ("elements", "attr_id", "seq_id"):
+            "SEARCH elements USING PRIMARY KEY (object_id=? AND attr_id=? AND seq_id=?)",
+        ("attr_ancestors", "desc_attr_id", "desc_seq"):
+            "SEARCH attr_ancestors USING PRIMARY KEY "
+            "(object_id=? AND desc_attr_id=? AND desc_seq=?)",
+        ("attr_ancestors", "anc_attr_id", "anc_seq"):
+            "SEARCH attr_ancestors USING PRIMARY KEY (object_id=?)",
+    }
+    #: The write path's reads, by their text up to ``WHERE``: the next
+    #: CLOB sequence and instance numbers of ``add_attribute``, the
+    #: existence check of ``append_rows``, and the CLOB key and
+    #: descendants of a removed instance.
+    READS = {
+        "SELECT MAX(clob_seq) FROM clobs":
+            "SEARCH clobs USING COVERING INDEX sqlite_autoindex_clobs_1 "
+            "(object_id=? AND schema_order=?)",
+        "SELECT attr_id, MAX(seq_id) FROM attributes":
+            "SEARCH attributes USING PRIMARY KEY (object_id=?)",
+        "SELECT 1 FROM objects": "SEARCH objects USING INTEGER PRIMARY KEY (rowid=?)",
+        "SELECT clob_order, clob_seq FROM attributes":
+            "SEARCH attributes USING PRIMARY KEY (object_id=? AND attr_id=? AND seq_id=?)",
+        "SELECT desc_attr_id, desc_seq FROM attr_ancestors":
+            "SEARCH attr_ancestors USING PRIMARY KEY (object_id=?)",
+    }
+
+    @staticmethod
+    def plan(raw, sql):
+        steps = [row[3] for row in raw.execute("EXPLAIN QUERY PLAN " + sql,
+                                               (None,) * sql.count("?"))]
+        for table in ("elements", "attributes", "attr_ancestors", "clobs"):
+            assert f"SCAN {table}" not in " ".join(steps), (sql, steps)
+        return steps
+
+    def test_every_delete_statement_searches_the_object(self, catalog):
+        from repro.backends.sqlite import _DELETE_SQL
+
+        raw = catalog.store.connection._connection
+        assert set(_DELETE_SQL) == set(self.DELETES)
+        for key, sql in _DELETE_SQL.items():
+            assert self.plan(raw, sql) == [self.DELETES[key]], sql
+
+    def test_write_path_reads_search_the_object(self, catalog):
+        raw = catalog.store.connection._connection
+        traced = []
+        raw.set_trace_callback(traced.append)
+        catalog.add_attribute(
+            1, "<theme><themekt>CF</themekt><themekey>late</themekey></theme>"
+        )
+        catalog.remove_attribute(1, "theme")
+        raw.set_trace_callback(None)
+        reads = {sql.split(" WHERE ")[0]: sql for sql in traced if sql.startswith("SELECT")}
+        assert set(reads) == set(self.READS)
+        for head, sql in reads.items():
+            assert self.plan(raw, sql) == [self.READS[head]], sql
+
+
 class TestSqlResponse:
     def test_roundtrip(self, catalog):
         response = catalog.fetch([1])[1]

@@ -1,5 +1,7 @@
 """Unit tests for the catalog integrity checker (fsck)."""
 
+import random
+
 import pytest
 
 from repro.backends import SqliteHybridStore
@@ -107,7 +109,9 @@ class TestCorruptionDetection:
         corrupt(
             catalog,
             "UPDATE elements SET seq_id = 77 "
-            "WHERE rowid = (SELECT MIN(rowid) FROM elements)",
+            "WHERE (object_id, attr_id, seq_id, elem_id, elem_seq) = "
+            "(SELECT object_id, attr_id, seq_id, elem_id, elem_seq FROM elements "
+            "ORDER BY 1, 2, 3, 4, 5 LIMIT 1)",
             lambda db: _memory_update(db, "elements", 2, 77),
         )
         violations = check_catalog(catalog)
@@ -135,8 +139,10 @@ class TestCorruptionDetection:
         assert check_catalog(cat) == []
         corrupt(
             cat,
-            "DELETE FROM attr_ancestors WHERE rowid = "
-            "(SELECT MIN(rowid) FROM attr_ancestors WHERE distance = 2)",
+            "DELETE FROM attr_ancestors "
+            "WHERE (object_id, desc_attr_id, desc_seq, anc_attr_id, anc_seq) = "
+            "(SELECT object_id, desc_attr_id, desc_seq, anc_attr_id, anc_seq "
+            "FROM attr_ancestors WHERE distance = 2 ORDER BY 1, 2, 3, 4, 5 LIMIT 1)",
             lambda db: _memory_delete_first_where(db, "attr_ancestors", 5, 2),
         )
         violations = check_catalog(cat)
@@ -150,7 +156,8 @@ class TestCorruptionDetection:
         corrupt(
             catalog,
             "UPDATE attributes SET attr_id = 4242 "
-            "WHERE rowid = (SELECT MIN(rowid) FROM attributes)",
+            "WHERE (object_id, attr_id, seq_id) = (SELECT object_id, attr_id, "
+            "seq_id FROM attributes ORDER BY 1, 2, 3 LIMIT 1)",
             lambda db: _memory_update(db, "attributes", 1, 4242),
         )
         violations = check_catalog(catalog)
@@ -213,10 +220,45 @@ class TestIndexConsistency:
         )
 
 
+class TestStatisticsCounters:
+    """fsck holds the optimizer's counters to a fresh collection: one
+    counter off by one is a finding."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("backend", ["memory", "sqlite"])
+    def test_a_perturbed_counter_is_reported(self, backend, seed):
+        store = SqliteHybridStore() if backend == "sqlite" else None
+        catalog = HybridCatalog(lead_schema(), store=store)
+        define_fig3_attributes(catalog)
+        for _ in range(3):
+            catalog.ingest(FIG3_DOCUMENT)
+        catalog.delete(2)
+        assert check_catalog(catalog) == []
+        stats = catalog.stats
+        rng = random.Random(seed)
+        target = rng.choice(["objects", "element", "attribute"])
+        if target == "objects":
+            stats._objects += 1
+            expected = "statistics: 3 objects counted, the store holds 2"
+        elif target == "element":
+            elem_id = rng.choice(sorted(stats._elems))
+            values = stats._elems[elem_id].values
+            values[rng.choice(sorted(values, key=repr))] += 1
+            expected = f"statistics: element definition {elem_id} counted"
+        else:
+            attr_id = rng.choice(sorted(stats._attrs))
+            stats._attrs[attr_id] += 1
+            expected = f"statistics: attribute definition {attr_id} counted"
+        violations = check_catalog(catalog)
+        assert len(violations) == 1 and violations[0].startswith(expected), violations
+        catalog.store.close()
+
+
 # -- memory-store corruption helpers ------------------------------------
 
 def _memory_update(db, table_name, column_index, value):
-    """Corrupt the first row only (mirrors the MIN(rowid) SQL form)."""
+    """Corrupt the first row only (mirrors the SQL forms' first row by
+    rowid or by primary key)."""
     table = db.table(table_name)
     rows = table.rows()
     table.clear()

@@ -1,7 +1,7 @@
 """Unit tests for the selectivity statistics layer.
 
-Statistics order plan stages; they must stay cheap to maintain
-(incremental on ingest, lazy rebuild after invalidation) and their
+Statistics order plan stages; they must stay cheap to maintain (read
+from the store once, then folded from every write's rows) and their
 estimates must react to the value distributions the optimizer cares
 about — without ever changing which objects a query matches.
 """
@@ -20,7 +20,6 @@ from repro.core import (
 from repro.core.schema import ValueType
 from repro.grid import FIG3_DOCUMENT, define_fig3_attributes, lead_schema
 from repro.sharding import sharded_store
-from repro.sharding.router import UserRouter
 from repro.xmlkit import element, pretty_print
 
 
@@ -94,12 +93,33 @@ class TestMaintenance:
         assert catalog.stats.element_rows(nx.elem_id) == 7
 
     def test_invalidate_bumps_generation_and_rebuilds_lazily(self, catalog):
-        gen = catalog.stats.generation
-        catalog.delete(1)
-        assert catalog.stats.generation > gen
-        nx = _elem_def(catalog, "nx")
-        assert catalog.stats.element_rows(nx.elem_id) == 5
-        assert catalog.stats.object_count() == 5
+        """Only a definition change bumps ``generation``.  A delete and
+        a ``remove_attribute`` fold their rows out of the counters: the
+        generation holds, ``data_version`` moves, and the store is read
+        for statistics once in the catalog's lifetime, when it opens."""
+        store = type(catalog.store)()
+        calls = []
+        collect = store.collect_statistics
+        store.collect_statistics = lambda: calls.append(1) or collect()
+        cat = HybridCatalog(lead_schema(), store=store)
+        define_fig3_attributes(cat)
+        for _ in range(3):
+            cat.ingest(FIG3_DOCUMENT)
+        theme = cat.registry.lookup_attribute("theme", "")
+        dx = _elem_def(cat, "dx").elem_id
+        generation = cat.stats.generation
+        for write in (lambda: cat.delete(1), lambda: cat.remove_attribute(2, "theme")):
+            version = cat.stats.data_version
+            write()
+            assert cat.stats.generation == generation
+            assert cat.stats.data_version > version
+        assert cat.stats.object_count() == 2
+        assert cat.stats.element_rows(dx) == 2
+        assert cat.stats.attribute_rows(theme.attr_id) == 3
+        cat.define_attribute("late", "ARPS")
+        assert cat.stats.generation > generation
+        assert calls == [1]
+        assert cat.stats.snapshot() == collect()
 
     def test_collect_statistics_snapshot_shape(self, catalog):
         snap = catalog.store.collect_statistics()
@@ -153,11 +173,9 @@ class TestEstimates:
 
 
 class TestConcurrentInvalidate:
-    """Regression for the invalidate()/lazy-rebuild race: a thread
-    calling ``invalidate()`` while another is mid-``_ensure()`` used to
-    expose a half-built estimator (cleared dicts, partially filled
-    ``_elems``).  The rebuild is now atomic — built fully in locals,
-    published in one swap under the lock."""
+    """``invalidate()`` racing estimates: retiring plans never touches
+    the counters, so a concurrent estimator reads the same numbers
+    throughout."""
 
     def test_invalidate_racing_estimates(self, catalog):
         import threading
@@ -186,6 +204,45 @@ class TestConcurrentInvalidate:
             t.join()
         assert not errors, errors
 
+    def test_concurrent_folds_lose_no_update(self, catalog):
+        """Writes fold their rows outside the store's transactions, so
+        folds race each other: threads folding one document in and out
+        again must leave every counter as they found it."""
+        import sys
+        import threading
+
+        from repro.xmlkit import parse
+
+        shred = catalog.shredder.shred(parse(make_doc("race", grids=[{"nx": 1, "dx": 2}])))
+        removed = {
+            "objects": [(0, "race", "")],
+            "attributes": [(0, *row) for row in shred.attributes],
+            "elements": [(0, *row) for row in shred.elements],
+        }
+        before = catalog.stats.snapshot()
+        errors = []
+
+        def worker():
+            try:
+                for _ in range(300):
+                    catalog.stats.record_shred(shred)
+                    catalog.stats.record_removal(removed)
+            except Exception as exc:  # pragma: no cover - failure path
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        threads = [threading.Thread(target=worker) for _ in range(4)]
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and not errors, errors
+        assert catalog.stats.snapshot() == before
+
     def test_invalidate_moves_the_cache_token(self, catalog):
         token = catalog.stats.cache_token()
         catalog.stats.invalidate()
@@ -200,7 +257,7 @@ class TestConcurrentInvalidate:
 def test_distinct_counts_are_typed_values_on_every_store():
     """``dx`` spelled ``1000.000``, ``1000`` and ``1e3`` is one value of
     a numeric definition on memory, sqlite and a sharded store, whether
-    the statistics are shred-fed or rebuilt from the store.  So the EQ
+    the statistics are shred-fed or collected from the store.  So the EQ
     estimates agree, the seeks run in one order, and a query whose
     first seek matches nothing short-circuits alike on every store."""
     documents = [
@@ -213,9 +270,9 @@ def test_distinct_counts_are_typed_values_on_every_store():
         .add_element("dx", "ARPS", 1000)
     )
     seen = []
-    # One owner: the user router keeps the documents on one shard, where
-    # summed per-shard distinct counts are exact.
-    for store in (None, SqliteHybridStore(), sharded_store(2, router=UserRouter(2))):
+    # Hash routing spreads the three documents over both shards: their
+    # value histograms merge value by value into one distinct value.
+    for store in (None, SqliteHybridStore(), sharded_store(2)):
         catalog = HybridCatalog(lead_schema(), store=store)
         define_fig3_attributes(catalog)
         assert catalog.query(query) == []  # statistics built while empty
@@ -224,7 +281,7 @@ def test_distinct_counts_are_typed_values_on_every_store():
         dx = _elem_def(catalog, "dx").elem_id
         shred_fed = catalog.stats.element_distinct(dx)
         snapshot = catalog.store.collect_statistics()
-        catalog.stats.invalidate()  # the next plan reads the rebuild
+        catalog.stats.invalidate()  # retire the plan built while empty
         trace = PlanTrace()
         assert catalog.query(query, trace=trace) == []
         seen.append((

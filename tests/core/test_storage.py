@@ -24,19 +24,6 @@ class TestInstall:
         assert root_row[1] == "LEADresource"
         assert root_row[2] == schema.max_order()
 
-    def test_node_ancestors_loaded(self, schema):
-        store = MemoryHybridStore()
-        store.install_schema(schema)
-        theme_order = schema.attribute_by_tag("theme").order
-        ancestors = {
-            row[1]
-            for row in store.db.table("node_ancestors").lookup(
-                ["node_order"], [theme_order]
-            )
-        }
-        expected = {n.order for n in schema.attribute_by_tag("theme").ancestors()}
-        assert ancestors == expected
-
     def test_object_row_tables_are_indexed_by_object(self, schema):
         # delete_object and the per-object reads reach rows through
         # lookup_rowids(["object_id"], ...), which silently degrades to

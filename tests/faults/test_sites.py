@@ -30,8 +30,8 @@ from repro.obs import MetricsRegistry
 from .conftest import build_catalog
 
 #: Statement sites crossed while ``install_schema`` loads the ordering
-#: tables — they fire during catalog construction, before any workload.
-_SCHEMA_SITES = frozenset({"insert:schema_order", "insert:node_ancestors"})
+#: table — they fire during catalog construction, before any workload.
+_SCHEMA_SITES = frozenset({"insert:schema_order"})
 
 #: Read-path sites that exist only on the durable sqlite backend (the
 #: reader pool); exercised by the dedicated tests below rather than the
@@ -121,12 +121,11 @@ def test_schema_install_fault_rolls_back_ordering_rows(backend):
         from repro.core.storage import MemoryHybridStore
 
         store = MemoryHybridStore()
-    store.install_faults(FaultPlan(site="insert:node_ancestors"))
+    store.install_faults(FaultPlan(site="insert:schema_order"))
     with pytest.raises(FaultError):
         HybridCatalog(lead_schema(), store=store, metrics=MetricsRegistry())
     report = {name: rows for name, rows, _size in store.storage_report()}
     assert report.get("schema_order", 0) == 0
-    assert report.get("node_ancestors", 0) == 0
 
 
 def test_pool_acquire_site_fires(tmp_path):

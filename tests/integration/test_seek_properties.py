@@ -5,12 +5,14 @@ posting index; ``_seek_hits`` over every row of the definition, found
 by a scan, is what it must return.  Checked on raw rows the catalog
 never writes (a NULL ``value_num`` under a numeric definition, text and
 float values in one definition, NaN, -0.0, all-NULL values), and after
-every step of a hypothesis write sequence on a memory store and on
-``sharded_store(2)`` — ingest, delete, ``remove_attribute``, an
-``add_attribute`` and a delete that a fault rolls back, a query
-checked against the scan oracle — together with
-``Table.check_indexes()`` and statistics read off the indexes equal to
-a row scan.
+every step of a hypothesis write sequence on a memory store, an sqlite
+store and ``sharded_store(2)`` — ingest, delete, ``remove_attribute``,
+an ``add_attribute`` and a delete that a fault rolls back, a query
+checked against the scan oracle.  After each step the catalog's
+statistics counters equal a fresh ``collect_statistics()`` on every
+store; on memory stores ``Table.check_indexes()`` holds, the seeks
+agree with their reference, and the collection read off the indexes
+equals a row scan over the union of the shards.
 """
 
 import math
@@ -19,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.backends import SqliteHybridStore
 from repro.baselines import evaluate_shredded_query
 from repro.core import AttributeCriteria, HybridCatalog, ObjectQuery, Op, shred_query
 from repro.core.storage import _seek_hits
@@ -36,7 +39,8 @@ OPS = (Op.EQ, Op.NE, Op.LT, Op.LE, Op.GT, Op.GE, Op.CONTAINS, Op.IN_SET)
 
 def memory_stores(catalog):
     store = catalog.store
-    return store.stores if hasattr(store, "stores") else [store]
+    stores = store.stores if hasattr(store, "stores") else [store]
+    return [store for store in stores if hasattr(store, "db")]
 
 
 def scanned_rows(store):
@@ -87,24 +91,21 @@ def assert_seeks_agree(store):
     assert store._seek_rows(10**6, None, Op.NE, "x") == []
 
 
-def assert_statistics_scan_equal(catalog):
-    rows, distinct, instances = {}, {}, {}
+def assert_statistics_scan_equal(catalog, snapshot):
+    """A value held on two shards is one distinct value."""
+    rows, values, instances = {}, {}, {}
     objects = 0
     for store in memory_stores(catalog):
-        values = {}
         for _obj, _attr, _seq, elem_id, _eseq, text, num in store.db.table("elements").scan():
             rows[elem_id] = rows.get(elem_id, 0) + 1
             values.setdefault(elem_id, set()).add(text if num is None else num)
-        for elem_id, seen in values.items():
-            distinct[elem_id] = distinct.get(elem_id, 0) + len(seen)
         for row in store.db.table("attributes").scan():
             instances[row[1]] = instances.get(row[1], 0) + 1
         objects += len(store.db.table("objects"))
-    snapshot = catalog.store.collect_statistics()
     assert snapshot.objects == objects
     assert snapshot.elem_rows == rows
     assert snapshot.attr_rows == instances
-    assert snapshot.elem_distinct == distinct
+    assert snapshot.elem_distinct == {e: len(seen) for e, seen in values.items()}
 
 
 def assert_consistent(catalog):
@@ -112,7 +113,10 @@ def assert_consistent(catalog):
         for table in store.db:
             assert table.check_indexes() == [], table.name
         assert_seeks_agree(store)
-    assert_statistics_scan_equal(catalog)
+    snapshot = catalog.store.collect_statistics()
+    assert catalog.stats.snapshot() == snapshot
+    if memory_stores(catalog):
+        assert_statistics_scan_equal(catalog, snapshot)
 
 
 # ---------------------------------------------------------------------------
@@ -211,12 +215,14 @@ def run_step(catalog, live, step, arg):
         assert catalog.query(keyword_query(arg)) == expected
 
 
-@pytest.mark.parametrize("layout", ["memory", "sharded"])
+LAYOUTS = {"memory": lambda: None, "sqlite": SqliteHybridStore, "sharded": sharded_store}
+
+
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
 @settings(max_examples=25, deadline=None)
 @given(sequence=steps)
 def test_write_sequences_keep_seeks_indexes_and_statistics_exact(layout, sequence):
-    store = sharded_store(2) if layout == "sharded" else None
-    catalog = HybridCatalog(lead_schema(), store=store)
+    catalog = HybridCatalog(lead_schema(), store=LAYOUTS[layout]())
     LeadCorpusGenerator(CONFIG).register_definitions(catalog)
     live = [catalog.ingest(DOCUMENTS[0]).object_id]
     assert_consistent(catalog)
