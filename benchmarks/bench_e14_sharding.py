@@ -1,24 +1,26 @@
-"""E14 — Sharded store: scatter-gather scaling and N=1 overhead.
+"""E14 — Sharded store: cold query cost by shard count, N=1 overhead.
 
 Extension experiment (not in the paper), continuing E12: partition one
-catalog across N sqlite WAL databases and federate queries by
-scatter-gather.  Each shard holds ~1/N of the corpus, every federated
-query runs its unchanged logical plan on all shards concurrently, and
-the per-shard id lists k-way merge into the global answer.  Two tables:
+catalog across N sqlite WAL databases.  A federated query runs its plan
+once, through the one interpreter every store uses: the read section
+enters every shard in turn, in the calling thread, and each keyed read
+concatenates the shards' rows (an object's rows never cross shards).
+No legs run concurrently and there is no executor hop, so sharding
+buys placement and autonomy (as in AMGA), not speed.  Two tables:
 
 * **scaling** — single-stream cold-path (result cache bypassed) QPS as
-  the shard count grows over a fixed corpus; the speedup column is the
-  federation's win from scanning 1/N of the rows per leg in parallel;
+  the shard count grows over a fixed corpus; the speedup column is N
+  shards against one, where every keyed read becomes N index searches
+  on N reader connections;
 * **N=1 overhead** — the same ``HybridCatalog`` over a one-shard
-  ``ShardedStore`` against one over the sqlite store directly: with
-  nothing to federate the sharded store hands the plan and profile
-  straight to its one shard (no executor hop, no rebind, no summing),
-  so what is measured is a routing-map lookup per write and one
-  delegating call per read.
+  ``ShardedStore`` against one over the sqlite store directly: what is
+  measured is a routing-map lookup per write, and per read one more
+  context manager and one list copy.
 
-Interpretation is machine-dependent like E12: legs only overlap with
-real cores available, so on a single-core host the scaling assertion
-degrades to a no-collapse bound while the overhead bound still holds.
+The serial design gives up the ≥ 1.5× four-shard speedup that
+concurrent legs were once required to reach on ≥ 4 cores.  The scaling
+assertion is a no-collapse bound set below the recorded four-shard
+ratios, the same on every host.
 """
 
 import os
@@ -73,40 +75,41 @@ def test_e14_shard_scaling(benchmark):
 
     def build_table():
         table = ResultTable(
-            f"E14 - scatter-gather scaling, cold single stream "
+            f"E14 - shard scaling, cold single stream "
             f"(sqlite, {CORPUS} docs)",
             ["shards", "ms/query", "QPS", "speedup"],
         )
-        baseline = None
-        qps_by_shards = {}
-        for shards in SHARD_COUNTS:
-            catalog = catalogs[shards]
+        for catalog in catalogs.values():
             cold_pass(catalog)  # warm sqlite page caches + plan cache
-            seconds, _ = measure(lambda: cold_pass(catalog), repeat=PASSES)
-            qps = throughput(len(WORKLOAD), seconds)
-            qps_by_shards[shards] = qps
-            if baseline is None:
-                baseline = qps
+        # Passes interleave across shard counts, so a slow spell of the
+        # host lands on every count alike; each count keeps its best.
+        best = dict.fromkeys(SHARD_COUNTS, float("inf"))
+        for _ in range(PASSES):
+            for shards in SHARD_COUNTS:
+                seconds, _ = measure(lambda: cold_pass(catalogs[shards]), repeat=1)
+                best[shards] = min(best[shards], seconds)
+        qps_by_shards = {
+            shards: throughput(len(WORKLOAD), seconds)
+            for shards, seconds in best.items()
+        }
+        for shards, qps in qps_by_shards.items():
             table.add_row(
                 shards,
-                1000 * seconds / len(WORKLOAD),
+                1000 * best[shards] / len(WORKLOAD),
                 qps,
-                f"{qps / baseline:.2f}x",
+                f"{qps / qps_by_shards[1]:.2f}x",
             )
         emit("e14_sharding", table)
         return table, qps_by_shards
 
     table, qps = benchmark.pedantic(build_table, rounds=1, iterations=1)
     assert len(table.rows) == len(SHARD_COUNTS)
-    if (os.cpu_count() or 1) >= 4:
-        # Four quarter-size legs running concurrently must beat one
-        # full-size scan by a real margin.
-        assert qps[4] >= 1.5 * qps[1], qps
-    else:
-        # Single-core hosts cannot overlap legs; bound the fan-out tax
-        # so an executor-contention regression still fails the bench
-        # (four serialized quarter-size legs land near parity here).
-        assert qps[4] >= 0.45 * qps[1], qps
+    # Every keyed read asks all four shards in turn.  Recorded 4-shard /
+    # 1-shard ratios on a 2-core host (8 runs): 0.69, 0.84, 0.85, 0.85,
+    # 0.85, 0.86, 0.87, 0.88; concurrent legs on a thread pool measured
+    # 0.31-0.55 under the same harness.  The bound sits below the
+    # smallest recorded ratio.
+    assert qps[4] >= 0.6 * qps[1], qps
     for catalog in catalogs.values():
         catalog.store.close()
 
@@ -132,7 +135,7 @@ def test_e14_single_shard_wrapper_overhead(benchmark):
 
     plain_s, sharded_s = benchmark.pedantic(build_table, rounds=1, iterations=1)
     # The acceptance bound: the one-shard federation may cost at most
-    # 5% over the plain store (inline delegation, no executor).
+    # 5% over the plain store.
     assert sharded_s <= 1.05 * plain_s, (sharded_s, plain_s)
     plain.store.close()
     sharded.store.close()

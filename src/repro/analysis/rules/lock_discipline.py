@@ -17,16 +17,12 @@ suites.  These two rules make it machine-checked:
   graph.  Over-approximate resolution is the right polarity here: a
   call edge we cannot rule out may be the one that takes the lock, so
   LCK01 only fires when **no** path can possibly acquire it.
-* **LCK02** — three lock-safety checks built on the *precise* call
+* **LCK02** — two lock-safety checks built on the *precise* call
   graph (under-approximate: every reported chain is real):
 
   - read→write **upgrades**: a write-side acquisition of the same lock
     reachable from inside a read-side block (the RWLock raises at
     runtime by design; the linter moves that to lint time);
-  - lock acquisitions inside **scatter-gather worker threads**
-    (functions handed to ``executor.submit`` must stay lock-free — a
-    worker queueing on a facade lock held across the fan-out is a
-    deadlock);
   - the global **lock-order graph** (edges from lexically nested
     ``with`` acquisitions plus precise interprocedural edges) must be
     acyclic — a static deadlock detector.
@@ -39,7 +35,7 @@ from the RWLock to the init lock ``_rwlock`` takes internally.
 from __future__ import annotations
 
 import ast
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Set, Tuple
 
 from ..callgraph import CallGraph, LockAcquisition
 from ..facts import find_cycle
@@ -177,7 +173,7 @@ class LockOrderRule(Rule):
     """LCK02 — see module docstring."""
 
     id = "LCK02"
-    title = "no lock upgrades, locked workers, or lock-order cycles"
+    title = "no lock upgrades or lock-order cycles"
 
     def _body_members(
         self, graph: CallGraph, acq: LockAcquisition
@@ -237,44 +233,7 @@ class LockOrderRule(Rule):
                             f"while the read side is held here",
                         )
 
-    # -- (b) locks inside scatter-gather workers ------------------------
-    def _worker_target(
-        self, graph: CallGraph, fn: FunctionInfo, arg: ast.AST
-    ) -> Optional[FunctionInfo]:
-        program = graph.program
-        if isinstance(arg, ast.Name):
-            for node in ast.walk(fn.node):
-                info = program.by_node.get(node)
-                if info is not None and info.name == arg.id and (
-                    info.parent is fn
-                ):
-                    return info
-        if isinstance(arg, ast.Attribute) and isinstance(arg.value, ast.Name):
-            if arg.value.id in ("self", "cls"):
-                cls = program.enclosing_class(fn)
-                if cls is not None:
-                    return program.resolve_method(cls, arg.attr)
-        return None
-
-    def _check_workers(self, ctx: LintContext, graph: CallGraph,
-                       fn: FunctionInfo) -> None:
-        for call in graph.program.iter_calls(fn):
-            if call_name(call) != "submit" or not call.args:
-                continue
-            target = self._worker_target(graph, fn, call.args[0])
-            if target is None:
-                continue
-            tokens = sorted({tok for tok, _w in graph.may_acquire(target)})
-            if tokens:
-                ctx.report(
-                    self.id, fn.module.source, call.lineno,
-                    f"worker {target.name}() submitted to an executor may "
-                    f"acquire {', '.join(tokens)}; scatter-gather workers "
-                    f"must stay lock-free (deadlock with the dispatching "
-                    f"thread's locks)",
-                )
-
-    # -- (c) lock-order graph ------------------------------------------
+    # -- (b) lock-order graph ------------------------------------------
     def _collect_edges(
         self, ctx: LintContext, graph: CallGraph
     ) -> Tuple[Dict[str, Set[str]], Dict[Tuple[str, str], Tuple]]:
@@ -326,7 +285,6 @@ class LockOrderRule(Rule):
             if not ctx.in_scope(fn.module.source):
                 continue
             self._check_upgrades(ctx, graph, fn)
-            self._check_workers(ctx, graph, fn)
         edges, sites = self._collect_edges(ctx, graph)
         cycle = find_cycle(edges)
         if cycle:

@@ -6,9 +6,10 @@ transaction behind the store's write lock.  Reads, however, do not need
 that connection: a WAL database gives each additional connection a
 consistent snapshot that is never blocked by (and never blocks) the
 writer.  :class:`ReaderConnectionPool` hands reader threads their own
-connections on checkout, so ``match_objects`` / ``build_responses`` /
-``collect_statistics`` from N threads run genuinely in parallel while
-ingest holds the write lock.
+connections on checkout, so queries and fetches keep answering while a
+writer holds the write lock instead of queueing behind its transaction
+— E12's readers beside a churning writer: 1 → 4 reader threads go
+~820 → ~1,100 QPS at a ~0.6–0.7 ms p50.
 
 Sizing: connections are created on demand up to ``capacity`` (default
 :data:`DEFAULT_CAPACITY`) and kept idle for reuse — a reader beyond the

@@ -368,8 +368,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--xsd", help="annotated schema (defaults to the LEAD schema)")
     p.add_argument("--shards", type=int, default=1, metavar="N",
                    help="partition the catalog across N sqlite databases "
-                        "(<db>.shard0 .. <db>.shard<N-1>) federated by "
-                        "scatter-gather queries (default: 1 = unsharded)")
+                        "(<db>.shard0 .. <db>.shard<N-1>) federated under "
+                        "one catalog (default: 1 = unsharded)")
     p.add_argument("--by-user", action="store_true",
                    help="route objects to shards by owner instead of "
                         "hashed object id (one user's objects colocate)")
@@ -553,9 +553,8 @@ def build_parser() -> argparse.ArgumentParser:
         "lint",
         help="run the repo's static-analysis rules "
              "(transaction safety, fault-site coverage, metric naming, "
-             "plan purity, stage-surface mirroring, backend parity, "
-             "lock discipline, guarded fields, resource lifecycle, "
-             "SQL construction safety)",
+             "plan purity, backend parity, lock discipline, guarded "
+             "fields, resource lifecycle, SQL construction safety)",
     )
     p.add_argument("--json", action="store_true", dest="json_output",
                    help="emit the machine-readable report (repro.lint/v1)")

@@ -236,7 +236,7 @@ def _interpret_simple(
         result = vector if result is None else intersect_sorted(result, vector)
         # No early exit on an empty running intersection: every
         # DirectCountMatch stage reports its own actuals, which the
-        # profile and the shard legs sum.  The expensive case — a
+        # trace and the profile show.  The expensive case — a
         # criterion matching nothing — already short-circuited at the
         # seek stage above.
     object_ids = result or []

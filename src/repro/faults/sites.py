@@ -73,7 +73,7 @@ STATEMENT_SITES: FrozenSet[str] = frozenset(
         # statements do not drift when the routing layer changes.
         "shard:write",   # before routing a write to its owning shard
         "shard:sync",    # before each shard's definition-sync fan-out leg
-        "shard:query",   # before each shard's scatter-gather query leg
+        "shard:query",   # before a query's read section enters each shard
     }
 )
 

@@ -154,12 +154,9 @@ METRICS: Dict[str, MetricSpec] = _declare(
                "result-cache wipes by what moved the token", ("cause",)),
     # -- sharded catalog ------------------------------------------------
     MetricSpec("shard_queries_total", "counter",
-               "scatter-gather query legs executed, per shard", ("shard",)),
+               "query read sections entered, per shard", ("shard",)),
     MetricSpec("shard_objects", "gauge",
                "objects currently held by each shard", ("shard",)),
-    MetricSpec("shard_fanout_seconds", "histogram",
-               "wall time of one scatter-gather fan-out "
-               "(dispatch through k-way merge)"),
     # -- event log ------------------------------------------------------
     MetricSpec("events_emitted_total", "counter",
                "structured events written to the event log", ("event",)),

@@ -1,11 +1,12 @@
 """Sharded catalog federation: N hybrid stores behind one catalog.
 
 Partition a catalog across N sqlite WAL databases (hash-by-id or
-by-owner routing), scatter the unchanged logical IR to every shard,
-and gather with an order-preserving k-way merge — proven equivalent
-to a single store by the sharding parity suite
-(``tests/integration/test_shard_parity_properties.py``).  A sharded
-catalog is ``HybridCatalog(schema, store=sharded_store(3, path=...))``.
+by-owner routing); a query runs the one plan interpreter over every
+shard's rows, read in shard order under one read section — proven
+equivalent to a single store, stage actuals included, by the sharding
+parity suite (``tests/integration/test_shard_parity_properties.py``).
+A sharded catalog is
+``HybridCatalog(schema, store=sharded_store(3, path=...))``.
 """
 
 from .integrity import check_sharded_catalog

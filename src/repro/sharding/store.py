@@ -1,59 +1,46 @@
 """The sharded store: N hybrid stores behind the one store interface.
 
 :class:`ShardedStore` is a :class:`~repro.core.storage.HybridStore`
-whose rows live in N shard stores (each its own sqlite WAL database
-and reader pool, or an RW-locked memory store).  A sharded catalog is
-the ordinary ``HybridCatalog(schema, store=ShardedStore(stores, router))``
-— one registry, one shredder, one id counter, one statistics object,
-one plan cache and one result cache sit above it, exactly as above a
-single store.  What the store does with each call:
+over N shard stores (sqlite WAL databases or RW-locked memory stores).
+A sharded catalog is the ordinary ``HybridCatalog(schema,
+store=ShardedStore(stores, router))``: one registry, shredder, id
+counter, statistics, plan cache and result cache above it.  The store:
 
 * **routes** per-object writes and reads (``store_object``,
   ``delete_object``, ``append_rows``, ``remove_attribute_instance``,
-  ``has_object``, ``max_clob_seq``, ``instance_counts``) to the shard
-  that owns the object: a :class:`~repro.sharding.router.ShardRouter`
-  places a new object from ``(id, owner)``, and the ``object id →
-  shard`` map (rebuilt by :meth:`ShardedStore.load_objects` on reopen)
-  finds it afterwards.  Each routed write is that shard's own
-  transaction.
+  ``has_object``, ``max_clob_seq``, ``instance_counts``) to the owning
+  shard, placed by a :class:`~repro.sharding.router.ShardRouter` from
+  ``(id, owner)`` and found by the ``id → shard`` map that
+  :meth:`ShardedStore.load_objects` rebuilds; each write is that
+  shard's own transaction.
 * **fans out** what every shard must see: schema installation,
-  definition sync (definition rows are additive, so a fan-out that
-  fails partway is healed by the next sync — every open runs one),
-  fault plans, retry policy, metrics/event binding, the open check and
-  ``close``.
-* **scatters** a query: the *unchanged* logical plan is rebound once
-  per shard and executed by every shard's ``_execute_plan`` (an
-  object's rows never cross shards, so every stage is shard-local);
-  the sorted, disjoint id lists are k-way merged, and the legs'
-  per-stage row counts, stage seconds and lock/pool waits are
-  **summed** into the caller's plan and profile.  The inherited
-  ``match_objects`` then derives the Fig-4 trace, the stage histogram
-  and the profile from ``plan.actuals`` exactly as for one store.  A
-  leg that short-circuits on a locally empty criterion reports zero
-  for the stages it skipped, so summed seek/count rows may be lower
-  than one store's; the ``object-ids`` row is always equal.
+  definition sync (additive rows, so a fan-out that fails partway is
+  healed by the next sync, which every open runs), fault plans, retry
+  policy, metrics/event binding, the open check and ``close``.
+* **concatenates** a query's reads: the inherited interpreter runs
+  the plan once, in one read section over every shard, and each keyed
+  read returns the shards' rows in shard order.  An object's rows
+  never cross shards, so one plan, one ``actuals`` and one
+  short-circuit give the Fig-4 trace of one store, row for row.
 * **sums** ``collect_statistics`` / ``storage_report`` /
   ``object_count``.  Statistics merge value by value, so a value held
   on two shards is one distinct value, as on one store.
 
-Fault sites: ``shard:write`` (before a write routes), ``shard:sync``
-(before each definition-sync leg) and ``shard:query`` (before each
-query leg) — consulted only when the armed plan targets them by name,
-the ``pool:acquire`` convention, so ``fail_at`` sweeps over the shard
-stores' own write statements count what they count without sharding.
+Fault sites ``shard:write`` (before a write routes), ``shard:sync``
+(before each shard's definition sync) and ``shard:query`` (before the
+read section enters each shard) fire only when a plan targets them by
+name, as ``pool:acquire`` does, so ``fail_at`` sweeps over the shard
+stores' write statements count what they count without sharding.
 """
 
 from __future__ import annotations
 
-import heapq
 import threading
-import time
-from concurrent.futures import ThreadPoolExecutor
-from typing import Dict, List, Optional, Sequence, Tuple
+from contextlib import ExitStack, contextmanager
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..backends.sqlite import SqliteHybridStore
 from ..core.definitions import DefinitionRegistry
-from ..core.logical import LogicalPlan
 from ..core.schema import AnnotatedSchema
 from ..core.shredder import ShredResult
 from ..core.stats import StatsSnapshot
@@ -63,7 +50,6 @@ from ..faults import FaultPlan, RetryPolicy
 from ..faults.sites import check_site
 from ..obs.events import EventLog
 from ..obs.metrics import MetricsRegistry, default_registry
-from ..obs.profile import QueryProfile, activate, deactivate
 from .router import HashRouter, ShardRouter
 from .topology import shard_db_paths
 
@@ -72,6 +58,18 @@ __all__ = ["ShardedStore", "sharded_store"]
 SHARD_WRITE = check_site("shard:write")
 SHARD_SYNC = check_site("shard:sync")
 SHARD_QUERY = check_site("shard:query")
+
+
+def _concatenated(read: str):
+    """A keyed read: every shard's rows, in shard order."""
+
+    def concat(self: "ShardedStore", *args: Any) -> List[tuple]:
+        rows: List[tuple] = []
+        for store in self.stores:
+            rows += getattr(store, read)(*args)
+        return rows
+
+    return concat
 
 
 class ShardedStore(HybridStore):
@@ -94,14 +92,6 @@ class ShardedStore(HybridStore):
         self._counts: List[int] = [0] * len(self.stores)
         self._lock = threading.Lock()
         self._txn_lock = threading.RLock()
-        # Leg workers spawn lazily on first submit; one shard needs none.
-        self._executor: Optional[ThreadPoolExecutor] = (
-            ThreadPoolExecutor(
-                max_workers=len(self.stores), thread_name_prefix="repro-shard"
-            )
-            if len(self.stores) > 1
-            else None
-        )
         self.bind_metrics(default_registry())
 
     # ------------------------------------------------------------------
@@ -115,21 +105,16 @@ class ShardedStore(HybridStore):
         shards = [str(index) for index in range(len(self.stores))]
         counter = registry.counter(
             "shard_queries_total",
-            "scatter-gather query legs executed, per shard",
+            "query read sections entered, per shard",
             labels=("shard",),
         )
-        self._leg_counters = [counter.labels(shard=s) for s in shards]
+        self._query_counters = [counter.labels(shard=s) for s in shards]
         gauge = registry.gauge(
             "shard_objects",
             "objects currently held by each shard",
             labels=("shard",),
         )
         self._object_gauges = [gauge.labels(shard=s) for s in shards]
-        self._fanout_histogram = registry.histogram(
-            "shard_fanout_seconds",
-            "wall time of one scatter-gather fan-out "
-            "(dispatch through k-way merge)",
-        )
         with self._lock:
             for shard, count in enumerate(self._counts):
                 self._object_gauges[shard].set(count)
@@ -174,8 +159,6 @@ class ShardedStore(HybridStore):
         if self._closed:
             return
         self._closed = True
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
         errors: List[Exception] = []
         for store in self.stores:
             try:
@@ -205,8 +188,6 @@ class ShardedStore(HybridStore):
     _txn_begin = _txn_commit = _txn_rollback = _create_tables = _unsupported
     _insert_rows = _insert_new_definitions = _delete_rows = _unsupported
     _clob_key_of = _descendant_instances = _clob_rows = _unsupported
-    # Queries fan out whole plans (_execute_plan), never single reads.
-    _read_section = _seek_instances = _instance_rows = _ancestor_rows = _unsupported
 
     # ------------------------------------------------------------------
     # Schema / definitions (fan out)
@@ -330,79 +311,23 @@ class ShardedStore(HybridStore):
         return self._owner_store(object_id).instance_counts(object_id)
 
     # ------------------------------------------------------------------
-    # Query (scatter, k-way merge, sum)
+    # Queries (every shard, in shard order) and responses (by shard)
     # ------------------------------------------------------------------
-    def _execute_plan(
-        self, plan: LogicalPlan, prof: Optional[QueryProfile]
-    ) -> List[int]:
-        if self._executor is None:
-            # One shard: its run *is* the federation's run.
-            self._shard_fault(SHARD_QUERY)
-            self._leg_counters[0].inc()
-            return self.stores[0]._execute_plan(plan, prof)
-        t0 = time.perf_counter()
-        legs = [plan.rebind(plan.query) for _ in self.stores]
-        leg_profs = [
-            QueryProfile() if prof is not None else None for _ in self.stores
-        ]
-
-        def run_leg(index: int) -> List[int]:
-            leg_prof = leg_profs[index]
-            if leg_prof is None:
-                return self.stores[index]._execute_plan(legs[index], None)
-            # Context variables do not follow work into pool threads:
-            # install the leg's own profile so the shard's lock/pool
-            # wait hooks find it.
-            token = activate(leg_prof)
-            try:
-                return self.stores[index]._execute_plan(legs[index], leg_prof)
-            finally:
-                deactivate(leg_prof, token)
-
-        futures = []
-        error: Optional[BaseException] = None
-        for index in range(len(self.stores)):
-            try:
-                # Consulted in shard order before dispatch, so a
-                # site_occurrence sweep over shard:query is deterministic.
+    @contextmanager
+    def _read_section(self) -> Iterator[None]:
+        """Every shard's read section, in shard order (the one lock
+        order); a failed entry releases the shards already entered."""
+        with ExitStack() as stack:
+            for index, store in enumerate(self.stores):
                 self._shard_fault(SHARD_QUERY)
-                self._leg_counters[index].inc()
-                futures.append(self._executor.submit(run_leg, index))
-            except BaseException as exc:
-                error = exc
-                break
-        results: List[List[int]] = []
-        for future in futures:
-            try:
-                results.append(future.result())
-            except BaseException as exc:
-                if error is None:
-                    error = exc
-        if error is not None:
-            # Never a partial federation: every dispatched leg was
-            # drained above, the caller gets the failure.  A close()
-            # racing the dispatch surfaces as the closed-store error,
-            # not the pool's "cannot schedule new futures".
-            self._check_open()
-            raise error
-        object_ids = list(heapq.merge(*results))
-        self._fanout_histogram.observe(time.perf_counter() - t0)
-        actuals = plan.actuals
-        for leg, leg_prof in zip(legs, leg_profs):
-            for key, rows in leg.actuals.items():
-                actuals[key] = actuals.get(key, 0) + rows
-            if leg_prof is not None:
-                for key, spent in leg_prof.stage_seconds.items():
-                    prof.stage_seconds[key] = (
-                        prof.stage_seconds.get(key, 0.0) + spent
-                    )
-                for kind, waited in leg_prof.waits.items():
-                    prof.add_wait(kind, waited)
-        return object_ids
+                self._query_counters[index].inc()
+                stack.enter_context(store._read_section())
+            yield
 
-    # ------------------------------------------------------------------
-    # Responses (group ids by shard)
-    # ------------------------------------------------------------------
+    _seek_instances = _concatenated("_seek_instances")
+    _instance_rows = _concatenated("_instance_rows")
+    _ancestor_rows = _concatenated("_ancestor_rows")
+
     def build_responses(self, object_ids: Sequence[int]) -> Dict[int, str]:
         self._check_open()
         by_shard: Dict[int, List[int]] = {}
@@ -463,9 +388,9 @@ def sharded_store(
     router: Optional[ShardRouter] = None,
 ) -> ShardedStore:
     """The default federation: ``shards`` sqlite WAL databases at
-    ``<path>.shard<i>``, or RW-locked memory stores without a ``path``
-    (a ``:memory:`` sqlite connection is not safe under the leg pool);
-    hash routing unless a ``router`` is given."""
+    ``<path>.shard<i>``, or without a ``path`` memory stores, the
+    unsharded catalog's default (a ``:memory:`` sqlite shard would add
+    SQL cost and no reader pool); hash routing unless ``router``."""
     if shards < 1:
         raise CatalogError("a sharded catalog needs at least one shard")
     if path is None:

@@ -1,10 +1,9 @@
-"""LCK fixture: the corrected facade — one global lock order and
-lock-free scatter-gather workers."""
+"""LCK fixture: the corrected facade — one global lock order."""
 
 import threading
 
 
-class _LegStore:
+class _ShardStore:
     def _reader(self):
         return None
 
@@ -14,11 +13,10 @@ class _LegStore:
 
 
 class ShardedCatalog:
-    def __init__(self, shards, executor):
+    def __init__(self, shards):
         self._route_lock = threading.RLock()
         self._stats_lock = threading.RLock()
         self.shards = list(shards)
-        self._executor = executor
 
     def ingest(self, document):
         with self._route_lock:
@@ -33,11 +31,5 @@ class ShardedCatalog:
 
     def query(self, criteria):
         with self._route_lock:
-            legs = list(range(len(self.shards)))
-
-        def run_leg(index):
-            # Lock-free: works from the snapshot taken above.
-            return self.shards[index].match_objects(criteria)
-
-        futures = [self._executor.submit(run_leg, index) for index in legs]
-        return [future.result() for future in futures]
+            shards = list(self.shards)
+        return [shard.match_objects(criteria) for shard in shards]

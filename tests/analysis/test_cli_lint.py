@@ -1,12 +1,15 @@
 """``repro lint`` CLI contract: exit codes, ``--json``, ``--rule``."""
 
+import argparse
 import json
 import pathlib
+import re
 
 import pytest
 
 from repro.analysis import parse_json_report
-from repro.cli import main
+from repro.analysis.linter import default_rules
+from repro.cli import build_parser, main
 
 from .conftest import FIXTURES
 
@@ -42,6 +45,40 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["lint", "--not-a-flag"])
         assert exc.value.code == 2
+
+
+#: The topics ``repro --help`` lists for ``lint``, and the rules each
+#: one stands for.
+HELP_TOPICS = {
+    "transaction safety": {"TXN01"},
+    "fault-site coverage": {"FLT01"},
+    "metric naming": {"OBS01"},
+    "plan purity": {"PLN01"},
+    "backend parity": {"PAR01"},
+    "lock discipline": {"LCK01", "LCK02"},
+    "guarded fields": {"GRD01"},
+    "resource lifecycle": {"RES01"},
+    "SQL construction safety": {"SQL01"},
+}
+
+
+class TestHelp:
+    def test_help_names_only_live_rules(self):
+        """Every topic the subcommand help lists stands for a rule in
+        the live registry, and every registered rule is covered."""
+        parser = build_parser()
+        sub = next(
+            action for action in parser._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        text = next(
+            action.help for action in sub._choices_actions
+            if action.dest == "lint"
+        )
+        topics = re.search(r"\((.*)\)", text).group(1).split(", ")
+        assert sorted(topics) == sorted(HELP_TOPICS)
+        covered = set().union(*(HELP_TOPICS[topic] for topic in topics))
+        assert covered == {rule.id for rule in default_rules()}
 
 
 class TestJsonOutput:

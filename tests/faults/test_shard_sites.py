@@ -7,14 +7,16 @@ the ``insert:*``/``delete:*`` sites guard the stores:
 * ``shard:sync``   — before each leg of a definition-sync fan-out
   (the mid-fan-out crash leaves trailing shards unsynced; the sweep
   proves per-shard fsck stays clean and the next sync heals).
-* ``shard:query``  — before each leg of a scatter-gather query (one
-  shard "down" mid-fan-out must fail the whole query, never hand back
-  a partial federation).
+* ``shard:query``  — before the query's read section enters each shard
+  (one shard "down" must fail the whole query, never hand back a
+  partial federation, and release the shards already entered).
 
 Every assertion about post-crash state runs through the per-shard
 integrity checker, so an aborted federation step can never leave a
 shard half-written.
 """
+
+import threading
 
 import pytest
 
@@ -153,7 +155,7 @@ def row_counts(store):
 
 
 # ---------------------------------------------------------------------------
-# shard:query (one shard down during scatter-gather)
+# shard:query (one shard down while the read section enters the shards)
 # ---------------------------------------------------------------------------
 
 class TestShardQuerySite:
@@ -163,7 +165,7 @@ class TestShardQuerySite:
         plan = catalog.store.install_faults(
             FaultPlan(site="shard:query", site_occurrence=fail_leg)
         )
-        # Cold query: nothing cached, so every leg is dispatched.
+        # Cold query: nothing cached, so every shard is entered.
         with pytest.raises(FaultError):
             catalog.query(theme_query())
         assert plan.triggered
@@ -179,6 +181,49 @@ class TestShardQuerySite:
         with pytest.raises(FaultError):
             catalog.explain(theme_query())
         assert plan.triggered
+
+    def _fail_entering_last_shard(self, catalog):
+        plan = catalog.store.install_faults(
+            FaultPlan(site="shard:query", site_occurrence=SHARDS)
+        )
+        with pytest.raises(FaultError):
+            catalog.query(theme_query())
+        assert plan.triggered
+        catalog.store.clear_faults()
+
+    def test_failed_entry_holds_no_reader_on_disk(self, tmp_path):
+        """Shards 0 and 1 were entered before shard 2 failed: their
+        reader connections are back in the pool and ingests routed to
+        them complete."""
+        catalog = build_sharded(tmp_path)
+        self._fail_entering_last_shard(catalog)
+        store = catalog.store
+        for shard in (0, 1):
+            pool = store.stores[shard]._pool
+            assert pool.open_connections() == len(pool._idle), shard
+        routed = set()
+        for index in range(32):
+            receipt = catalog.ingest(FIG3_DOCUMENT, name=f"after-{index}")
+            routed.add(store.shard_of(receipt.object_id))
+            if {0, 1} <= routed:
+                break
+        assert {0, 1} <= routed
+        assert check_sharded_catalog(catalog, deep=True) == []
+
+    def test_failed_entry_holds_no_lock_in_memory(self):
+        """Every memory shard's RW lock is free for a writer at once
+        after the failed entry."""
+        catalog = build_sharded()
+        self._fail_entering_last_shard(catalog)
+        for shard, store in enumerate(catalog.store.stores):
+            acquired = threading.Event()
+
+            def write(lock=store._rwlock()):
+                with lock.write_locked():
+                    acquired.set()
+
+            threading.Thread(target=write, daemon=True).start()
+            assert acquired.wait(timeout=5), f"shard {shard} still held"
 
     def test_write_sweeps_do_not_drift_through_federation(self):
         """A plan targeting a *store* write site counts the same

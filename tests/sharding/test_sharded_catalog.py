@@ -69,12 +69,19 @@ class TestConstruction:
         with pytest.raises(CatalogError, match="router covers"):
             sharded_store(3, router=UserRouter(2))
 
-    def test_is_a_hybrid_store_that_only_executes_the_plan(self):
+    def test_is_a_hybrid_store_that_supplies_the_reads(self):
+        """Queries run through the inherited interpreter: the sharded
+        store supplies the read section and the three keyed reads, and
+        no executor of its own."""
         from repro.core import HybridStore
 
         assert issubclass(ShardedStore, HybridStore)
-        assert "_execute_plan" in vars(ShardedStore)
-        assert "match_objects" not in vars(ShardedStore)
+        defined = vars(ShardedStore)
+        for read in ("_read_section", "_seek_instances", "_instance_rows",
+                     "_ancestor_rows"):
+            assert read in defined, read
+        assert "_execute_plan" not in defined
+        assert "match_objects" not in defined
 
     def test_objects_spread_across_shards(self):
         catalog = build(shards=3, ingest=12)
