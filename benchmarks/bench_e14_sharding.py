@@ -15,7 +15,8 @@ buys placement and autonomy (as in AMGA), not speed.  Two tables:
 * **N=1 overhead** — the same ``HybridCatalog`` over a one-shard
   ``ShardedStore`` against one over the sqlite store directly: what is
   measured is a routing-map lookup per write, and per read one more
-  context manager and one list copy.
+  context manager and one list copy.  Passes of the two catalogs
+  alternate, and each keeps its best.
 
 The serial design gives up the ≥ 1.5× four-shard speedup that
 concurrent legs were once required to reach on ≥ 4 cores.  The scaling
@@ -37,6 +38,7 @@ from conftest import BASE_CONFIG
 CORPUS = 1000
 SHARD_COUNTS = [1, 2, 4]
 PASSES = 6  # cold single-stream passes over the workload mix per timing
+OVERHEAD_PASSES = 20  # alternating cold passes per catalog, N=1 table
 
 DOCUMENTS = list(LeadCorpusGenerator(BASE_CONFIG).documents(CORPUS))
 WORKLOAD = WorkloadGenerator(BASE_CONFIG).mixed(8)
@@ -106,9 +108,11 @@ def test_e14_shard_scaling(benchmark):
     assert len(table.rows) == len(SHARD_COUNTS)
     # Every keyed read asks all four shards in turn.  Recorded 4-shard /
     # 1-shard ratios on a 2-core host (8 runs): 0.69, 0.84, 0.85, 0.85,
-    # 0.85, 0.86, 0.87, 0.88; concurrent legs on a thread pool measured
-    # 0.31-0.55 under the same harness.  The bound sits below the
-    # smallest recorded ratio.
+    # 0.85, 0.86, 0.87, 0.88; since text seeks read by value, a pass
+    # costs half and the per-shard cost weighs more: 22 runs read
+    # 0.66-0.96 (median 0.74).  Concurrent legs on a thread pool
+    # measured 0.31-0.55 under the first harness.  The bound sits below
+    # the smallest recorded ratio.
     assert qps[4] >= 0.6 * qps[1], qps
     for catalog in catalogs.values():
         catalog.store.close()
@@ -125,8 +129,16 @@ def test_e14_single_shard_wrapper_overhead(benchmark):
         )
         cold_pass(plain)  # warm both before either timing runs
         cold_pass(sharded)
-        plain_s, _ = measure(lambda: cold_pass(plain), repeat=PASSES)
-        sharded_s, _ = measure(lambda: cold_pass(sharded), repeat=PASSES)
+        # Passes interleave the two catalogs, as the scaling test does,
+        # so a slow spell of the host lands on both alike; each keeps
+        # its best.
+        catalogs = (plain, sharded)
+        best = [float("inf")] * len(catalogs)
+        for _ in range(OVERHEAD_PASSES):
+            for index, catalog in enumerate(catalogs):
+                seconds, _ = measure(lambda: cold_pass(catalog), repeat=1)
+                best[index] = min(best[index], seconds)
+        plain_s, sharded_s = best
         table.add_row("plain HybridCatalog", 1000 * plain_s, "1.00x")
         table.add_row("over ShardedStore(1 shard)", 1000 * sharded_s,
                       f"{sharded_s / plain_s:.2f}x")

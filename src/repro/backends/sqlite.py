@@ -13,20 +13,29 @@ refused.
 Queries read through the same three keyed primitives the memory store
 gives the one plan interpreter (:mod:`repro.core.planner`):
 
-* ``_seek_instances`` — one ``SELECT`` from ``_SEEK_SQL`` per
-  ElementSeek (per value for an IN_SET), a search of the
-  ``elements_by_def`` index by definition, which carries the primary
-  key and so answers the seek without touching the table;
+* ``_seek_instances`` — one statement per ElementSeek (per value for
+  an IN_SET), a search of the ``elements_by_def (elem_id, value_num,
+  value_text)`` index, which carries the primary key and so answers
+  the seek without touching the table.  A numeric seek searches
+  ``value_num``.  A text seek reads by value: EQ and the ranges search
+  ``(elem_id, NULL, value_text)`` — the ``value_num IS NULL`` segment
+  that holds every row of a text-typed definition — plus the
+  ``value_num`` range holding typed values, empty for a text-typed
+  definition (``_SEEK_SQL``); NE reads the NULL segment.  CONTAINS
+  tests each distinct value once through a loose index scan;
 * ``_instance_rows`` — an existence-only criterion's instances, by
   ``attributes_by_def``;
 * ``_ancestor_rows`` — one criteria edge's inverted-list rows, by
   ``anc_by_pair``.
 
 Every statement is constant text with ``?`` parameters, and a query
-runs them all on one reader connection (``_read_section``).  The set
-logic — counting, containment, intersection — is the interpreter's,
-so both stores produce the same stage actuals by construction; the
-paper's plan needs no recursive SQL and no scratch tables.
+runs them all in one read transaction on one reader connection
+(``_read_section``), so its stages read one snapshot.  The set logic —
+counting, containment, intersection — is the interpreter's, so both
+stores produce the same stage actuals by construction; the paper's
+plan needs no recursive SQL over object data (the one recursive CTE,
+in CONTAINS, walks a definition's distinct values) and no scratch
+tables.
 
 Deletes return their rows (``RETURNING *``), which the statistics
 fold out of their counters instead of rebuilding them.
@@ -60,7 +69,10 @@ per-thread connections from a
 snapshots in parallel with each other *and* with the writer.
 ``:memory:`` catalogs have no pool (an in-memory sqlite database is
 private to its connection); their reads share the writer connection
-under the store's read lock.
+under the store's read lock.  A pooled checkout — a query's read
+section, a fetch, the statistics read — is one ``BEGIN`` … ``ROLLBACK``
+read transaction: sqlite pins its snapshot at the first read, and a
+commit after that does not move it.
 """
 
 from __future__ import annotations
@@ -234,37 +246,66 @@ _CLOB_ROWS_SQL = (
     "LEFT JOIN clobs c ON c.object_id = o.object_id WHERE o.object_id = ?"
 )
 
-#: The ElementSeek reads, one literal per ``(operator, text column?)``:
+#: The ElementSeek reads, one statement per ``(operator, text column?)``:
 #: parameters ``(elem_id, attr_id or NULL, literal)``, rows
-#: ``(object_id, seq_id)``.  Each seeks ``elements_by_def`` by
-#: ``elem_id``; an IN_SET runs the EQ statement once per value.
+#: ``(object_id, seq_id)``, each a search of ``elements_by_def
+#: (elem_id, value_num, value_text)``.  A numeric seek searches
+#: ``(elem_id=? AND value_num…)``.  A text seek is two branches under
+#: ``UNION ALL``, split on ``value_num``: the rows where it is NULL —
+#: every row of a text-typed definition, and a NaN reading — are
+#: searched by value, ``(elem_id=? AND value_num=? AND value_text…)``
+#: (NE reads the segment, no range fits ``<>``); the rows where it is
+#: set are searched as ``(elem_id=? AND value_num>?)``, a range that is
+#: empty for a text-typed definition.  The two return exactly the rows
+#: of ``elem_id = ? AND value_text <op> ?`` whatever the definition's
+#: type, so the store never looks a type up.  An IN_SET runs the EQ
+#: statement once per value, each one a probe.
+#:
+#: CONTAINS tests each distinct value once: the recursive CTE ``v``
+#: walks the definition's distinct ``value_text`` in its ``value_num IS
+#: NULL`` segment, each step one ``min(value_text) … > previous`` search
+#: of ``elements_by_def`` (a loose index scan), and the values holding
+#: the needle are probed with ``value_text IN (…)``; the ``UNION ALL``
+#: branch tests each row of the ``value_num IS NOT NULL`` segment.  The
+#: recursion enumerates values only, never object data: the Fig-4 plan
+#: itself still needs no recursive SQL.  A loose-scan step costs about
+#: as much as reading 16–24 rows, so on a definition whose values are
+#: nearly all distinct (a title, an id) this reads slower than testing
+#: every row would.
+#:
+#: The comparison statements are concatenations of the literal
+#: fragments below, so each is still constant text.
+_SEEK_FROM = (
+    "SELECT object_id, seq_id FROM elements WHERE elem_id = ?1 "
+    "AND (?2 IS NULL OR attr_id = ?2) AND "
+)
+_TEXT_NULL = _SEEK_FROM + "value_num IS NULL AND value_text "
+_TEXT_TYPED = " UNION ALL " + _SEEK_FROM + "value_num IS NOT NULL AND value_text "
 _SEEK_SQL = {
-    (Op.EQ, False): "SELECT object_id, seq_id FROM elements WHERE elem_id = ?1 "
-                    "AND (?2 IS NULL OR attr_id = ?2) AND value_num = ?3",
-    (Op.NE, False): "SELECT object_id, seq_id FROM elements WHERE elem_id = ?1 "
-                    "AND (?2 IS NULL OR attr_id = ?2) AND value_num <> ?3",
-    (Op.LT, False): "SELECT object_id, seq_id FROM elements WHERE elem_id = ?1 "
-                    "AND (?2 IS NULL OR attr_id = ?2) AND value_num < ?3",
-    (Op.LE, False): "SELECT object_id, seq_id FROM elements WHERE elem_id = ?1 "
-                    "AND (?2 IS NULL OR attr_id = ?2) AND value_num <= ?3",
-    (Op.GT, False): "SELECT object_id, seq_id FROM elements WHERE elem_id = ?1 "
-                    "AND (?2 IS NULL OR attr_id = ?2) AND value_num > ?3",
-    (Op.GE, False): "SELECT object_id, seq_id FROM elements WHERE elem_id = ?1 "
-                    "AND (?2 IS NULL OR attr_id = ?2) AND value_num >= ?3",
-    (Op.EQ, True): "SELECT object_id, seq_id FROM elements WHERE elem_id = ?1 "
-                   "AND (?2 IS NULL OR attr_id = ?2) AND value_text = ?3",
-    (Op.NE, True): "SELECT object_id, seq_id FROM elements WHERE elem_id = ?1 "
-                   "AND (?2 IS NULL OR attr_id = ?2) AND value_text <> ?3",
-    (Op.LT, True): "SELECT object_id, seq_id FROM elements WHERE elem_id = ?1 "
-                   "AND (?2 IS NULL OR attr_id = ?2) AND value_text < ?3",
-    (Op.LE, True): "SELECT object_id, seq_id FROM elements WHERE elem_id = ?1 "
-                   "AND (?2 IS NULL OR attr_id = ?2) AND value_text <= ?3",
-    (Op.GT, True): "SELECT object_id, seq_id FROM elements WHERE elem_id = ?1 "
-                   "AND (?2 IS NULL OR attr_id = ?2) AND value_text > ?3",
-    (Op.GE, True): "SELECT object_id, seq_id FROM elements WHERE elem_id = ?1 "
-                   "AND (?2 IS NULL OR attr_id = ?2) AND value_text >= ?3",
-    (Op.CONTAINS, True): "SELECT object_id, seq_id FROM elements WHERE elem_id = ?1 "
-                         "AND (?2 IS NULL OR attr_id = ?2) AND instr(value_text, ?3) > 0",
+    (Op.EQ, False): _SEEK_FROM + "value_num = ?3",
+    (Op.NE, False): _SEEK_FROM + "value_num <> ?3",
+    (Op.LT, False): _SEEK_FROM + "value_num < ?3",
+    (Op.LE, False): _SEEK_FROM + "value_num <= ?3",
+    (Op.GT, False): _SEEK_FROM + "value_num > ?3",
+    (Op.GE, False): _SEEK_FROM + "value_num >= ?3",
+    (Op.EQ, True): _TEXT_NULL + "= ?3" + _TEXT_TYPED + "= ?3",
+    (Op.NE, True): _TEXT_NULL + "<> ?3" + _TEXT_TYPED + "<> ?3",
+    (Op.LT, True): _TEXT_NULL + "< ?3" + _TEXT_TYPED + "< ?3",
+    (Op.LE, True): _TEXT_NULL + "<= ?3" + _TEXT_TYPED + "<= ?3",
+    (Op.GT, True): _TEXT_NULL + "> ?3" + _TEXT_TYPED + "> ?3",
+    (Op.GE, True): _TEXT_NULL + ">= ?3" + _TEXT_TYPED + ">= ?3",
+    (Op.CONTAINS, True): (
+        "WITH RECURSIVE v(t) AS ("
+        "SELECT min(value_text) FROM elements WHERE elem_id = ?1 AND value_num IS NULL "
+        "UNION ALL SELECT (SELECT min(value_text) FROM elements WHERE elem_id = ?1 "
+        "AND value_num IS NULL AND value_text > v.t) FROM v WHERE v.t IS NOT NULL) "
+        "SELECT object_id, seq_id FROM elements WHERE elem_id = ?1 "
+        "AND (?2 IS NULL OR attr_id = ?2) AND value_num IS NULL "
+        "AND value_text IN (SELECT t FROM v WHERE instr(t, ?3) > 0) "
+        "UNION ALL SELECT object_id, seq_id FROM elements WHERE elem_id = ?1 "
+        "AND (?2 IS NULL OR attr_id = ?2) AND value_num IS NOT NULL "
+        "AND instr(value_text, ?3) > 0"
+    ),
 }
 
 #: Every instance of one attribute definition (``attributes_by_def``).
@@ -523,9 +564,11 @@ class SqliteHybridStore(HybridStore):
         """The connection a read runs on.  Inside the calling thread's
         own transaction: the writer connection (the read must see the
         transaction's uncommitted writes).  On-disk catalogs: a pooled
-        connection — WAL snapshot isolation, parallel with the writer.
-        ``:memory:`` catalogs: the single shared connection under the
-        read lock."""
+        connection — WAL snapshot isolation, parallel with the writer —
+        checked out as one read transaction, so every read of the block
+        sees the snapshot its first read opened, whatever commits
+        meanwhile.  ``:memory:`` catalogs: the single shared connection
+        under the read lock."""
         if self.in_transaction():
             yield self.connection
             return
@@ -536,7 +579,13 @@ class SqliteHybridStore(HybridStore):
         self._check_open()
         with self._pool.connection() as conn:
             self._set_pool_gauge()
-            yield conn
+            conn.execute_control("BEGIN")
+            try:
+                yield conn
+            finally:
+                if conn.in_transaction:
+                    # A read transaction: ROLLBACK only releases it.
+                    conn.execute_control("ROLLBACK")
 
     # ------------------------------------------------------------------
     # Transactions (explicit BEGIN IMMEDIATE / COMMIT / ROLLBACK)
@@ -690,8 +739,10 @@ class SqliteHybridStore(HybridStore):
     # ------------------------------------------------------------------
     @contextmanager
     def _read_section(self) -> Iterator[None]:
-        """One reader connection for the whole plan: every primitive
-        of the query reads the same snapshot."""
+        """One reader connection for the whole plan, so every primitive
+        of the query reads one snapshot: a pooled reader's read
+        transaction (:meth:`_reader`), the caller's own transaction, or
+        a ``:memory:`` catalog's connection under the read lock."""
         with self._reader() as cur:
             self._section.cursor = cur
             try:

@@ -15,8 +15,11 @@ alike.  A store contributes three keyed reads and nothing else:
 The memory store answers them from its hash and posting indexes, sqlite
 with one constant-text ``SELECT`` each (``elements_by_def``,
 ``attributes_by_def``, ``anc_by_pair``).  The whole plan runs in one read
-section (:meth:`~repro.core.storage.HybridStore._read_section`), so it
-sees one snapshot.
+section (:meth:`~repro.core.storage.HybridStore._read_section`), so its
+stages read one state: memory holds the read lock, and a pooled sqlite
+reader holds one read transaction, whose snapshot a concurrent commit
+does not move.  A sharded store pins each shard's state at that shard's
+first read; an object's rows never cross shards.
 
 The plan is set-based throughout — every stage is a bulk operation over
 whole row sets, never a per-object traversal — and uses the inverted

@@ -1,8 +1,11 @@
 """Unit tests for the sqlite hybrid store."""
 
+import threading
+
 import pytest
 
 from repro.backends import SqliteHybridStore
+from repro.backends.sqlite import _CLUSTERED_DDL, _INDEX_DDL, _SEEK_SQL
 from repro.core import AttributeCriteria, HybridCatalog, ObjectQuery, Op, PlanTrace
 from repro.errors import CatalogClosedError, CatalogError
 from repro.grid import (
@@ -31,6 +34,17 @@ def paper_query():
     sub = AttributeCriteria("grid-stretching", "ARPS").add_element("dzmin", None, 100)
     crit.add_attribute(sub)
     return ObjectQuery().add_attribute(crit)
+
+
+def assert_reads_search(raw, sql, params=()):
+    """The ``SEARCH`` steps of ``sql``'s plan, after checking that no
+    step scans a table: a ``SCAN`` may only read the rows of a CTE."""
+    steps = [row[3] for row in raw.execute("EXPLAIN QUERY PLAN " + sql, params)]
+    scans = [s for s in steps if s.startswith("SCAN") and s != "SCAN v"]
+    assert not scans, steps
+    searches = [s for s in steps if s.startswith("SEARCH")]
+    assert searches, steps
+    return searches
 
 
 class TestLifecycle:
@@ -110,6 +124,58 @@ class TestClose:
         catalog.store.close()
 
 
+class TestReadSection:
+    """A query's read section on a pooled reader is one read
+    transaction: its reads see one snapshot, and it ends however the
+    section exits."""
+
+    @pytest.fixture()
+    def on_disk(self, tmp_path):
+        cat = HybridCatalog(
+            lead_schema(), store=SqliteHybridStore(str(tmp_path / "c.db"))
+        )
+        define_fig3_attributes(cat)
+        cat.ingest(FIG3_DOCUMENT, name="fig3")
+        theme = next(a.attr_id for a in cat.registry.all_attributes() if a.name == "theme")
+        yield cat, theme
+        cat.store.close()
+
+    def test_reads_of_one_section_see_one_snapshot(self, on_disk):
+        cat, theme = on_disk
+        store = cat.store
+        failures = []
+
+        def ingest():
+            try:
+                cat.ingest(FIG3_DOCUMENT, name="again")
+            except Exception as exc:  # surfaced by the assert below
+                failures.append(exc)
+
+        with store._read_section():
+            first = store._instance_rows(theme)
+            writer = threading.Thread(target=ingest)
+            writer.start()
+            writer.join(timeout=30)
+            assert not writer.is_alive()
+            second = store._instance_rows(theme)
+        assert not failures and store.object_count() == 2
+        assert second == first
+        with store._read_section():
+            assert len(store._instance_rows(theme)) == 2 * len(first)
+
+    def test_section_ends_its_transaction_on_every_exit(self, on_disk):
+        cat, theme = on_disk
+        store = cat.store
+        with pytest.raises(RuntimeError):
+            with store._read_section():
+                store._instance_rows(theme)
+                raise RuntimeError("inside the section")
+        with store._read_section():
+            store._instance_rows(theme)
+        assert store._pool._idle
+        assert not any(conn.in_transaction for conn in store._pool._idle)
+
+
 class TestSqlPlan:
     def test_paper_query(self, catalog):
         assert catalog.query(paper_query()) == [1]
@@ -187,12 +253,49 @@ class TestSqlPlan:
         )
         for sql in traced:
             assert sql.split(None, 1)[0] == "SELECT", sql
-            steps = [row[3] for row in raw.execute("EXPLAIN QUERY PLAN " + sql)]
-            assert len(steps) == 1 and steps[0].startswith("SEARCH"), steps
+            searches = assert_reads_search(raw, sql)
             assert any(
-                index in steps[0]
+                index in step
+                for step in searches
                 for index in ("elements_by_def", "attributes_by_def", "anc_by_pair")
-            ), steps
+            ), searches
+
+    #: Per seek statement, the ``elements_by_def`` constraints of its
+    #: searches, in plan order (sqlite prints ``<=`` as ``<``).  A text
+    #: seek searches the ``value_num IS NULL`` segment by value, then
+    #: the ``value_num`` range that holds typed values; NE has no range
+    #: to search by.  CONTAINS walks the NULL segment's distinct values,
+    #: probes the ones holding the needle, and reads the typed range.
+    SEEK_SEARCHES = {
+        (Op.EQ, False): ["(elem_id=? AND value_num=?)"],
+        (Op.NE, False): ["(elem_id=?)"],
+        (Op.LT, False): ["(elem_id=? AND value_num<?)"],
+        (Op.LE, False): ["(elem_id=? AND value_num<?)"],
+        (Op.GT, False): ["(elem_id=? AND value_num>?)"],
+        (Op.GE, False): ["(elem_id=? AND value_num>?)"],
+        **{(op, True): [f"(elem_id=? AND value_num=? AND value_text{sign}?)",
+                        "(elem_id=? AND value_num>?)"] for op, sign in (
+            (Op.EQ, "="), (Op.LT, "<"), (Op.LE, "<"), (Op.GT, ">"), (Op.GE, ">"))},
+        (Op.NE, True): ["(elem_id=? AND value_num=?)", "(elem_id=? AND value_num>?)"],
+        (Op.CONTAINS, True): [
+            "(elem_id=? AND value_num=? AND value_text=?)",   # the IN probe
+            "(elem_id=? AND value_num=?)",                    # the first value
+            "(elem_id=? AND value_num=? AND value_text>?)",   # each next value
+            "(elem_id=? AND value_num>?)",                    # typed values
+        ],
+    }
+
+    def test_every_seek_statement_searches_by_value(self):
+        """Every ElementSeek statement reads ``elements`` only through
+        ``SEARCH … elements_by_def`` with the constraints above, and
+        scans no table."""
+        assert set(_SEEK_SQL) == set(self.SEEK_SEARCHES)
+        raw = SqliteHybridStore().connection._connection
+        raw.executescript(";".join(_CLUSTERED_DDL + _INDEX_DDL))
+        for key, sql in _SEEK_SQL.items():
+            searches = assert_reads_search(raw, sql, (1, None, "x"))
+            prefix = "SEARCH elements USING COVERING INDEX elements_by_def "
+            assert searches == [prefix + c for c in self.SEEK_SEARCHES[key]], key
 
     def test_temp_tables_cleaned_up(self, catalog):
         for _ in range(3):

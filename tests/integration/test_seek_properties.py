@@ -13,6 +13,10 @@ statistics counters equal a fresh ``collect_statistics()`` on every
 store; on memory stores ``Table.check_indexes()`` holds, the seeks
 agree with their reference, and the collection read off the indexes
 equals a row scan over the union of the shards.
+
+On sqlite, the text seeks that read by value — EQ, NE, the ranges,
+IN_SET, and CONTAINS — return the rows of a scan of the definition, on
+one on-disk store and on two on-disk shards.
 """
 
 import math
@@ -229,3 +233,94 @@ def test_write_sequences_keep_seeks_indexes_and_statistics_exact(layout, sequenc
     for step, arg in sequence:
         run_step(catalog, live, step, arg)
         assert_consistent(catalog)
+
+
+# ---------------------------------------------------------------------------
+# sqlite: the by-value statements against a scan of the definition
+# ---------------------------------------------------------------------------
+
+#: Each reads every row of the definition (``elements_by_def (elem_id=?)``):
+#: the reference the by-value statements must equal, row for row.
+SCAN_TEXT = ("SELECT object_id, seq_id FROM elements WHERE elem_id = ?1 "
+             "AND (?2 IS NULL OR attr_id = ?2) AND ")
+SCAN_SQL = {
+    **{op: SCAN_TEXT + "value_text " + sign + " ?3" for op, sign in (
+        (Op.EQ, "="), (Op.NE, "<>"), (Op.LT, "<"),
+        (Op.LE, "<="), (Op.GT, ">"), (Op.GE, ">="))},
+    Op.CONTAINS: SCAN_TEXT + "instr(value_text, ?3) > 0",
+}
+FEW, DISTINCT, NUMERIC, ABSENT = 1, 2, 3, 4  # element definitions
+WORDS = st.text(alphabet="abé_ ", max_size=5)
+
+
+@pytest.fixture(scope="module")
+def sqlite_layouts(tmp_path_factory):
+    """An on-disk sqlite store and ``sharded_store(2)`` over on-disk
+    shards, each behind a catalog so its tables exist."""
+    base = tmp_path_factory.mktemp("by_value")
+    stores = {"sqlite": SqliteHybridStore(str(base / "plain.db")),
+              "sharded": sharded_store(2, path=str(base / "fed.db"))}
+    for store in stores.values():
+        HybridCatalog(lead_schema(), store=store)
+    yield stores
+    for store in stores.values():
+        store.close()
+
+
+def by_value_rows(few, distinct, numbers):
+    """``elements`` rows for three definitions under two attribute
+    definitions: few text values, all-distinct text values, and float
+    readings with their text (a NaN reading stores ``value_num`` NULL)."""
+    values = ([(FEW, text, None) for text in few]
+              + [(DISTINCT, text, None) for text in distinct]
+              + [(NUMERIC, repr(num), num) for num in numbers]
+              + [(NUMERIC, "12", None)])
+    return [(i, 1 + i % 2, 1, elem_id, 1, text, num)
+            for i, (elem_id, text, num) in enumerate(values, start=1)]
+
+
+@settings(max_examples=25, deadline=None)
+@given(few=st.lists(st.sampled_from(["ab", "b", "é_a", ""]), max_size=24),
+       distinct=st.lists(WORDS, unique=True, max_size=16),
+       numbers=st.lists(st.floats(allow_infinity=False), max_size=8),
+       extra=st.lists(WORDS, max_size=2))
+@pytest.mark.parametrize("layout", ["sqlite", "sharded"])
+def test_sqlite_by_value_seeks_return_the_scanned_rows(
+    sqlite_layouts, layout, few, distinct, numbers, extra
+):
+    """EQ, NE, the ranges, IN_SET and CONTAINS read by value and
+    return the scan's row multiset: on text definitions
+    with few or all-distinct values, on a numeric one holding a NaN,
+    and on a definition with no rows; for held, partial, empty and
+    missing needles."""
+    store = sqlite_layouts[layout]
+    shards = getattr(store, "stores", [store])
+    rows = by_value_rows(few, distinct, numbers + [math.nan])
+    for index, shard in enumerate(shards):
+        shard.connection.execute("DELETE FROM elements")
+        shard.connection.executemany(
+            "INSERT INTO elements VALUES (?, ?, ?, ?, ?, ?, ?)", rows[index::len(shards)])
+    texts = sorted({row[5] for row in rows})
+    needles = texts[:2] + texts[-1:] + [t[1:3] for t in texts[:2]] + ["", "zzz", *extra]
+
+    def scanned(op, elem_id, attr_id, needle):
+        return sorted(
+            row
+            for shard in shards
+            for row in shard.connection.execute(
+                SCAN_SQL[op], (elem_id, attr_id, needle)).fetchall()
+        )
+
+    with store._read_section():
+        for elem_id in (FEW, DISTINCT, NUMERIC, ABSENT):
+            for attr_id in (None, 1):
+                for needle in needles:
+                    for op in SCAN_SQL:
+                        want = scanned(op, elem_id, attr_id, needle)
+                        got = store._seek_instances(elem_id, attr_id, op, needle)
+                        assert sorted(got) == want, (elem_id, attr_id, op, needle)
+                in_set = frozenset(needles[:3])
+                want = sorted(row for needle in in_set
+                              for row in scanned(Op.EQ, elem_id, attr_id, needle))
+                got = store._seek_instances(elem_id, attr_id, Op.IN_SET, in_set)
+                assert sorted(got) == want, (elem_id, attr_id, in_set)
