@@ -37,8 +37,10 @@ plan needs no recursive SQL over object data (the one recursive CTE,
 in CONTAINS, walks a definition's distinct values) and no scratch
 tables.
 
-Deletes return their rows (``RETURNING *``), which the statistics
-fold out of their counters instead of rebuilding them.
+A plan's row estimates
+are the seek statements themselves, run for the plan's own literals
+(:meth:`~repro.core.storage.HybridStore.stage_counts`), so opening a
+catalog reads no statistics.
 
 Responses take one parameterised read per requested object — its CLOB
 rows, found by two primary-key seeks (``_CLOB_ROWS_SQL``) — and the
@@ -70,7 +72,7 @@ snapshots in parallel with each other *and* with the writer.
 ``:memory:`` catalogs have no pool (an in-memory sqlite database is
 private to its connection); their reads share the writer connection
 under the store's read lock.  A pooled checkout — a query's read
-section, a fetch, the statistics read — is one ``BEGIN`` … ``ROLLBACK``
+section, a plan's row counts, a fetch — is one ``BEGIN`` … ``ROLLBACK``
 read transaction: sqlite pins its snapshot at the first read, and a
 commit after that does not move it.
 """
@@ -85,7 +87,6 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..core.query import Op
 from ..core.schema import AnnotatedSchema
-from ..core.stats import StatsSnapshot
 from ..core.storage import HybridStore, schema_order_rows
 from ..errors import CatalogError
 from ..identifiers import quote_identifier
@@ -215,29 +216,26 @@ _INSERT_SQL = {
     "elem_defs": "INSERT OR IGNORE INTO elem_defs VALUES (?, ?, ?, ?, ?, ?)",
 }
 
-#: ``(table, *equality columns)`` -> the DELETE over one object's rows,
-#: returning them.  Each searches the table's primary key by object.
+#: ``(table, *equality columns)`` -> the DELETE over one object's rows.
+#: Each searches the table's primary key by object.
 _DELETE_SQL = {
-    ("objects",): "DELETE FROM objects WHERE object_id = ? RETURNING *",
-    ("clobs",): "DELETE FROM clobs WHERE object_id = ? RETURNING *",
-    ("attributes",): "DELETE FROM attributes WHERE object_id = ? RETURNING *",
-    ("elements",): "DELETE FROM elements WHERE object_id = ? RETURNING *",
-    ("attr_ancestors",): "DELETE FROM attr_ancestors WHERE object_id = ? RETURNING *",
+    ("objects",): "DELETE FROM objects WHERE object_id = ?",
+    ("clobs",): "DELETE FROM clobs WHERE object_id = ?",
+    ("attributes",): "DELETE FROM attributes WHERE object_id = ?",
+    ("elements",): "DELETE FROM elements WHERE object_id = ?",
+    ("attr_ancestors",): "DELETE FROM attr_ancestors WHERE object_id = ?",
     ("clobs", "schema_order", "clob_seq"):
-        "DELETE FROM clobs WHERE object_id = ? AND schema_order = ? AND clob_seq = ? "
-        "RETURNING *",
+        "DELETE FROM clobs WHERE object_id = ? AND schema_order = ? AND clob_seq = ?",
     ("attributes", "attr_id", "seq_id"):
-        "DELETE FROM attributes WHERE object_id = ? AND attr_id = ? AND seq_id = ? "
-        "RETURNING *",
+        "DELETE FROM attributes WHERE object_id = ? AND attr_id = ? AND seq_id = ?",
     ("elements", "attr_id", "seq_id"):
-        "DELETE FROM elements WHERE object_id = ? AND attr_id = ? AND seq_id = ? "
-        "RETURNING *",
+        "DELETE FROM elements WHERE object_id = ? AND attr_id = ? AND seq_id = ?",
     ("attr_ancestors", "desc_attr_id", "desc_seq"):
         "DELETE FROM attr_ancestors WHERE object_id = ? AND desc_attr_id = ? "
-        "AND desc_seq = ? RETURNING *",
+        "AND desc_seq = ?",
     ("attr_ancestors", "anc_attr_id", "anc_seq"):
         "DELETE FROM attr_ancestors WHERE object_id = ? AND anc_attr_id = ? "
-        "AND anc_seq = ? RETURNING *",
+        "AND anc_seq = ?",
 }
 
 #: The one read a response needs: an object's CLOB rows.
@@ -682,10 +680,10 @@ class SqliteHybridStore(HybridStore):
         # INSERT OR IGNORE: the primary key skips the ids already held.
         self._insert_rows(table, rows)
 
-    def _delete_rows(self, table: str, object_id: int, **equals: int) -> List[tuple]:
+    def _delete_rows(self, table: str, object_id: int, **equals: int) -> int:
         return self.connection.execute(
             _DELETE_SQL[(table, *equals)], (object_id, *equals.values())
-        ).fetchall()
+        ).rowcount
 
     def _clob_key_of(
         self, object_id: int, attr_id: int, seq_id: int
@@ -775,30 +773,6 @@ class SqliteHybridStore(HybridStore):
         return self._section.cursor.execute(
             _ANCESTOR_ROWS_SQL, (desc_def_id, anc_def_id)
         ).fetchall()
-
-    # ------------------------------------------------------------------
-    # Statistics (optimizer inputs)
-    # ------------------------------------------------------------------
-    def collect_statistics(self) -> StatsSnapshot:
-        """One pass: per element definition the rows of each typed value,
-        ``COALESCE(value_num, value_text)`` as memory's posting key (so
-        ``1000`` and ``1e3`` are one value), read in ``elements_by_def``
-        order and merged here; instances per attribute definition; the
-        object total."""
-        values: Dict[int, Dict[object, int]] = {}
-        with self._reader() as cur:
-            for elem_id, num, text, rows in cur.execute(
-                "SELECT elem_id, value_num, value_text, COUNT(*) FROM elements "
-                "GROUP BY elem_id, value_num, value_text"
-            ).fetchall():
-                counts = values.setdefault(elem_id, {})
-                value = text if num is None else num
-                counts[value] = counts.get(value, 0) + rows
-            attr_rows = dict(cur.execute(
-                "SELECT attr_id, COUNT(*) FROM attributes GROUP BY attr_id"
-            ))
-            objects = cur.execute("SELECT COUNT(*) FROM objects").fetchone()[0]
-        return StatsSnapshot(objects, values, attr_rows)
 
     # ------------------------------------------------------------------
     # Response rows (the §5 tagging itself is HybridStore's)

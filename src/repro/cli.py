@@ -28,7 +28,6 @@ Commands::
     python -m repro fsck    --db cat.db [--deep]
     python -m repro shard-status --db cat.db
     python -m repro stats   --db cat.db [--format table|json|prom] [--reset]
-                            [--threads N]
     python -m repro lint    [--json | --sarif] [--rule ID] [--src DIR]
                             [--fault-tests DIR] [--changed]
                             [--cache-dir DIR] [--no-cache]
@@ -540,10 +539,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default="table", help="output format (default: table)")
     p.add_argument("--reset", action="store_true",
                    help="clear the accumulated metrics after printing")
-    p.add_argument("--threads", type=int, default=1, metavar="N",
-                   help="probe the live catalog first: collect N "
-                        "concurrent statistics snapshots and require "
-                        "them to be identical (default: 1 = skip)")
     p.add_argument("--storage", action="store_true",
                    help="also print per-table storage accounting, with "
                         "the per-column byte breakdown on columnar "
@@ -868,22 +863,6 @@ def _run_command(args, registry: MetricsRegistry) -> int:
         return _run_events_command(args)
 
     if args.command == "stats":
-        if args.threads > 1:
-            # Live concurrency probe: the reader pool must hand every
-            # thread a consistent snapshot of the same catalog state.
-            import concurrent.futures
-
-            collect = _open(args.db, registry).store.collect_statistics
-            with concurrent.futures.ThreadPoolExecutor(args.threads) as pool:
-                snaps = list(pool.map(lambda _i: collect(), range(args.threads)))
-            first = snaps[0]
-            for snap in snaps[1:]:
-                if snap != first:
-                    print("error: concurrent statistics snapshots "
-                          "disagreed", file=sys.stderr)
-                    return 1
-            print(f"{args.threads} concurrent statistics snapshots: "
-                  f"identical ({first.objects} objects)")
         if args.storage:
             catalog = _open(args.db, registry)
             print("storage:")

@@ -7,8 +7,8 @@ Modules map to the paper's sections:
 * :mod:`.definitions` — attribute/element definition registry (§2–§3)
 * :mod:`.shredder` — hybrid shredding, dynamic attributes (§3)
 * :mod:`.query`, :mod:`.logical`, :mod:`.planner` — attribute queries,
-  the backend-neutral logical plan IR, and its memory interpreter (§4)
-* :mod:`.stats` — selectivity statistics feeding the plan optimizer
+  the backend-neutral logical plan IR, ordered by the store's own row
+  counts, and its one interpreter (§4)
 * :mod:`.response` — set-based response construction (§5)
 * :mod:`.storage`, :mod:`.catalog` — table layout and the public facade
 """
@@ -26,7 +26,6 @@ from .logical import (
     build_plan,
     plan_shape,
 )
-from .stats import CatalogStatistics, StatsSnapshot
 from .ordering import (
     DeweyOrdering,
     GlobalDocumentOrdering,
@@ -78,7 +77,6 @@ __all__ = [
     "AttributeChoice",
     "AttributeCriteria",
     "AttributeDef",
-    "CatalogStatistics",
     "DirectCountMatch",
     "ElementSeek",
     "Explanation",
@@ -86,7 +84,6 @@ __all__ = [
     "ObjectIntersect",
     "PlanCache",
     "QueryBuilder",
-    "StatsSnapshot",
     "DefinitionRegistry",
     "DeweyOrdering",
     "DynamicSpec",

@@ -25,6 +25,7 @@ layout).
 from __future__ import annotations
 
 import itertools
+import threading
 import time
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -46,7 +47,6 @@ from .query import ObjectQuery, ShreddedQuery, shred_query
 from .result_cache import QueryResultCache, result_key
 from .schema import AnnotatedSchema, ValueType
 from .shredder import Shredder, ShredResult
-from .stats import CatalogStatistics
 from .storage import HybridStore, MemoryHybridStore, PlanTrace
 
 def _issuable(object_id: int) -> bool:
@@ -153,13 +153,16 @@ class HybridCatalog:
         self.shredder = Shredder(
             schema, self.registry, on_unknown=on_unknown, metrics=self.metrics
         )
-        # Query planning: selectivity statistics (read from the store
-        # once, then kept exact by every write) and the shape-keyed plan
-        # cache (entries retire when the statistics generation moves).
-        self.stats = CatalogStatistics(self.store)
+        # Query planning: the shape-keyed plan cache, whose entries
+        # retire when ``generation`` moves (a definition change).  A plan
+        # is built from the rows its stages read in the store now, so
+        # the catalog keeps no statistics of its own.
+        self._token_lock = threading.Lock()
+        self.generation = 0
+        self.data_version = 0
         self.plan_cache = PlanCache()
         # Query-*result* memoization: fully-bound repeated queries skip
-        # execution entirely until any write moves the stats token.
+        # execution entirely until any write moves the cache token.
         self.result_cache = QueryResultCache(
             on_invalidate=self._count_result_cache_invalidation
         )
@@ -235,6 +238,26 @@ class HybridCatalog:
             self.events.emit("cache_invalidated", cause=cause)
 
     # ------------------------------------------------------------------
+    # Invalidation
+    # ------------------------------------------------------------------
+    def cache_token(self) -> Tuple[int, int]:
+        """The result-cache invalidation token: moves exactly when a
+        previously computed query answer may no longer be current."""
+        return (self.generation, self.data_version)
+
+    def invalidate(self) -> None:
+        """Definitions changed: retire cached plans and answers."""
+        self._moved(definitions=True)
+
+    def _moved(self, definitions: bool = False) -> None:
+        """A write landed: cached answers retire, and after a definition
+        change cached plans too."""
+        with self._token_lock:
+            self.data_version += 1
+            if definitions:
+                self.generation += 1
+
+    # ------------------------------------------------------------------
     # Definitions
     # ------------------------------------------------------------------
     def define_attribute(
@@ -252,7 +275,7 @@ class HybridCatalog:
             name, source, host=host, parent=parent, user=user, queryable=queryable
         )
         self.store.sync_definitions(self.registry)
-        self.stats.invalidate()
+        self.invalidate()
         return attr_def
 
     def define_element(
@@ -265,7 +288,7 @@ class HybridCatalog:
     ) -> ElementDef:
         elem_def = self.registry.define_element(attribute, name, source, value_type, user=user)
         self.store.sync_definitions(self.registry)
-        self.stats.invalidate()
+        self.invalidate()
         return elem_def
 
     # ------------------------------------------------------------------
@@ -304,10 +327,8 @@ class HybridCatalog:
 
             self.store.run_transaction("catalog.ingest", write)
             self._names[object_id] = name
-            self.stats.record_shred(shred)
-            if shred.defined:
-                # New definitions were synced: retire cached plans.
-                self.stats.invalidate()
+            # New definitions were synced: retire cached plans too.
+            self._moved(definitions=bool(shred.defined))
             current.set(object_id=object_id, clobs=len(shred.clobs),
                         warnings=len(shred.warnings))
         self.metrics.counter(
@@ -333,9 +354,9 @@ class HybridCatalog:
     def delete(self, object_id: int) -> None:
         with self.tracer.span("catalog.delete", object_id=object_id):
             _require_issuable(object_id)
-            removed = self.store.delete_object(object_id)
+            self.store.delete_object(object_id)
             self._names.pop(object_id, None)
-            self.stats.record_removal(removed)
+            self._moved()
         self.metrics.counter("catalog_deletes_total", "objects deleted").inc()
         self._set_objects_gauge()
 
@@ -388,9 +409,7 @@ class HybridCatalog:
             return shred
 
         shred = self.store.run_transaction("catalog.add_attribute", write)
-        self.stats.record_shred(shred, new_object=False)
-        if defined:
-            self.stats.invalidate()
+        self._moved(definitions=bool(defined))
         return IngestReceipt(object_id, name, shred)
 
     def remove_attribute(
@@ -407,9 +426,8 @@ class HybridCatalog:
         if attr_def is None:
             raise CatalogError(f"no attribute definition ({name!r}, {source!r})")
         _require_issuable(object_id)
-        self.stats.record_removal(
-            self.store.remove_attribute_instance(object_id, attr_def.attr_id, seq)
-        )
+        self.store.remove_attribute_instance(object_id, attr_def.attr_id, seq)
+        self._moved()
 
     def object_name(self, object_id: int) -> str:
         try:
@@ -433,7 +451,7 @@ class HybridCatalog:
         """Match objects; returns sorted object ids (paper §4).
 
         The query is shredded, checked against the write-invalidated
-        result cache (plan shape + literals, keyed to the stats token —
+        result cache (plan shape + literals, keyed to :meth:`cache_token` —
         a repeated fully-bound query between writes skips execution
         entirely), then compiled into an optimized
         :class:`~repro.core.logical.LogicalPlan` (or fetched from the
@@ -488,7 +506,7 @@ class HybridCatalog:
                 # The token is captured *before* execution; a write
                 # landing mid-query moves it, and the cache then
                 # refuses the stale store() below.
-                token = self.stats.cache_token()
+                token = self.cache_token()
                 key = result_key(shredded)
                 cached = self.result_cache.lookup(key, token)
                 if cached is not None:
@@ -563,9 +581,12 @@ class HybridCatalog:
         shape-keyed cache.  Returns ``(plan, cache_hit)``; the plan is
         always a fresh execution binding (stage objects shared, actuals
         map private), so callers can run it without clobbering the
-        cached copy."""
+        cached copy.  A miss orders the stages by the rows the store
+        holds for this query's literals now
+        (:meth:`~repro.core.storage.HybridStore.stage_counts`); the
+        cached plan keeps that order for later literals."""
         shape = plan_shape(shredded)
-        generation = self.stats.generation
+        generation = self.generation
         cached = self.plan_cache.lookup(shape, generation)
         if cached is not None:
             self.metrics.counter(
@@ -575,7 +596,7 @@ class HybridCatalog:
         self.metrics.counter(
             "plan_cache_misses_total", "logical plans built by the optimizer"
         ).inc()
-        plan = build_plan(shredded, self.stats)
+        plan = build_plan(shredded, self.store.stage_counts(shredded), generation)
         self.plan_cache.store(plan)
         self.metrics.gauge(
             "plan_cache_size", "logical plans currently cached"

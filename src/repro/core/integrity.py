@@ -20,11 +20,10 @@ either backend:
   :func:`~repro.sharding.check_sharded_catalog`) — every live row filed
   exactly once under its own key in every index of the engine, no dead
   row id left, every bucket ascending
-  (:meth:`~repro.relational.Table.check_indexes`);
-* **exact statistics** (a whole single-store catalog, not a shard) —
-  the optimizer's counters, kept by folding every write, equal a fresh
-  ``collect_statistics()``.  Checked only once everything else holds:
-  a collection read off damaged rows or indexes proves nothing.
+  (:meth:`~repro.relational.Table.check_indexes`).
+
+The optimizer keeps no counters of its own to check: a plan's row
+estimates are the store's seeks, run when the plan is built.
 
 ``check_catalog`` returns a list of human-readable violations (empty =
 healthy); it never mutates the store.
@@ -72,31 +71,7 @@ def check_catalog(
         ]
     if deep:
         violations += _check_clob_xml(tables, catalog)
-    if store is catalog.store and not violations:
-        violations += _check_statistics(catalog)
     return violations
-
-
-def _check_statistics(catalog: HybridCatalog) -> List[Violation]:
-    """The catalog's statistics counters against a fresh collection."""
-    kept, fresh = catalog.stats.snapshot(), catalog.store.collect_statistics()
-    out: List[Violation] = []
-    if kept.objects != fresh.objects:
-        out.append(
-            f"statistics: {kept.objects} objects counted, the store holds "
-            f"{fresh.objects}"
-        )
-    for kind, mine, theirs in (
-        ("element definition", kept.elem_values, fresh.elem_values),
-        ("attribute definition", kept.attr_rows, fresh.attr_rows),
-    ):
-        for def_id in sorted(mine.keys() | theirs.keys()):
-            if mine.get(def_id) != theirs.get(def_id):
-                out.append(
-                    f"statistics: {kind} {def_id} counted {mine.get(def_id)!r}, "
-                    f"the store holds {theirs.get(def_id)!r}"
-                )
-    return out
 
 
 def _rows(store, name: str) -> List[tuple]:

@@ -21,8 +21,9 @@ executed on every store:
     ordered rarest-first so the intersection can exit early.
 
 :func:`build_plan` consumes a :class:`~repro.core.query.ShreddedQuery`
-plus optional :class:`~repro.core.stats.CatalogStatistics` and produces
-a :class:`LogicalPlan`; one interpreter
+plus, optionally, the row counts the store reads for its stages now
+(:meth:`~repro.core.storage.HybridStore.stage_counts`) and produces a
+:class:`LogicalPlan`; one interpreter
 (:func:`repro.core.planner.match_plan`) runs it on every store, over
 three keyed reads each backend supplies.  The §4 simplified plan is an
 IR-level rewrite (``plan.simple``).
@@ -30,8 +31,9 @@ IR-level rewrite (``plan.simple``).
 :class:`PlanCache` memoizes built plans by query *shape* — the criteria
 tree with definition ids and operators but without comparison values —
 so repeated query templates skip the optimizer.  Entries carry the
-statistics generation they were built under; any invalidation
-(definition change, delete) retires them wholesale.
+catalog's definition generation they were built under; a definition
+change retires them wholesale.  A cached plan keeps the stage order its
+first literals' counts gave it.
 """
 
 from __future__ import annotations
@@ -142,14 +144,15 @@ class LogicalPlan:
 
     ``actuals`` is filled by the interpreter that executes the plan —
     stage key → produced row count — and is what ``EXPLAIN`` renders
-    next to the optimizer's estimates.  ``stats_generation`` records
-    the statistics generation the plan was built under (``None`` when
-    built without statistics); the plan cache uses it for staleness.
+    next to the optimizer's estimates.  ``generation`` records the
+    catalog's definition generation the plan was built under (``None``
+    when built outside a catalog); the plan cache uses it for
+    staleness.
     """
 
     __slots__ = (
         "query", "seeks", "counts", "containments", "intersect",
-        "simple", "stats_generation", "shape", "actuals",
+        "simple", "generation", "shape", "actuals",
     )
 
     def __init__(
@@ -160,7 +163,7 @@ class LogicalPlan:
         containments: List[AncestorCountMatch],
         intersect: ObjectIntersect,
         simple: bool,
-        stats_generation: Optional[int],
+        generation: Optional[int],
         shape: Tuple,
     ) -> None:
         self.query = query
@@ -169,7 +172,7 @@ class LogicalPlan:
         self.containments = containments
         self.intersect = intersect
         self.simple = simple
-        self.stats_generation = stats_generation
+        self.generation = generation
         self.shape = shape
         self.actuals: Dict[Tuple, int] = {}
 
@@ -179,7 +182,7 @@ class LogicalPlan:
         ``actuals`` map is fresh so concurrent uses never clobber."""
         return LogicalPlan(
             query, self.seeks, self.counts, self.containments,
-            self.intersect, self.simple, self.stats_generation, self.shape,
+            self.intersect, self.simple, self.generation, self.shape,
         )
 
     def stage_count(self) -> int:
@@ -208,8 +211,8 @@ class LogicalPlan:
         counts per stage."""
         mode = "simplified (§4 rewrite)" if self.simple else "general"
         header = f"logical plan: {mode}, {self.stage_count()} stages"
-        if self.stats_generation is not None:
-            header += f", stats generation {self.stats_generation}"
+        if self.generation is not None:
+            header += f", generation {self.generation}"
         lines = [header]
         seek_order = {seek.qelem_id: i + 1 for i, seek in enumerate(self.seeks)}
         lines.append(
@@ -251,7 +254,7 @@ def plan_shape(query: ShreddedQuery) -> Tuple:
     """The structural cache key of a shredded query: the criteria tree
     with definition ids and operators, *without* comparison values (two
     instances of the same query template share one plan).  ``IN_SET``
-    keeps its value-set width because the optimizer's estimate uses it."""
+    keeps its value-set width: one value and many seek differently."""
     qattrs = tuple(
         (q.qattr_id, q.attr_def_id, q.parent_qattr_id, q.depth, q.direct_elem_count)
         for q in query.qattrs
@@ -266,49 +269,48 @@ def plan_shape(query: ShreddedQuery) -> Tuple:
     return (qattrs, qelems, tuple(query.top_qattr_ids), query.simple)
 
 
-def build_plan(query: ShreddedQuery, stats=None) -> LogicalPlan:
+def build_plan(
+    query: ShreddedQuery,
+    counts: Optional[Dict[Tuple, int]] = None,
+    generation: Optional[int] = None,
+) -> LogicalPlan:
     """Compile a shredded query into an optimized logical plan.
 
-    With ``stats`` (a :class:`~repro.core.stats.CatalogStatistics`),
-    element seeks and the top-level intersection are ordered
-    most-selective-first and every stage carries a row estimate;
-    without, stages keep shredding order and estimates are ``None``
-    (the unoptimized plan — what a bare ``store.match_objects(shredded)``
-    executes).
+    ``counts`` maps stage keys, as ``plan.actuals`` does, to the rows
+    the store holds for them now
+    (:meth:`~repro.core.storage.HybridStore.stage_counts`): each seek's
+    hits for this query's literal, and each existence-only criterion's
+    instances.  With them, every stage carries a row estimate — a
+    criterion with direct elements is estimated at its rarest seek —
+    and seeks, count stages and the top-level intersection are ordered
+    most-selective-first.  Without, stages keep shredding order and
+    estimates are ``None`` (the unoptimized plan — what a bare
+    ``store.match_objects(shredded)`` executes).
     """
-    elem_est: Dict[int, Optional[float]] = {}
-    attr_est: Dict[int, Optional[float]] = {}
-    if stats is not None:
-        for qelem in query.qelems:
-            elem_est[qelem.qelem_id] = stats.estimate_qelem(qelem)
-        known = {k: v for k, v in elem_est.items()}
-        for qattr in query.qattrs:
-            attr_est[qattr.qattr_id] = stats.estimate_qattr(qattr, query, known)
-    else:
-        for qelem in query.qelems:
-            elem_est[qelem.qelem_id] = None
-        for qattr in query.qattrs:
-            attr_est[qattr.qattr_id] = None
-
     seeks = [
-        ElementSeek(
-            e.qelem_id, e.qattr_id, e.elem_def_id, e.op, e.numeric,
-            elem_est[e.qelem_id],
-        )
+        ElementSeek(e.qelem_id, e.qattr_id, e.elem_def_id, e.op, e.numeric)
         for e in query.qelems
     ]
-    if stats is not None:
-        seeks.sort(key=lambda s: (s.est_rows, s.qelem_id))
-
-    counts = [
-        DirectCountMatch(
-            q.qattr_id, q.attr_def_id, q.direct_elem_count, query.simple,
-            attr_est[q.qattr_id],
-        )
+    count_stages = [
+        DirectCountMatch(q.qattr_id, q.attr_def_id, q.direct_elem_count, query.simple)
         for q in query.qattrs
     ]
-    if stats is not None:
-        counts.sort(key=lambda c: (c.est_rows, c.qattr_id))
+    tops = list(query.top_qattr_ids)
+    intersect_est: Optional[float] = None
+    if counts is not None:
+        rarest: Dict[int, int] = {}
+        for seek in seeks:
+            seek.est_rows = counts[seek.key()]
+            rarest[seek.qattr_id] = min(seek.est_rows, rarest.get(seek.qattr_id, seek.est_rows))
+        for count in count_stages:
+            count.est_rows = (
+                counts[count.key()] if count.required == 0 else rarest[count.qattr_id]
+            )
+        seeks.sort(key=lambda s: (s.est_rows, s.qelem_id))
+        count_stages.sort(key=lambda c: (c.est_rows, c.qattr_id))
+        attr_est = {c.qattr_id: c.est_rows for c in count_stages}
+        tops.sort(key=lambda t: (attr_est[t], t))
+        intersect_est = min((attr_est[t] for t in tops), default=0)
 
     containments: List[AncestorCountMatch] = []
     if not query.simple:
@@ -328,21 +330,14 @@ def build_plan(query: ShreddedQuery, stats=None) -> LogicalPlan:
                         )
                     )
 
-    tops = list(query.top_qattr_ids)
-    intersect_est: Optional[float] = None
-    if stats is not None:
-        tops.sort(key=lambda t: (attr_est[t], t))
-        top_ests = [attr_est[t] for t in tops]
-        intersect_est = min(top_ests) if top_ests else 0.0
-
     return LogicalPlan(
         query=query,
         seeks=seeks,
-        counts=counts,
+        counts=count_stages,
         containments=containments,
         intersect=ObjectIntersect(tuple(tops), intersect_est),
         simple=query.simple,
-        stats_generation=stats.generation if stats is not None else None,
+        generation=generation,
         shape=plan_shape(query),
     )
 
@@ -350,10 +345,9 @@ def build_plan(query: ShreddedQuery, stats=None) -> LogicalPlan:
 class PlanCache:
     """Shape-keyed LRU cache of built plans.
 
-    A hit requires the entry's statistics generation to match the
-    current one — :meth:`CatalogStatistics.invalidate` therefore
-    retires every cached plan at once (the stale entry is dropped on
-    lookup).  The owning catalog counts hits/misses into its metrics
+    A hit requires the entry's generation to match the catalog's
+    current one, so a definition change retires every cached plan at
+    once (the stale entry is dropped on lookup).  The owning catalog counts hits/misses into its metrics
     registry.  All operations are thread-safe; a returned plan is
     shared between threads, which is sound because execution goes
     through :meth:`LogicalPlan.rebind` (stage objects are immutable
@@ -372,12 +366,12 @@ class PlanCache:
     def lookup(self, shape: Tuple, generation: Optional[int]) -> Optional[LogicalPlan]:
         with self._lock:
             entry = self._entries.get(shape)
-            if entry is not None and entry.stats_generation == generation:
+            if entry is not None and entry.generation == generation:
                 self._entries.move_to_end(shape)
                 self.hits += 1
                 return entry
             if entry is not None:
-                # Built under an older statistics generation: stale.
+                # Built under older definitions: stale.
                 del self._entries[shape]
             self.misses += 1
             return None

@@ -14,11 +14,11 @@ Keys and invalidation:
   expansion happens before query shredding, so an expanded and an
   unexpanded query produce different shredded literals and therefore
   different keys — expansion is part of the key by construction;
-* the **token** is the owning catalog's
-  ``(stats generation, data version)`` pair
-  (:meth:`~repro.core.stats.CatalogStatistics.cache_token`).  Every
-  write moves it — deletes and definition changes bump the generation,
-  ingests bump the data version — and the cache drops all entries the
+* the **token** is the owning catalog's ``(generation, data version)``
+  pair (:meth:`~repro.core.catalog.HybridCatalog.cache_token`).  Every
+  write moves it — definition changes bump the generation, ingests,
+  deletes and attribute edits the data version — and the cache drops
+  all entries the
   moment it sees a new token, so a hit can never serve pre-write
   results.  A result computed *concurrently with* a write carries the
   token read before execution; :meth:`store` refuses it once the token
@@ -62,8 +62,8 @@ class QueryResultCache:
 
     ``on_invalidate`` (if set) is called with a *cause* string each
     time a wipe drops live entries: ``"generation"`` when the
-    statistics generation moved (deletes, definition changes),
-    ``"data_version"`` when only the data version moved (ingest), and
+    definition generation moved, ``"data_version"`` when only the data
+    version moved (ingest, delete, attribute edits), and
     ``"manual"`` for an explicit :meth:`clear`.  The owning catalog
     mirrors the causes into ``query_cache_invalidations_total`` and
     the event log.
@@ -95,7 +95,7 @@ class QueryResultCache:
                 self.invalidations += 1
                 self._entries.clear()
                 if self.on_invalidate is not None:
-                    # Token is (stats generation, data version): blame
+                    # Token is (generation, data version): blame
                     # whichever component moved.
                     cause = "generation"
                     if (

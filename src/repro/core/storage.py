@@ -492,8 +492,7 @@ class HybridStore(abc.ABC):
     # existence checks, the victim walk of a removed instance — live
     # here once; a backend supplies the five row primitives and nothing
     # else (the write-side twin of the three query reads).  Rows are tuples
-    # in their table's column order, and the delete verbs return the rows
-    # they removed (``table -> rows``), which the statistics fold out.
+    # in their table's column order.
     # ------------------------------------------------------------------
     @abc.abstractmethod
     def _insert_rows(self, table: str, rows: Sequence[tuple]) -> None:
@@ -505,9 +504,9 @@ class HybridStore(abc.ABC):
         table does not hold yet."""
 
     @abc.abstractmethod
-    def _delete_rows(self, table: str, object_id: int, **equals: int) -> List[tuple]:
+    def _delete_rows(self, table: str, object_id: int, **equals: int) -> int:
         """Delete the rows of ``object_id`` whose named columns hold
-        the given values; returns them, in column order."""
+        the given values; returns how many went."""
 
     @abc.abstractmethod
     def _clob_key_of(
@@ -563,27 +562,23 @@ class HybridStore(abc.ABC):
 
         self.run_transaction("append_rows", write)
 
-    def delete_object(self, object_id: int) -> Dict[str, List[tuple]]:
-        """Remove an object and all its rows; returns the removed rows."""
-        def write() -> Dict[str, List[tuple]]:
-            removed = {}
+    def delete_object(self, object_id: int) -> None:
+        """Remove an object and all its rows."""
+        def write() -> None:
             for table in OBJECT_ROW_TABLES:
-                removed[table] = self._delete_rows(table, object_id)
                 # Checked inside the transaction: of two racing deletes
                 # of one id, the second removes no row and fails.
-                if table == "objects" and not removed[table]:
+                if not self._delete_rows(table, object_id) and table == "objects":
                     raise CatalogError(f"no object {object_id}")
-            return removed
 
-        return self.run_transaction("delete_object", write)
+        self.run_transaction("delete_object", write)
 
     def remove_attribute_instance(
         self, object_id: int, attr_id: int, seq_id: int
-    ) -> Dict[str, List[tuple]]:
+    ) -> None:
         """Remove one top-level attribute instance (its CLOB, rows, and
-        all descendant sub-attribute instances); returns the removed
-        rows."""
-        def write() -> Dict[str, List[tuple]]:
+        all descendant sub-attribute instances)."""
+        def write() -> None:
             clob_key = self._clob_key_of(object_id, attr_id, seq_id)
             if clob_key is None:
                 raise CatalogError(
@@ -598,18 +593,14 @@ class HybridStore(abc.ABC):
                 )
             victims = [(attr_id, seq_id)]
             victims += self._descendant_instances(object_id, attr_id, seq_id)
-            removed: Dict[str, List[tuple]] = {"attributes": [], "elements": []}
             for v_attr, v_seq in victims:
-                removed["attributes"] += self._delete_rows(
-                    "attributes", object_id, attr_id=v_attr, seq_id=v_seq)
-                removed["elements"] += self._delete_rows(
-                    "elements", object_id, attr_id=v_attr, seq_id=v_seq)
+                self._delete_rows("attributes", object_id, attr_id=v_attr, seq_id=v_seq)
+                self._delete_rows("elements", object_id, attr_id=v_attr, seq_id=v_seq)
                 self._delete_rows("attr_ancestors", object_id, desc_attr_id=v_attr, desc_seq=v_seq)
                 self._delete_rows("attr_ancestors", object_id, anc_attr_id=v_attr, anc_seq=v_seq)
             self._delete_rows("clobs", object_id, schema_order=clob_order, clob_seq=clob_seq)
-            return removed
 
-        return self.run_transaction("remove_attribute_instance", write)
+        self.run_transaction("remove_attribute_instance", write)
 
     @abc.abstractmethod
     def max_clob_seq(self, object_id: int, schema_order: int) -> int:
@@ -677,6 +668,29 @@ class HybridStore(abc.ABC):
         with self._read_section():
             return match_plan(self, plan, prof)
 
+    def stage_counts(self, query: ShreddedQuery) -> Dict[Tuple, int]:
+        """The rows each count-bearing stage of ``query``'s plan would
+        produce now, keyed like ``plan.actuals``: every seek's hits for
+        its own literal, read with the interpreter's arguments, and
+        every existence-only criterion's instances.  One read section,
+        so the counts are of one state; :func:`~repro.core.logical.build_plan`
+        orders the plan by them."""
+        from .planner import _seek_expected
+
+        counts: Dict[Tuple, int] = {}
+        with self._read_section():
+            for qelem in query.qelems:
+                attr_id = None if query.simple else query.qattr(qelem.qattr_id).attr_def_id
+                counts[("seek", qelem.qelem_id)] = self._seek_count(
+                    qelem.elem_def_id, attr_id, qelem.op, _seek_expected(qelem)
+                )
+            for qattr in query.qattrs:
+                if qattr.direct_elem_count == 0:
+                    counts[("count", qattr.qattr_id)] = len(
+                        self._instance_rows(qattr.attr_def_id)
+                    )
+        return counts
+
     @abc.abstractmethod
     def _read_section(self) -> ContextManager[None]:
         """The one read section a query's primitives run in: they see
@@ -693,6 +707,13 @@ class HybridStore(abc.ABC):
         IN_SET of text) compares ``value_text``, a number compares
         ``value_num``: the column query shredding chose."""
 
+    def _seek_count(
+        self, elem_id: int, attr_id: Optional[int], op: Op, expected: Any
+    ) -> int:
+        """How many rows :meth:`_seek_instances` returns, under the
+        caller's read section."""
+        return len(self._seek_instances(elem_id, attr_id, op, expected))
+
     @abc.abstractmethod
     def _instance_rows(self, attr_def_id: int) -> List[Tuple[int, int]]:
         """``(object_id, seq_id)`` of every instance of one attribute
@@ -704,14 +725,6 @@ class HybridStore(abc.ABC):
     ) -> List[Tuple[int, int, int]]:
         """``(object_id, desc_seq, anc_seq)`` of the inverted-list rows
         of one definition pair at distance >= 1."""
-
-    @abc.abstractmethod
-    def collect_statistics(self):
-        """One aggregation pass producing a
-        :class:`~repro.core.stats.StatsSnapshot` (per element definition
-        the rows of each typed value, per attribute definition its
-        instances, the object total).  The statistics layer reads it
-        once, when the catalog opens."""
 
     def build_responses(self, object_ids: Sequence[int]) -> Dict[int, str]:
         """Reconstruct tagged XML for each object id (paper §5); ids the
@@ -828,9 +841,9 @@ class MemoryHybridStore(HybridStore):
 
     backend = "memory"
     #: ``elements`` by definition, then by typed value: the access path
-    #: of every ElementSeek and the element statistics.
+    #: of every ElementSeek.
     elements_by_value: PostingIndex
-    #: ``attributes`` by definition: the instance statistics.
+    #: ``attributes`` by definition: every instance of one definition.
     attributes_by_def: HashIndex
 
     def __init__(self) -> None:
@@ -955,16 +968,16 @@ class MemoryHybridStore(HybridStore):
         known = {row[0] for row in self.db.table(table).scan()}
         self._insert_rows(table, [row for row in rows if row[0] not in known])
 
-    def _delete_rows(self, table: str, object_id: int, **equals: int) -> List[tuple]:
+    def _delete_rows(self, table: str, object_id: int, **equals: int) -> int:
         """Victims are found through the table's ``object_id`` index."""
         self._fault(check_site(f"delete:{table}"))
         target = self.db.table(table)
         probes = [(target.column_data(c), v) for c, v in equals.items()]
-        return target.delete_rowids([
+        return len(target.delete_rowids([
             r
             for r in target.lookup_rowids(["object_id"], [object_id])
             if all(col[r] == v for col, v in probes)
-        ])
+        ]))
 
     def _clob_key_of(
         self, object_id: int, attr_id: int, seq_id: int
@@ -1029,6 +1042,11 @@ class MemoryHybridStore(HybridStore):
         e_obj, e_seq = elements.column_data("object_id"), elements.column_data("seq_id")
         return [(e_obj[r], e_seq[r]) for r in self._seek_rows(elem_id, attr_id, op, expected)]
 
+    def _seek_count(
+        self, elem_id: int, attr_id: Optional[int], op: Op, expected: Any
+    ) -> int:
+        return len(self._seek_rows(elem_id, attr_id, op, expected))
+
     def _instance_rows(self, attr_def_id: int) -> List[Tuple[int, int]]:
         attributes = self.db.table("attributes")
         a_obj, a_seq = attributes.column_data("object_id"), attributes.column_data("seq_id")
@@ -1071,22 +1089,6 @@ class MemoryHybridStore(HybridStore):
             return hits
         attrs = elements.column_data("attr_id")
         return [r for r in hits if attrs[r] == attr_id]
-
-    # -- Statistics (optimizer inputs) --------------------------------------
-    def collect_statistics(self):
-        """Read off the indexes, no table scanned: a value's rows are
-        its posting length, a definition's instances its
-        ``attributes_by_def`` bucket length."""
-        from .stats import StatsSnapshot
-
-        with self.read_locked():
-            return StatsSnapshot(
-                self.object_count(),
-                {elem_id: {value: len(rowids) for value, rowids in postings.items()}
-                 for elem_id, postings in self.elements_by_value.groups.items()},
-                {key[0]: len(rowids)
-                 for key, rowids in self.attributes_by_def.buckets.items()},
-            )
 
     def _clob_rows(self, object_ids: Iterable[int]) -> Dict[int, List[Tuple[int, int, str]]]:
         with self.read_locked():

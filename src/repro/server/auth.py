@@ -7,7 +7,10 @@ server never trusts a client-supplied user name directly (AMGA's
 per-connection identity, translated to HTTP).
 
 Sessions optionally expire after ``ttl`` seconds of inactivity; the
-clock is injectable so expiry is testable without sleeping.
+clock is injectable so expiry is testable without sleeping.  Sessions
+are kept in order of last use, so every ``open`` and ``resolve`` drops
+the idle ones from the front: an abandoned token does not outlive its
+``ttl`` by more than the next request.
 """
 
 from __future__ import annotations
@@ -15,7 +18,8 @@ from __future__ import annotations
 import secrets
 import threading
 import time
-from typing import Callable, Dict, Optional
+from collections import OrderedDict
+from typing import Callable, Optional
 
 __all__ = ["Session", "SessionManager"]
 
@@ -52,13 +56,16 @@ class SessionManager:
         self._clock = clock
         self._on_change = on_change
         self._lock = threading.Lock()
-        self._sessions: Dict[str, Session] = {}
+        #: Oldest last use first.
+        self._sessions: "OrderedDict[str, Session]" = OrderedDict()
 
     def open(self, user: str) -> str:
         """Open a session for ``user`` and return its bearer token."""
         token = secrets.token_hex(16)
+        now = self._clock()
         with self._lock:
-            self._sessions[token] = Session(token, user, self._clock())
+            self._expire(now)
+            self._sessions[token] = Session(token, user, now)
             count = len(self._sessions)
         self._notify(count)
         return token
@@ -69,21 +76,16 @@ class SessionManager:
         if not token:
             return None
         now = self._clock()
-        expired = False
         with self._lock:
+            expired = self._expire(now)
             session = self._sessions.get(token)
-            if session is None:
-                return None
-            if self.ttl is not None and now - session.last_used > self.ttl:
-                del self._sessions[token]
-                count = len(self._sessions)
-                expired = True
-            else:
+            if session is not None:
                 session.last_used = now
+                self._sessions.move_to_end(token)
+            count = len(self._sessions)
         if expired:
             self._notify(count)
-            return None
-        return session.user
+        return session.user if session is not None else None
 
     def close(self, token: str) -> bool:
         """Invalidate a token; True if it was live."""
@@ -95,10 +97,22 @@ class SessionManager:
         return session is not None
 
     def active(self) -> int:
-        """Live session count (expired-but-unresolved tokens included
-        until something touches them)."""
+        """Session count as of the last ``open`` or ``resolve``, which
+        drop every session idle past ``ttl``."""
         with self._lock:
             return len(self._sessions)
+
+    def _expire(self, now: float) -> bool:
+        """Drop the sessions idle past ``ttl`` from the front of the
+        last-use order; True if any went.  Caller holds the lock."""
+        expired = False
+        while self._sessions and self.ttl is not None:
+            oldest = self._sessions[next(iter(self._sessions))]
+            if now - oldest.last_used <= self.ttl:
+                break
+            self._sessions.popitem(last=False)
+            expired = True
+        return expired
 
     def _notify(self, count: int) -> None:
         if self._on_change is not None:

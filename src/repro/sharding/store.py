@@ -4,7 +4,7 @@
 over N shard stores (sqlite WAL databases or RW-locked memory stores).
 A sharded catalog is the ordinary ``HybridCatalog(schema,
 store=ShardedStore(stores, router))``: one registry, shredder, id
-counter, statistics, plan cache and result cache above it.  The store:
+counter, plan cache and result cache above it.  The store:
 
 * **routes** per-object writes and reads (``store_object``,
   ``delete_object``, ``append_rows``, ``remove_attribute_instance``,
@@ -21,10 +21,10 @@ counter, statistics, plan cache and result cache above it.  The store:
   the plan once, in one read section over every shard, and each keyed
   read returns the shards' rows in shard order.  An object's rows
   never cross shards, so one plan, one ``actuals`` and one
-  short-circuit give the Fig-4 trace of one store, row for row.
-* **sums** ``collect_statistics`` / ``storage_report`` /
-  ``object_count``.  Statistics merge value by value, so a value held
-  on two shards is one distinct value, as on one store.
+  short-circuit give the Fig-4 trace of one store, row for row, and a
+  plan's row counts (the inherited ``stage_counts``) are the
+  federation's.
+* **sums** ``storage_report`` / ``object_count``.
 
 Fault sites ``shard:write`` (before a write routes), ``shard:sync``
 (before each shard's definition sync) and ``shard:query`` (before the
@@ -43,7 +43,6 @@ from ..backends.sqlite import SqliteHybridStore
 from ..core.definitions import DefinitionRegistry
 from ..core.schema import AnnotatedSchema
 from ..core.shredder import ShredResult
-from ..core.stats import StatsSnapshot
 from ..core.storage import HybridStore, MemoryHybridStore
 from ..errors import CatalogError
 from ..faults import FaultPlan, RetryPolicy
@@ -278,15 +277,14 @@ class ShardedStore(HybridStore):
             self._counts[shard] += 1
             self._object_gauges[shard].set(self._counts[shard])
 
-    def delete_object(self, object_id: int) -> Dict[str, List[tuple]]:
+    def delete_object(self, object_id: int) -> None:
         self._shard_fault(SHARD_WRITE)
         shard = self.shard_of(object_id)
-        removed = self.stores[shard].delete_object(object_id)
+        self.stores[shard].delete_object(object_id)
         with self._lock:
             if self._locations.pop(object_id, None) is not None:
                 self._counts[shard] -= 1
                 self._object_gauges[shard].set(self._counts[shard])
-        return removed
 
     def append_rows(self, object_id: int, shred: ShredResult) -> None:
         self._shard_fault(SHARD_WRITE)
@@ -294,9 +292,9 @@ class ShardedStore(HybridStore):
 
     def remove_attribute_instance(
         self, object_id: int, attr_id: int, seq_id: int
-    ) -> Dict[str, List[tuple]]:
+    ) -> None:
         self._shard_fault(SHARD_WRITE)
-        return self._owner_store(object_id).remove_attribute_instance(
+        self._owner_store(object_id).remove_attribute_instance(
             object_id, attr_id, seq_id
         )
 
@@ -345,18 +343,6 @@ class ShardedStore(HybridStore):
     # ------------------------------------------------------------------
     def object_count(self) -> int:
         return sum(store.object_count() for store in self.stores)
-
-    def collect_statistics(self) -> StatsSnapshot:
-        total = StatsSnapshot(0, {}, {})
-        for snapshot in (store.collect_statistics() for store in self.stores):
-            total.objects += snapshot.objects
-            for elem_id, values in snapshot.elem_values.items():
-                summed = total.elem_values.setdefault(elem_id, {})
-                for value, rows in values.items():
-                    summed[value] = summed.get(value, 0) + rows
-            for attr_id, rows in snapshot.attr_rows.items():
-                total.attr_rows[attr_id] = total.attr_rows.get(attr_id, 0) + rows
-        return total
 
     def storage_report(self) -> List[Tuple[str, int, int]]:
         """Per-table ``(name, rows, bytes)`` summed across shards."""

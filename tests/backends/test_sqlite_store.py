@@ -313,8 +313,7 @@ class TestWritePathPlans:
 
     DELETES = {
         ("objects",): "SEARCH objects USING INTEGER PRIMARY KEY (rowid=?)",
-        ("clobs",):
-            "SEARCH clobs USING COVERING INDEX sqlite_autoindex_clobs_1 (object_id=?)",
+        ("clobs",): "SEARCH clobs USING INDEX sqlite_autoindex_clobs_1 (object_id=?)",
         ("attributes",): "SEARCH attributes USING PRIMARY KEY (object_id=?)",
         ("elements",): "SEARCH elements USING PRIMARY KEY (object_id=?)",
         ("attr_ancestors",): "SEARCH attr_ancestors USING PRIMARY KEY (object_id=?)",

@@ -1,7 +1,5 @@
 """Unit tests for the catalog integrity checker (fsck)."""
 
-import random
-
 import pytest
 
 from repro.backends import SqliteHybridStore
@@ -218,40 +216,6 @@ class TestIndexConsistency:
             v.startswith(f"shard {shard}: elements: elements_by_value: dead row")
             for v in violations
         )
-
-
-class TestStatisticsCounters:
-    """fsck holds the optimizer's counters to a fresh collection: one
-    counter off by one is a finding."""
-
-    @pytest.mark.parametrize("seed", range(3))
-    @pytest.mark.parametrize("backend", ["memory", "sqlite"])
-    def test_a_perturbed_counter_is_reported(self, backend, seed):
-        store = SqliteHybridStore() if backend == "sqlite" else None
-        catalog = HybridCatalog(lead_schema(), store=store)
-        define_fig3_attributes(catalog)
-        for _ in range(3):
-            catalog.ingest(FIG3_DOCUMENT)
-        catalog.delete(2)
-        assert check_catalog(catalog) == []
-        stats = catalog.stats
-        rng = random.Random(seed)
-        target = rng.choice(["objects", "element", "attribute"])
-        if target == "objects":
-            stats._objects += 1
-            expected = "statistics: 3 objects counted, the store holds 2"
-        elif target == "element":
-            elem_id = rng.choice(sorted(stats._elems))
-            values = stats._elems[elem_id].values
-            values[rng.choice(sorted(values, key=repr))] += 1
-            expected = f"statistics: element definition {elem_id} counted"
-        else:
-            attr_id = rng.choice(sorted(stats._attrs))
-            stats._attrs[attr_id] += 1
-            expected = f"statistics: attribute definition {attr_id} counted"
-        violations = check_catalog(catalog)
-        assert len(violations) == 1 and violations[0].startswith(expected), violations
-        catalog.store.close()
 
 
 # -- memory-store corruption helpers ------------------------------------

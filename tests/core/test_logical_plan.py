@@ -1,9 +1,10 @@
 """Unit tests for the logical plan IR, optimizer ordering, and plan cache.
 
-The key regression here is staleness: a plan cached before a delete,
-attribute removal, or definition change must never be served again —
-every mutation that can change plan validity bumps the statistics
-generation, and the cache treats a generation mismatch as a miss.
+The key regression here is staleness: a plan cached before a
+definition change must never be served again — every definition change
+bumps the catalog's generation, and the cache treats a generation
+mismatch as a miss.  Estimates are the store's own counts, so a plan
+built for its own literals estimates every seek exactly.
 """
 
 from types import SimpleNamespace
@@ -28,6 +29,7 @@ from repro.core import (
 from repro.core.schema import ValueType
 from repro.core.storage import SHORT_CIRCUIT_NOTE, fig4_stages
 from repro.grid import lead_schema
+from repro.sharding import sharded_store
 from repro.xmlkit import element, pretty_print
 
 
@@ -97,30 +99,27 @@ class TestBuildPlan:
         plan = build_plan(shredded)
         assert [s.qelem_id for s in plan.seeks] == [e.qelem_id for e in shredded.qelems]
         assert all(s.est_rows is None for s in plan.seeks)
-        assert plan.stats_generation is None
+        assert plan.generation is None
 
     def test_optimizer_orders_seeks_most_selective_first(self, catalog):
-        # nx values are all distinct (8 rows, 8 values -> est 1 per EQ-ish
-        # op); dx is the same value in every row (est 8).  The GE on nx
-        # divides rows by 3, still far below the EQ on the constant dx.
-        shredded = catalog.shred_query(grid_query())
-        plan = build_plan(shredded, catalog.stats)
-        ests = [s.est_rows for s in plan.seeks]
-        assert ests == sorted(ests)
-        nx_seek = plan.seeks[0]
-        dx_seek = plan.seeks[1]
-        assert nx_seek.est_rows < dx_seek.est_rows
+        # nx takes 50..57 (the GE on 54 reads 4 rows); dx is 1000.0 in
+        # every row (the EQ reads 8).
+        shredded = catalog.shred_query(grid_query(nx_floor=54))
+        plan = build_plan(shredded, catalog.store.stage_counts(shredded))
+        assert [(s.op, s.est_rows) for s in plan.seeks] == [(Op.GE, 4), (Op.EQ, 8)]
 
     def test_estimates_do_not_change_results(self, catalog):
         query = grid_query(nx_floor=54)
         shredded = catalog.shred_query(query)
         unopt = catalog.store.match_objects(build_plan(shredded))
-        opt = catalog.store.match_objects(build_plan(shredded, catalog.stats))
+        opt = catalog.store.match_objects(
+            build_plan(shredded, catalog.store.stage_counts(shredded))
+        )
         assert unopt == opt == catalog.query(query)
 
     def test_rebind_shares_stages_but_not_actuals(self, catalog):
         shredded = catalog.shred_query(grid_query())
-        plan = build_plan(shredded, catalog.stats)
+        plan = build_plan(shredded, catalog.store.stage_counts(shredded))
         catalog.store.match_objects(plan)
         assert plan.actuals
         rebound = plan.rebind(catalog.shred_query(grid_query(nx_floor=99)))
@@ -134,6 +133,36 @@ class TestBuildPlan:
         assert "DirectCountMatch" in text
         assert text.count("ElementSeek") == 2
         assert "est~" in text and "actual=" in text
+
+
+LAYOUTS = {
+    "memory": lambda: None,
+    "sqlite": SqliteHybridStore,
+    "sharded": lambda: sharded_store(2),
+}
+
+
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+def test_rare_seek_runs_first_on_exact_counts(layout):
+    """A common ``themekey`` AND a rare one, the common one first in the
+    query: the two seeks read one definition, so only the literals'
+    own counts tell them apart.  The rare seek runs first, and every
+    seek's estimate is the row count it then reads."""
+    catalog = HybridCatalog(lead_schema(), store=LAYOUTS[layout]())
+    for i in range(12):
+        catalog.ingest(make_doc(f"doc-{i}", themekeys=["common"] + ["rare"] * (i < 2)))
+    query = ObjectQuery()
+    for key in ("common", "rare"):
+        query.add_attribute(AttributeCriteria("theme").add_element("themekey", "", key, Op.EQ))
+    explanation = catalog.explain(query)
+    plan = explanation.plan
+    common, rare = plan.query.qelems
+    assert [(s.qelem_id, s.est_rows) for s in plan.seeks] == [
+        (rare.qelem_id, 2), (common.qelem_id, 12)
+    ]
+    assert all(s.est_rows == plan.actuals[s.key()] for s in plan.seeks)
+    assert explanation.object_ids == [1, 2]
+    catalog.store.close()
 
 
 class TestPlanShape:
@@ -247,10 +276,10 @@ class TestStalePlanRegression:
             AttributeCriteria("theme").add_element("themekey", "", "rain", Op.EQ)
         )
         expected = catalog.query(theme_query)
-        gen_before = catalog.stats.generation
+        gen_before = catalog.generation
         grid = catalog.registry.lookup_attribute("grid", "ARPS")
         catalog.define_element(grid, "ny", "ARPS", ValueType.FLOAT)
-        assert catalog.stats.generation > gen_before
+        assert catalog.generation > gen_before
         explanation = catalog.explain(theme_query)
         assert explanation.cache_hit is False
         assert explanation.object_ids == expected
@@ -259,7 +288,7 @@ class TestStalePlanRegression:
         shredded = catalog.shred_query(grid_query())
         plan, hit = catalog.plan_for(shredded)
         assert hit is False
-        catalog.stats.invalidate()
+        catalog.invalidate()
         _plan2, hit2 = catalog.plan_for(shredded)
         assert hit2 is False
 

@@ -1,25 +1,26 @@
-"""Unit tests for the selectivity statistics layer.
+"""Unit tests for the optimizer's row estimates and the cache token.
 
-Statistics order plan stages; they must stay cheap to maintain (read
-from the store once, then folded from every write's rows) and their
-estimates must react to the value distributions the optimizer cares
-about — without ever changing which objects a query matches.
+A plan's estimates are the store's own counts, read when the plan is
+built (``HybridStore.stage_counts``): exact for the plan's literals,
+read only on a plan-cache miss, and never changing which objects a
+query matches.  The catalog keeps no statistics, only the
+``(generation, data_version)`` token its caches compare.
 """
+
+import threading
 
 import pytest
 
 from repro.backends import SqliteHybridStore
 from repro.core import (
     AttributeCriteria,
-    CatalogStatistics,
     HybridCatalog,
     ObjectQuery,
     Op,
-    PlanTrace,
+    build_plan,
 )
 from repro.core.schema import ValueType
 from repro.grid import FIG3_DOCUMENT, define_fig3_attributes, lead_schema
-from repro.sharding import sharded_store
 from repro.xmlkit import element, pretty_print
 
 
@@ -62,135 +63,124 @@ def catalog(request):
     return cat
 
 
-def _elem_def(catalog, name):
-    grid = catalog.registry.lookup_attribute("grid", "ARPS")
-    return catalog.registry.lookup_element(grid, name, "ARPS")
+def grid_query(name, value, op=Op.EQ):
+    crit = AttributeCriteria("grid", "ARPS").add_element(name, "ARPS", value, op)
+    return ObjectQuery().add_attribute(crit)
+
+
+def estimate(catalog, query):
+    """The one seek's estimate in a plan built for ``query``."""
+    shredded = catalog.shred_query(query)
+    plan = build_plan(shredded, catalog.store.stage_counts(shredded))
+    (seek,) = plan.seeks
+    return seek.est_rows
 
 
 class TestMaintenance:
     def test_incremental_counts_match_store_rebuild(self, catalog):
-        nx = _elem_def(catalog, "nx")
-        incr = (
-            catalog.stats.object_count(),
-            catalog.stats.element_rows(nx.elem_id),
-            catalog.stats.element_distinct(nx.elem_id),
-        )
-        rebuilt = CatalogStatistics(catalog.store)
-        rebuilt.invalidate()
-        fresh = (
-            rebuilt.object_count(),
-            rebuilt.element_rows(nx.elem_id),
-            rebuilt.element_distinct(nx.elem_id),
-        )
-        assert incr == fresh == (6, 6, 6)
+        """Estimates after ingests and deletes equal a catalog's that
+        stored only the surviving documents: nothing drifts."""
+        catalog.delete(2)
+        catalog.delete(5)
+        catalog.ingest(make_doc("doc-late", grids=[{"nx": 12, "dx": 1000.0}]))
+        rebuilt = HybridCatalog(lead_schema(), store=type(catalog.store)())
+        grid = rebuilt.define_attribute("grid", "ARPS")
+        rebuilt.define_element(grid, "nx", "ARPS", ValueType.FLOAT)
+        rebuilt.define_element(grid, "dx", "ARPS", ValueType.FLOAT)
+        for nx in (10, 12, 13, 15, 12):
+            rebuilt.ingest(make_doc(f"doc-{nx}", grids=[{"nx": nx, "dx": 1000.0}]))
+        queries = [grid_query("nx", 12), grid_query("nx", 12, Op.GE),
+                   grid_query("dx", 1000.0), grid_query("nx", 11, Op.NE)]
+        incremental = [estimate(catalog, query) for query in queries]
+        assert incremental == [estimate(rebuilt, query) for query in queries]
+        assert incremental == [2, 4, 5, 5]
 
     def test_ingest_updates_without_invalidating(self, catalog):
-        gen = catalog.stats.generation
+        gen, version = catalog.generation, catalog.data_version
         catalog.ingest(make_doc("doc-new", grids=[{"nx": 99, "dx": 1000.0}]))
-        assert catalog.stats.generation == gen
-        assert catalog.stats.object_count() == 7
-        nx = _elem_def(catalog, "nx")
-        assert catalog.stats.element_rows(nx.elem_id) == 7
+        assert catalog.generation == gen
+        assert catalog.data_version > version
+        assert estimate(catalog, grid_query("nx", 0, Op.GE)) == 7
 
     def test_invalidate_bumps_generation_and_rebuilds_lazily(self, catalog):
-        """Only a definition change bumps ``generation``.  A delete and
-        a ``remove_attribute`` fold their rows out of the counters: the
-        generation holds, ``data_version`` moves, and the store is read
-        for statistics once in the catalog's lifetime, when it opens."""
+        """Only a definition change bumps ``generation``; a delete and a
+        ``remove_attribute`` move ``data_version``.  The store is read
+        for counts only when a plan is built: never by a write, never
+        on a plan-cache hit."""
         store = type(catalog.store)()
-        calls = []
-        collect = store.collect_statistics
-        store.collect_statistics = lambda: calls.append(1) or collect()
+        reads = []
+        stage_counts = store.stage_counts
+        store.stage_counts = lambda query: reads.append(1) or stage_counts(query)
         cat = HybridCatalog(lead_schema(), store=store)
         define_fig3_attributes(cat)
         for _ in range(3):
             cat.ingest(FIG3_DOCUMENT)
-        theme = cat.registry.lookup_attribute("theme", "")
-        dx = _elem_def(cat, "dx").elem_id
-        generation = cat.stats.generation
+        assert reads == []
+        generation = cat.generation
         for write in (lambda: cat.delete(1), lambda: cat.remove_attribute(2, "theme")):
-            version = cat.stats.data_version
+            version = cat.data_version
             write()
-            assert cat.stats.generation == generation
-            assert cat.stats.data_version > version
-        assert cat.stats.object_count() == 2
-        assert cat.stats.element_rows(dx) == 2
-        assert cat.stats.attribute_rows(theme.attr_id) == 3
+            assert cat.generation == generation
+            assert cat.data_version > version
+        assert reads == []
+        assert cat.query(grid_query("dx", 1000)) == [2, 3]
+        assert cat.query(grid_query("dx", 999)) == []  # same shape: cached
+        assert reads == [1]
         cat.define_attribute("late", "ARPS")
-        assert cat.stats.generation > generation
-        assert calls == [1]
-        assert cat.stats.snapshot() == collect()
-
-    def test_collect_statistics_snapshot_shape(self, catalog):
-        snap = catalog.store.collect_statistics()
-        nx = _elem_def(catalog, "nx")
-        dx = _elem_def(catalog, "dx")
-        assert snap.objects == 6
-        assert snap.elem_rows[nx.elem_id] == 6
-        assert snap.elem_distinct[nx.elem_id] == 6
-        assert snap.elem_distinct[dx.elem_id] == 1
-        grid = catalog.registry.lookup_attribute("grid", "ARPS")
-        assert snap.attr_rows[grid.attr_id] == 6
+        assert cat.generation > generation
+        assert cat.query(grid_query("dx", 1000)) == [2, 3]
+        assert reads == [1, 1]
 
 
 class TestEstimates:
-    def _qelem(self, catalog, name, value, op):
-        query = ObjectQuery()
-        crit = AttributeCriteria("grid", "ARPS")
-        crit.add_element(name, "ARPS", value, op)
-        query.add_attribute(crit)
-        return catalog.shred_query(query).qelems[0]
-
-    def test_eq_uses_distinct_count(self, catalog):
-        unique = self._qelem(catalog, "nx", 12, Op.EQ)
-        constant = self._qelem(catalog, "dx", 1000.0, Op.EQ)
-        assert catalog.stats.estimate_qelem(unique) == pytest.approx(1.0)
-        assert catalog.stats.estimate_qelem(constant) == pytest.approx(6.0)
+    def test_eq_is_the_literals_row_count(self, catalog):
+        assert estimate(catalog, grid_query("nx", 12)) == 1
+        assert estimate(catalog, grid_query("dx", 1000.0)) == 6
+        assert estimate(catalog, grid_query("nx", 99)) == 0
 
     def test_ne_is_complement_of_eq(self, catalog):
-        ne = self._qelem(catalog, "nx", 12, Op.NE)
-        est = catalog.stats.estimate_qelem(ne)
-        assert est == pytest.approx(6 * (1 - 1 / 6))
+        assert estimate(catalog, grid_query("nx", 12, Op.NE)) == 6 - 1
 
     def test_in_set_scales_with_width(self, catalog):
-        narrow = self._qelem(catalog, "nx", {10}, Op.IN_SET)
-        wide = self._qelem(catalog, "nx", {10, 11, 12}, Op.IN_SET)
-        assert catalog.stats.estimate_qelem(wide) == pytest.approx(
-            3 * catalog.stats.estimate_qelem(narrow)
-        )
+        narrow = estimate(catalog, grid_query("nx", {10}, Op.IN_SET))
+        wide = estimate(catalog, grid_query("nx", {10, 11, 12}, Op.IN_SET))
+        assert (narrow, wide) == (1, 3)
 
     def test_range_and_contains_are_fractions_of_rows(self, catalog):
-        rng = self._qelem(catalog, "nx", 12, Op.GE)
-        assert 0 < catalog.stats.estimate_qelem(rng) <= 6
+        """A range or a CONTAINS reads the part of the definition's rows
+        it passes."""
+        at_least = estimate(catalog, grid_query("nx", 12, Op.GE))
+        below = estimate(catalog, grid_query("nx", 12, Op.LT))
+        grid = catalog.registry.lookup_attribute("grid", "ARPS")
+        catalog.define_element(grid, "label", "ARPS", ValueType.STRING)
+        for label in ("alpha", "beta", "alphabet"):
+            catalog.ingest(make_doc(label, grids=[{"label": label}]))
+        holding = estimate(catalog, grid_query("label", "alpha", Op.CONTAINS))
+        assert (at_least, below, holding) == (4, 2, 2)
 
     def test_unknown_definition_estimates_zero_rows(self, catalog):
         query = ObjectQuery()
         query.add_attribute(
             AttributeCriteria("theme").add_element("themekey", "", "x", Op.EQ)
         )
-        qelem = catalog.shred_query(query).qelems[0]
-        assert catalog.stats.estimate_qelem(qelem) == pytest.approx(0.0)
+        assert estimate(catalog, query) == 0
 
 
 class TestConcurrentInvalidate:
     """``invalidate()`` racing estimates: retiring plans never touches
-    the counters, so a concurrent estimator reads the same numbers
+    the data, so a concurrent estimator reads the same counts
     throughout."""
 
     def test_invalidate_racing_estimates(self, catalog):
-        import threading
-
-        nx = _elem_def(catalog, "nx")
-        expected_rows = catalog.stats.element_rows(nx.elem_id)
-        expected_objects = catalog.stats.object_count()
+        shredded = catalog.shred_query(grid_query("nx", 12, Op.GE))
+        expected = catalog.store.stage_counts(shredded)
         errors = []
         stop = threading.Event()
 
         def estimator():
             try:
                 while not stop.is_set():
-                    assert catalog.stats.element_rows(nx.elem_id) == expected_rows
-                    assert catalog.stats.object_count() == expected_objects
+                    assert catalog.store.stage_counts(shredded) == expected
             except Exception as exc:  # pragma: no cover - failure path
                 errors.append(exc)
 
@@ -198,100 +188,18 @@ class TestConcurrentInvalidate:
         for t in threads:
             t.start()
         for _ in range(200):
-            catalog.stats.invalidate()
+            catalog.invalidate()
         stop.set()
         for t in threads:
             t.join()
         assert not errors, errors
 
-    def test_concurrent_folds_lose_no_update(self, catalog):
-        """Writes fold their rows outside the store's transactions, so
-        folds race each other: threads folding one document in and out
-        again must leave every counter as they found it."""
-        import sys
-        import threading
-
-        from repro.xmlkit import parse
-
-        shred = catalog.shredder.shred(parse(make_doc("race", grids=[{"nx": 1, "dx": 2}])))
-        removed = {
-            "objects": [(0, "race", "")],
-            "attributes": [(0, *row) for row in shred.attributes],
-            "elements": [(0, *row) for row in shred.elements],
-        }
-        before = catalog.stats.snapshot()
-        errors = []
-
-        def worker():
-            try:
-                for _ in range(300):
-                    catalog.stats.record_shred(shred)
-                    catalog.stats.record_removal(removed)
-            except Exception as exc:  # pragma: no cover - failure path
-                errors.append(exc)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        threads = [threading.Thread(target=worker) for _ in range(4)]
-        try:
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads) and not errors, errors
-        assert catalog.stats.snapshot() == before
-
     def test_invalidate_moves_the_cache_token(self, catalog):
-        token = catalog.stats.cache_token()
-        catalog.stats.invalidate()
-        assert catalog.stats.cache_token() != token
+        token = catalog.cache_token()
+        catalog.invalidate()
+        assert catalog.cache_token() != token
 
     def test_ingest_moves_the_cache_token(self, catalog):
-        token = catalog.stats.cache_token()
+        token = catalog.cache_token()
         catalog.ingest(make_doc("doc-token", grids=[{"nx": 40.0, "dx": 1000.0}]))
-        assert catalog.stats.cache_token() != token
-
-
-def test_distinct_counts_are_typed_values_on_every_store():
-    """``dx`` spelled ``1000.000``, ``1000`` and ``1e3`` is one value of
-    a numeric definition on memory, sqlite and a sharded store, whether
-    the statistics are shred-fed or collected from the store.  So the EQ
-    estimates agree, the seeks run in one order, and a query whose
-    first seek matches nothing short-circuits alike on every store."""
-    documents = [
-        FIG3_DOCUMENT.replace("1000.000", spelling)
-        for spelling in ("1000.000", "1000", "1e3")
-    ]
-    query = ObjectQuery().add_attribute(
-        AttributeCriteria("grid", "ARPS")
-        .add_element("dz", "ARPS", 999)
-        .add_element("dx", "ARPS", 1000)
-    )
-    seen = []
-    # Hash routing spreads the three documents over both shards: their
-    # value histograms merge value by value into one distinct value.
-    for store in (None, SqliteHybridStore(), sharded_store(2)):
-        catalog = HybridCatalog(lead_schema(), store=store)
-        define_fig3_attributes(catalog)
-        assert catalog.query(query) == []  # statistics built while empty
-        for document in documents:
-            catalog.ingest(document, owner="ada")
-        dx = _elem_def(catalog, "dx").elem_id
-        shred_fed = catalog.stats.element_distinct(dx)
-        snapshot = catalog.store.collect_statistics()
-        catalog.stats.invalidate()  # retire the plan built while empty
-        trace = PlanTrace()
-        assert catalog.query(query, trace=trace) == []
-        seen.append((
-            shred_fed,
-            (snapshot.objects, snapshot.elem_rows, snapshot.elem_distinct,
-             snapshot.attr_rows),
-            trace.as_dict(),
-        ))
-        catalog.store.close()
-    assert seen[0] == seen[1] == seen[2]
-    shred_fed, (_objects, _rows, distinct, _attrs), trace = seen[0]
-    assert shred_fed == distinct[dx] == 1
-    assert trace["stages"][1]["rows"] == 0  # dz first: short-circuited
+        assert catalog.cache_token() != token

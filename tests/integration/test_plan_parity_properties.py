@@ -138,7 +138,7 @@ def test_optimizer_preserves_results(memory_catalog, sqlite_catalog, query):
 def test_cached_plan_equals_fresh_plan(memory_catalog, query):
     catalog = memory_catalog
     shredded = catalog.shred_query(query)
-    fresh = catalog.store.match_objects(build_plan(shredded, catalog.stats))
+    fresh = catalog.store.match_objects(build_plan(shredded, catalog.store.stage_counts(shredded)))
     plan, _hit = catalog.plan_for(shredded)  # may come from the cache
     assert catalog.store.match_objects(plan) == fresh
 

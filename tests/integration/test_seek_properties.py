@@ -8,11 +8,10 @@ float values in one definition, NaN, -0.0, all-NULL values), and after
 every step of a hypothesis write sequence on a memory store, an sqlite
 store and ``sharded_store(2)`` — ingest, delete, ``remove_attribute``,
 an ``add_attribute`` and a delete that a fault rolls back, a query
-checked against the scan oracle.  After each step the catalog's
-statistics counters equal a fresh ``collect_statistics()`` on every
-store; on memory stores ``Table.check_indexes()`` holds, the seeks
-agree with their reference, and the collection read off the indexes
-equals a row scan over the union of the shards.
+checked against the scan oracle.  After each step, on every store, a
+plan freshly built for a query estimates each seek it runs at exactly
+the rows that seek returns; on memory stores ``Table.check_indexes()``
+holds and the seeks agree with their reference.
 
 On sqlite, the text seeks that read by value — EQ, NE, the ranges,
 IN_SET, and CONTAINS — return the rows of a scan of the definition, on
@@ -27,7 +26,9 @@ from hypothesis import strategies as st
 
 from repro.backends import SqliteHybridStore
 from repro.baselines import evaluate_shredded_query
-from repro.core import AttributeCriteria, HybridCatalog, ObjectQuery, Op, shred_query
+from repro.core import (
+    AttributeCriteria, HybridCatalog, ObjectQuery, Op, build_plan, shred_query,
+)
 from repro.core.storage import _seek_hits
 from repro.errors import CatalogError
 from repro.faults import FaultError, FaultPlan
@@ -95,21 +96,18 @@ def assert_seeks_agree(store):
     assert store._seek_rows(10**6, None, Op.NE, "x") == []
 
 
-def assert_statistics_scan_equal(catalog, snapshot):
-    """A value held on two shards is one distinct value."""
-    rows, values, instances = {}, {}, {}
-    objects = 0
-    for store in memory_stores(catalog):
-        for _obj, _attr, _seq, elem_id, _eseq, text, num in store.db.table("elements").scan():
-            rows[elem_id] = rows.get(elem_id, 0) + 1
-            values.setdefault(elem_id, set()).add(text if num is None else num)
-        for row in store.db.table("attributes").scan():
-            instances[row[1]] = instances.get(row[1], 0) + 1
-        objects += len(store.db.table("objects"))
-    assert snapshot.objects == objects
-    assert snapshot.elem_rows == rows
-    assert snapshot.attr_rows == instances
-    assert snapshot.elem_distinct == {e: len(seen) for e, seen in values.items()}
+def assert_estimates_exact(catalog):
+    """A plan built for its own literals estimates every seek it runs
+    at the rows that seek returns (a seek that returns none ends the
+    run, and the stages after it report 0 unread)."""
+    for word in CF_STANDARD_NAMES[:2]:
+        shredded = catalog.shred_query(keyword_query(word))
+        plan = build_plan(shredded, catalog.store.stage_counts(shredded))
+        catalog.store.match_objects(plan)
+        for seek in plan.seeks:
+            assert seek.est_rows == plan.actuals[seek.key()], (word, seek.op)
+            if not seek.est_rows:
+                break
 
 
 def assert_consistent(catalog):
@@ -117,10 +115,7 @@ def assert_consistent(catalog):
         for table in store.db:
             assert table.check_indexes() == [], table.name
         assert_seeks_agree(store)
-    snapshot = catalog.store.collect_statistics()
-    assert catalog.stats.snapshot() == snapshot
-    if memory_stores(catalog):
-        assert_statistics_scan_equal(catalog, snapshot)
+    assert_estimates_exact(catalog)
 
 
 # ---------------------------------------------------------------------------

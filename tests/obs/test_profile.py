@@ -6,7 +6,6 @@ import threading
 from repro.core import AttributeCriteria, HybridCatalog, ObjectQuery, Op
 from repro.core.logical import build_plan
 from repro.core.query import shred_query
-from repro.core.stats import CatalogStatistics
 from repro.grid import lead_schema
 from repro.obs import QueryProfile, collecting, current_profile
 from repro.obs.metrics import MetricsRegistry
@@ -70,7 +69,7 @@ class TestRowFlow:
     def test_stages_derived_from_actuals(self):
         catalog = _catalog()
         shredded = catalog.shred_query(_query())
-        plan = build_plan(shredded, CatalogStatistics(catalog.store))
+        plan = build_plan(shredded, catalog.store.stage_counts(shredded))
         catalog.store.match_objects(plan)
         profile = QueryProfile()
         profile.record_plan(plan, backend="memory")
@@ -86,7 +85,7 @@ class TestRowFlow:
     def test_short_circuit_detected(self):
         catalog = _catalog()
         shredded = catalog.shred_query(_query("no_such_keyword", Op.EQ))
-        plan = build_plan(shredded, CatalogStatistics(catalog.store))
+        plan = build_plan(shredded, catalog.store.stage_counts(shredded))
         catalog.store.match_objects(plan)
         profile = QueryProfile()
         profile.record_plan(plan, backend="memory")
@@ -97,7 +96,7 @@ class TestRowFlow:
     def test_unexecuted_stage_seconds_default_zero(self):
         catalog = _catalog()
         shredded = catalog.shred_query(_query())
-        plan = build_plan(shredded, CatalogStatistics(catalog.store))
+        plan = build_plan(shredded, catalog.store.stage_counts(shredded))
         catalog.store.match_objects(plan)
         profile = QueryProfile()  # stage_seconds never filled
         profile.record_plan(plan, backend="memory")

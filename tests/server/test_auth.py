@@ -66,6 +66,20 @@ class TestSessions:
         sessions.resolve(b)  # expires
         assert counts == [1, 2, 1, 0]
 
+    def test_abandoned_sessions_do_not_pile_up(self):
+        """Tokens nobody resolves again expire at the next open: the
+        session table holds only sessions used within ``ttl``."""
+        clock = FakeClock()
+        sessions = SessionManager(ttl=60.0, clock=clock)
+        kept = sessions.open("ann")
+        for _ in range(1000):
+            clock.advance(0.01)
+            sessions.open("bob")
+        sessions.resolve(kept)  # moves behind the abandoned ones
+        clock.advance(61.0)
+        sessions.open("cy")
+        assert sessions.active() == 1
+
     def test_bad_ttl_rejected(self):
         with pytest.raises(ValueError):
             SessionManager(ttl=0)

@@ -254,7 +254,7 @@ class TestLifecycle:
             elif op == "fetch":
                 catalog.fetch([1])
             else:
-                catalog.store.collect_statistics()
+                catalog.storage_report()
 
     def test_one_shard_closed_fails_whole_query(self):
         """A federation with one closed shard raises instead of

@@ -434,13 +434,6 @@ class TestConcurrentCli:
         assert code == 1
         assert "must be >= 1" in err
 
-    def test_stats_threads_probe(self, loaded, capsys):
-        code, out, _err = run(
-            capsys, "stats", "--db", loaded, "--threads", "3",
-        )
-        assert code == 0
-        assert "3 concurrent statistics snapshots: identical" in out
-
 
 class TestExplainAnalyze:
     def test_analyze_appends_profile_table(self, loaded, capsys):
