@@ -16,6 +16,9 @@ from __future__ import annotations
 
 import json
 import pathlib
+import statistics
+import time
+from typing import Callable, Tuple
 
 from repro.bench import ResultTable, dump_metrics
 
@@ -38,6 +41,39 @@ def emit(experiment: str, table: ResultTable) -> None:
     path.write_text(existing + block)
     _emit_json(experiment, table)
     dump_metrics(RESULTS_DIR / f"BENCH_{experiment}_metrics.json")
+
+
+# How many interleaved pairs one ``paired_ratio`` median is taken over.
+PAIRS = 30
+
+
+def paired_ratio(
+    numerator: Callable[[], object],
+    denominator: Callable[[], object],
+) -> Tuple[float, float, float]:
+    """The median of ``PAIRS`` interleaved wall-time ratios
+    ``numerator / denominator``: each pair times both sides back to
+    back, alternating which side runs first, so a slow spell of the
+    host lands on both sides of one ratio instead of on one side of
+    the comparison.  Returns ``(median ratio, median numerator
+    seconds, median denominator seconds)``."""
+    def timed(fn: Callable[[], object]) -> float:
+        t0 = time.perf_counter()
+        fn()
+        return time.perf_counter() - t0
+
+    ratios, tops, bottoms = [], [], []
+    for index in range(PAIRS):
+        if index % 2:
+            bottom = timed(denominator)
+            top = timed(numerator)
+        else:
+            top = timed(numerator)
+            bottom = timed(denominator)
+        ratios.append(top / bottom)
+        tops.append(top)
+        bottoms.append(bottom)
+    return statistics.median(ratios), statistics.median(tops), statistics.median(bottoms)
 
 
 def _emit_json(experiment: str, table: ResultTable) -> None:

@@ -10,8 +10,10 @@ events, slow-query profiles).  The acceptance budget:
 * **enabled** (``profile=True`` / events + slow threshold bound) the
   per-stage ``perf_counter`` pairs and the audit record must stay ≤ 5 %.
 
-Measured best-of-N on the E1 corpus: an ingest batch and a query batch
-under baseline vs fully-armed telemetry, plus a microbench of the
+Measured on the E1 corpus as the median of interleaved paired ratios
+(``_util.paired_ratio``): an ingest batch and a query batch under
+fully-armed telemetry against baseline, timed back to back with the
+side that runs first alternating, plus a microbench of the
 disabled-path primitive itself.
 """
 
@@ -26,7 +28,7 @@ from repro.grid import LeadCorpusGenerator, lead_schema
 from repro.obs import EventLog, MetricsRegistry
 from repro.obs.profile import current_profile
 
-from _util import emit
+from _util import emit, paired_ratio
 from conftest import BASE_CONFIG
 
 BATCH = 25
@@ -85,28 +87,25 @@ def test_e13_profiling_overhead(benchmark, tmp_path):
         )
 
         # -- ingest: baseline vs fully-armed telemetry ----------------
-        base_ingest, _ = measure(lambda: _ingest_batch(), repeat=3)
         sidecar = Path(tempfile.mkdtemp()) / "e13.events.jsonl"
 
         def armed_ingest():
             with EventLog(sidecar) as log:
                 return _ingest_batch(events=log, slow_threshold=0.5)
 
-        armed_ingest_s, _ = measure(armed_ingest, repeat=3)
-        ingest_overhead = max(0.0, armed_ingest_s / base_ingest - 1.0)
+        ratio, armed_ingest_s, base_ingest = paired_ratio(armed_ingest, _ingest_batch)
+        ingest_overhead = max(0.0, ratio - 1.0)
         table.add_row("e1 ingest", "baseline", base_ingest, 0.0)
         table.add_row("e1 ingest", "events+slow-threshold",
                       armed_ingest_s, 100.0 * ingest_overhead)
 
         # -- query: baseline vs per-stage profiling -------------------
         catalog = _ingest_batch()
-        base_query, _ = measure(
-            lambda: _query_batch(catalog, profile=False), repeat=3
+        ratio, profiled_query, base_query = paired_ratio(
+            lambda: _query_batch(catalog, profile=True),
+            lambda: _query_batch(catalog, profile=False),
         )
-        profiled_query, _ = measure(
-            lambda: _query_batch(catalog, profile=True), repeat=3
-        )
-        query_overhead = max(0.0, profiled_query / base_query - 1.0)
+        query_overhead = max(0.0, ratio - 1.0)
         table.add_row("query", "baseline", base_query, 0.0)
         table.add_row("query", "profile=True",
                       profiled_query, 100.0 * query_overhead)

@@ -15,8 +15,9 @@ buys placement and autonomy (as in AMGA), not speed.  Two tables:
 * **N=1 overhead** — the same ``HybridCatalog`` over a one-shard
   ``ShardedStore`` against one over the sqlite store directly: what is
   measured is a routing-map lookup per write, and per read one more
-  context manager and one list copy.  Passes of the two catalogs
-  alternate, and each keeps its best.
+  context manager and one list copy.  The gate reads the median of
+  interleaved paired ratios (``_util.paired_ratio``), the side that
+  runs first alternating.
 
 The serial design gives up the ≥ 1.5× four-shard speedup that
 concurrent legs were once required to reach on ≥ 4 cores.  The scaling
@@ -32,13 +33,12 @@ from repro.core import HybridCatalog, PlanTrace
 from repro.grid import LeadCorpusGenerator, WorkloadGenerator, lead_schema
 from repro.sharding import sharded_store
 
-from _util import emit
+from _util import emit, paired_ratio
 from conftest import BASE_CONFIG
 
 CORPUS = 1000
 SHARD_COUNTS = [1, 2, 4]
 PASSES = 6  # cold single-stream passes over the workload mix per timing
-OVERHEAD_PASSES = 20  # alternating cold passes per catalog, N=1 table
 
 DOCUMENTS = list(LeadCorpusGenerator(BASE_CONFIG).documents(CORPUS))
 WORKLOAD = WorkloadGenerator(BASE_CONFIG).mixed(8)
@@ -82,7 +82,7 @@ def test_e14_shard_scaling(benchmark):
             ["shards", "ms/query", "QPS", "speedup"],
         )
         for catalog in catalogs.values():
-            cold_pass(catalog)  # warm sqlite page caches + plan cache
+            cold_pass(catalog)  # warm sqlite page caches
         # Passes interleave across shard counts, so a slow spell of the
         # host lands on every count alike; each count keeps its best.
         best = dict.fromkeys(SHARD_COUNTS, float("inf"))
@@ -129,25 +129,16 @@ def test_e14_single_shard_wrapper_overhead(benchmark):
         )
         cold_pass(plain)  # warm both before either timing runs
         cold_pass(sharded)
-        # Passes interleave the two catalogs, as the scaling test does,
-        # so a slow spell of the host lands on both alike; each keeps
-        # its best.
-        catalogs = (plain, sharded)
-        best = [float("inf")] * len(catalogs)
-        for _ in range(OVERHEAD_PASSES):
-            for index, catalog in enumerate(catalogs):
-                seconds, _ = measure(lambda: cold_pass(catalog), repeat=1)
-                best[index] = min(best[index], seconds)
-        plain_s, sharded_s = best
+        ratio, sharded_s, plain_s = paired_ratio(
+            lambda: cold_pass(sharded), lambda: cold_pass(plain))
         table.add_row("plain HybridCatalog", 1000 * plain_s, "1.00x")
-        table.add_row("over ShardedStore(1 shard)", 1000 * sharded_s,
-                      f"{sharded_s / plain_s:.2f}x")
+        table.add_row("over ShardedStore(1 shard)", 1000 * sharded_s, f"{ratio:.2f}x")
         emit("e14_sharding", table)
-        return plain_s, sharded_s
+        return ratio
 
-    plain_s, sharded_s = benchmark.pedantic(build_table, rounds=1, iterations=1)
+    ratio = benchmark.pedantic(build_table, rounds=1, iterations=1)
     # The acceptance bound: the one-shard federation may cost at most
-    # 5% over the plain store.
-    assert sharded_s <= 1.05 * plain_s, (sharded_s, plain_s)
+    # 5% over the plain store (median paired ratio).
+    assert ratio <= 1.05, ratio
     plain.store.close()
     sharded.store.close()

@@ -54,67 +54,52 @@ def test_e8_summary_table(benchmark, loaded_schemes):
 
 
 def test_e8_plan_ordering_sweep(benchmark, loaded_schemes):
-    """Count-ordered plan vs shredding-order plan on conjunctive
-    marker queries (each marker AND the rare 1% marker).  The optimizer
-    seeks the rare marker first regardless of where it sits in the
-    query, so the ordered plan touches fewer intermediate rows; the
-    table also records the plan-cache hit rate the repeated templates
-    achieve (``BENCH_e8_plan.json``)."""
-    from repro.core import AttributeCriteria, ObjectQuery, build_plan
+    """Each marker AND the rare 1% marker, in both query orders.  Seeks
+    run in shredding order, so with the rare marker second the common
+    marker's seek reads its rows before the rare one's; the
+    intersection merges the rarer top first either way.  Both columns
+    time one plan built and run per query
+    (``store.match_objects(catalog.plan_for(shredded))``), so no result
+    cache is involved (``BENCH_e8_plan.json``)."""
+    from repro.core import AttributeCriteria, ObjectQuery
 
-    scheme = loaded_schemes["hybrid"]
-    catalog = scheme.catalog
+    catalog = loaded_schemes["hybrid"].catalog
+    rare = BASE_CONFIG.planted[0]
 
-    def conjunctive(marker):
-        rare = BASE_CONFIG.planted[0]  # 1% marker: the seek worth doing first
+    def shredded(marker, rare_first):
+        keys = (rare, marker) if rare_first else (marker, rare)
         query = ObjectQuery()
-        query.add_attribute(
-            AttributeCriteria("theme").add_element("themekey", "", marker.keyword)
-        )
-        query.add_attribute(
-            AttributeCriteria("theme").add_element("themekey", "", rare.keyword)
-        )
-        return query
+        for key in keys:
+            query.add_attribute(
+                AttributeCriteria("theme").add_element("themekey", "", key.keyword)
+            )
+        return catalog.shred_query(query)
+
+    def run(query):
+        return catalog.store.match_objects(catalog.plan_for(query))
 
     def build_table():
         table = ResultTable(
             f"E8 - plan ordering sweep ({MID_CORPUS} docs, ms per query)",
-            ["selectivity", "matches", "ordered", "unordered", "cache_hit_rate"],
+            ["selectivity", "matches", "rare_first", "rare_second"],
         )
-        catalog.plan_cache.clear()
-        hits0, misses0 = catalog.plan_cache.hits, catalog.plan_cache.misses
         for marker in BASE_CONFIG.planted[1:]:
-            query = conjunctive(marker)
-            matches = len(catalog.query(query))
-            ordered_s, _ = measure(lambda: catalog.query(query), repeat=3)
-            shredded = catalog.shred_query(query)
-            unordered_s, _ = measure(
-                lambda: catalog.store.match_objects(build_plan(shredded)), repeat=3
-            )
-            hits = catalog.plan_cache.hits - hits0
-            misses = catalog.plan_cache.misses - misses0
-            rate = hits / (hits + misses) if hits + misses else 0.0
-            table.add_row(
-                f"{marker.selectivity:.0%}", matches,
-                ordered_s * 1000.0, unordered_s * 1000.0, round(rate, 3),
-            )
+            orders = [shredded(marker, rare_first) for rare_first in (True, False)]
+            first_ids, second_ids = (run(query) for query in orders)
+            assert first_ids == second_ids
+            row = [f"{marker.selectivity:.0%}", len(first_ids)]
+            for query in orders:
+                seconds, _ = measure(lambda q=query: run(q), repeat=3)
+                row.append(seconds * 1000.0)
+            table.add_row(*row)
         emit("e8_plan", table)
         return table
 
     table = benchmark.pedantic(build_table, rounds=1, iterations=1)
-    # The rare marker is each query's second criterion, and the plan
-    # the catalog runs for it seeks that marker first.
-    for marker in BASE_CONFIG.planted[1:]:
-        plan = catalog.explain(conjunctive(marker)).plan
-        assert plan.seeks[0].qelem_id == plan.query.qelems[1].qelem_id
-    # All conjunctive marker queries share one shape, so after the first
-    # build every plan comes from the cache.
-    rates = table.column_values("cache_hit_rate")
-    assert rates[-1] > 0.5
-    # Ordering is advisory: both plans return identical results (checked
-    # by the parity property suite); here we only require both ran.
-    assert all(v > 0 for v in table.column_values("ordered"))
-    assert all(v > 0 for v in table.column_values("unordered"))
+    # Both orders returned the same ids (asserted per marker above) and
+    # both ran.
+    assert all(v > 0 for v in table.column_values("rare_first"))
+    assert all(v > 0 for v in table.column_values("rare_second"))
 
 
 def test_e8_conjunctive_selectivity(benchmark, loaded_schemes):

@@ -78,7 +78,7 @@ def expand_pragmas(
       statement applies to the statement's entire ``lineno..end_lineno``
       range;
     * a pragma on a decorator line of a function/class definition
-      applies to the ``def``/``class`` line itself (where PLN/PAR-style
+      applies to the ``def``/``class`` line itself (where PAR-style
       definition findings anchor).
 
     Compound statements (``if``/``with``/``for`` …) deliberately do not

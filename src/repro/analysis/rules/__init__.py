@@ -10,7 +10,6 @@ from .guarded_fields import GuardedFieldRule
 from .lock_discipline import LockOrderRule, LockReachabilityRule
 from .metrics import MetricNameRule
 from .parity import BackendParityRule
-from .plan_purity import PlanPurityRule
 from .resources import ResourceLifecycleRule
 from .sql_safety import SqlSafetyRule
 from .txn import TxnSafetyRule
@@ -22,7 +21,6 @@ __all__ = [
     "LockOrderRule",
     "LockReachabilityRule",
     "MetricNameRule",
-    "PlanPurityRule",
     "ResourceLifecycleRule",
     "SqlSafetyRule",
     "TxnSafetyRule",
@@ -31,12 +29,11 @@ __all__ = [
 
 
 def build_default_rules() -> List[Rule]:
-    """All ten repo rules, bound to the live site/metric registries."""
+    """All nine repo rules, bound to the live site/metric registries."""
     return [
         TxnSafetyRule(),
         FaultSiteRule(),
         MetricNameRule(),
-        PlanPurityRule(),
         BackendParityRule(),
         LockReachabilityRule(),
         LockOrderRule(),

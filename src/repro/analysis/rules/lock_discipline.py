@@ -88,7 +88,7 @@ _STORE_SPEC = EntryPointSpec(
         "is_initialized", "attach_schema", "load_definition_rows",
         "load_objects", "has_object", "object_count", "max_clob_seq",
         "instance_counts", "match_objects", "_execute_plan",
-        "_read_section", "stage_counts", "_clob_rows", "storage_report",
+        "_read_section", "_clob_rows", "storage_report",
     }),
     write_entries=frozenset({
         "sync_definitions", "store_object", "append_rows",

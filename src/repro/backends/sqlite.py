@@ -37,10 +37,8 @@ plan needs no recursive SQL over object data (the one recursive CTE,
 in CONTAINS, walks a definition's distinct values) and no scratch
 tables.
 
-A plan's row estimates
-are the seek statements themselves, run for the plan's own literals
-(:meth:`~repro.core.storage.HybridStore.stage_counts`), so opening a
-catalog reads no statistics.
+A plan reads no statistics: each seek statement runs once, when the
+plan runs, so opening a catalog reads none either.
 
 Responses take one parameterised read per requested object — its CLOB
 rows, found by two primary-key seeks (``_CLOB_ROWS_SQL``) — and the

@@ -409,8 +409,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_parser(
         "explain",
-        help="show the optimized logical plan for a query "
-             "(selectivity-ordered stages, estimated vs actual rows)",
+        help="show the logical plan for a query "
+             "(its stages and the actual rows of each)",
     )
     p.add_argument("--db", required=True)
     p.add_argument("--attr", dest="attrs", action=_OrderedFlag, default=[])
@@ -418,8 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sub", dest="subs", action=_OrderedFlag, default=[])
     p.add_argument("--analyze", action="store_true",
                    help="also profile the execution: per-stage wall "
-                        "time, rows in/out, estimated-vs-actual deltas, "
-                        "lock/pool wait breakdown")
+                        "time, rows in/out, lock/pool wait breakdown")
     p.add_argument("--user", default=None)
     p.set_defaults(flag_order=[])
 
@@ -548,8 +547,8 @@ def build_parser() -> argparse.ArgumentParser:
         "lint",
         help="run the repo's static-analysis rules "
              "(transaction safety, fault-site coverage, metric naming, "
-             "plan purity, backend parity, lock discipline, guarded "
-             "fields, resource lifecycle, SQL construction safety)",
+             "backend parity, lock discipline, guarded fields, "
+             "resource lifecycle, SQL construction safety)",
     )
     p.add_argument("--json", action="store_true", dest="json_output",
                    help="emit the machine-readable report (repro.lint/v1)")

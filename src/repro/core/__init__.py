@@ -7,8 +7,8 @@ Modules map to the paper's sections:
 * :mod:`.definitions` — attribute/element definition registry (§2–§3)
 * :mod:`.shredder` — hybrid shredding, dynamic attributes (§3)
 * :mod:`.query`, :mod:`.logical`, :mod:`.planner` — attribute queries,
-  the backend-neutral logical plan IR, ordered by the store's own row
-  counts, and its one interpreter (§4)
+  the backend-neutral logical plan IR, built per query, and its one
+  interpreter (§4)
 * :mod:`.response` — set-based response construction (§5)
 * :mod:`.storage`, :mod:`.catalog` — table layout and the public facade
 """
@@ -22,7 +22,6 @@ from .logical import (
     ElementSeek,
     LogicalPlan,
     ObjectIntersect,
-    PlanCache,
     build_plan,
     plan_shape,
 )
@@ -82,7 +81,6 @@ __all__ = [
     "Explanation",
     "LogicalPlan",
     "ObjectIntersect",
-    "PlanCache",
     "QueryBuilder",
     "DefinitionRegistry",
     "DeweyOrdering",

@@ -42,7 +42,7 @@ from ..obs.profile import (
 from ..obs.tracing import Tracer, default_tracer
 from ..xmlkit import Document, parse
 from .definitions import AttributeDef, DefinitionRegistry, ElementDef
-from .logical import LogicalPlan, PlanCache, build_plan, plan_shape
+from .logical import LogicalPlan, build_plan
 from .query import ObjectQuery, ShreddedQuery, shred_query
 from .result_cache import QueryResultCache, result_key
 from .schema import AnnotatedSchema, ValueType
@@ -84,33 +84,30 @@ class IngestReceipt:
 
 
 class Explanation:
-    """What :meth:`HybridCatalog.explain` returns: the optimized logical
-    plan (with per-stage estimates and actual row counts), the matching
-    ids, the executed :class:`PlanTrace`, and whether the plan came from
-    the cache.  ``explain(..., analyze=True)`` additionally attaches the
-    collected :class:`~repro.obs.profile.QueryProfile`."""
+    """What :meth:`HybridCatalog.explain` returns: the executed logical
+    plan (with per-stage actual row counts), the matching ids and the
+    executed :class:`PlanTrace`.  ``explain(..., analyze=True)``
+    additionally attaches the collected
+    :class:`~repro.obs.profile.QueryProfile`."""
 
-    __slots__ = ("plan", "object_ids", "trace", "cache_hit", "profile")
+    __slots__ = ("plan", "object_ids", "trace", "profile")
 
     def __init__(
         self,
         plan: LogicalPlan,
         object_ids: List[int],
         trace: PlanTrace,
-        cache_hit: bool,
         profile: Optional[QueryProfile] = None,
     ) -> None:
         self.plan = plan
         self.object_ids = object_ids
         self.trace = trace
-        self.cache_hit = cache_hit
         self.profile = profile
 
     def describe(self) -> str:
-        source = "cached" if self.cache_hit else "newly built"
         text = (
             f"{self.plan.describe()}\n"
-            f"plan source: {source}; {len(self.object_ids)} matching object(s)"
+            f"{len(self.object_ids)} matching object(s)"
         )
         if self.profile is not None:
             text += "\n" + self.profile.describe()
@@ -153,14 +150,12 @@ class HybridCatalog:
         self.shredder = Shredder(
             schema, self.registry, on_unknown=on_unknown, metrics=self.metrics
         )
-        # Query planning: the shape-keyed plan cache, whose entries
-        # retire when ``generation`` moves (a definition change).  A plan
-        # is built from the rows its stages read in the store now, so
-        # the catalog keeps no statistics of its own.
+        # The result-cache token: ``generation`` moves on a definition
+        # change, ``data_version`` on every write.  Plans are built per
+        # query from the query alone, so nothing else needs retiring.
         self._token_lock = threading.Lock()
         self.generation = 0
         self.data_version = 0
-        self.plan_cache = PlanCache()
         # Query-*result* memoization: fully-bound repeated queries skip
         # execution entirely until any write moves the cache token.
         self.result_cache = QueryResultCache(
@@ -246,12 +241,12 @@ class HybridCatalog:
         return (self.generation, self.data_version)
 
     def invalidate(self) -> None:
-        """Definitions changed: retire cached plans and answers."""
+        """Definitions changed: retire cached answers."""
         self._moved(definitions=True)
 
     def _moved(self, definitions: bool = False) -> None:
-        """A write landed: cached answers retire, and after a definition
-        change cached plans too."""
+        """A write landed: cached answers retire; a definition change
+        also moves the generation."""
         with self._token_lock:
             self.data_version += 1
             if definitions:
@@ -327,7 +322,7 @@ class HybridCatalog:
 
             self.store.run_transaction("catalog.ingest", write)
             self._names[object_id] = name
-            # New definitions were synced: retire cached plans too.
+            # New definitions were synced: move the generation too.
             self._moved(definitions=bool(shred.defined))
             current.set(object_id=object_id, clobs=len(shred.clobs),
                         warnings=len(shred.warnings))
@@ -453,9 +448,9 @@ class HybridCatalog:
         The query is shredded, checked against the write-invalidated
         result cache (plan shape + literals, keyed to :meth:`cache_token` —
         a repeated fully-bound query between writes skips execution
-        entirely), then compiled into an optimized
-        :class:`~repro.core.logical.LogicalPlan` (or fetched from the
-        shape-keyed plan cache) and executed by the bound store.  An
+        entirely), then compiled into a
+        :class:`~repro.core.logical.LogicalPlan` and executed by the
+        bound store.  An
         explicit ``trace`` bypasses the result cache: the caller asked
         to watch the plan actually run.
 
@@ -520,10 +515,7 @@ class HybridCatalog:
                         self._audit_query(shredded, cached, t0, "hit", prof)
                     return cached
                 self._count_result_cache_miss()
-            plan, plan_hit = self.plan_for(shredded)
-            if prof is not None:
-                prof.plan_cache_hit = plan_hit
-            ids = self.store.match_objects(plan, trace)
+            ids = self.store.match_objects(self.plan_for(shredded), trace)
             if use_cache:
                 evicted = self.result_cache.store(key, token, ids)
                 if evicted:
@@ -576,32 +568,12 @@ class HybridCatalog:
         Fig-4 walkthrough example)."""
         return shred_query(query, self.registry, user=user)
 
-    def plan_for(self, shredded: ShreddedQuery) -> Tuple[LogicalPlan, bool]:
-        """The optimized logical plan for a shredded query, via the
-        shape-keyed cache.  Returns ``(plan, cache_hit)``; the plan is
-        always a fresh execution binding (stage objects shared, actuals
-        map private), so callers can run it without clobbering the
-        cached copy.  A miss orders the stages by the rows the store
-        holds for this query's literals now
-        (:meth:`~repro.core.storage.HybridStore.stage_counts`); the
-        cached plan keeps that order for later literals."""
-        shape = plan_shape(shredded)
-        generation = self.generation
-        cached = self.plan_cache.lookup(shape, generation)
-        if cached is not None:
-            self.metrics.counter(
-                "plan_cache_hits_total", "logical plans served from the cache"
-            ).inc()
-            return cached.rebind(shredded), True
-        self.metrics.counter(
-            "plan_cache_misses_total", "logical plans built by the optimizer"
-        ).inc()
-        plan = build_plan(shredded, self.store.stage_counts(shredded), generation)
-        self.plan_cache.store(plan)
-        self.metrics.gauge(
-            "plan_cache_size", "logical plans currently cached"
-        ).set(len(self.plan_cache))
-        return plan.rebind(shredded), False
+    def plan_for(self, shredded: ShreddedQuery) -> LogicalPlan:
+        """The logical plan for a shredded query, built for this query
+        alone: it reads no store and is never shared, so whatever
+        order depends on row counts comes from the rows its own seeks
+        return when it runs."""
+        return build_plan(shredded)
 
     def explain(
         self,
@@ -609,27 +581,25 @@ class HybridCatalog:
         user: Optional[str] = None,
         analyze: bool = False,
     ) -> Explanation:
-        """Optimize and execute ``query``, returning the plan tree with
-        the optimizer's row estimates next to the actual per-stage row
-        counts (the ``repro explain`` CLI surface).  ``analyze=True``
+        """Plan and execute ``query``, returning the plan tree with the
+        actual per-stage row counts (the ``repro explain`` CLI surface).  ``analyze=True``
         additionally collects per-stage wall timings and the wait
         breakdown into :attr:`Explanation.profile` (the
         ``repro explain --analyze`` surface)."""
         prof: Optional[QueryProfile] = None
         with self.tracer.span("catalog.explain"):
             shredded = self.shred_query(query, user=user)
-            plan, cache_hit = self.plan_for(shredded)
+            plan = self.plan_for(shredded)
             trace = PlanTrace()
             if analyze:
                 prof = QueryProfile()
-                prof.plan_cache_hit = cache_hit
                 with collecting(prof):
                     ids = self.store.match_objects(plan, trace)
                 self.last_profile = prof
             else:
                 ids = self.store.match_objects(plan, trace)
         self._count_query()
-        return Explanation(plan, ids, trace, cache_hit, profile=prof)
+        return Explanation(plan, ids, trace, profile=prof)
 
     # ------------------------------------------------------------------
     # Responses

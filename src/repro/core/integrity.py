@@ -22,8 +22,8 @@ either backend:
   row id left, every bucket ascending
   (:meth:`~repro.relational.Table.check_indexes`).
 
-The optimizer keeps no counters of its own to check: a plan's row
-estimates are the store's seeks, run when the plan is built.
+The planner keeps no counters of its own to check: a plan is built
+from its query alone, and its seeks read the store only when it runs.
 
 ``check_catalog`` returns a list of human-readable violations (empty =
 healthy); it never mutates the store.

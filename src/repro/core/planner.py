@@ -18,17 +18,17 @@ with one constant-text ``SELECT`` each (``elements_by_def``,
 section (:meth:`~repro.core.storage.HybridStore._read_section`), so its
 stages read one state: memory holds the read lock, and a pooled sqlite
 reader holds one read transaction, whose snapshot a concurrent commit
-does not move.  A sharded store pins each shard's state at that shard's
-first read; an object's rows never cross shards.
+does not move.  A sharded store enters every shard's read section once
+per query; an object's rows never cross shards.
 
 The plan is set-based throughout — every stage is a bulk operation over
 whole row sets, never a per-object traversal — and uses the inverted
 lists to resolve sub-attribute containment without recursion (paper §4):
 
-1. **ElementSeek** (one per criterion, most-selective-first when
-   statistics are available) — one call of the seek primitive.  Because
-   all criteria are conjunctive, a seek that matches nothing
-   short-circuits the remaining stages.
+1. **ElementSeek** (one per criterion, in shredding order) — one call
+   of the seek primitive, each read once.  Because all criteria are
+   conjunctive, a seek that matches nothing short-circuits the
+   remaining stages.
 2. **DirectCountMatch** — instances qualify when they contain the
    *required number of distinct* direct element criteria; since each
    criterion contributes one id set, that is exactly the set
@@ -45,8 +45,9 @@ lists to resolve sub-attribute containment without recursion (paper §4):
    matches data any number of levels deeper — and no stage ever
    recurses through the data.
 4. **ObjectIntersect** — sorted object-id vectors intersected with the
-   merge kernels from :mod:`repro.relational.batch`, rarest criterion
-   first so an empty intersection exits early.
+   merge kernels from :mod:`repro.relational.batch`, in ascending
+   actual rows of the tops (the order is chosen from what the stages
+   above just produced), so an empty intersection exits early.
 
 The scan baseline (:func:`repro.baselines.evaluate_shredded_query`) is
 this interpreter's oracle.
@@ -124,8 +125,7 @@ def _interpret_general(
             prof.stage_seconds[seek.key()] = clock() - t0
         if not hits:
             # Conjunctive query: an unmatched criterion empties the
-            # result — skip the remaining stages entirely (the payoff
-            # of most-selective-first ordering).
+            # result — skip the remaining stages entirely.
             return plan.short_circuit()
 
     # ------------------------------------------------------------------
@@ -178,13 +178,17 @@ def _interpret_general(
             prof.stage_seconds[edge.key()] = clock() - t0
 
     # ------------------------------------------------------------------
-    # ObjectIntersect: every top criterion satisfied — sorted id
-    # vectors merged rarest-first, exiting early when one runs dry.
+    # ObjectIntersect: every top criterion satisfied — sorted object id
+    # vectors merged shortest-first, exiting early when one runs dry.
     # ------------------------------------------------------------------
     t0 = clock() if clock is not None else 0.0
+    per_top = [
+        {obj for obj, _seq in satisfied[top_id]}
+        for top_id in plan.intersect.top_qattr_ids
+    ]
     result: Optional[List[int]] = None
-    for top_id in plan.intersect.top_qattr_ids:
-        vector = sorted({obj for obj, _seq in satisfied[top_id]})
+    for objects in sorted(per_top, key=len):
+        vector = sorted(objects)
         result = vector if result is None else intersect_sorted(result, vector)
         if not result:
             break
@@ -224,7 +228,7 @@ def _interpret_simple(
         if not hits:
             return plan.short_circuit()
 
-    result: Optional[List[int]] = None
+    per_count: List[Set[int]] = []
     for count in plan.counts:
         t0 = clock() if clock is not None else 0.0
         if count.required == 0:
@@ -232,16 +236,22 @@ def _interpret_simple(
         else:
             hit_sets = seek_objects[count.qattr_id]
             objects = set.intersection(*hit_sets) if hit_sets else set()
+        per_count.append(objects)
         plan.actuals[count.key()] = len(objects)
         if clock is not None:
             prof.stage_seconds[count.key()] = clock() - t0
+
+    # Every criterion is a top here: merge the per-criterion object
+    # vectors shortest-first, exiting early when one runs dry.
+    t0 = clock() if clock is not None else 0.0
+    result: Optional[List[int]] = None
+    for objects in sorted(per_count, key=len):
         vector = sorted(objects)
         result = vector if result is None else intersect_sorted(result, vector)
-        # No early exit on an empty running intersection: every
-        # DirectCountMatch stage reports its own actuals, which the
-        # trace and the profile show.  The expensive case — a
-        # criterion matching nothing — already short-circuited at the
-        # seek stage above.
+        if not result:
+            break
     object_ids = result or []
     plan.actuals[plan.intersect.key()] = len(object_ids)
+    if clock is not None:
+        prof.stage_seconds[plan.intersect.key()] = clock() - t0
     return object_ids

@@ -247,9 +247,6 @@ class ShreddedQuery:
     def qattr(self, qattr_id: int) -> QAttr:
         return self.qattrs[qattr_id - 1]
 
-    def max_depth(self) -> int:
-        return max((q.depth for q in self.qattrs), default=0)
-
     def elements_of(self, qattr_id: int) -> List[QElem]:
         return [e for e in self.qelems if e.qattr_id == qattr_id]
 

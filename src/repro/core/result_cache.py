@@ -1,10 +1,8 @@
 """Write-invalidated LRU cache of query *results* (object-id lists).
 
-The plan cache (:class:`~repro.core.logical.PlanCache`) saves the
-optimizer's work for repeated query *templates*; under a served
-workload the same fully-bound query — template *and* literals — repeats
-too (a portal polling ``themekey = "precipitation"``), and its answer
-only changes when the catalog changes.  :class:`QueryResultCache`
+Under a served workload the same fully-bound query — template *and*
+literals — repeats (a portal polling ``themekey = "precipitation"``),
+and its answer only changes when the catalog changes.  :class:`QueryResultCache`
 memoizes the matching object ids for exactly that case.
 
 Keys and invalidation:

@@ -625,9 +625,9 @@ class HybridStore(abc.ABC):
     ) -> List[int]:
         """Execute the Fig-4 count-matching plan; return matching object
         ids.  Accepts either a :class:`~repro.core.query.ShreddedQuery`
-        (compiled into an unoptimized plan on the spot) or a pre-built
-        :class:`~repro.core.logical.LogicalPlan` — the catalog facade
-        passes optimized, cached plans down this path.
+        (compiled into its plan on the spot) or a pre-built
+        :class:`~repro.core.logical.LogicalPlan`, as the catalog facade
+        passes.
 
         :meth:`_execute_plan` runs the stages; the Fig-4 trace, the
         ``planner_stage_rows`` histogram, the span events and the
@@ -668,29 +668,6 @@ class HybridStore(abc.ABC):
         with self._read_section():
             return match_plan(self, plan, prof)
 
-    def stage_counts(self, query: ShreddedQuery) -> Dict[Tuple, int]:
-        """The rows each count-bearing stage of ``query``'s plan would
-        produce now, keyed like ``plan.actuals``: every seek's hits for
-        its own literal, read with the interpreter's arguments, and
-        every existence-only criterion's instances.  One read section,
-        so the counts are of one state; :func:`~repro.core.logical.build_plan`
-        orders the plan by them."""
-        from .planner import _seek_expected
-
-        counts: Dict[Tuple, int] = {}
-        with self._read_section():
-            for qelem in query.qelems:
-                attr_id = None if query.simple else query.qattr(qelem.qattr_id).attr_def_id
-                counts[("seek", qelem.qelem_id)] = self._seek_count(
-                    qelem.elem_def_id, attr_id, qelem.op, _seek_expected(qelem)
-                )
-            for qattr in query.qattrs:
-                if qattr.direct_elem_count == 0:
-                    counts[("count", qattr.qattr_id)] = len(
-                        self._instance_rows(qattr.attr_def_id)
-                    )
-        return counts
-
     @abc.abstractmethod
     def _read_section(self) -> ContextManager[None]:
         """The one read section a query's primitives run in: they see
@@ -706,13 +683,6 @@ class HybridStore(abc.ABC):
         matches ``op`` against ``expected``.  A text ``expected`` (an
         IN_SET of text) compares ``value_text``, a number compares
         ``value_num``: the column query shredding chose."""
-
-    def _seek_count(
-        self, elem_id: int, attr_id: Optional[int], op: Op, expected: Any
-    ) -> int:
-        """How many rows :meth:`_seek_instances` returns, under the
-        caller's read section."""
-        return len(self._seek_instances(elem_id, attr_id, op, expected))
 
     @abc.abstractmethod
     def _instance_rows(self, attr_def_id: int) -> List[Tuple[int, int]]:
@@ -1041,11 +1011,6 @@ class MemoryHybridStore(HybridStore):
         elements = self.db.table("elements")
         e_obj, e_seq = elements.column_data("object_id"), elements.column_data("seq_id")
         return [(e_obj[r], e_seq[r]) for r in self._seek_rows(elem_id, attr_id, op, expected)]
-
-    def _seek_count(
-        self, elem_id: int, attr_id: Optional[int], op: Op, expected: Any
-    ) -> int:
-        return len(self._seek_rows(elem_id, attr_id, op, expected))
 
     def _instance_rows(self, attr_def_id: int) -> List[Tuple[int, int]]:
         attributes = self.db.table("attributes")

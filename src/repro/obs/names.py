@@ -84,11 +84,6 @@ METRICS: Dict[str, MetricSpec] = _declare(
     MetricSpec("catalog_queries_total", "counter", "queries executed"),
     MetricSpec("catalog_objects", "gauge", "objects currently cataloged"),
     # -- query planning -------------------------------------------------
-    MetricSpec("plan_cache_hits_total", "counter",
-               "logical plans served from the cache"),
-    MetricSpec("plan_cache_misses_total", "counter",
-               "logical plans built by the optimizer"),
-    MetricSpec("plan_cache_size", "gauge", "logical plans currently cached"),
     MetricSpec("query_cache_hits_total", "counter",
                "query results served from the result cache"),
     MetricSpec("query_cache_misses_total", "counter",

@@ -4,8 +4,7 @@ A :class:`QueryProfile` rides one plan execution: the backend times
 each IR stage as it runs, and when the plan finishes
 :meth:`QueryProfile.record_plan` (called by the shared
 ``HybridStore.match_objects``) derives the per-stage row flow —
-rows-in, rows-out, and the optimizer's estimate — from the plan's
-``actuals`` map.  Because *both* backends fill ``actuals`` identically
+rows-in and rows-out — from the plan's ``actuals`` map.  Because *both* backends fill ``actuals`` identically
 (the PAR01 parity property), the row columns of a profile are computed
 by one shared function here rather than once per backend, so profile
 parity is structural: only the timings are backend-specific.
@@ -53,8 +52,7 @@ WAIT_KINDS = ("lock", "pool")
 class StageProfile:
     """One executed IR stage: row flow plus wall time."""
 
-    __slots__ = ("kind", "key", "detail", "rows_in", "rows_out",
-                 "est_rows", "seconds")
+    __slots__ = ("kind", "key", "detail", "rows_in", "rows_out", "seconds")
 
     def __init__(
         self,
@@ -63,7 +61,6 @@ class StageProfile:
         detail: str,
         rows_in: int,
         rows_out: int,
-        est_rows: Optional[float],
         seconds: float,
     ) -> None:
         self.kind = kind
@@ -71,15 +68,7 @@ class StageProfile:
         self.detail = detail
         self.rows_in = rows_in
         self.rows_out = rows_out
-        self.est_rows = est_rows
         self.seconds = seconds
-
-    def est_delta(self) -> Optional[float]:
-        """Actual minus estimated rows-out (``None`` without an
-        estimate) — positive when the optimizer undercounted."""
-        if self.est_rows is None:
-            return None
-        return self.rows_out - self.est_rows
 
     def as_dict(self) -> dict:
         return {
@@ -88,7 +77,6 @@ class StageProfile:
             "detail": self.detail,
             "rows_in": self.rows_in,
             "rows_out": self.rows_out,
-            "est_rows": self.est_rows,
             "seconds": self.seconds,
         }
 
@@ -111,7 +99,7 @@ class QueryProfile:
     """
 
     __slots__ = ("backend", "stage_seconds", "waits",
-                 "total_seconds", "result_cache_hit", "plan_cache_hit",
+                 "total_seconds", "result_cache_hit",
                  "simple", "_t0",
                  "_plan", "_actuals", "_stages", "_short_circuited")
 
@@ -121,7 +109,6 @@ class QueryProfile:
         self.waits: Dict[str, float] = {kind: 0.0 for kind in WAIT_KINDS}
         self.total_seconds: Optional[float] = None
         self.result_cache_hit = False
-        self.plan_cache_hit: Optional[bool] = None
         self.simple: Optional[bool] = None
         self._t0 = time.perf_counter()
         # Stage rows are derived lazily (first access of ``stages``):
@@ -151,8 +138,8 @@ class QueryProfile:
         produce identical stage names, order, and row counts by
         construction; ``stage_seconds`` (filled during execution) is
         the only backend-specific column.  Only the snapshot happens
-        here — ``plan.actuals`` is copied because cached plans are
-        re-executed and overwrite it — and the :class:`StageProfile`
+        here — ``plan.actuals`` is copied because a re-executed plan
+        overwrites it — and the :class:`StageProfile`
         list is built on first access of :attr:`stages`, keeping the
         per-query profiling cost to a few assignments.
         """
@@ -189,8 +176,7 @@ class QueryProfile:
                 seek.kind, key,
                 f"qelem {seek.qelem_id} (elem_def {seek.elem_def_id} "
                 f"{seek.op.value})",
-                0, actuals.get(key, 0), seek.est_rows,
-                seconds.get(key, 0.0),
+                0, actuals.get(key, 0), seconds.get(key, 0.0),
             ))
         # A seek that matched nothing short-circuits the plan; the
         # remaining stages ran over empty inputs (rows stay 0).
@@ -218,7 +204,7 @@ class QueryProfile:
                 count.kind, key,
                 f"qattr {count.qattr_id} (def {count.attr_def_id}, {need})",
                 seek_rows_by_qattr.get(count.qattr_id, 0), rows_out,
-                count.est_rows, seconds.get(key, 0.0),
+                seconds.get(key, 0.0),
             ))
 
         for edge in plan.containments:
@@ -231,7 +217,7 @@ class QueryProfile:
                 edge.kind, key,
                 f"qattr {edge.parent_qattr_id} contains "
                 f"qattr {edge.child_qattr_id}",
-                rows_in, rows_out, None, seconds.get(key, 0.0),
+                rows_in, rows_out, seconds.get(key, 0.0),
             ))
 
         key = plan.intersect.key()
@@ -240,8 +226,7 @@ class QueryProfile:
             plan.intersect.kind, key,
             f"tops {list(tops)}",
             sum(current.get(t, 0) for t in tops),
-            actuals.get(key, 0), plan.intersect.est_rows,
-            seconds.get(key, 0.0),
+            actuals.get(key, 0), seconds.get(key, 0.0),
         ))
         return stages
 
@@ -261,7 +246,6 @@ class QueryProfile:
             "total_seconds": self.total_seconds,
             "waits": dict(self.waits),
             "result_cache_hit": self.result_cache_hit,
-            "plan_cache_hit": self.plan_cache_hit,
             "short_circuited": self.short_circuited,
             "simple": self.simple,
             "stages": [stage.as_dict() for stage in self.stages],
@@ -269,7 +253,7 @@ class QueryProfile:
 
     def describe(self) -> str:
         """The ``EXPLAIN ANALYZE`` table: one row per executed stage
-        with actual rows, wall time, and estimated-vs-actual delta."""
+        with its rows in and out and its wall time."""
         header = f"profile ({self.backend or 'unbound'}"
         if self.total_seconds is not None:
             header += f", total {self.total_seconds * 1e3:.3f} ms"
@@ -279,16 +263,9 @@ class QueryProfile:
         lines = [header]
         width = max((len(s.kind) for s in self.stages), default=0)
         for stage in self.stages:
-            est = "est=?" if stage.est_rows is None else f"est~{stage.est_rows:.1f}"
-            delta = stage.est_delta()
-            if delta is None:
-                delta_text = ""
-            else:
-                delta_text = f"  Δ{delta:+.1f}"
             lines.append(
                 f"  {stage.kind:<{width}}  "
                 f"in={stage.rows_in:>6}  out={stage.rows_out:>6}  "
-                f"{est:<12}{delta_text:<10}  "
                 f"{stage.seconds * 1e3:8.3f} ms  {stage.detail}"
             )
         waits = "  ".join(

@@ -4,13 +4,19 @@ Each user gets a bucket holding up to ``burst`` tokens that refills at
 ``rate`` tokens/second; a request spends one token or is rejected.
 ``rate=None`` disables limiting entirely (the default for in-process
 and benchmark use).  The clock is injectable for deterministic tests.
+
+A bucket idle for ``burst / rate`` seconds has refilled to ``burst``,
+so it acts exactly like a missing one: buckets are kept in last-use
+order and such idle ones are dropped from the front, which bounds the
+table by the users seen in the last ``burst / rate`` seconds.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from typing import Callable, Dict, Optional
+from collections import OrderedDict
+from typing import Callable, Optional
 
 __all__ = ["RateLimiter"]
 
@@ -30,8 +36,8 @@ class RateLimiter:
         self.burst = burst if burst is not None else (rate if rate else 1.0)
         self._clock = clock
         self._lock = threading.Lock()
-        # user -> (tokens, last refill stamp)
-        self._buckets: Dict[str, list] = {}
+        # user -> [tokens, last refill stamp], least recently used first
+        self._buckets: "OrderedDict[str, list]" = OrderedDict()
 
     def allow(self, user: str) -> bool:
         """Spend one token from ``user``'s bucket; False when empty."""
@@ -39,10 +45,16 @@ class RateLimiter:
             return True
         now = self._clock()
         with self._lock:
-            bucket = self._buckets.get(user)
+            buckets = self._buckets
+            full_after = self.burst / self.rate
+            while buckets and now - next(iter(buckets.values()))[1] >= full_after:
+                buckets.popitem(last=False)
+            bucket = buckets.get(user)
             if bucket is None:
                 bucket = [self.burst, now]
-                self._buckets[user] = bucket
+                buckets[user] = bucket
+            else:
+                buckets.move_to_end(user)
             tokens, stamp = bucket
             tokens = min(self.burst, tokens + (now - stamp) * self.rate)
             if tokens < 1.0:

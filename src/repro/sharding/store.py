@@ -4,7 +4,7 @@
 over N shard stores (sqlite WAL databases or RW-locked memory stores).
 A sharded catalog is the ordinary ``HybridCatalog(schema,
 store=ShardedStore(stores, router))``: one registry, shredder, id
-counter, plan cache and result cache above it.  The store:
+counter and result cache above it.  The store:
 
 * **routes** per-object writes and reads (``store_object``,
   ``delete_object``, ``append_rows``, ``remove_attribute_instance``,
@@ -18,12 +18,11 @@ counter, plan cache and result cache above it.  The store:
   healed by the next sync, which every open runs), fault plans, retry
   policy, metrics/event binding, the open check and ``close``.
 * **concatenates** a query's reads: the inherited interpreter runs
-  the plan once, in one read section over every shard, and each keyed
-  read returns the shards' rows in shard order.  An object's rows
-  never cross shards, so one plan, one ``actuals`` and one
-  short-circuit give the Fig-4 trace of one store, row for row, and a
-  plan's row counts (the inherited ``stage_counts``) are the
-  federation's.
+  the plan once, in one read section over every shard, so a query
+  enters each shard's read section once, and each keyed read returns
+  the shards' rows in shard order.  An object's rows never cross
+  shards, so one plan, one ``actuals`` and one short-circuit give the
+  Fig-4 trace of one store, row for row.
 * **sums** ``storage_report`` / ``object_count``.
 
 Fault sites ``shard:write`` (before a write routes), ``shard:sync``

@@ -53,7 +53,6 @@ HELP_TOPICS = {
     "transaction safety": {"TXN01"},
     "fault-site coverage": {"FLT01"},
     "metric naming": {"OBS01"},
-    "plan purity": {"PLN01"},
     "backend parity": {"PAR01"},
     "lock discipline": {"LCK01", "LCK02"},
     "guarded fields": {"GRD01"},

@@ -9,7 +9,6 @@ from repro.analysis.rules import (
     LockOrderRule,
     LockReachabilityRule,
     MetricNameRule,
-    PlanPurityRule,
     ResourceLifecycleRule,
     SqlSafetyRule,
     TxnSafetyRule,
@@ -164,23 +163,6 @@ class TestMetricNames:
         assert not [f for f in findings if "call sites" in f.message]
 
 
-class TestPlanPurity:
-    def test_flags_literal_bearing_stage(self):
-        findings = lint_fixture("pln_bad", PlanPurityRule())
-        assert len(findings) == 3
-        messages = " | ".join(f.message for f in findings)
-        assert "slot 'value_text'" in messages
-        assert "parameter 'value_text'" in messages
-        assert "bakes constant 3" in messages
-
-    def test_unmarked_class_is_ignored(self):
-        findings = lint_fixture("pln_bad", PlanPurityRule())
-        assert not [f for f in findings if "NotAStage" in f.message]
-
-    def test_clean_fixture_passes(self):
-        assert lint_fixture("pln_good", PlanPurityRule()) == []
-
-
 class TestBackendParity:
     def test_flags_interface_drift(self):
         findings = lint_fixture("par_bad", BackendParityRule())
@@ -201,7 +183,7 @@ class TestBackendParity:
     def test_missing_base_is_not_an_error(self):
         # Partial fixture trees (no HybridStore in view) have nothing
         # to pin — the rule stays silent instead of guessing.
-        assert lint_fixture("pln_good", BackendParityRule()) == []
+        assert lint_fixture("obs_good", BackendParityRule()) == []
 
 
 class TestLockReachability:

@@ -232,7 +232,7 @@ class TestSqlPlan:
         query = WorkloadGenerator(corpus_config).nested_query(1, depth=2)
         query.add_attribute(AttributeCriteria("theme").add_element(
             "themekey", "", set(CF_STANDARD_NAMES), Op.IN_SET))
-        plan, _hit = cat.plan_for(cat.shred_query(query))
+        plan = cat.plan_for(cat.shred_query(query))
         assert len(plan.containments) == 2 and plan.seeks
         executes = registry.get("sqlite_statements_total").labels(kind="execute")
         raw = cat.store.connection._connection

@@ -1,10 +1,11 @@
-"""Unit tests for the logical plan IR, optimizer ordering, and plan cache.
+"""Unit tests for the logical plan IR and the order the interpreter
+picks at run time.
 
-The key regression here is staleness: a plan cached before a
-definition change must never be served again — every definition change
-bumps the catalog's generation, and the cache treats a generation
-mismatch as a miss.  Estimates are the store's own counts, so a plan
-built for its own literals estimates every seek exactly.
+A plan is a pure function of its shredded query, built once per query:
+seeks run in shredding order, and the ``ObjectIntersect`` tops merge in
+ascending actual rows, whatever order the literals came in.  Answers
+after a delete, an attribute removal or a definition change are checked
+here too.
 """
 
 from types import SimpleNamespace
@@ -22,10 +23,10 @@ from repro.core import (
     ObjectIntersect,
     ObjectQuery,
     Op,
-    PlanCache,
     build_plan,
     plan_shape,
 )
+from repro.core import planner
 from repro.core.schema import ValueType
 from repro.core.storage import SHORT_CIRCUIT_NOTE, fig4_stages
 from repro.grid import lead_schema
@@ -98,33 +99,20 @@ class TestBuildPlan:
         shredded = catalog.shred_query(grid_query())
         plan = build_plan(shredded)
         assert [s.qelem_id for s in plan.seeks] == [e.qelem_id for e in shredded.qelems]
-        assert all(s.est_rows is None for s in plan.seeks)
-        assert plan.generation is None
-
-    def test_optimizer_orders_seeks_most_selective_first(self, catalog):
-        # nx takes 50..57 (the GE on 54 reads 4 rows); dx is 1000.0 in
-        # every row (the EQ reads 8).
-        shredded = catalog.shred_query(grid_query(nx_floor=54))
-        plan = build_plan(shredded, catalog.store.stage_counts(shredded))
-        assert [(s.op, s.est_rows) for s in plan.seeks] == [(Op.GE, 4), (Op.EQ, 8)]
+        assert catalog.plan_for(shredded).seeks[0].qelem_id == shredded.qelems[0].qelem_id
 
     def test_estimates_do_not_change_results(self, catalog):
+        """No seek order changes the answer: the shredding order and
+        the most-selective-first one (nx >= 54 reads 4 rows, dx = 1000.0
+        reads 8) return the same ids."""
         query = grid_query(nx_floor=54)
         shredded = catalog.shred_query(query)
-        unopt = catalog.store.match_objects(build_plan(shredded))
-        opt = catalog.store.match_objects(
-            build_plan(shredded, catalog.store.stage_counts(shredded))
-        )
-        assert unopt == opt == catalog.query(query)
-
-    def test_rebind_shares_stages_but_not_actuals(self, catalog):
-        shredded = catalog.shred_query(grid_query())
-        plan = build_plan(shredded, catalog.store.stage_counts(shredded))
-        catalog.store.match_objects(plan)
-        assert plan.actuals
-        rebound = plan.rebind(catalog.shred_query(grid_query(nx_floor=99)))
-        assert rebound.seeks is plan.seeks
-        assert rebound.actuals == {}
+        in_order = catalog.store.match_objects(build_plan(shredded))
+        reordered = build_plan(shredded)
+        reordered.seeks.reverse()
+        assert [s.op for s in reordered.seeks] == [Op.EQ, Op.GE]
+        assert in_order == catalog.store.match_objects(reordered) == catalog.query(query)
+        assert [reordered.actuals[s.key()] for s in reordered.seeks] == [8, 4]
 
     def test_describe_lists_every_stage(self, catalog):
         explanation = catalog.explain(grid_query())
@@ -132,7 +120,7 @@ class TestBuildPlan:
         assert "ObjectIntersect" in text
         assert "DirectCountMatch" in text
         assert text.count("ElementSeek") == 2
-        assert "est~" in text and "actual=" in text
+        assert "[actual=8]" in text and "est~" not in text
 
 
 LAYOUTS = {
@@ -142,26 +130,82 @@ LAYOUTS = {
 }
 
 
-@pytest.mark.parametrize("layout", sorted(LAYOUTS))
-def test_rare_seek_runs_first_on_exact_counts(layout):
-    """A common ``themekey`` AND a rare one, the common one first in the
-    query: the two seeks read one definition, so only the literals'
-    own counts tell them apart.  The rare seek runs first, and every
-    seek's estimate is the row count it then reads."""
-    catalog = HybridCatalog(lead_schema(), store=LAYOUTS[layout]())
-    for i in range(12):
-        catalog.ingest(make_doc(f"doc-{i}", themekeys=["common"] + ["rare"] * (i < 2)))
+def status_doc(rid, progress, title):
+    """A document with one ``status`` and one ``citation``: neither
+    repeats, so a query on them takes the §4 simplified plan."""
+    idinfo = element(
+        "idinfo",
+        element("status", element("progress", progress), element("update", "n")),
+        element("citation", element("origin", "LEAD"), element("title", title)),
+    )
+    return pretty_print(
+        element("LEADresource", element("resourceID", rid), element("data", idinfo))
+    )
+
+
+def theme_pair(first, second):
     query = ObjectQuery()
-    for key in ("common", "rare"):
+    for key in (first, second):
         query.add_attribute(AttributeCriteria("theme").add_element("themekey", "", key, Op.EQ))
-    explanation = catalog.explain(query)
-    plan = explanation.plan
-    common, rare = plan.query.qelems
-    assert [(s.qelem_id, s.est_rows) for s in plan.seeks] == [
-        (rare.qelem_id, 2), (common.qelem_id, 12)
-    ]
-    assert all(s.est_rows == plan.actuals[s.key()] for s in plan.seeks)
-    assert explanation.object_ids == [1, 2]
+    return query
+
+
+def status_and_title(progress, title):
+    return (
+        ObjectQuery()
+        .add_attribute(AttributeCriteria("status").add_element("progress", "", progress))
+        .add_attribute(AttributeCriteria("citation").add_element("title", "", title))
+    )
+
+
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+@pytest.mark.parametrize("mode", ["general", "simple", "repeating"])
+def test_rarer_top_merges_first(layout, mode, monkeypatch):
+    """A common criterion AND a rare one, as one query shape run twice
+    with its two literals swapped: both runs merge the rarer top's
+    object vector first, because the order comes from the rows each
+    run's own stages produced.  Both interpreters: two ``theme``
+    criteria take the general plan, ``status`` and ``citation`` the
+    §4 simplified one.  Rarer counts objects, not instances: a
+    ``grid`` criterion met by 8 grids in each of 3 objects (24
+    instances) merges before a ``theme`` met once in each of 4."""
+    catalog = HybridCatalog(lead_schema(), store=LAYOUTS[layout]())
+    if mode == "repeating":
+        grid = catalog.define_attribute("grid", "ARPS")
+        catalog.define_element(grid, "dx", "ARPS", ValueType.FLOAT)
+        for i in range(6):
+            catalog.ingest(make_doc(f"doc-{i}", themekeys=["storm" if i < 4 else "calm"],
+                                    grids=[{"dx": 1000.0 if i < 3 else 500.0}] * 8))
+        query = ObjectQuery()
+        query.add_attribute(AttributeCriteria("grid", "ARPS").add_element("dx", "ARPS", 1000.0))
+        query.add_attribute(AttributeCriteria("theme").add_element("themekey", "", "storm"))
+        runs = [(query, [1, 2, 3], 4)]
+    elif mode == "general":
+        for i in range(12):
+            catalog.ingest(make_doc(f"doc-{i}", themekeys=["common"] + ["rare"] * (i < 2)))
+        runs = [(theme_pair("common", "rare"), [1, 2], 12),
+                (theme_pair("rare", "common"), [1, 2], 12)]
+    else:
+        # progress is rare on objects 1-2, title on objects 3-4.
+        for i in range(12):
+            catalog.ingest(status_doc(f"doc-{i}", "rare" if i < 2 else "common",
+                                      "rare" if i in (2, 3) else "common"))
+        runs = [(status_and_title("common", "rare"), [3, 4], 10),
+                (status_and_title("rare", "common"), [1, 2], 10)]
+    merges = []
+
+    def recording(left, right):
+        merges.append((list(left), list(right)))
+        return intersect_sorted(left, right)
+
+    intersect_sorted = planner.intersect_sorted
+    monkeypatch.setattr(planner, "intersect_sorted", recording)
+    for query, rare_ids, common_rows in runs:
+        del merges[:]
+        assert catalog.shred_query(query).simple is (mode == "simple")
+        assert catalog.query(query) == rare_ids
+        ((first, second),) = merges
+        assert first == rare_ids and len(second) == common_rows
     catalog.store.close()
 
 
@@ -194,56 +238,9 @@ class TestPlanShape:
         assert plan_shape(themed({"rain"})) != plan_shape(themed({"rain", "wind"}))
 
 
-class TestPlanCache:
-    def test_second_query_hits(self, catalog):
-        catalog.query(grid_query(nx_floor=50))
-        hits_before = catalog.plan_cache.hits
-        catalog.query(grid_query(nx_floor=53))  # same shape, new literal
-        assert catalog.plan_cache.hits == hits_before + 1
-
-    def test_lru_eviction(self):
-        cache = PlanCache(capacity=2)
-        cat = HybridCatalog(lead_schema())
-
-        def plan_for_theme(name):
-            query = ObjectQuery()
-            query.add_attribute(
-                AttributeCriteria("theme").add_element("themekey", "", name, Op.EQ)
-            )
-            # Different CONTAINS/EQ mixes give distinct shapes.
-            return build_plan(cat.shred_query(query))
-
-        plans = []
-        for op in (Op.EQ, Op.NE, Op.CONTAINS):
-            query = ObjectQuery()
-            query.add_attribute(
-                AttributeCriteria("theme").add_element("themekey", "", "x", op)
-            )
-            plans.append(build_plan(cat.shred_query(query)))
-        for plan in plans:
-            cache.store(plan)
-        assert len(cache) == 2
-        assert cache.lookup(plans[0].shape, None) is None  # evicted
-        assert cache.lookup(plans[2].shape, None) is plans[2]
-
-    def test_capacity_must_be_positive(self):
-        with pytest.raises(ValueError):
-            PlanCache(capacity=0)
-
-    def test_metrics_expose_hit_and_miss_counters(self, catalog):
-        catalog.query(grid_query())
-        catalog.query(grid_query())
-        registry = catalog.store.metrics_registry()
-        assert "plan_cache_hits_total" in registry
-        assert "plan_cache_misses_total" in registry
-        assert "plan_cache_size" in registry
-        assert registry.get("plan_cache_hits_total").value >= 1
-        assert registry.get("plan_cache_misses_total").value >= 1
-
-
 class TestStalePlanRegression:
-    """A cached plan must never survive a mutation that can change what
-    it returns."""
+    """A query after a mutation that can change its answer returns the
+    new answer."""
 
     def test_delete_invalidates_cached_plan(self, catalog):
         query = grid_query(nx_floor=50)
@@ -252,7 +249,7 @@ class TestStalePlanRegression:
         catalog.delete(before[0])
         after = catalog.query(query)
         assert before[0] not in after
-        assert catalog.explain(query).cache_hit is False or before[0] not in after
+        assert catalog.explain(query).object_ids == after
 
     def test_remove_attribute_invalidates_cached_plan(self, catalog):
         query = ObjectQuery()
@@ -267,10 +264,9 @@ class TestStalePlanRegression:
         assert victim not in after
 
     def test_definition_change_invalidates_cached_plan(self, catalog):
-        # Cache a plan for a theme query, then define a new element on
-        # the same attribute: qelem/def ids shift, so a stale plan could
-        # seek the wrong definition.  The generation bump forces a
-        # rebuild and the query stays correct.
+        # Answer a theme query, then define a new element on another
+        # attribute: the generation moves, and the query, planned anew,
+        # keeps its answer.
         theme_query = ObjectQuery()
         theme_query.add_attribute(
             AttributeCriteria("theme").add_element("themekey", "", "rain", Op.EQ)
@@ -281,25 +277,7 @@ class TestStalePlanRegression:
         catalog.define_element(grid, "ny", "ARPS", ValueType.FLOAT)
         assert catalog.generation > gen_before
         explanation = catalog.explain(theme_query)
-        assert explanation.cache_hit is False
         assert explanation.object_ids == expected
-
-    def test_generation_mismatch_is_a_cache_miss(self, catalog):
-        shredded = catalog.shred_query(grid_query())
-        plan, hit = catalog.plan_for(shredded)
-        assert hit is False
-        catalog.invalidate()
-        _plan2, hit2 = catalog.plan_for(shredded)
-        assert hit2 is False
-
-    def test_incremental_ingest_keeps_cache_warm(self, catalog):
-        """Plain ingest only *adds* rows; cached plans stay valid (they
-        re-bind literals and re-run estimates are advisory)."""
-        query = grid_query()
-        catalog.query(query)
-        catalog.ingest(make_doc("doc-extra", grids=[{"nx": 70, "dx": 1000.0}]))
-        explanation = catalog.explain(query)
-        assert explanation.cache_hit is True
 
 
 class TestFig4Derivation:
@@ -324,8 +302,7 @@ class TestFig4Derivation:
             for parent, child in edges
         ]
         return LogicalPlan(
-            query, seeks, counts, containments, ObjectIntersect((1,)),
-            simple, None, shape=(),
+            query, seeks, counts, containments, ObjectIntersect((1,)), simple
         )
 
     @staticmethod

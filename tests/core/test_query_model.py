@@ -105,7 +105,6 @@ class TestQueryShredding:
     def test_depths_assigned(self, registry):
         shredded = shred_query(paper_query(), registry)
         assert [q.depth for q in shredded.qattrs] == [0, 1]
-        assert shredded.max_depth() == 1
 
     def test_child_links(self, registry):
         shredded = shred_query(paper_query(), registry)

@@ -1,10 +1,9 @@
-"""Unit tests for the optimizer's row estimates and the cache token.
+"""Unit tests for the rows a query's seeks read and the cache token.
 
-A plan's estimates are the store's own counts, read when the plan is
-built (``HybridStore.stage_counts``): exact for the plan's literals,
-read only on a plan-cache miss, and never changing which objects a
-query matches.  The catalog keeps no statistics, only the
-``(generation, data_version)`` token its caches compare.
+A plan reads no counts when it is built: each seek reads the store
+once, when the plan runs, and what it read stays current through
+ingests and deletes.  The catalog keeps no statistics, only the
+``(generation, data_version)`` token its result cache compares.
 """
 
 import threading
@@ -69,16 +68,16 @@ def grid_query(name, value, op=Op.EQ):
 
 
 def estimate(catalog, query):
-    """The one seek's estimate in a plan built for ``query``."""
-    shredded = catalog.shred_query(query)
-    plan = build_plan(shredded, catalog.store.stage_counts(shredded))
+    """The rows the one seek of ``query``'s plan reads when it runs."""
+    plan = build_plan(catalog.shred_query(query))
+    catalog.store.match_objects(plan)
     (seek,) = plan.seeks
-    return seek.est_rows
+    return plan.actuals[seek.key()]
 
 
 class TestMaintenance:
     def test_incremental_counts_match_store_rebuild(self, catalog):
-        """Estimates after ingests and deletes equal a catalog's that
+        """Seek rows after ingests and deletes equal a catalog's that
         stored only the surviving documents: nothing drifts."""
         catalog.delete(2)
         catalog.delete(5)
@@ -104,13 +103,13 @@ class TestMaintenance:
 
     def test_invalidate_bumps_generation_and_rebuilds_lazily(self, catalog):
         """Only a definition change bumps ``generation``; a delete and a
-        ``remove_attribute`` move ``data_version``.  The store is read
-        for counts only when a plan is built: never by a write, never
-        on a plan-cache hit."""
+        ``remove_attribute`` move ``data_version``.  The store's seeks
+        are read only when a query runs, once per seek: never by a
+        write, never to plan."""
         store = type(catalog.store)()
         reads = []
-        stage_counts = store.stage_counts
-        store.stage_counts = lambda query: reads.append(1) or stage_counts(query)
+        seek = store._seek_instances
+        store._seek_instances = lambda *args: reads.append(1) or seek(*args)
         cat = HybridCatalog(lead_schema(), store=store)
         define_fig3_attributes(cat)
         for _ in range(3):
@@ -124,63 +123,30 @@ class TestMaintenance:
             assert cat.data_version > version
         assert reads == []
         assert cat.query(grid_query("dx", 1000)) == [2, 3]
-        assert cat.query(grid_query("dx", 999)) == []  # same shape: cached
         assert reads == [1]
+        assert cat.query(grid_query("dx", 999)) == []
+        assert reads == [1, 1]
         cat.define_attribute("late", "ARPS")
         assert cat.generation > generation
         assert cat.query(grid_query("dx", 1000)) == [2, 3]
-        assert reads == [1, 1]
-
-
-class TestEstimates:
-    def test_eq_is_the_literals_row_count(self, catalog):
-        assert estimate(catalog, grid_query("nx", 12)) == 1
-        assert estimate(catalog, grid_query("dx", 1000.0)) == 6
-        assert estimate(catalog, grid_query("nx", 99)) == 0
-
-    def test_ne_is_complement_of_eq(self, catalog):
-        assert estimate(catalog, grid_query("nx", 12, Op.NE)) == 6 - 1
-
-    def test_in_set_scales_with_width(self, catalog):
-        narrow = estimate(catalog, grid_query("nx", {10}, Op.IN_SET))
-        wide = estimate(catalog, grid_query("nx", {10, 11, 12}, Op.IN_SET))
-        assert (narrow, wide) == (1, 3)
-
-    def test_range_and_contains_are_fractions_of_rows(self, catalog):
-        """A range or a CONTAINS reads the part of the definition's rows
-        it passes."""
-        at_least = estimate(catalog, grid_query("nx", 12, Op.GE))
-        below = estimate(catalog, grid_query("nx", 12, Op.LT))
-        grid = catalog.registry.lookup_attribute("grid", "ARPS")
-        catalog.define_element(grid, "label", "ARPS", ValueType.STRING)
-        for label in ("alpha", "beta", "alphabet"):
-            catalog.ingest(make_doc(label, grids=[{"label": label}]))
-        holding = estimate(catalog, grid_query("label", "alpha", Op.CONTAINS))
-        assert (at_least, below, holding) == (4, 2, 2)
-
-    def test_unknown_definition_estimates_zero_rows(self, catalog):
-        query = ObjectQuery()
-        query.add_attribute(
-            AttributeCriteria("theme").add_element("themekey", "", "x", Op.EQ)
-        )
-        assert estimate(catalog, query) == 0
+        assert reads == [1, 1, 1]
 
 
 class TestConcurrentInvalidate:
-    """``invalidate()`` racing estimates: retiring plans never touches
-    the data, so a concurrent estimator reads the same counts
+    """``invalidate()`` racing queries: retiring cached answers never
+    touches the data, so a concurrent query reads the same seek rows
     throughout."""
 
     def test_invalidate_racing_estimates(self, catalog):
-        shredded = catalog.shred_query(grid_query("nx", 12, Op.GE))
-        expected = catalog.store.stage_counts(shredded)
+        query = grid_query("nx", 12, Op.GE)
+        expected = estimate(catalog, query)
         errors = []
         stop = threading.Event()
 
         def estimator():
             try:
                 while not stop.is_set():
-                    assert catalog.store.stage_counts(shredded) == expected
+                    assert estimate(catalog, query) == expected
             except Exception as exc:  # pragma: no cover - failure path
                 errors.append(exc)
 

@@ -8,10 +8,12 @@ float values in one definition, NaN, -0.0, all-NULL values), and after
 every step of a hypothesis write sequence on a memory store, an sqlite
 store and ``sharded_store(2)`` — ingest, delete, ``remove_attribute``,
 an ``add_attribute`` and a delete that a fault rolls back, a query
-checked against the scan oracle.  After each step, on every store, a
-plan freshly built for a query estimates each seek it runs at exactly
-the rows that seek returns; on memory stores ``Table.check_indexes()``
-holds and the seeks agree with their reference.
+checked against the scan oracle.  After each step, on every store,
+each seek a query runs reads once, and reads exactly the rows of the
+live objects' own shreds that its criterion matches; a seek that reads
+none ends the run unread past it.  On memory stores
+``Table.check_indexes()`` holds and the seeks agree with their
+reference.
 
 On sqlite, the text seeks that read by value — EQ, NE, the ranges,
 IN_SET, and CONTAINS — return the rows of a scan of the definition, on
@@ -26,9 +28,8 @@ from hypothesis import strategies as st
 
 from repro.backends import SqliteHybridStore
 from repro.baselines import evaluate_shredded_query
-from repro.core import (
-    AttributeCriteria, HybridCatalog, ObjectQuery, Op, build_plan, shred_query,
-)
+from repro.core import AttributeCriteria, HybridCatalog, ObjectQuery, Op, shred_query
+from repro.core.planner import _seek_expected
 from repro.core.storage import _seek_hits
 from repro.errors import CatalogError
 from repro.faults import FaultError, FaultPlan
@@ -96,26 +97,57 @@ def assert_seeks_agree(store):
     assert store._seek_rows(10**6, None, Op.NE, "x") == []
 
 
-def assert_estimates_exact(catalog):
-    """A plan built for its own literals estimates every seek it runs
-    at the rows that seek returns (a seek that returns none ends the
-    run, and the stages after it report 0 unread)."""
-    for word in CF_STANDARD_NAMES[:2]:
-        shredded = catalog.shred_query(keyword_query(word))
-        plan = build_plan(shredded, catalog.store.stage_counts(shredded))
-        catalog.store.match_objects(plan)
-        for seek in plan.seeks:
-            assert seek.est_rows == plan.actuals[seek.key()], (word, seek.op)
-            if not seek.est_rows:
-                break
+def scan_count(shreds, shredded, qelem):
+    """The scan reference for one seek: element rows of the live
+    objects' shreds under the seek's definitions that match its
+    literal (the §4 simplified plan does not filter by attribute)."""
+    expected = _seek_expected(qelem)
+    probe = next(iter(expected)) if qelem.op is Op.IN_SET else expected
+    attr_id = None if shredded.simple else shredded.qattr(qelem.qattr_id).attr_def_id
+    rows = [row for shred in shreds for row in shred.elements
+            if row.elem_id == qelem.elem_def_id and attr_id in (None, row.attr_id)]
+    vals = [row.value_text if isinstance(probe, str) else row.value_num for row in rows]
+    return len(_seek_hits(qelem.op, vals, expected, range(len(rows))))
 
 
-def assert_consistent(catalog):
+def assert_seeks_read_once(catalog, live):
+    """Every seek a query runs is read once, for exactly the scan
+    reference's rows; a seek that reads none ends the run, and every
+    seek after it stays unread (actual 0).  Both criteria orders, so
+    the zero-hit seek is first in one and second in the other."""
+    shreds = [catalog.shredder.shred(parse(doc)) for doc in catalog.fetch(live).values()]
+    store = catalog.store
+    reads = []
+    seek = store._seek_instances
+    store._seek_instances = lambda elem_id, *args: reads.append(elem_id) or seek(elem_id, *args)
+    try:
+        for word in CF_STANDARD_NAMES[:2]:
+            for reverse in (False, True):
+                shredded = catalog.shred_query(keyword_query(word, reverse))
+                plan = catalog.plan_for(shredded)
+                del reads[:]
+                catalog.store.match_objects(plan)
+                ran, unread = plan.seeks[:len(reads)], plan.seeks[len(reads):]
+                assert reads == [stage.elem_def_id for stage in ran], (word, reverse)
+                counts = [plan.actuals[stage.key()] for stage in ran]
+                assert counts == [
+                    scan_count(shreds, shredded, shredded.qelems[stage.qelem_id - 1])
+                    for stage in ran
+                ], (word, reverse)
+                assert all(counts[:-1])
+                if unread:
+                    assert counts[-1] == 0
+                    assert all(plan.actuals[stage.key()] == 0 for stage in unread)
+    finally:
+        del store._seek_instances
+
+
+def assert_consistent(catalog, live):
     for store in memory_stores(catalog):
         for table in store.db:
             assert table.check_indexes() == [], table.name
         assert_seeks_agree(store)
-    assert_estimates_exact(catalog)
+    assert_seeks_read_once(catalog, live)
 
 
 # ---------------------------------------------------------------------------
@@ -166,10 +198,11 @@ steps = st.lists(
 THEME = "<theme><themekt>CF</themekt><themekey>{}</themekey></theme>"
 
 
-def keyword_query(word):
+def keyword_query(word, reverse=False):
     theme = AttributeCriteria("theme").add_element("themekey", "", word[:5], Op.CONTAINS)
     grid = AttributeCriteria("grid", "ARPS").add_element("dx", "ARPS", 2500.0, Op.LE)
-    return ObjectQuery().add_attribute(theme).add_attribute(grid)
+    first, second = (grid, theme) if reverse else (theme, grid)
+    return ObjectQuery().add_attribute(first).add_attribute(second)
 
 
 def run_step(catalog, live, step, arg):
@@ -224,10 +257,10 @@ def test_write_sequences_keep_seeks_indexes_and_statistics_exact(layout, sequenc
     catalog = HybridCatalog(lead_schema(), store=LAYOUTS[layout]())
     LeadCorpusGenerator(CONFIG).register_definitions(catalog)
     live = [catalog.ingest(DOCUMENTS[0]).object_id]
-    assert_consistent(catalog)
+    assert_consistent(catalog, live)
     for step, arg in sequence:
         run_step(catalog, live, step, arg)
-        assert_consistent(catalog)
+        assert_consistent(catalog, live)
 
 
 # ---------------------------------------------------------------------------

@@ -69,7 +69,7 @@ class TestRowFlow:
     def test_stages_derived_from_actuals(self):
         catalog = _catalog()
         shredded = catalog.shred_query(_query())
-        plan = build_plan(shredded, catalog.store.stage_counts(shredded))
+        plan = build_plan(shredded)
         catalog.store.match_objects(plan)
         profile = QueryProfile()
         profile.record_plan(plan, backend="memory")
@@ -85,7 +85,7 @@ class TestRowFlow:
     def test_short_circuit_detected(self):
         catalog = _catalog()
         shredded = catalog.shred_query(_query("no_such_keyword", Op.EQ))
-        plan = build_plan(shredded, catalog.store.stage_counts(shredded))
+        plan = build_plan(shredded)
         catalog.store.match_objects(plan)
         profile = QueryProfile()
         profile.record_plan(plan, backend="memory")
@@ -96,11 +96,20 @@ class TestRowFlow:
     def test_unexecuted_stage_seconds_default_zero(self):
         catalog = _catalog()
         shredded = catalog.shred_query(_query())
-        plan = build_plan(shredded, catalog.store.stage_counts(shredded))
+        plan = build_plan(shredded)
         catalog.store.match_objects(plan)
         profile = QueryProfile()  # stage_seconds never filled
         profile.record_plan(plan, backend="memory")
         assert all(stage.seconds == 0.0 for stage in profile.stages)
+
+    def test_as_dict_round_trips_stage_keys(self):
+        catalog = _catalog()
+        explanation = catalog.explain(_query(), analyze=True)
+        dumped = explanation.profile.as_dict()
+        kinds = [s["kind"] for s in dumped["stages"]]
+        assert kinds == explanation.profile.stage_names()
+        assert dumped["backend"] == "memory"
+        assert [s["rows_out"] for s in dumped["stages"]] == explanation.profile.rows_out()
 
 
 class TestWaitsAndFlags:
@@ -128,25 +137,3 @@ class TestWaitsAndFlags:
         as_dict = profile.as_dict()
         assert as_dict["result_cache_hit"] is True
         assert as_dict["stages"] == []
-
-
-class TestEstimates:
-    def test_est_delta_signs(self):
-        catalog = _catalog()
-        explanation = catalog.explain(_query(), analyze=True)
-        profile = explanation.profile
-        assert profile is not None
-        seek = profile.stages[0]
-        assert seek.est_rows is not None
-        assert seek.est_delta() == seek.rows_out - seek.est_rows
-        # The rendered table carries est-vs-actual deltas per stage.
-        assert "Δ" in profile.describe()
-
-    def test_as_dict_round_trips_stage_keys(self):
-        catalog = _catalog()
-        explanation = catalog.explain(_query(), analyze=True)
-        dumped = explanation.profile.as_dict()
-        kinds = [s["kind"] for s in dumped["stages"]]
-        assert kinds == explanation.profile.stage_names()
-        assert dumped["backend"] == "memory"
-        assert dumped["plan_cache_hit"] is False

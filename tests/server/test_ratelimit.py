@@ -63,3 +63,23 @@ class TestRateLimiter:
             RateLimiter(rate=0)
         with pytest.raises(ValueError):
             RateLimiter(rate=1.0, burst=0)
+
+    def test_refilled_buckets_are_dropped(self):
+        """A bucket idle for burst / rate seconds is full again, so the
+        table forgets it: many one-off users leave one bucket behind."""
+        clock = FakeClock()
+        limiter = RateLimiter(rate=2.0, burst=4, clock=clock)
+        for i in range(1000):
+            assert limiter.allow(f"user-{i}")
+        clock.advance(2.0)  # burst / rate
+        assert limiter.allow("late")
+        assert len(limiter._buckets) == 1
+
+    def test_a_bucket_still_refilling_is_kept(self):
+        clock = FakeClock()
+        limiter = RateLimiter(rate=1.0, burst=2, clock=clock)
+        assert limiter.allow("ann") and limiter.allow("ann")
+        clock.advance(1.5)  # 1.5 tokens back, not yet burst
+        assert limiter.allow("bob")
+        assert set(limiter._buckets) == {"ann", "bob"}
+        assert [limiter.allow("ann"), limiter.allow("ann")] == [True, False]
