@@ -1,86 +1,13 @@
-"""Direct evaluation of attribute queries over shredded documents.
+"""The scan oracle, as the baselines use it.
 
-:func:`evaluate_shredded_query` answers "does this one document match?"
-by nested-loop evaluation over a :class:`~repro.core.shredder.ShredResult`
-— an algorithm entirely independent of the Fig-4 count-matching plan,
-which makes it the correctness oracle for the planner in tests, and the
-query path of the CLOB-only baseline (which must parse and interpret
-every stored document at query time).
+:func:`evaluate_shredded_query` (defined in :mod:`repro.core.scan`)
+answers "does this one document match?" by nested-loop evaluation over
+its shredded rows, independent of the Fig-4 plan: it is the query path
+of the CLOB-only baseline and the planner's correctness oracle in tests.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Set, Tuple
+from ..core.scan import evaluate_shredded_query
 
-from ..core.query import QAttr, ShreddedQuery
-from ..core.shredder import ShredResult
-
-Instance = Tuple[int, int]  # (attr_def_id, seq)
-
-
-def evaluate_shredded_query(query: ShreddedQuery, shred: ShredResult) -> bool:
-    """True iff the document whose shred is given satisfies ``query``."""
-    # Index the document's rows.
-    instances_by_def: Dict[int, List[int]] = {}
-    for arow in shred.attributes:
-        instances_by_def.setdefault(arow.attr_id, []).append(arow.seq_id)
-    elements_by_instance: Dict[Instance, List] = {}
-    for erow in shred.elements:
-        elements_by_instance.setdefault((erow.attr_id, erow.seq_id), []).append(erow)
-    # descendant instance -> ancestor instances (distance >= 1)
-    ancestors_of: Dict[Instance, Set[Instance]] = {}
-    for irow in shred.inverted:
-        if irow.distance >= 1:
-            ancestors_of.setdefault(
-                (irow.desc_attr_id, irow.desc_seq), set()
-            ).add((irow.anc_attr_id, irow.anc_seq))
-
-    memo: Dict[int, Set[Instance]] = {}
-
-    def qattr_satisfied_instances(qattr: QAttr) -> Set[Instance]:
-        if qattr.qattr_id in memo:
-            return memo[qattr.qattr_id]
-        candidates = instances_by_def.get(qattr.attr_def_id, [])
-        satisfied: Set[Instance] = set()
-        criteria = query.elements_of(qattr.qattr_id)
-        for seq in candidates:
-            instance = (qattr.attr_def_id, seq)
-            rows = elements_by_instance.get(instance, [])
-            ok = True
-            for criterion in criteria:
-                if criterion.value_set is not None:
-                    expected = criterion.value_set
-                else:
-                    expected = criterion.value_num if criterion.numeric else criterion.value_text
-                hit = False
-                for erow in rows:
-                    if erow.elem_id != criterion.elem_def_id:
-                        continue
-                    actual = erow.value_num if criterion.numeric else erow.value_text
-                    if criterion.op.matches(actual, expected):
-                        hit = True
-                        break
-                if not hit:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            # Sub-attribute criteria: each child criterion needs a
-            # satisfied descendant instance below this instance.
-            for child_id in qattr.child_qattr_ids:
-                child = query.qattr(child_id)
-                child_ok = qattr_satisfied_instances(child)
-                if not any(
-                    instance in ancestors_of.get(c, set()) for c in child_ok
-                ):
-                    ok = False
-                    break
-            if ok:
-                satisfied.add(instance)
-        memo[qattr.qattr_id] = satisfied
-        return satisfied
-
-    for top_id in query.top_qattr_ids:
-        if not qattr_satisfied_instances(query.qattr(top_id)):
-            return False
-    return True
+__all__ = ["evaluate_shredded_query"]

@@ -44,7 +44,7 @@ from ..xmlkit import Document, parse
 from .definitions import AttributeDef, DefinitionRegistry, ElementDef
 from .logical import LogicalPlan, build_plan
 from .query import ObjectQuery, ShreddedQuery, shred_query
-from .result_cache import QueryResultCache, result_key
+from .result_cache import LoggedWrite, QueryResultCache, result_key
 from .schema import AnnotatedSchema, ValueType
 from .shredder import Shredder, ShredResult
 from .storage import HybridStore, MemoryHybridStore, PlanTrace
@@ -156,10 +156,16 @@ class HybridCatalog:
         self._token_lock = threading.Lock()
         self.generation = 0
         self.data_version = 0
+        # Held from a write's commit through its token move, so the
+        # result cache's write log lists ingests and deletes in commit
+        # order (an id's delete can never be logged before its ingest).
+        self._write_lock = threading.Lock()
         # Query-*result* memoization: fully-bound repeated queries skip
-        # execution entirely until any write moves the cache token.
+        # execution; an ingest or delete patches cached answers, any
+        # other write drops them.
         self.result_cache = QueryResultCache(
-            on_invalidate=self._count_result_cache_invalidation
+            on_invalidate=self._count_result_cache_invalidation,
+            on_patch=self._count_result_cache_patch,
         )
         # Structured event log (query audit, slow queries, rollbacks):
         # optional per-catalog sidecar; ``slow_query_threshold`` is in
@@ -210,6 +216,12 @@ class HybridCatalog:
             "query results computed fresh (result-cache miss)",
         ).inc()
 
+    def _count_result_cache_patch(self) -> None:
+        self.metrics.counter(
+            "query_cache_patched_hits_total",
+            "result-cache hits brought up to date from the write log",
+        ).inc()
+
     def _count_result_cache_evictions(self, count: int) -> None:
         self.metrics.counter(
             "query_cache_evictions_total",
@@ -244,13 +256,20 @@ class HybridCatalog:
         """Definitions changed: retire cached answers."""
         self._moved(definitions=True)
 
-    def _moved(self, definitions: bool = False) -> None:
-        """A write landed: cached answers retire; a definition change
-        also moves the generation."""
+    def _moved(
+        self, definitions: bool = False, write: Optional[LoggedWrite] = None
+    ) -> None:
+        """A write committed: move the token.  An ingest or delete
+        passes its ``write`` record, which the result cache logs to
+        patch cached answers with; any other write, or one that also
+        moves the generation (a definition change), drops them."""
         with self._token_lock:
             self.data_version += 1
             if definitions:
                 self.generation += 1
+            self.result_cache.advance(
+                (self.generation, self.data_version), write
+            )
 
     # ------------------------------------------------------------------
     # Definitions
@@ -320,10 +339,15 @@ class HybridCatalog:
                     self.store.sync_definitions(self.registry)
                 self.store.store_object(object_id, name, owner, shred)
 
-            self.store.run_transaction("catalog.ingest", write)
-            self._names[object_id] = name
-            # New definitions were synced: move the generation too.
-            self._moved(definitions=bool(shred.defined))
+            with self._write_lock:
+                self.store.run_transaction("catalog.ingest", write)
+                self._names[object_id] = name
+                # New definitions were synced: move the generation too.
+                self._moved(
+                    definitions=bool(shred.defined),
+                    write=LoggedWrite(object_id, (
+                        shred.attributes, shred.elements, shred.inverted)),
+                )
             current.set(object_id=object_id, clobs=len(shred.clobs),
                         warnings=len(shred.warnings))
         self.metrics.counter(
@@ -349,9 +373,10 @@ class HybridCatalog:
     def delete(self, object_id: int) -> None:
         with self.tracer.span("catalog.delete", object_id=object_id):
             _require_issuable(object_id)
-            self.store.delete_object(object_id)
-            self._names.pop(object_id, None)
-            self._moved()
+            with self._write_lock:
+                self.store.delete_object(object_id)
+                self._names.pop(object_id, None)
+                self._moved(write=LoggedWrite(object_id))
         self.metrics.counter("catalog_deletes_total", "objects deleted").inc()
         self._set_objects_gauge()
 
@@ -445,10 +470,10 @@ class HybridCatalog:
     ) -> List[int]:
         """Match objects; returns sorted object ids (paper §4).
 
-        The query is shredded, checked against the write-invalidated
-        result cache (plan shape + literals, keyed to :meth:`cache_token` —
-        a repeated fully-bound query between writes skips execution
-        entirely), then compiled into a
+        The query is shredded, checked against the result cache (plan
+        shape + literals; a repeated fully-bound query skips execution
+        entirely, its cached answer patched past any ingests and
+        deletes since it was computed), then compiled into a
         :class:`~repro.core.logical.LogicalPlan` and executed by the
         bound store.  An
         explicit ``trace`` bypasses the result cache: the caller asked
@@ -498,12 +523,13 @@ class HybridCatalog:
             )
             use_cache = trace is None
             if use_cache:
-                # The token is captured *before* execution; a write
-                # landing mid-query moves it, and the cache then
-                # refuses the stale store() below.
+                # The token is captured *before* execution: the
+                # answer is stored as current at it, and the next
+                # lookup replays any write that landed mid-query (a
+                # definition change makes the cache refuse it).
                 token = self.cache_token()
                 key = result_key(shredded)
-                cached = self.result_cache.lookup(key, token)
+                cached = self.result_cache.lookup(key, shredded)
                 if cached is not None:
                     self._count_result_cache_hit()
                     current.set(matches=len(cached), result_cache="hit")

@@ -88,6 +88,8 @@ METRICS: Dict[str, MetricSpec] = _declare(
                "query results served from the result cache"),
     MetricSpec("query_cache_misses_total", "counter",
                "query results computed fresh (result-cache miss)"),
+    MetricSpec("query_cache_patched_hits_total", "counter",
+               "result-cache hits brought up to date from the write log"),
     MetricSpec("query_cache_evictions_total", "counter",
                "query results evicted from the result cache (LRU)"),
     MetricSpec("query_cache_size", "gauge",

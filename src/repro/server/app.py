@@ -13,10 +13,12 @@ transport, identity, and protection:
 * **Rate limiting** (:mod:`.ratelimit`): a per-user token bucket sheds
   load with ``429`` before the request touches the catalog.
 * **Streaming search**: ``POST /v1/search`` pages through the match
-  set (``offset``/``limit``) and writes each object's XML response as
+  set (``offset``/``limit``) and frames each object's XML response as
   its own HTTP/1.1 chunk — the set-wise response builder emits
   per-object, so the body is byte-identical to the in-process
   ``search()`` slice while never materializing more than one page.
+* **Transport**: the handler parses each request head itself and
+  writes each response in one write (:class:`_CatalogRequestHandler`).
 * **Observability**: request counts/latency land in the service
   catalog's metrics registry (``server_*`` series, exposed at
   ``GET /v1/metrics``); requests slower than the configured threshold
@@ -45,9 +47,11 @@ from __future__ import annotations
 import json
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from email.utils import formatdate
+from http import HTTPStatus
+from http.server import ThreadingHTTPServer
+from socketserver import StreamRequestHandler
 from typing import Any, Dict, Optional, Tuple
-from urllib.parse import urlsplit
 
 from ..errors import CatalogError, ReproError
 from ..grid.service import MyLeadService
@@ -61,6 +65,15 @@ __all__ = ["CatalogServer", "ServerConfig"]
 
 #: Cap on accepted request bodies; a metadata document is kilobytes.
 MAX_BODY_BYTES = 8 * 1024 * 1024
+#: ``http.server``'s limits on a request head: the longest request or
+#: header line, and the most header lines.
+MAX_LINE_BYTES = 65536
+MAX_HEADERS = 100
+SERVER_NAME = "repro-catalog/1"
+
+_REASONS = {status.value: status.phrase for status in HTTPStatus}
+_JSON_TYPE = "application/json"
+_PROMETHEUS_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
 
 class ServerConfig:
@@ -106,14 +119,12 @@ def _status_for(exc: Exception) -> int:
 
 
 class _Route:
-    __slots__ = ("endpoint", "handler", "auth", "stream")
+    __slots__ = ("endpoint", "handler", "auth")
 
-    def __init__(self, endpoint: str, handler: str,
-                 auth: bool = True, stream: bool = False) -> None:
+    def __init__(self, endpoint: str, handler: str, auth: bool = True) -> None:
         self.endpoint = endpoint
         self.handler = handler
         self.auth = auth
-        self.stream = stream
 
 
 _ROUTES: Dict[Tuple[str, str], _Route] = {
@@ -138,7 +149,7 @@ _ROUTES: Dict[Tuple[str, str], _Route] = {
     ),
     ("POST", "/v1/query"): _Route("query", "handle_query"),
     ("POST", "/v1/fetch"): _Route("fetch", "handle_fetch"),
-    ("POST", "/v1/search"): _Route("search", "handle_search", stream=True),
+    ("POST", "/v1/search"): _Route("search", "handle_search"),
 }
 
 
@@ -183,6 +194,9 @@ class CatalogServer:
         self._sessions_gauge = registry.gauge(
             "server_sessions", "session tokens currently active"
         )
+        # (endpoint, status) -> its request counter and latency
+        # histogram children, resolved once.
+        self._observed: Dict[Tuple[str, int], Tuple[Any, Any]] = {}
         self._streamed = registry.counter(
             "server_streamed_objects_total",
             "XML objects written through streamed search responses",
@@ -248,8 +262,15 @@ class CatalogServer:
     # ------------------------------------------------------------------
     def observe(self, endpoint: str, status: int, seconds: float,
                 user: Optional[str]) -> None:
-        self._requests.labels(endpoint=endpoint, status=str(status)).inc()
-        self._latency.labels(endpoint=endpoint).observe(seconds)
+        children = self._observed.get((endpoint, status))
+        if children is None:
+            children = (
+                self._requests.labels(endpoint=endpoint, status=str(status)),
+                self._latency.labels(endpoint=endpoint),
+            )
+            self._observed[(endpoint, status)] = children
+        children[0].inc()
+        children[1].observe(seconds)
         threshold = self.config.slow_request_threshold
         events = self.service.catalog.events
         if threshold is not None and events is not None and seconds > threshold:
@@ -406,167 +427,303 @@ def _required_int(payload: Dict[str, Any], key: str) -> int:
     return value
 
 
-class _CatalogRequestHandler(BaseHTTPRequestHandler):
-    """Per-request plumbing: routing, auth, rate limit, accounting.
+class _Reject(Exception):
+    """A request head the handler answers without routing it; the
+    connection closes after the answer, since where the next request
+    starts is unknown."""
 
-    HTTP/1.1 with keep-alive — every non-chunked response carries an
-    exact ``Content-Length``; streamed search uses chunked transfer
-    (one chunk per XML object)."""
+    def __init__(self, status: int, message: str) -> None:
+        super().__init__(message)
+        self.status = status
 
-    protocol_version = "HTTP/1.1"
-    server_version = "repro-catalog/1"
-    sys_version = ""
-    # Headers and body go out in separate send() calls; without
-    # TCP_NODELAY that pattern hits the Nagle/delayed-ACK stall
-    # (~40 ms per response on loopback).
+
+class _CatalogRequestHandler(StreamRequestHandler):
+    """Per-connection plumbing: request heads, routing, auth, rate
+    limit, accounting.
+
+    HTTP/1.1 with keep-alive.  The handler parses each request head
+    itself into a dict keyed by lower-cased header name, with
+    ``http.server``'s limits and answers: a request or header line
+    over :data:`MAX_LINE_BYTES` is a 414 or 431, more than
+    :data:`MAX_HEADERS` header lines a 431, a malformed request line
+    or header line a 400, an HTTP/2+ version a 505; HTTP/1.0 and
+    ``Connection: close`` close the connection after the reply, and
+    ``Expect: 100-continue`` gets ``100 Continue`` before the body is
+    read.  The body is framed by ``Content-Length`` alone: a malformed
+    or conflicting one is a 400 and ``Transfer-Encoding`` a 411, each
+    closing the connection.
+
+    Every response — status line, headers and body — goes out in one
+    write.  A non-chunked response carries an exact
+    ``Content-Length``; streamed search uses chunked transfer (one
+    chunk per XML object)."""
+
+    # Small replies on a keep-alive connection: do not let Nagle hold
+    # one back waiting for the client's delayed ACK.
     disable_nagle_algorithm = True
 
-    def log_message(self, format: str, *args) -> None:  # noqa: A002
-        pass  # request accounting goes through metrics, not stderr
+    def handle(self) -> None:
+        self.close_connection = False
+        while not self.close_connection:
+            self._handle_one()
 
-    def do_GET(self) -> None:
-        self._handle("GET")
-
-    def do_POST(self) -> None:
-        self._handle("POST")
-
-    def do_DELETE(self) -> None:
-        self._handle("DELETE")
-
-    # ------------------------------------------------------------------
     @property
     def app(self) -> CatalogServer:
         return self.server.app  # type: ignore[attr-defined]
 
-    def _handle(self, method: str) -> None:
-        app = self.app
-        parsed = urlsplit(self.path)
-        route = _ROUTES.get((method, parsed.path))
-        if route is None:
-            self._drain_body()
-            self._finish("unknown", 404,
-                         {"error": f"no route {method} {parsed.path}"},
-                         time.monotonic(), None)
-            return
-        start = time.monotonic()
-        user: Optional[str] = None
-        token = self._bearer_token()
+    # ------------------------------------------------------------------
+    def _handle_one(self) -> None:
         try:
-            # Drain the body unconditionally: a rejected request must
-            # not leave its bytes in the socket, or the next keep-alive
-            # request on this connection parses them as a request line.
-            payload = self._read_json_body()
+            head = self._read_head()
+        except _Reject as reject:
+            self.close_connection = True
+            self._write(reject.status, _JSON_TYPE,
+                        _json_bytes({"error": str(reject)}))
+            return
+        except OSError:
+            head = None  # the client reset the connection mid-head
+        if head is None:
+            self.close_connection = True
+            return
+        method, target, headers, length = head
+        self._handle(method, target, headers, length)
+
+    def _read_head(
+        self,
+    ) -> Optional[Tuple[str, str, Dict[str, str], int]]:
+        """``(method, target, headers, content length)`` of the next
+        request, or None when the client closed the connection."""
+        rfile = self.rfile
+        line = rfile.readline(MAX_LINE_BYTES + 1)
+        if len(line) > MAX_LINE_BYTES:
+            raise _Reject(414, "request line too long")
+        words = line.decode("iso-8859-1").split()
+        if not words:
+            return None  # end of stream, or a blank line: no request
+        if len(words) != 3:
+            raise _Reject(400, f"bad request line {_shown(line)}")
+        method, target, version = words
+        numbers = _version_numbers(version)
+        if numbers is None:
+            raise _Reject(400, f"bad request version {version[:64]!r}")
+        if numbers >= (2, 0):
+            raise _Reject(505, f"unsupported HTTP version {version[:64]!r}")
+        headers: Dict[str, str] = {}
+        count = 0
+        while True:
+            line = rfile.readline(MAX_LINE_BYTES + 1)
+            if len(line) > MAX_LINE_BYTES:
+                raise _Reject(431, "header line too long")
+            if line in (b"\r\n", b"\n", b""):
+                break
+            count += 1
+            if count > MAX_HEADERS:
+                raise _Reject(431, f"more than {MAX_HEADERS} headers")
+            name, colon, value = line.decode("iso-8859-1").partition(":")
+            if not colon or not name or name != name.strip():
+                raise _Reject(400, f"bad header line {_shown(line)}")
+            name = name.lower()
+            value = value.strip()
+            if name not in headers:
+                headers[name] = value
+            elif name == "content-length" and headers[name] != value:
+                raise _Reject(400, "conflicting Content-Length headers")
+        connection = headers.get("connection", "").lower()
+        if connection == "close":
+            self.close_connection = True
+        elif connection == "keep-alive":
+            self.close_connection = False
+        else:
+            self.close_connection = numbers < (1, 1)
+        if "transfer-encoding" in headers:
+            raise _Reject(411, "a request body needs a Content-Length")
+        length = headers.get("content-length", "0")
+        if not length.isdecimal():
+            raise _Reject(400, f"bad Content-Length {length[:64]!r}")
+        digits = length.lstrip("0") or "0"
+        if len(digits) > 9 or int(digits) > MAX_BODY_BYTES:
+            # Too big to drain: answer and drop the connection instead
+            # of leaving unread bytes on a keep-alive socket.
+            raise _Reject(400, f"request body of {digits[:64]} bytes exceeds "
+                               f"the {MAX_BODY_BYTES}-byte cap")
+        if (numbers >= (1, 1)
+                and headers.get("expect", "").lower() == "100-continue"):
+            self.wfile.write(b"HTTP/1.1 100 Continue\r\n\r\n")
+        return method, target, headers, int(digits)
+
+    def _handle(self, method: str, target: str, headers: Dict[str, str],
+                length: int) -> None:
+        app = self.app
+        start = time.monotonic()
+        path, _, query = target.partition("?")
+        route = _ROUTES.get((method, path))
+        endpoint = route.endpoint if route is not None else "unknown"
+        # The body is read whatever the answer: a rejected request must
+        # not leave its bytes in the socket, or the next keep-alive
+        # request on this connection parses them as a request line.
+        try:
+            raw = self._read_body(length)
+        except CatalogError as exc:  # the client closed mid-body
+            self.close_connection = True
+            self._finish(endpoint, 400, {"error": str(exc)}, start, None)
+            return
+        if route is None:
+            self._finish(endpoint, 404,
+                         {"error": f"no route {method} {path}"},
+                         start, None)
+            return
+        user: Optional[str] = None
+        token = _bearer_token(headers)
+        try:
+            payload = _json_payload(raw)
             if route.auth:
                 user = app.sessions.resolve(token)
                 if user is None:
                     app.count_auth_failure()
-                    self._finish(route.endpoint, 401,
+                    self._finish(endpoint, 401,
                                  {"error": "missing or invalid session token"},
                                  start, None)
                     return
                 if not app.limiter.allow(user):
                     app.count_rate_limited()
-                    self._finish(route.endpoint, 429,
+                    self._finish(endpoint, 429,
                                  {"error": "rate limit exceeded"},
                                  start, user)
                     return
             handler = getattr(app, route.handler)
             if route.handler == "handle_close_session":
-                status, body = handler(user, payload, parsed.query,
-                                       token=token)
+                status, body = handler(user, payload, query, token=token)
             else:
-                status, body = handler(user, payload, parsed.query)
+                status, body = handler(user, payload, query)
         except (ReproError, XMLSyntaxError) as exc:
-            self._finish(route.endpoint, _status_for(exc),
+            self._finish(endpoint, _status_for(exc),
                          {"error": str(exc)}, start, user)
             return
         except Exception as exc:  # noqa: BLE001 - the 5xx boundary
-            self._finish(route.endpoint, 500,
+            self._finish(endpoint, 500,
                          {"error": f"internal error: {type(exc).__name__}"},
                          start, user)
             return
         if isinstance(body, _StreamedSearch):
-            self._finish_stream(route.endpoint, body, start, user)
+            self._finish_stream(endpoint, body, start, user)
         else:
-            self._finish(route.endpoint, status, body, start, user)
+            self._finish(endpoint, status, body, start, user)
 
     # ------------------------------------------------------------------
-    def _bearer_token(self) -> Optional[str]:
-        header = self.headers.get("Authorization", "")
-        if header.startswith("Bearer "):
-            return header[len("Bearer "):].strip()
-        return None
-
-    def _drain_body(self) -> None:
-        """Consume an unwanted request body so keep-alive stays in sync."""
-        length = int(self.headers.get("Content-Length") or 0)
-        if 0 < length <= MAX_BODY_BYTES:
-            self.rfile.read(length)
-
-    def _read_json_body(self) -> Dict[str, Any]:
-        length = int(self.headers.get("Content-Length") or 0)
-        if length > MAX_BODY_BYTES:
-            # Too big to drain: drop the connection after responding
-            # instead of leaving unread bytes on a keep-alive socket.
-            self.close_connection = True
-            raise CatalogError(
-                f"request body of {length} bytes exceeds the "
-                f"{MAX_BODY_BYTES}-byte cap"
-            )
-        if length <= 0:
-            return {}
-        raw = self.rfile.read(length)
+    def _read_body(self, length: int) -> bytes:
+        """The request body: ``length`` bytes, the Content-Length the
+        head validated."""
+        if length == 0:
+            return b""
         try:
-            payload = json.loads(raw)
-        except ValueError:
-            raise CatalogError("request body is not valid JSON") from None
-        if not isinstance(payload, dict):
-            raise CatalogError("request body must be a JSON object")
-        return payload
+            raw = self.rfile.read(length)
+        except OSError:
+            raw = b""
+        if len(raw) < length:
+            raise CatalogError(
+                f"request body ended after {len(raw)} of {length} bytes"
+            )
+        return raw
+
+    def _head(self, status: int, fields: str) -> bytes:
+        """Status line and headers: the common ones, then ``fields``
+        (each line ending in CRLF), then the blank line."""
+        close = "Connection: close\r\n" if self.close_connection else ""
+        return (
+            f"HTTP/1.1 {status} {_REASONS.get(status, '')}\r\n"
+            f"Server: {SERVER_NAME}\r\n"
+            f"Date: {formatdate(time.time(), usegmt=True)}\r\n"
+            f"{fields}{close}\r\n"
+        ).encode("latin-1")
+
+    def _write(self, status: int, content_type: str, data: bytes) -> None:
+        """One response — status line, headers, body — in one write."""
+        head = self._head(
+            status,
+            f"Content-Type: {content_type}\r\n"
+            f"Content-Length: {len(data)}\r\n",
+        )
+        try:
+            self.wfile.write(head + data)
+        except (BrokenPipeError, ConnectionResetError):
+            # The client went away mid-response; nothing to salvage.
+            self.close_connection = True
 
     def _finish(self, endpoint: str, status: int, body, start: float,
                 user: Optional[str]) -> None:
         if isinstance(body, str):
-            data = body.encode("utf-8")
-            content_type = "text/plain; version=0.0.4; charset=utf-8"
+            self._write(status, _PROMETHEUS_TYPE, body.encode("utf-8"))
         else:
-            data = (json.dumps(body) + "\n").encode("utf-8")
-            content_type = "application/json"
-        try:
-            self.send_response(status)
-            self.send_header("Content-Type", content_type)
-            self.send_header("Content-Length", str(len(data)))
-            self.end_headers()
-            self.wfile.write(data)
-        except (BrokenPipeError, ConnectionResetError):
-            pass  # client went away mid-response; nothing to salvage
+            self._write(status, _JSON_TYPE, _json_bytes(body))
         self.app.observe(endpoint, status, time.monotonic() - start, user)
 
     def _finish_stream(self, endpoint: str, result: _StreamedSearch,
                        start: float, user: Optional[str]) -> None:
-        """One chunk per XML object; the concatenated body is
-        byte-identical to the in-process ``search()`` slice."""
+        """One chunk per XML object, the whole response in one write;
+        the concatenated body is byte-identical to the in-process
+        ``search()`` slice."""
         app = self.app
+        ids = ",".join(map(str, result.ids))
+        parts = [self._head(
+            200,
+            "Content-Type: application/xml; charset=utf-8\r\n"
+            "Transfer-Encoding: chunked\r\n"
+            f"X-Total-Matches: {result.total}\r\n"
+            f"X-Offset: {result.offset}\r\n"
+            f"X-Object-Ids: {ids}\r\n",
+        )]
+        objects = 0
+        for document in result.documents:
+            data = document.encode("utf-8")
+            if data:
+                parts += (b"%x\r\n" % len(data), data, b"\r\n")
+                objects += 1
+        parts.append(b"0\r\n\r\n")
+        # Counted before the write: the metric must already be visible
+        # when the client observes the end of the stream.
+        app.count_streamed(objects)
         try:
-            self.send_response(200)
-            self.send_header("Content-Type", "application/xml; charset=utf-8")
-            self.send_header("Transfer-Encoding", "chunked")
-            self.send_header("X-Total-Matches", str(result.total))
-            self.send_header("X-Offset", str(result.offset))
-            self.send_header(
-                "X-Object-Ids", ",".join(str(i) for i in result.ids)
-            )
-            self.end_headers()
-            for document in result.documents:
-                data = document.encode("utf-8")
-                if not data:
-                    continue
-                self.wfile.write(b"%x\r\n" % len(data) + data + b"\r\n")
-                # Counted before the terminator goes out: the metric
-                # must already be visible when the client observes the
-                # end of the stream.
-                app.count_streamed(1)
-            self.wfile.write(b"0\r\n\r\n")
+            self.wfile.write(b"".join(parts))
         except (BrokenPipeError, ConnectionResetError):
-            pass  # a half-written stream cannot be repaired over HTTP
+            self.close_connection = True
         app.observe(endpoint, 200, time.monotonic() - start, user)
+
+
+def _version_numbers(version: str) -> Optional[Tuple[int, int]]:
+    """``(major, minor)`` of an ``HTTP/x.y`` version, or None."""
+    if not version.startswith("HTTP/"):
+        return None
+    major, dot, minor = version[5:].partition(".")
+    for number in (major, minor):
+        if not number.isdecimal() or len(number) > 10:
+            return None
+    if not dot:
+        return None
+    return int(major), int(minor)
+
+
+def _shown(line: bytes) -> str:
+    return repr(line[:64].decode("iso-8859-1").rstrip("\r\n"))
+
+
+def _bearer_token(headers: Dict[str, str]) -> Optional[str]:
+    header = headers.get("authorization", "")
+    if header.startswith("Bearer "):
+        return header[len("Bearer "):].strip()
+    return None
+
+
+def _json_payload(raw: bytes) -> Dict[str, Any]:
+    if not raw:
+        return {}
+    try:
+        payload = json.loads(raw)
+    except (ValueError, RecursionError):
+        raise CatalogError("request body is not valid JSON") from None
+    if not isinstance(payload, dict):
+        raise CatalogError("request body must be a JSON object")
+    return payload
+
+
+def _json_bytes(body: Any) -> bytes:
+    return (json.dumps(body) + "\n").encode("utf-8")
