@@ -2,7 +2,8 @@
 under ``benchmarks/results/`` so the numbers EXPERIMENTS.md cites can be
 regenerated and diffed.
 
-Each ``emit`` writes three artifacts per experiment:
+Each ``emit`` writes three artifacts per experiment (none in a run
+under ``--benchmark-disable``):
 
 * ``<experiment>.txt`` — the rendered console table (human diffing);
 * ``BENCH_<experiment>.json`` — the same table as structured data, so
@@ -24,12 +25,26 @@ from repro.bench import ResultTable, dump_metrics
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
+#: Whether ``emit`` writes its artifacts.  A run under
+#: ``--benchmark-disable`` (the smoke mode: every benchmark runs once,
+#: untimed) only prints its tables, so the committed results are left
+#: alone; :func:`configure` sets this from that option.
+WRITE_RESULTS = True
+
+
+def configure(config) -> None:
+    """Read the pytest ``config`` (``pytest_configure`` in conftest)."""
+    global WRITE_RESULTS
+    WRITE_RESULTS = not config.getoption("benchmark_disable", False)
+
 
 def emit(experiment: str, table: ResultTable) -> None:
-    RESULTS_DIR.mkdir(exist_ok=True)
     rendered = table.render()
     print()
     print(rendered)
+    if not WRITE_RESULTS:
+        return
+    RESULTS_DIR.mkdir(exist_ok=True)
     path = RESULTS_DIR / f"{experiment}.txt"
     existing = path.read_text() if path.exists() else ""
     block = rendered + "\n\n"

@@ -13,6 +13,8 @@ import pytest
 from repro.bench import build_schemes
 from repro.grid import CorpusConfig, PlantedMarker
 
+import _util
+
 BASE_CONFIG = CorpusConfig(
     seed=2006,
     themes=2,
@@ -30,6 +32,10 @@ BASE_CONFIG = CorpusConfig(
 )
 
 MID_CORPUS = 150
+
+
+def pytest_configure(config):
+    _util.configure(config)
 
 
 @pytest.fixture(scope="session")

@@ -107,6 +107,11 @@ class DefinitionRegistry:
     Lookup precedence follows §3: a user's private definitions shadow
     nothing — names are unique per ``(name, source, scope)``, and a
     lookup for a user sees admin definitions plus that user's own.
+
+    ``version`` moves each time a definition is added (by ``define_*``,
+    :meth:`rehydrate`, or a shred that auto-defines), after the new
+    definition is in place: an answer looked up at one version holds
+    for as long as ``version`` reads the same.
     """
 
     def __init__(self, schema: AnnotatedSchema) -> None:
@@ -121,6 +126,7 @@ class DefinitionRegistry:
         self._structural_by_tag: Dict[str, AttributeDef] = {}
         self._next_attr_id = 1
         self._next_elem_id = 1
+        self.version = 0
         self._register_structural()
 
     # ------------------------------------------------------------------
@@ -261,6 +267,7 @@ class DefinitionRegistry:
         self._next_attr_id += 1
         self._attr_defs[attr_def.attr_id] = attr_def
         self._attr_key[key] = attr_def
+        self.version += 1
         return attr_def
 
     def _new_element(
@@ -281,6 +288,7 @@ class DefinitionRegistry:
         self._next_elem_id += 1
         self._elem_defs[elem_def.elem_id] = elem_def
         self._elem_key[key] = elem_def
+        self.version += 1
         return elem_def
 
     # ------------------------------------------------------------------

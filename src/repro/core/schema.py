@@ -101,7 +101,8 @@ class DynamicSpec:
       (``attrlabl``) and ``defs_tag`` (``attrdefs``) name each
       sub-attribute or element; ``value_tag`` (``attrv``) marks a leaf
       element carrying a value; a nested ``item_tag`` marks a
-      sub-attribute.
+      sub-attribute.  These four tags must differ: an item's children
+      are told apart by tag alone.
     """
 
     __slots__ = (
@@ -131,6 +132,11 @@ class DynamicSpec:
         self.label_tag = label_tag
         self.defs_tag = defs_tag
         self.value_tag = value_tag
+        item_tags = (item_tag, label_tag, defs_tag, value_tag)
+        if len(set(item_tags)) != len(item_tags):
+            raise SchemaError(
+                f"dynamic item, label, source and value tags must differ: {item_tags}"
+            )
 
 
 class SchemaNode:

@@ -30,7 +30,7 @@ element has no definition in the registry:
 from __future__ import annotations
 
 import time
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple, Union
 
 from ..errors import ShredError, ValidationError
 from ..obs.metrics import MetricsRegistry, default_registry
@@ -84,6 +84,11 @@ class InvertedRow(NamedTuple):
     distance: int
 
 
+#: Builds a row tuple directly: a NamedTuple's own ``__new__`` is a
+#: Python function, one frame per row on the ingest hot path.
+_row = tuple.__new__
+
+
 class ShredResult:
     """Everything one document contributes to the catalog tables."""
 
@@ -104,8 +109,115 @@ class ShredResult:
         )
 
 
+class _Structure:
+    """A structural schema node compiled for the walk: each allowed child
+    tag with its repeatable flag and what it is (a nested
+    ``_Structure`` or an attribute's :class:`SchemaNode`), and the tags
+    that must appear, in schema order.  Depends on the schema alone."""
+
+    __slots__ = ("children", "required")
+
+    def __init__(self, snode: SchemaNode) -> None:
+        self.children: Dict[str, Tuple[bool, Union["_Structure", SchemaNode]]] = {}
+        for child in snode.children:
+            inner = child if child.kind is NodeKind.ATTRIBUTE else _Structure(child)
+            self.children.setdefault(child.tag, (child.repeatable, inner))
+        self.required = tuple(c.tag for c in snode.children if c.required)
+
+
+#: ``_Inside`` entry kinds.
+_ELEMENT, _SUB_ATTRIBUTE, _UNDEFINED = 0, 1, 2
+
+
+class _Inside:
+    """The inside of one structural attribute or sub-attribute, resolved
+    for one user at one registry version: per child tag, either
+    ``(_ELEMENT, ElementDef, value parser)``, ``(_SUB_ATTRIBUTE,
+    AttributeDef, _Inside)`` or ``(_UNDEFINED, warning)``."""
+
+    __slots__ = ("tag", "entries")
+
+    def __init__(self, tag: str, entries: Dict[str, tuple]) -> None:
+        self.tag = tag
+        self.entries = entries
+
+
+class _Plan:
+    """What shredding needs from the registry, for one user at one
+    registry version.
+
+    ``attributes`` maps each structural attribute's tag to its
+    definition, its leaf value ``(ElementDef, parser)`` (or ``None``)
+    and its ``_Inside``; it is complete when the plan is published and
+    never changes.  The two memos remember dynamic lookups —
+    ``(name, source, parent id)`` → ``AttributeDef`` and
+    ``(attr id, label, source)`` → ``(ElementDef, parser)``, misses
+    included — and are read only while the registry still reads
+    ``version``.  A definition is in place before the version moves, so
+    every entry a reader can see is the registry's answer at
+    ``version``; one filled after the move sits in a plan nobody reads.
+    """
+
+    __slots__ = ("version", "attributes", "attribute_memo", "element_memo")
+
+    def __init__(self, version: int, attributes: Dict[str, tuple]) -> None:
+        self.version = version
+        self.attributes = attributes
+        self.attribute_memo: Dict[tuple, Optional[AttributeDef]] = {}
+        self.element_memo: Dict[tuple, Optional[tuple]] = {}
+
+
+#: A memo stops growing here: documents can name any number of unknown
+#: labels, and a miss is remembered like a hit.
+_MEMO_LIMIT = 4096
+#: Plans kept per registry version, one per user.
+_PLAN_LIMIT = 64
+_MISSING = object()
+
+
+def _string_value(text: str) -> Tuple[str, Optional[float]]:
+    return text, None
+
+
+def _integer_value(text: str) -> Tuple[str, Optional[float]]:
+    return text, float(int(text))
+
+
+def _float_value(text: str) -> Tuple[str, Optional[float]]:
+    return text, float(text)
+
+
+def _date_value(text: str) -> Tuple[str, Optional[float]]:
+    return ValueType.DATE.parse(text), None
+
+
+#: ``(value_text, value_num)`` of a stripped value, typed as
+#: :meth:`ValueType.parse` types it; ``ValueError`` when it does not parse.
+_VALUE_PARSERS: Dict[ValueType, Callable[[str], Tuple[str, Optional[float]]]] = {
+    ValueType.STRING: _string_value,
+    ValueType.INTEGER: _integer_value,
+    ValueType.FLOAT: _float_value,
+    ValueType.DATE: _date_value,
+}
+
+
+def _typed(elem_def: Optional[ElementDef]) -> Optional[tuple]:
+    """``(elem_def, its value parser)``, or ``None`` for no definition."""
+    if elem_def is None:
+        return None
+    return elem_def, _VALUE_PARSERS[elem_def.value_type]
+
+
 class Shredder:
-    """Shreds documents against one schema + definition registry."""
+    """Shreds documents against one schema + definition registry.
+
+    The per-node work of the walk is done once, not per document: the
+    schema's structure is compiled when the shredder is built, and the
+    registry lookups into a :class:`_Plan` per user, rebuilt when the
+    registry's ``version`` moves.  A plan is built whole and then
+    published by one assignment, so shreds running on other threads
+    see either the old plan table or the new one.
+    """
 
     def __init__(
         self,
@@ -121,28 +233,31 @@ class Shredder:
         self.on_unknown = on_unknown
         self._metrics = metrics
         self._handles = None
+        self._structure = _Structure(schema.root)
+        self._plans: Dict[Optional[str], _Plan] = {}
 
     def _observe(self, result: ShredResult, seconds: float) -> None:
         """Account one shred into the metrics registry.  Handles are
-        resolved once and cached — this sits on the ingest hot path."""
+        resolved once and cached — this sits on the ingest hot path —
+        down to each unlabeled family's one series."""
         registry = self._metrics if self._metrics is not None else default_registry()
         if self._handles is None or self._handles[0] is not registry:
             self._handles = (
                 registry,
                 registry.histogram("shredder_shred_seconds",
-                                   "wall time of one document/fragment shred"),
+                                   "wall time of one document/fragment shred").labels(),
                 registry.counter("shredder_documents_total",
-                                 "documents and fragments shredded"),
+                                 "documents and fragments shredded").labels(),
                 registry.counter("shredder_clobs_total",
-                                 "CLOB rows produced by shredding"),
+                                 "CLOB rows produced by shredding").labels(),
                 registry.counter("shredder_attribute_rows_total",
-                                 "attribute-instance rows produced"),
+                                 "attribute-instance rows produced").labels(),
                 registry.counter("shredder_element_rows_total",
-                                 "element-value rows produced"),
+                                 "element-value rows produced").labels(),
                 registry.counter("shredder_inverted_rows_total",
-                                 "inverted-list rows produced"),
+                                 "inverted-list rows produced").labels(),
                 registry.counter("shredder_warnings_total",
-                                 "validation warnings recorded"),
+                                 "validation warnings recorded").labels(),
             )
         (_, h_seconds, c_docs, c_clobs, c_attrs, c_elems, c_inverted,
          c_warnings) = self._handles
@@ -167,8 +282,8 @@ class Shredder:
                 f"{self.schema.root.tag!r}"
             )
         start = time.perf_counter()
-        state = _ShredState(document, user, ShredResult())
-        self._walk_structural(root, self.schema.root, state)
+        state = _ShredState(document, user, ShredResult(), self._plan(user))
+        self._walk(root, self._structure, state)
         self._observe(state.result, time.perf_counter() - start)
         return state.result
 
@@ -201,16 +316,79 @@ class Shredder:
                 f"attribute <{root.tag}> allows a single instance"
             )
         start = time.perf_counter()
-        state = _ShredState(document, user, ShredResult(), seq_base=seq_base)
+        state = _ShredState(
+            document, user, ShredResult(), self._plan(user), seq_base=seq_base
+        )
         self._shred_attribute(root, snode, clob_seq, state)
         self._observe(state.result, time.perf_counter() - start)
         return state.result
 
     # ------------------------------------------------------------------
+    # The plan
+    # ------------------------------------------------------------------
+    def _plan(self, user: Optional[str]) -> _Plan:
+        """``user``'s plan at the registry's current version."""
+        version = self.registry.version
+        plan = self._plans.get(user)
+        if plan is not None and plan.version == version:
+            return plan
+        plan = _Plan(version, {
+            snode.tag: self._compile_attribute(snode, user)
+            for snode in self.schema.attributes()
+            if snode.dynamic is None
+        })
+        kept = {u: p for u, p in self._plans.items() if p.version == version}
+        if len(kept) >= _PLAN_LIMIT:
+            kept = {}
+        kept[user] = plan
+        self._plans = kept
+        return plan
+
+    def _compile_attribute(self, snode: SchemaNode, user: Optional[str]) -> tuple:
+        """``(AttributeDef, leaf value or None, _Inside)`` of a structural
+        attribute."""
+        attr_def = self.registry.structural_attribute(snode.tag)
+        if attr_def is None:  # pragma: no cover - registry built from schema
+            raise ShredError(f"no structural definition for <{snode.tag}>")
+        leaf = None
+        if snode.is_element:
+            # Leaf attribute: its own text is the value.
+            elem_def = self.registry.lookup_element(attr_def, snode.tag, "")
+            leaf = _typed(elem_def)
+        return attr_def, leaf, self._compile_inside(snode, attr_def, user)
+
+    def _compile_inside(
+        self, snode: SchemaNode, attr_def: AttributeDef, user: Optional[str]
+    ) -> _Inside:
+        entries: Dict[str, tuple] = {}
+        for child in snode.children:
+            if child.tag in entries:
+                continue
+            if child.kind is NodeKind.ELEMENT:
+                element = _typed(self.registry.lookup_element(attr_def, child.tag, ""))
+                entries[child.tag] = (
+                    (_ELEMENT, *element) if element is not None else
+                    (_UNDEFINED, f"no element definition for <{child.tag}> in "
+                                 f"attribute <{snode.tag}>")
+                )
+            else:  # SUB_ATTRIBUTE; a user's own definition wins (§3)
+                sub_def = self.registry.lookup_attribute(
+                    child.tag, "", user=user, parent=attr_def
+                )
+                entries[child.tag] = (
+                    (_SUB_ATTRIBUTE, sub_def, self._compile_inside(child, sub_def, user))
+                    if sub_def is not None else
+                    (_UNDEFINED, f"no sub-attribute definition for <{child.tag}> "
+                                 f"under <{snode.tag}>")
+                )
+        return _Inside(snode.tag, entries)
+
+    # ------------------------------------------------------------------
     # Structural walk (above the attributes)
     # ------------------------------------------------------------------
-    def _walk_structural(self, node: Element, snode: SchemaNode, state: "_ShredState") -> None:
+    def _walk(self, node: Element, structure: _Structure, state: "_ShredState") -> None:
         seen: Dict[str, int] = {}
+        allowed = structure.children
         for child in node.children:
             if isinstance(child, str):
                 if child.strip():
@@ -219,28 +397,29 @@ class Shredder:
                         f"structural element <{node.tag}>"
                     )
                 continue
-            child_schema = snode.find_child(child.tag)
-            if child_schema is None:
+            tag = child.tag
+            entry = allowed.get(tag)
+            if entry is None:
                 raise ShredError(
-                    f"element <{child.tag}> inside <{node.tag}> is not in the "
+                    f"element <{tag}> inside <{node.tag}> is not in the "
                     "schema; structural content must be schema-valid"
                 )
-            count = seen.get(child.tag, 0) + 1
-            seen[child.tag] = count
-            if count > 1 and not child_schema.repeatable:
+            count = seen.get(tag, 0) + 1
+            seen[tag] = count
+            repeatable, inner = entry
+            if count > 1 and not repeatable:
                 raise ShredError(
-                    f"element <{child.tag}> occurs {count} times but the "
+                    f"element <{tag}> occurs {count} times but the "
                     "schema allows a single instance"
                 )
-            if child_schema.kind is NodeKind.ATTRIBUTE:
-                self._shred_attribute(child, child_schema, count, state)
+            if isinstance(inner, _Structure):
+                self._walk(child, inner, state)
             else:
-                self._walk_structural(child, child_schema, state)
-        for child_schema in snode.children:
-            if child_schema.required and child_schema.tag not in seen:
+                self._shred_attribute(child, inner, count, state)
+        for tag in structure.required:
+            if tag not in seen:
                 raise ShredError(
-                    f"required element <{child_schema.tag}> missing from "
-                    f"<{node.tag}>"
+                    f"required element <{tag}> missing from <{node.tag}>"
                 )
 
     # ------------------------------------------------------------------
@@ -250,37 +429,42 @@ class Shredder:
         self, node: Element, snode: SchemaNode, clob_seq: int, state: "_ShredState"
     ) -> None:
         assert snode.order is not None
+        result = state.result
         # The CLOB is stored unconditionally — even content that fails
         # dynamic validation remains retrievable (paper §3).
-        state.result.clobs.append(
-            ClobRow(snode.order, clob_seq, state.document.slice(node))
+        result.clobs.append(
+            _row(ClobRow, (snode.order, clob_seq, state.document.slice(node)))
         )
+        if state.plan.version != self.registry.version:
+            # A definition was added since this shred began.
+            state.plan = self._plan(state.user)
         if snode.dynamic is not None:
             self._shred_dynamic(node, snode, snode.dynamic, clob_seq, state)
-        else:
-            attr_def = self.registry.structural_attribute(snode.tag)
-            if attr_def is None:  # pragma: no cover - registry built from schema
-                raise ShredError(f"no structural definition for <{snode.tag}>")
-            instance = state.new_instance(attr_def, snode.order, clob_seq)
-            state.result.inverted.append(
-                InvertedRow(attr_def.attr_id, instance, attr_def.attr_id, instance, 0)
+            return
+        attr_def, leaf, inside = state.plan.attributes[snode.tag]
+        attr_id = attr_def.attr_id
+        instance = state.new_instance(attr_def, snode.order, clob_seq)
+        result.inverted.append(_row(InvertedRow, (attr_id, instance, attr_id, instance, 0)))
+        if not snode.is_element:
+            self._shred_inside(
+                node, inside, attr_def, instance, [(attr_def, instance)], state
             )
-            if snode.is_element:
-                # Leaf attribute: its own text is the value.
-                elem_def = self.registry.lookup_element(attr_def, snode.tag, "")
-                if elem_def is not None:
-                    self._add_element_value(
-                        attr_def, instance, elem_def, node.text(), 1, state
-                    )
-            else:
-                self._shred_structural_subtree(
-                    node, snode, attr_def, instance, [(attr_def, instance)], state
-                )
+        elif leaf is not None:
+            # Leaf attribute: its own text is the value.
+            elem_def, parse_value = leaf
+            text = node.text().strip()
+            try:
+                value_text, value_num = parse_value(text)
+            except ValueError:
+                self._bad_value(state, text, elem_def)
+                return
+            result.elements.append(_row(ElementRow, (
+                attr_id, instance, elem_def.elem_id, 1, value_text, value_num)))
 
-    def _shred_structural_subtree(
+    def _shred_inside(
         self,
         node: Element,
-        snode: SchemaNode,
+        inside: _Inside,
         attr_def: AttributeDef,
         instance: int,
         ancestry: List[Tuple[AttributeDef, int]],
@@ -289,53 +473,44 @@ class Shredder:
         """Shred the inside of a structural attribute: sub-attributes and
         element values, per the schema annotation."""
         elem_seq = 0
+        entries = inside.entries
+        elements = state.result.elements
+        attr_id = attr_def.attr_id
         for child in node.children:
             if isinstance(child, str):
                 continue
-            child_schema = snode.find_child(child.tag)
-            if child_schema is None:
+            entry = entries.get(child.tag)
+            if entry is None:
                 self._unknown(
                     state,
-                    f"element <{child.tag}> inside attribute <{snode.tag}> is "
+                    f"element <{child.tag}> inside attribute <{inside.tag}> is "
                     "not in the schema",
                 )
                 continue
-            if child_schema.kind is NodeKind.ELEMENT:
-                elem_def = self.registry.lookup_element(attr_def, child.tag, "")
-                if elem_def is None:
-                    self._unknown(
-                        state,
-                        f"no element definition for <{child.tag}> in attribute "
-                        f"<{snode.tag}>",
-                    )
-                    continue
+            kind = entry[0]
+            if kind == _ELEMENT:
                 elem_seq += 1
-                self._add_element_value(
-                    attr_def, instance, elem_def, child.text(), elem_seq, state
-                )
-            else:  # SUB_ATTRIBUTE
-                sub_def = self.registry.lookup_attribute(
-                    child.tag, "", user=state.user, parent=attr_def
-                )
-                if sub_def is None:
-                    self._unknown(
-                        state,
-                        f"no sub-attribute definition for <{child.tag}> under "
-                        f"<{snode.tag}>",
-                    )
+                elem_def = entry[1]
+                text = child.text().strip()
+                try:
+                    value_text, value_num = entry[2](text)
+                except ValueError:
+                    self._bad_value(state, text, elem_def)
                     continue
+                elements.append(_row(ElementRow, (
+                    attr_id, instance, elem_def.elem_id, elem_seq, value_text, value_num)))
+            elif kind == _SUB_ATTRIBUTE:
+                sub_def = entry[1]
                 sub_instance = state.new_instance(
                     sub_def, ancestry[0][0].schema_order, 0
                 )
                 self._emit_inverted(sub_def, sub_instance, ancestry, state)
-                self._shred_structural_subtree(
-                    child,
-                    child_schema,
-                    sub_def,
-                    sub_instance,
-                    ancestry + [(sub_def, sub_instance)],
-                    state,
+                self._shred_inside(
+                    child, entry[2], sub_def, sub_instance,
+                    ancestry + [(sub_def, sub_instance)], state,
                 )
+            else:
+                self._unknown(state, entry[1])
 
     # ------------------------------------------------------------------
     # Dynamic attribute shredding (recursion "disappears")
@@ -368,22 +543,22 @@ class Shredder:
                 f"<{spec.name_tag}>/<{spec.source_tag}>",
             )
             return
-        attr_def = self.registry.lookup_attribute(name, source, user=state.user)
+        attr_def = self._lookup_attribute(name, source, None, state)
         if attr_def is None:
             attr_def = self._resolve_unknown_attribute(name, source, snode, None, state)
             if attr_def is None:
                 return
         instance = state.new_instance(attr_def, snode.order, clob_seq)
-        state.result.inverted.append(
-            InvertedRow(attr_def.attr_id, instance, attr_def.attr_id, instance, 0)
-        )
-        self._shred_dynamic_items(
-            node, spec, snode, attr_def, instance, [(attr_def, instance)], source, state
+        attr_id = attr_def.attr_id
+        state.result.inverted.append(_row(InvertedRow, (attr_id, instance, attr_id, instance, 0)))
+        self._shred_items(
+            node.find_all(spec.item_tag), spec, snode, attr_def, instance,
+            [(attr_def, instance)], source, state,
         )
 
-    def _shred_dynamic_items(
+    def _shred_items(
         self,
-        node: Element,
+        items: List[Element],
         spec: DynamicSpec,
         snode: SchemaNode,
         attr_def: AttributeDef,
@@ -392,31 +567,45 @@ class Shredder:
         default_source: str,
         state: "_ShredState",
     ) -> None:
+        """Shred dynamic ``items``: each item's children are read in one
+        pass for its label, source, value and nested items."""
+        item_tag, label_tag = spec.item_tag, spec.label_tag
+        defs_tag, value_tag = spec.defs_tag, spec.value_tag
+        elements = state.result.elements
+        attr_id = attr_def.attr_id
         elem_seq = 0
-        for item in node.find_all(spec.item_tag):
-            label_el = item.find(spec.label_tag)
-            defs_el = item.find(spec.defs_tag)
+        for item in items:
+            label_el = defs_el = value_el = None
+            nested: List[Element] = []
+            for child in item.children:
+                if isinstance(child, str):
+                    continue
+                tag = child.tag
+                if tag == item_tag:
+                    nested.append(child)
+                elif tag == label_tag and label_el is None:
+                    label_el = child
+                elif tag == defs_tag and defs_el is None:
+                    defs_el = child
+                elif tag == value_tag and value_el is None:
+                    value_el = child
             label = label_el.text().strip() if label_el is not None else ""
             source = defs_el.text().strip() if defs_el is not None else default_source
             if not label:
                 self._unknown(
                     state,
-                    f"<{spec.item_tag}> inside dynamic attribute "
-                    f"{attr_def.name!r} lacks a <{spec.label_tag}>",
+                    f"<{item_tag}> inside dynamic attribute "
+                    f"{attr_def.name!r} lacks a <{label_tag}>",
                 )
                 continue
-            nested = item.find_all(spec.item_tag)
-            value_el = item.find(spec.value_tag)
             if nested and value_el is not None:
                 raise ShredError(
-                    f"<{spec.item_tag}> {label!r} has both a value and nested "
-                    f"<{spec.item_tag}> items; items are either elements or "
+                    f"<{item_tag}> {label!r} has both a value and nested "
+                    f"<{item_tag}> items; items are either elements or "
                     "sub-attributes (paper §3)"
                 )
             if nested:
-                sub_def = self.registry.lookup_attribute(
-                    label, source, user=state.user, parent=attr_def
-                )
+                sub_def = self._lookup_attribute(label, source, attr_def, state)
                 if sub_def is None:
                     sub_def = self._resolve_unknown_attribute(
                         label, source, snode, attr_def, state
@@ -427,35 +616,83 @@ class Shredder:
                     sub_def, ancestry[0][0].schema_order, 0
                 )
                 self._emit_inverted(sub_def, sub_instance, ancestry, state)
-                self._shred_dynamic_items(
-                    item,
-                    spec,
-                    snode,
-                    sub_def,
-                    sub_instance,
-                    ancestry + [(sub_def, sub_instance)],
-                    source,
+                self._shred_items(
+                    nested, spec, snode, sub_def, sub_instance,
+                    ancestry + [(sub_def, sub_instance)], source, state,
+                )
+                continue
+            if value_el is None:
+                self._unknown(
                     state,
+                    f"<{item_tag}> {label!r} has neither a value nor "
+                    "nested items",
                 )
-            else:
-                if value_el is None:
-                    self._unknown(
-                        state,
-                        f"<{spec.item_tag}> {label!r} has neither a value nor "
-                        "nested items",
-                    )
-                    continue
-                elem_def = self.registry.lookup_element(attr_def, label, source)
+                continue
+            raw = value_el.text()
+            element = self._lookup_element(attr_def, label, source, state)
+            if element is None:
+                elem_def = self._resolve_unknown_element(
+                    attr_def, label, source, raw, state
+                )
                 if elem_def is None:
-                    elem_def = self._resolve_unknown_element(
-                        attr_def, label, source, value_el.text(), state
-                    )
-                    if elem_def is None:
-                        continue
-                elem_seq += 1
-                self._add_element_value(
-                    attr_def, instance, elem_def, value_el.text(), elem_seq, state
-                )
+                    continue
+                element = _typed(elem_def)
+            elem_seq += 1
+            elem_def, parse_value = element
+            text = raw.strip()
+            try:
+                value_text, value_num = parse_value(text)
+            except ValueError:
+                self._bad_value(state, text, elem_def)
+                continue
+            elements.append(_row(ElementRow, (
+                attr_id, instance, elem_def.elem_id, elem_seq, value_text, value_num)))
+
+    def _lookup_attribute(
+        self,
+        name: str,
+        source: str,
+        parent: Optional[AttributeDef],
+        state: "_ShredState",
+    ) -> Optional[AttributeDef]:
+        """The registry's ``lookup_attribute`` for the shredding user,
+        through the plan's memo while the plan is current."""
+        plan = state.plan
+        if plan.version != self.registry.version:
+            return self.registry.lookup_attribute(
+                name, source, user=state.user, parent=parent
+            )
+        key = (name, source, parent.attr_id if parent is not None else None)
+        memo = plan.attribute_memo
+        found = memo.get(key, _MISSING)
+        if found is _MISSING:
+            found = self.registry.lookup_attribute(
+                name, source, user=state.user, parent=parent
+            )
+            if len(memo) < _MEMO_LIMIT:
+                memo[key] = found
+        return found  # type: ignore[return-value]
+
+    def _lookup_element(
+        self,
+        attr_def: AttributeDef,
+        label: str,
+        source: str,
+        state: "_ShredState",
+    ) -> Optional[tuple]:
+        """``(ElementDef, value parser)`` of a dynamic element, through
+        the plan's memo while the plan is current."""
+        plan = state.plan
+        if plan.version != self.registry.version:
+            return _typed(self.registry.lookup_element(attr_def, label, source))
+        key = (attr_def.attr_id, label, source)
+        memo = plan.element_memo
+        found = memo.get(key, _MISSING)
+        if found is _MISSING:
+            found = _typed(self.registry.lookup_element(attr_def, label, source))
+            if len(memo) < _MEMO_LIMIT:
+                memo[key] = found
+        return found  # type: ignore[return-value]
 
     # ------------------------------------------------------------------
     # Helpers
@@ -468,42 +705,18 @@ class Shredder:
         state: "_ShredState",
     ) -> None:
         """Self row plus one row per ancestor, nearest first."""
-        state.result.inverted.append(
-            InvertedRow(sub_def.attr_id, sub_instance, sub_def.attr_id, sub_instance, 0)
-        )
+        inverted = state.result.inverted
+        sub_id = sub_def.attr_id
+        inverted.append(_row(InvertedRow, (sub_id, sub_instance, sub_id, sub_instance, 0)))
         for distance, (anc_def, anc_instance) in enumerate(reversed(ancestry), start=1):
-            state.result.inverted.append(
-                InvertedRow(
-                    sub_def.attr_id, sub_instance, anc_def.attr_id, anc_instance, distance
-                )
-            )
+            inverted.append(_row(InvertedRow, (
+                sub_id, sub_instance, anc_def.attr_id, anc_instance, distance)))
 
-    def _add_element_value(
-        self,
-        attr_def: AttributeDef,
-        instance: int,
-        elem_def: ElementDef,
-        raw: str,
-        elem_seq: int,
-        state: "_ShredState",
-    ) -> None:
-        text = raw.strip()
-        try:
-            typed = elem_def.value_type.parse(text)
-        except ValueError:
-            self._unknown(
-                state,
-                f"value {text!r} for element {elem_def.name!r} is not a valid "
-                f"{elem_def.value_type.value}",
-            )
-            return
-        value_num = float(typed) if isinstance(typed, (int, float)) else None
-        value_text = text if not isinstance(typed, str) else typed
-        state.result.elements.append(
-            ElementRow(
-                attr_def.attr_id, instance, elem_def.elem_id, elem_seq,
-                value_text, value_num,
-            )
+    def _bad_value(self, state: "_ShredState", text: str, elem_def: ElementDef) -> None:
+        self._unknown(
+            state,
+            f"value {text!r} for element {elem_def.name!r} is not a valid "
+            f"{elem_def.value_type.value}",
         )
 
     def _resolve_unknown_attribute(
@@ -574,25 +787,28 @@ def infer_value_type(raw: str) -> ValueType:
 
 
 class _ShredState:
-    """Per-shred mutable state: instance counters and the result.
+    """Per-shred mutable state: instance counters, the result, and the
+    plan in use.
 
     ``seq_base`` seeds the per-definition counters with an existing
     object's instance counts, so incremental fragments continue the
     sequence instead of colliding with stored rows.
     """
 
-    __slots__ = ("document", "user", "result", "_instance_counters")
+    __slots__ = ("document", "user", "result", "plan", "_instance_counters")
 
     def __init__(
         self,
         document: Document,
         user: Optional[str],
         result: ShredResult,
+        plan: _Plan,
         seq_base: Optional[Dict[int, int]] = None,
     ) -> None:
         self.document = document
         self.user = user
         self.result = result
+        self.plan = plan
         self._instance_counters: Dict[int, int] = dict(seq_base or {})
 
     def new_instance(self, attr_def: AttributeDef, clob_order: int, clob_seq: int) -> int:
@@ -601,6 +817,6 @@ class _ShredState:
         seq = self._instance_counters.get(attr_def.attr_id, 0) + 1
         self._instance_counters[attr_def.attr_id] = seq
         self.result.attributes.append(
-            AttributeRow(attr_def.attr_id, seq, clob_order, clob_seq)
+            _row(AttributeRow, (attr_def.attr_id, seq, clob_order, clob_seq))
         )
         return seq

@@ -88,7 +88,10 @@ class Element:
 
     def text(self) -> str:
         """Concatenated character data of *direct* children."""
-        return "".join(c for c in self.children if isinstance(c, str))
+        children = self.children
+        if len(children) == 1 and isinstance(children[0], str):
+            return children[0]  # a leaf's one text chunk: nothing to join
+        return "".join([c for c in children if isinstance(c, str)])
 
     def deep_text(self) -> str:
         """Concatenated character data of the whole subtree."""

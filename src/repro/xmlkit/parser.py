@@ -202,7 +202,8 @@ def parse(source: str) -> Document:
         m = token(source, pos)
         text, closed, tag, empty = m.groups()
         if text:
-            children.append(_resolve(text, source, pos))
+            # Only a chunk with a reference needs resolving.
+            children.append(_resolve(text, source, pos) if "&" in text else text)
         start, pos = m.end(1), m.end()
         if tag is not None:
             attributes = None

@@ -1,5 +1,8 @@
 """Unit tests for the hybrid shredder (paper §3)."""
 
+import sys
+import threading
+
 import pytest
 
 from repro.core import (
@@ -14,7 +17,7 @@ from repro.core import (
     structural,
     sub_attribute,
 )
-from repro.errors import ShredError, ValidationError
+from repro.errors import DefinitionError, ShredError, ValidationError
 from repro.xmlkit import parse
 
 
@@ -258,6 +261,161 @@ class TestStructureErrors:
         doc = "<root><rid>x</rid><dyn><attr><attrlabl>p</attrlabl></attr></dyn></root>"
         result = Shredder(schema, registry).shred(parse(doc))
         assert any("entity block" in w for w in result.warnings)
+
+
+def _extra_doc(label="extra"):
+    """DOC's ``grid`` section with one more nested item, ``label``."""
+    return DOC.replace(
+        "</dyn>",
+        f"<attr><attrlabl>{label}</attrlabl><attrdefs>ARPS</attrdefs>"
+        "<attr><attrlabl>depth</attrlabl><attrdefs>ARPS</attrdefs>"
+        "<attrv>7</attrv></attr></attr></dyn>",
+    )
+
+
+class TestPlanInvalidation:
+    """A shred plan is per user and per registry version: a definition
+    added after a plan was compiled is seen by the next document."""
+
+    def _rows_of(self, result, attr_def):
+        return [a for a in result.attributes if a.attr_id == attr_def.attr_id]
+
+    def test_private_dynamic_sub_attribute_defined_after_plan(
+        self, shredder, registry
+    ):
+        first = shredder.shred(parse(_extra_doc()), user="alice")
+        assert any("('extra', 'ARPS') is not defined" in w for w in first.warnings)
+        grid = registry.lookup_attribute("grid", "ARPS")
+        extra = registry.define_attribute(
+            "extra", "ARPS", host="dyn", parent=grid, user="alice")
+        mine = shredder.shred(parse(_extra_doc()), user="alice")
+        assert len(self._rows_of(mine, extra)) == 1
+        assert not any("('extra', 'ARPS') is not defined" in w for w in mine.warnings)
+        bobs = shredder.shred(parse(_extra_doc()), user="bob")
+        assert self._rows_of(bobs, extra) == []
+        assert any("('extra', 'ARPS') is not defined" in w for w in bobs.warnings)
+
+    def test_private_element_defined_after_plan(self, shredder, registry):
+        grid = registry.lookup_attribute("grid", "ARPS")
+        extra = registry.define_attribute(
+            "extra", "ARPS", host="dyn", parent=grid, user="alice")
+        first = shredder.shred(parse(_extra_doc()), user="alice")
+        assert any("('depth', 'ARPS') is not defined" in w for w in first.warnings)
+        depth = registry.define_element(
+            extra, "depth", "ARPS", ValueType.INTEGER, user="alice")
+        mine = shredder.shred(parse(_extra_doc()), user="alice")
+        assert [e.value_num for e in mine.elements if e.elem_id == depth.elem_id] == [7.0]
+        bobs = shredder.shred(parse(_extra_doc()), user="bob")
+        assert [e for e in bobs.elements if e.elem_id == depth.elem_id] == []
+
+    def test_private_structural_sub_attribute_replayed_after_plan(
+        self, shredder, registry
+    ):
+        box = registry.structural_attribute("box")
+        shared = registry.lookup_attribute("inner", "", parent=box)
+        before = shredder.shred(parse(DOC), user="alice")
+        assert len(self._rows_of(before, shared)) == 1
+        # A stored user-scoped row, as a reopened catalog replays it.
+        registry.rehydrate(
+            [(len(registry) + 1, "inner", "", box.attr_id, box.schema_order,
+              "alice", 1, 0)], [])
+        private = registry.lookup_attribute("inner", "", user="alice", parent=box)
+        assert private is not shared
+        mine = shredder.shred(parse(DOC), user="alice")
+        assert len(self._rows_of(mine, private)) == 1
+        assert self._rows_of(mine, shared) == []
+        bobs = shredder.shred(parse(DOC), user="bob")
+        assert len(self._rows_of(bobs, shared)) == 1
+        assert self._rows_of(bobs, private) == []
+
+    def test_define_policy_defines_a_repeated_unknown_label_once(
+        self, schema, registry
+    ):
+        shredder = Shredder(schema, registry, on_unknown="define")
+        section = (
+            "<dyn><enttyp><enttypl>mystery</enttypl><enttypds>NOWHERE</enttypds></enttyp>"
+            "<attr><attrlabl>p</attrlabl><attrv>1</attrv></attr>"
+            "<attr><attrlabl>p</attrlabl><attrv>2</attrv></attr></dyn>"
+        )
+        result = shredder.shred(parse(f"<root><rid>x</rid>{section}{section}</root>"))
+        assert [d.name for d in result.defined] == ["mystery"]
+        mystery = registry.lookup_attribute("mystery", "NOWHERE")
+        p = registry.lookup_element(mystery, "p", "NOWHERE")
+        values = [e.value_num for e in result.elements if e.elem_id == p.elem_id]
+        assert values == [1.0, 2.0, 1.0, 2.0]
+        assert [d for d in registry.elements_of(mystery)] == [p]
+        assert not result.warnings
+
+    def test_registry_version_moves_on_every_definition_added(self, schema, registry):
+        version = registry.version
+        grid = registry.define_attribute("grid", "WRF", host="dyn")
+        assert registry.version == version + 1
+        registry.define_element(grid, "dx", "WRF", ValueType.FLOAT, user="alice")
+        assert registry.version == version + 2
+        with pytest.raises(DefinitionError):
+            registry.define_attribute("grid", "WRF", host="dyn")
+        registry.lookup_attribute("grid", "WRF")
+        assert registry.version == version + 2
+        Shredder(schema, registry, on_unknown="define").shred(parse(
+            "<root><rid>x</rid><dyn><enttyp><enttypl>new</enttypl>"
+            "<enttypds>S</enttypds></enttyp><attr><attrlabl>q</attrlabl>"
+            "<attrv>1</attrv></attr></dyn></root>"))
+        assert registry.version == version + 4
+        schema_only = DefinitionRegistry(schema)
+        added = (len(registry) - len(schema_only)) + (
+            len(list(registry.all_elements())) - len(list(schema_only.all_elements())))
+        schema_only.rehydrate(*registry.rows())
+        assert schema_only.version == DefinitionRegistry(schema).version + added
+
+
+class TestConcurrentPlans:
+    def test_shreds_see_every_define_finished_before_they_start(
+        self, schema, registry
+    ):
+        """Shreds on four threads (three users and the admin scope)
+        against a thread adding definitions: a shred includes every
+        element whose definition was added before it began."""
+        shredder = Shredder(schema, registry)
+        grid = registry.lookup_attribute("grid", "ARPS")
+        labels = [f"p{i}" for i in range(40)]
+        doc = parse(DOC.replace("</dyn>", "".join(
+            f"<attr><attrlabl>{label}</attrlabl><attrdefs>ARPS</attrdefs>"
+            "<attrv>1</attrv></attr>" for label in labels) + "</dyn>"))
+        defined = [0]  # labels whose definition has been added
+        failures = []
+
+        def define_all():
+            for label in labels:
+                registry.define_element(grid, label, "ARPS", ValueType.INTEGER)
+                defined[0] += 1
+
+        def shred_loop(user):
+            try:
+                while defined[0] < len(labels):
+                    expected = set(labels[:defined[0]])
+                    result = shredder.shred(doc, user=user)
+                    seen = {registry.element(e.elem_id).name for e in result.elements}
+                    if not expected <= seen:
+                        failures.append((user, sorted(expected - seen)))
+            except Exception as exc:  # pragma: no cover - reported below
+                failures.append((user, repr(exc)))
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=shred_loop, args=(user,))
+                       for user in (None, "alice", "bob", "carol")]
+            threads.append(threading.Thread(target=define_all))
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+        final = shredder.shred(doc, user="alice")
+        assert {registry.element(e.elem_id).name for e in final.elements} >= set(labels)
 
 
 class TestInferValueType:

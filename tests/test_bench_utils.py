@@ -182,3 +182,25 @@ class TestBenchEmit:
         assert data["tables"]["E99: demo"]["rows"] == [[2]]
         txt = (util.RESULTS_DIR / "e99_demo.txt").read_text()
         assert txt.count("E99: demo") == 1
+
+    @pytest.mark.parametrize("disabled", [True, False])
+    def test_smoke_run_writes_nothing(self, util, capsys, disabled):
+        """Under ``--benchmark-disable`` the table is printed and no
+        result file is written."""
+
+        class Config:
+            def getoption(self, name, default=None):
+                assert name == "benchmark_disable"
+                return disabled
+
+        util.configure(Config())
+        table = ResultTable("E99: demo", ["v"])
+        table.add_row(1)
+        util.emit("e99_demo", table)
+        assert "E99: demo" in capsys.readouterr().out
+        written = sorted(p.name for p in util.RESULTS_DIR.iterdir())
+        if disabled:
+            assert written == []
+        else:
+            assert written == [
+                "BENCH_e99_demo.json", "BENCH_e99_demo_metrics.json", "e99_demo.txt"]
