@@ -158,3 +158,10 @@ class TestDynamicSpec:
         spec = DynamicSpec(entity_tag="head", name_tag="n", source_tag="s",
                            item_tag="p", label_tag="k", defs_tag="d", value_tag="v")
         assert spec.item_tag == "p"
+
+    @pytest.mark.parametrize("tags", [
+        {"label_tag": "attr"}, {"value_tag": "attrlabl"}, {"defs_tag": "attrv"},
+    ])
+    def test_item_tags_must_differ(self, tags):
+        with pytest.raises(SchemaError, match="must differ"):
+            DynamicSpec(**tags)
