@@ -5,38 +5,26 @@ else (the rule classes, the AST helpers) is importable for tests and
 for adding new rules.
 """
 
-from .cache import DEFAULT_CACHE_DIR, LintResultCache, rules_signature
 from .findings import Finding, Severity, active
 from .linter import (
     LintContext,
     Rule,
     SourceModule,
     default_rules,
-    parse_json_report,
-    render_json_report,
     render_sarif_report,
     render_text_report,
     run_lint,
-    source_texts,
 )
-from .program import content_digest
 
 __all__ = [
-    "DEFAULT_CACHE_DIR",
     "Finding",
     "LintContext",
-    "LintResultCache",
     "Rule",
     "Severity",
     "SourceModule",
     "active",
-    "content_digest",
     "default_rules",
-    "parse_json_report",
-    "render_json_report",
     "render_sarif_report",
     "render_text_report",
-    "rules_signature",
     "run_lint",
-    "source_texts",
 ]

@@ -22,10 +22,10 @@ attribute collapse to one node.
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .linter import call_name
-from .program import ClassInfo, FunctionInfo, Program
+from .program import FunctionInfo, Program
 
 __all__ = [
     "CallGraph",
@@ -327,10 +327,3 @@ class CallGraph:
                     stack.append(target)
         self._may_acquire[fn] = tokens
         return tokens
-
-    # -- iteration helpers ----------------------------------------------
-    def functions(self) -> Iterator[FunctionInfo]:
-        yield from self.program.functions.values()
-
-    def methods_of(self, cls: ClassInfo) -> Iterator[FunctionInfo]:
-        yield from cls.methods.values()

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import enum
-from typing import Any, Dict, Optional
+from typing import Dict, Optional
 
 
 class Severity(enum.Enum):
@@ -39,8 +39,8 @@ class Finding:
         self.message = message
         self.severity = severity
         #: True when a ``# reprolint: ignore[RULE]`` pragma on the line
-        #: waives the finding; suppressed findings are kept (so ``--json``
-        #: can audit waivers) but do not affect the exit code.
+        #: waives the finding; suppressed findings are kept (so the SARIF
+        #: report can audit waivers) but do not affect the exit code.
         self.suppressed = suppressed
 
     def sort_key(self) -> tuple:
@@ -49,31 +49,12 @@ class Finding:
     def location(self) -> str:
         return f"{self.path}:{self.line}"
 
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            "rule": self.rule_id,
-            "path": self.path,
-            "line": self.line,
-            "severity": self.severity.value,
-            "message": self.message,
-            "suppressed": self.suppressed,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "Finding":
-        return cls(
-            rule_id=str(data["rule"]),
-            path=str(data["path"]),
-            line=int(data["line"]),
-            message=str(data["message"]),
-            severity=Severity(data.get("severity", "error")),
-            suppressed=bool(data.get("suppressed", False)),
-        )
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Finding):
             return NotImplemented
-        return self.as_dict() == other.as_dict()
+        return (self.sort_key(), self.severity, self.suppressed) == (
+            other.sort_key(), other.severity, other.suppressed
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         flag = ", suppressed" if self.suppressed else ""

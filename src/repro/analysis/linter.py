@@ -2,21 +2,22 @@
 
 The catalog's correctness rests on a handful of conventions that no
 general-purpose tool knows about: every write flows through
-``run_transaction`` (PR 2), fault-site names stay registered and
-exercised (PR 2), metric names stay declared and unique (PR 1), cached
-plan stages stay literal-free (PR 3), and the two storage backends keep
-one interface (PR 3).  This module turns those conventions into
+``run_transaction``, fault-site names stay registered and exercised,
+metric names stay declared and unique, locks cover the store's rows and
+are taken in one order, and acquired resources are released.  This
+module turns those conventions into
 machine-checked invariants: it parses ``src/`` (and, for fault-site
-coverage, ``tests/faults/``) into ASTs once, hands the parsed modules
-to each registered :class:`Rule`, and collects structured
-:class:`~repro.analysis.findings.Finding` records.
+coverage, ``tests/faults/``) into ASTs once per run, hands the parsed
+modules to each registered :class:`Rule`, and collects structured
+:class:`~repro.analysis.findings.Finding` records.  There is no
+findings cache: a cold run of the whole tree fits the 1 s budget.
 
 A finding can be waived with an inline pragma on the offending line::
 
     store._fault(site)  # reprolint: ignore[FLT01] read verbs never fire
 
-Waivers stay visible: suppressed findings are kept in the report (with
-``suppressed: true`` in ``--json`` output) so they can be audited; they
+Waivers stay visible: suppressed findings are kept in the report (as
+SARIF suppressions in ``--sarif`` output) so they can be audited; they
 simply do not affect the exit code.
 """
 
@@ -26,7 +27,7 @@ import ast
 import json
 import re
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set
 
 from .findings import Finding, Severity, active, make_finding
 
@@ -36,11 +37,9 @@ __all__ = [
     "SourceModule",
     "active",
     "default_rules",
-    "render_json_report",
     "render_sarif_report",
     "render_text_report",
     "run_lint",
-    "source_texts",
 ]
 
 _PRAGMA_RE = re.compile(
@@ -78,8 +77,8 @@ def expand_pragmas(
       statement applies to the statement's entire ``lineno..end_lineno``
       range;
     * a pragma on a decorator line of a function/class definition
-      applies to the ``def``/``class`` line itself (where PAR-style
-      definition findings anchor).
+      applies to the ``def``/``class`` line itself (where LCK01's
+      entry-point findings anchor).
 
     Compound statements (``if``/``with``/``for`` …) deliberately do not
     spread a body pragma across the whole block — a waiver inside a
@@ -143,24 +142,16 @@ class SourceModule:
 class LintContext:
     """Everything a rule sees: parsed ``src`` modules plus the
     ``tests/faults`` modules (for FLT01 coverage), the shared
-    whole-program model, and a findings sink.
-
-    ``scope`` (``repro lint --changed``) restricts which modules
-    *file-level* rules report on — ``modules_matching`` filters to it —
-    while ``self.modules`` and the :class:`Program` always cover the
-    full tree, so interprocedural facts stay whole-program even when
-    only one file is being re-checked."""
+    whole-program model, and a findings sink."""
 
     def __init__(
         self,
         modules: Sequence[SourceModule],
         fault_test_modules: Sequence[SourceModule] = (),
-        scope: Optional[Set[str]] = None,
     ) -> None:
         self.modules = list(modules)
         self.fault_test_modules = list(fault_test_modules)
         self.findings: List[Finding] = []
-        self.scope = scope
         self._program = None
 
     @property
@@ -172,14 +163,8 @@ class LintContext:
             self._program = build_program(self.modules)
         return self._program
 
-    def in_scope(self, module: SourceModule) -> bool:
-        return self.scope is None or module.display in self.scope
-
     def modules_matching(self, *suffixes: str) -> List[SourceModule]:
-        return [
-            m for m in self.modules
-            if m.endswith(*suffixes) and self.in_scope(m)
-        ]
+        return [m for m in self.modules if m.endswith(*suffixes)]
 
     def report(
         self,
@@ -300,7 +285,7 @@ def enclosing_functions(
 # ---------------------------------------------------------------------------
 
 def default_rules() -> List[Rule]:
-    """The five repo rules, bound to the live registries."""
+    """The repo rules, bound to the live registries."""
     from .rules import build_default_rules
 
     return build_default_rules()
@@ -327,39 +312,19 @@ def load_modules(root: Path, display_base: Optional[Path] = None) -> List[Source
     return [SourceModule(path, _display_for(path, base)) for path in _iter_py_files(root)]
 
 
-def source_texts(
-    root: Path, display_base: Optional[Path] = None
-) -> List[Tuple[str, str]]:
-    """``(display, text)`` pairs for the tree without parsing anything —
-    the cheap input to :func:`~repro.analysis.program.content_digest`
-    that lets a warm cached run skip AST construction entirely."""
-    base = display_base if display_base is not None else root.parent
-    out: List[Tuple[str, str]] = []
-    for path in _iter_py_files(root):
-        try:
-            text = path.read_text()
-        except OSError:
-            text = ""
-        out.append((_display_for(path, base), text))
-    return out
-
-
 def run_lint(
     src_root: Path,
     fault_tests_root: Optional[Path] = None,
     rules: Optional[Sequence[Rule]] = None,
     display_base: Optional[Path] = None,
-    scope: Optional[Set[str]] = None,
 ) -> List[Finding]:
     """Lint the tree rooted at ``src_root``; returns all findings
-    (including suppressed ones), sorted by location.  ``scope`` limits
-    which files rules report on (``--changed``) without narrowing the
-    whole-program model."""
+    (including suppressed ones), sorted by location."""
     modules = load_modules(src_root, display_base)
     fault_tests: List[SourceModule] = []
     if fault_tests_root is not None and fault_tests_root.is_dir():
         fault_tests = load_modules(fault_tests_root, display_base)
-    ctx = LintContext(modules, fault_tests, scope=scope)
+    ctx = LintContext(modules, fault_tests)
     for module in ctx.modules + ctx.fault_test_modules:
         if module.error is not None:
             ctx.report(
@@ -393,36 +358,14 @@ def render_text_report(findings: Sequence[Finding]) -> str:
     return "\n".join(lines)
 
 
-def render_json_report(findings: Sequence[Finding]) -> str:
-    """Machine-readable report (stable schema, round-trips through
-    :meth:`Finding.from_dict`)."""
-    live = active(findings)
-    payload = {
-        "schema": "repro.lint/v1",
-        "findings": [f.as_dict() for f in findings],
-        "counts": {
-            "total": len(findings),
-            "active": len(live),
-            "suppressed": sum(1 for f in findings if f.suppressed),
-        },
-    }
-    return json.dumps(payload, indent=2, sort_keys=True)
-
-
-def parse_json_report(text: str) -> List[Finding]:
-    """Inverse of :func:`render_json_report` (used by tooling/tests)."""
-    payload = json.loads(text)
-    return [Finding.from_dict(entry) for entry in payload.get("findings", ())]
-
-
 def render_sarif_report(
     findings: Sequence[Finding],
     rules: Optional[Sequence[Rule]] = None,
 ) -> str:
     """SARIF 2.1.0 report (``repro lint --sarif``) so CI can annotate
     pull requests with findings in place.  Suppressed findings are
-    carried as SARIF suppressions rather than dropped, mirroring the
-    audit-visible waiver policy of the JSON report."""
+    carried as SARIF suppressions rather than dropped, so every waiver
+    stays auditable."""
     rule_meta = {}
     for rule in rules or default_rules():
         rule_meta[rule.id] = {

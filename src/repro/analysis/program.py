@@ -22,16 +22,13 @@ Resolution is name-based and deliberately two-speed:
   finding.
 
 Both resolutions are computed once per build and cached on the
-:class:`Program`; a module-level parse cache keyed by content hash
-keeps repeated in-process ``run_lint`` calls (the test suite runs
-hundreds) from re-parsing unchanged files.
+:class:`Program`.
 """
 
 from __future__ import annotations
 
 import ast
-import hashlib
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set
 
 from .linter import SourceModule, call_name
 
@@ -40,20 +37,7 @@ __all__ = [
     "ClassInfo",
     "ModuleInfo",
     "Program",
-    "content_digest",
 ]
-
-
-def content_digest(texts: Sequence[Tuple[str, str]]) -> str:
-    """Stable digest over ``(display, text)`` pairs — the cache key for
-    everything derived from a set of sources."""
-    digest = hashlib.sha256()
-    for display, text in sorted(texts):
-        digest.update(display.encode())
-        digest.update(b"\x00")
-        digest.update(text.encode())
-        digest.update(b"\x01")
-    return digest.hexdigest()
 
 
 class FunctionInfo:
@@ -142,10 +126,6 @@ class ModuleInfo:
         return self.source.display
 
 
-#: In-process parse-product cache: content digest of one file -> the
-#: structural index built from it is NOT cached (it holds AST object
-#: identity used as dict keys by rules); SourceModule itself caches the
-#: parse, so Program construction is an AST walk only.
 class Program:
     """The whole tree, parsed once and indexed for interprocedural
     rules.  Built by :func:`build_program`; one instance is shared by
@@ -166,9 +146,6 @@ class Program:
         #: memoized per-function call lists (closures revisit functions
         #: once per entry point; the AST walk must not repeat)
         self._call_lists: Dict[FunctionInfo, List[ast.Call]] = {}
-        self.digest = content_digest(
-            [(m.display, m.text) for m in modules]
-        )
         for source in modules:
             if source.tree is None:
                 continue

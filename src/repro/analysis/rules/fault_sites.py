@@ -7,7 +7,7 @@ test that targeted the old name — the sweep still passes, it just no
 longer injects anything.  This rule pins both ends:
 
 * every site literal passed to ``FaultPlan(site=...)``,
-  ``run_transaction(...)``, ``transaction(...)``, or ``_fault(...)``
+  ``run_transaction(...)`` or ``_fault(...)``
   anywhere in ``src/`` must appear in the central registry
   (:mod:`repro.faults.sites`);
 * a dynamically built site must go through

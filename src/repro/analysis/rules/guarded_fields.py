@@ -64,9 +64,12 @@ def _tracked_attrs(init: FunctionInfo) -> Set[str]:
     """Mutable-container attributes assigned in ``__init__``."""
     attrs: Set[str] = set()
     for node in ast.walk(init.node):
-        if not isinstance(node, ast.Assign):
+        if isinstance(node, ast.Assign):
+            targets, value = node.targets, node.value
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            targets, value = [node.target], node.value
+        else:
             continue
-        value = node.value
         mutable = isinstance(
             value, (ast.Dict, ast.List, ast.Set, ast.DictComp,
                     ast.ListComp, ast.SetComp)
@@ -75,7 +78,7 @@ def _tracked_attrs(init: FunctionInfo) -> Set[str]:
         )
         if not mutable:
             continue
-        for target in node.targets:
+        for target in targets:
             attr = _self_attr(target)
             if attr:
                 attrs.add(attr)
@@ -215,8 +218,6 @@ class GuardedFieldRule(Rule):
         # Pass 2: flag unlocked mutations of guarded attrs.
         for attr, name, fn, node, is_locked in all_mutations:
             if is_locked or attr not in guard_tokens:
-                continue
-            if not ctx.in_scope(fn.module.source):
                 continue
             tokens = sorted(guard_tokens[attr]) or ["its lock"]
             ctx.report(

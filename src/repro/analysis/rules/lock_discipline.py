@@ -155,8 +155,6 @@ class LockReachabilityRule(Rule):
                         fn = cls.methods.get(name)
                         if fn is None or fn.is_abstract():
                             continue
-                        if not ctx.in_scope(fn.module.source):
-                            continue
                         reached = graph.reachable_call_names(fn)
                         if reached & protections:
                             continue
@@ -282,8 +280,6 @@ class LockOrderRule(Rule):
     def check(self, ctx: LintContext) -> None:
         graph = shared_callgraph(ctx)
         for fn in graph.program.functions.values():
-            if not ctx.in_scope(fn.module.source):
-                continue
             self._check_upgrades(ctx, graph, fn)
         edges, sites = self._collect_edges(ctx, graph)
         cycle = find_cycle(edges)

@@ -190,7 +190,7 @@ class ResourceLifecycleRule(Rule):
         program = ctx.program
         for fn in program.functions.values():
             module = fn.module.source
-            if module.tree is None or not ctx.in_scope(module):
+            if module.tree is None:
                 continue
             # Fast pre-filter on the memoized call list: most functions
             # acquire nothing, so skip the classification walks outright.

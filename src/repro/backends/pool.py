@@ -14,8 +14,12 @@ writer holds the write lock instead of queueing behind its transaction
 Sizing: connections are created on demand up to ``capacity`` (default
 :data:`DEFAULT_CAPACITY`) and kept idle for reuse — a reader beyond the
 cap waits for a checkout to return rather than opening an unbounded
-number of file handles.  The pool gauge ``sqlite_pool_connections``
-tracks how many pooled connections exist.
+number of file handles.  Waiting readers are served in arrival order:
+a returned connection is handed straight to the oldest waiter and goes
+back to the idle list only when nobody waits, so a thread that releases
+and re-acquires in a loop cannot overtake one that is already queued.
+The pool gauge ``sqlite_pool_connections`` tracks how many pooled
+connections exist.
 
 Fault injection: ``pool:acquire`` is a registered fault site, but the
 pool consults the store's armed :class:`~repro.faults.FaultPlan` only
@@ -34,8 +38,9 @@ from __future__ import annotations
 import sqlite3
 import threading
 import time
+from collections import deque
 from contextlib import contextmanager
-from typing import Callable, Iterator, List, Optional
+from typing import Callable, Deque, Iterator, List, Optional
 
 from ..errors import CatalogClosedError
 
@@ -45,6 +50,18 @@ __all__ = ["ReaderConnectionPool", "DEFAULT_CAPACITY"]
 #: releases the GIL), so a small multiple of typical core counts covers
 #: the useful parallelism without hoarding file handles.
 DEFAULT_CAPACITY = 8
+
+
+class _Waiter:
+    """One queued checkout: its own wake-up and what it was handed — a
+    connection, or ``None`` for a reserved slot to connect in."""
+
+    __slots__ = ("cond", "served", "conn")
+
+    def __init__(self, lock) -> None:
+        self.cond = threading.Condition(lock)
+        self.served = False
+        self.conn: object = None
 
 
 class ReaderConnectionPool:
@@ -76,73 +93,99 @@ class ReaderConnectionPool:
         self._connect = connect
         self._on_acquire = on_acquire
         self._on_wait = on_wait
-        self._cond = threading.Condition()
+        self._lock = threading.Lock()
         self._idle: List[object] = []
         self._open = 0  # connections in existence (idle + checked out)
-        self._waiters = 0  # threads queued at capacity right now
+        #: Threads queued at capacity, oldest first.
+        self._waiting: Deque[_Waiter] = deque()
         self._closed = False
         #: Lifetime checkout count (observable in tests/benchmarks).
         self.acquires = 0
 
     # ------------------------------------------------------------------
     def open_connections(self) -> int:
-        with self._cond:
+        with self._lock:
             return self._open
 
     def queue_depth(self) -> int:
         """Reader threads currently queued waiting for a connection."""
-        with self._cond:
-            return self._waiters
+        with self._lock:
+            return len(self._waiting)
 
     def _acquire(self):
         if self._on_acquire is not None:
-            # Outside the condition: an injected fault must not leave
+            # Outside the pool lock: an injected fault must not leave
             # the pool lock held, and the hook may touch the metrics
             # registry (its own locks).
             self._on_acquire()
         waited: Optional[float] = None
-        with self._cond:
-            while True:
-                if self._closed:
-                    raise CatalogClosedError("reader pool is closed")
-                if self._idle:
-                    self.acquires += 1
-                    conn = self._idle.pop()
-                    break
-                if self._open < self.capacity:
-                    self._open += 1
-                    conn = None
-                    break
-                t0 = time.perf_counter()
-                self._waiters += 1
-                try:
-                    self._cond.wait()
-                finally:
-                    self._waiters -= 1
-                waited = (waited or 0.0) + time.perf_counter() - t0
+        with self._lock:
+            if self._closed:
+                raise CatalogClosedError("reader pool is closed")
+            if self._idle:
+                self.acquires += 1
+                return self._idle.pop()
+            if self._open < self.capacity:
+                self._open += 1
+                conn = None
+            else:
+                conn, waited = self._wait_turn()
         if waited is not None and self._on_wait is not None:
             # Outside the pool lock, same reasoning as on_acquire.
             self._on_wait(waited)
         if conn is not None:
             return conn
         # Connect outside the lock (file open + pragmas are not free);
-        # undo the reservation if the factory fails.
+        # pass the reservation on if the factory fails.
         try:
             conn = self._connect()
         except BaseException:
-            with self._cond:
-                self._open -= 1
-                self._cond.notify()
+            with self._lock:
+                self._give(None)
             raise
-        with self._cond:
+        with self._lock:
             self.acquires += 1
         return conn
 
+    def _wait_turn(self):
+        """Queue behind every earlier waiter until a releasing thread
+        hands this one a connection (or a reservation); returns it with
+        the seconds waited.  Called with the pool lock held."""
+        waiter = _Waiter(self._lock)
+        self._waiting.append(waiter)
+        t0 = time.perf_counter()
+        try:
+            while not waiter.served:
+                if self._closed:
+                    raise CatalogClosedError("reader pool is closed")
+                waiter.cond.wait()
+        except BaseException:
+            if waiter.served:
+                self._give(waiter.conn)
+            else:
+                self._waiting.remove(waiter)
+            raise
+        if waiter.conn is not None:
+            self.acquires += 1
+        return waiter.conn, time.perf_counter() - t0
+
+    def _give(self, conn) -> None:
+        """Hand ``conn`` (``None``: a reservation to connect in) to the
+        oldest waiter, else return it to the pool.  Pool lock held."""
+        if self._waiting:
+            waiter = self._waiting.popleft()
+            waiter.served = True
+            waiter.conn = conn
+            waiter.cond.notify()
+        elif conn is None:
+            self._open -= 1
+        else:
+            self._idle.append(conn)
+
     def _release(self, conn) -> None:
-        with self._cond:
+        with self._lock:
             if not self._closed:
-                self._idle.append(conn)
-                self._cond.notify()
+                self._give(conn)
                 return
             self._open -= 1
         # Pool closed while this connection was checked out: it is the
@@ -170,12 +213,13 @@ class ReaderConnectionPool:
         """Close every idle connection and refuse new checkouts;
         idempotent.  Checked-out connections are closed as their
         readers return them."""
-        with self._cond:
+        with self._lock:
             if self._closed:
                 return
             self._closed = True
             idle, self._idle = self._idle, []
             self._open -= len(idle)
-            self._cond.notify_all()
+            for waiter in self._waiting:
+                waiter.cond.notify()
         for conn in idle:
             conn.close()

@@ -801,11 +801,12 @@ class SqliteHybridStore(HybridStore):
                 )
             ]
             for table in tables:
-                name = quote_identifier(table)
-                count = cur.execute(f"SELECT COUNT(*) FROM {name}").fetchone()[0]
+                count = cur.execute(
+                    f"SELECT COUNT(*) FROM {quote_identifier(table)}"
+                ).fetchone()[0]
                 # Approximate byte accounting comparable to the memory store.
                 size = 0
-                for row in cur.execute(f"SELECT * FROM {name}"):
+                for row in cur.execute(f"SELECT * FROM {quote_identifier(table)}"):
                     for value in row:
                         if value is None:
                             size += 1

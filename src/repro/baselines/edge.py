@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..core.definitions import DefinitionRegistry
+from ..core.definitions import AttributeDef, DefinitionRegistry
 from ..core.query import AttributeCriteria, ElementCriterion, ObjectQuery, Op
 from ..core.schema import AnnotatedSchema, DynamicSpec
 from ..errors import CatalogError, QueryError
@@ -153,10 +153,14 @@ class EdgeCatalog(CatalogScheme):
         self,
         criteria: AttributeCriteria,
         candidates: Optional[List[NodeKey]],
+        parent: Optional[AttributeDef] = None,
     ) -> List[NodeKey]:
         """Nodes satisfying ``criteria``.  ``candidates=None`` means a
-        top-level criterion (seed from the tag index)."""
-        attr_def = self.registry.lookup_attribute(criteria.name, criteria.source)
+        top-level criterion (seed from the tag index); ``parent`` is the
+        enclosing criterion's definition."""
+        attr_def = self.registry.lookup_attribute(
+            criteria.name, criteria.source, parent=parent, nested=True
+        )
         structural = attr_def is None or attr_def.structural
         if structural:
             nodes = (
@@ -178,7 +182,7 @@ class EdgeCatalog(CatalogScheme):
         for sub in criteria.sub_attributes:
             surviving = []
             for node in matched:
-                if self._match_attribute(sub, candidates=[node]):
+                if self._match_attribute(sub, candidates=[node], parent=attr_def):
                     surviving.append(node)
             matched = surviving
             if not matched:

@@ -28,9 +28,7 @@ Commands::
     python -m repro fsck    --db cat.db [--deep]
     python -m repro shard-status --db cat.db
     python -m repro stats   --db cat.db [--format table|json|prom] [--reset]
-    python -m repro lint    [--json | --sarif] [--rule ID] [--src DIR]
-                            [--fault-tests DIR] [--changed]
-                            [--cache-dir DIR] [--no-cache]
+    python -m repro lint    [--sarif] [--src DIR] [--fault-tests DIR]
 
 Write commands run each logical operation in one explicit transaction
 and retry transient sqlite failures (``database is locked``) with
@@ -543,36 +541,22 @@ def build_parser() -> argparse.ArgumentParser:
                         "the per-column byte breakdown on columnar "
                         "(memory) backends")
 
-    p = add_parser(
+    # ``lint`` reads source files, not a catalog: no common flags.
+    p = sub.add_parser(
         "lint",
         help="run the repo's static-analysis rules "
              "(transaction safety, fault-site coverage, metric naming, "
-             "backend parity, lock discipline, guarded fields, "
-             "resource lifecycle, SQL construction safety)",
+             "lock discipline, guarded fields, resource lifecycle)",
     )
-    p.add_argument("--json", action="store_true", dest="json_output",
-                   help="emit the machine-readable report (repro.lint/v1)")
     p.add_argument("--sarif", action="store_true",
                    help="emit a SARIF 2.1.0 report (CI code-scanning "
-                        "upload); wins over --json")
-    p.add_argument("--rule", action="append", default=None, metavar="ID",
-                   help="run only this rule (repeatable; e.g. TXN01)")
+                        "upload) instead of text")
     p.add_argument("--src", default=None, metavar="DIR",
                    help="source tree to lint (default: the installed "
                         "repro package)")
     p.add_argument("--fault-tests", default=None, metavar="DIR",
                    help="fault-sweep test directory for FLT01 coverage "
                         "(default: ./tests/faults when present)")
-    p.add_argument("--changed", action="store_true",
-                   help="report findings only for files in "
-                        "git diff --name-only HEAD; whole-program facts "
-                        "still come from the full tree")
-    p.add_argument("--cache-dir", default=None, metavar="DIR",
-                   help="findings cache directory (default: "
-                        ".repro-lint-cache); a warm run with unchanged "
-                        "sources replays cached findings")
-    p.add_argument("--no-cache", action="store_true",
-                   help="neither read nor write the findings cache")
     return parser
 
 
@@ -615,68 +599,17 @@ def _dispatch(args) -> int:
     return code
 
 
-def _changed_paths(roots) -> "Optional[set]":
-    """Display paths under ``roots`` touched per ``git diff --name-only
-    HEAD`` (staged + unstaged); ``None`` when git is unavailable."""
-    import subprocess
-
-    try:
-        top = subprocess.run(
-            ["git", "rev-parse", "--show-toplevel"],
-            capture_output=True, text=True, check=True,
-        ).stdout.strip()
-        diff = subprocess.run(
-            ["git", "diff", "--name-only", "HEAD"],
-            capture_output=True, text=True, check=True,
-        ).stdout
-    except (OSError, subprocess.CalledProcessError):
-        return None
-    scope = set()
-    resolved = [root.resolve() for root in roots]
-    for line in diff.splitlines():
-        if not line.strip():
-            continue
-        path = (pathlib.Path(top) / line).resolve()
-        for root in resolved:
-            try:
-                rel = path.relative_to(root)
-            except ValueError:
-                continue
-            scope.add(f"{root.name}/{rel.as_posix()}")
-            break
-    return scope
-
-
 def _run_lint_command(args) -> int:
     """``repro lint``: exit 0 when clean, 1 on active findings, 2 on a
-    usage error (unknown rule id, missing source tree) or a file that
-    does not parse."""
+    missing source tree or a file that does not parse."""
     from .analysis import (
-        DEFAULT_CACHE_DIR,
-        LintResultCache,
         active,
-        content_digest,
         default_rules,
-        render_json_report,
         render_sarif_report,
         render_text_report,
-        rules_signature,
         run_lint,
-        source_texts,
     )
 
-    rules = default_rules()
-    if args.rule:
-        by_id = {rule.id: rule for rule in rules}
-        unknown = [rid for rid in args.rule if rid not in by_id]
-        if unknown:
-            print(
-                f"error: unknown rule id(s): {', '.join(unknown)} "
-                f"(known: {', '.join(sorted(by_id))})",
-                file=sys.stderr,
-            )
-            return 2
-        rules = [by_id[rid] for rid in args.rule]
     src_root = (
         pathlib.Path(args.src)
         if args.src
@@ -691,39 +624,10 @@ def _run_lint_command(args) -> int:
         default_ft = pathlib.Path.cwd() / "tests" / "faults"
         fault_tests = default_ft if default_ft.is_dir() else None
 
-    scope = None
-    if args.changed:
-        roots = [src_root] + ([fault_tests] if fault_tests else [])
-        scope = _changed_paths(roots)
-        if scope is None:
-            print("error: --changed requires a git checkout", file=sys.stderr)
-            return 2
-
-    # Content-addressed findings cache: a warm run with unchanged
-    # sources replays the stored findings without building a single
-    # AST.  ``--changed`` runs report a caller-dependent subset, so
-    # they bypass the cache rather than pollute it.
-    cache = key = None
-    findings = None
-    if not args.no_cache and scope is None:
-        texts = source_texts(src_root)
-        if fault_tests is not None and fault_tests.is_dir():
-            texts += source_texts(fault_tests)
-        cache = LintResultCache(
-            pathlib.Path(args.cache_dir) if args.cache_dir
-            else pathlib.Path(DEFAULT_CACHE_DIR)
-        )
-        key = cache.key_for(content_digest(texts), rules_signature(rules))
-        findings = cache.load(key)
-    if findings is None:
-        findings = run_lint(src_root, fault_tests, rules=rules, scope=scope)
-        if cache is not None:
-            cache.store(key, findings)
-
+    rules = default_rules()
+    findings = run_lint(src_root, fault_tests, rules=rules)
     if args.sarif:
         print(render_sarif_report(findings, rules=rules))
-    elif args.json_output:
-        print(render_json_report(findings))
     else:
         print(render_text_report(findings))
     live = active(findings)
@@ -915,7 +819,9 @@ def _run_command(args, registry: MetricsRegistry) -> int:
                 return 1
             host = dynamic[0]
         parent = (
-            catalog.registry.lookup_attribute(args.parent, args.source, user=args.user)
+            catalog.registry.lookup_attribute(
+                args.parent, args.source, user=args.user, nested=True
+            )
             if args.parent
             else None
         )

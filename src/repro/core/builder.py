@@ -134,7 +134,7 @@ class QueryBuilder:
             raise QueryError("no open criterion; call start() first")
         attr_def, criteria = self._stack[-1]
         elem_source = attr_def.source if source is None else source
-        elem_def = self.registry.lookup_element(attr_def, name, elem_source)
+        elem_def = self.registry.lookup_element(attr_def, name, elem_source, self.user)
         if elem_def is None:
             offered = [e[0] for e in self.element_choices(attr_def)]
             raise QueryError(
@@ -171,7 +171,9 @@ class QueryBuilder:
 
     # ------------------------------------------------------------------
     def _resolve(self, name: str, source: str, parent: Optional[AttributeDef]) -> AttributeDef:
-        attr_def = self.registry.lookup_attribute(name, source, user=self.user, parent=parent)
+        attr_def = self.registry.lookup_attribute(
+            name, source, user=self.user, parent=parent, nested=True
+        )
         if attr_def is None:
             where = f" under {parent.name!r}" if parent else ""
             offered = [c.label for c in self.attribute_choices(parent)]

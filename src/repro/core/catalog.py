@@ -444,7 +444,9 @@ class HybridCatalog:
         attribute (and all its sub-attribute instances) from an object."""
         attr_def = self.registry.lookup_attribute(name, source, user=user)
         if attr_def is None:
-            raise CatalogError(f"no attribute definition ({name!r}, {source!r})")
+            raise CatalogError(
+                f"no top-level attribute definition ({name!r}, {source!r})"
+            )
         _require_issuable(object_id)
         self.store.remove_attribute_instance(object_id, attr_def.attr_id, seq)
         self._moved()

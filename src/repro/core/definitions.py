@@ -120,8 +120,8 @@ class DefinitionRegistry:
         self._elem_defs: Dict[int, ElementDef] = {}
         # (name, source, scope) -> AttributeDef
         self._attr_key: Dict[Tuple[str, str, str], AttributeDef] = {}
-        # (attr_id, name, source) -> ElementDef
-        self._elem_key: Dict[Tuple[int, str, str], ElementDef] = {}
+        # (attr_id, name, source, scope) -> ElementDef
+        self._elem_key: Dict[Tuple[int, str, str, str], ElementDef] = {}
         # schema tag -> structural AttributeDef
         self._structural_by_tag: Dict[str, AttributeDef] = {}
         self._next_attr_id = 1
@@ -278,11 +278,11 @@ class DefinitionRegistry:
         value_type: ValueType,
         scope: str,
     ) -> ElementDef:
-        key = (attr_id, name, source)
+        key = (attr_id, name, source, scope)
         if key in self._elem_key:
             raise DefinitionError(
                 f"element ({name!r}, {source!r}) already defined for "
-                f"attribute {attr_id}"
+                f"attribute {attr_id} in scope {scope!r}"
             )
         elem_def = ElementDef(self._next_elem_id, attr_id, name, source, value_type, scope)
         self._next_elem_id += 1
@@ -386,31 +386,41 @@ class DefinitionRegistry:
         source: str,
         user: Optional[str] = None,
         parent: Optional[AttributeDef] = None,
+        nested: bool = False,
     ) -> Optional[AttributeDef]:
         """Resolve ``(name, source)`` for ``user``: the user's private
-        definition wins over the admin one (paper §3)."""
-        scopes = [user, ADMIN_SCOPE] if user else [ADMIN_SCOPE]
+        definition wins over the admin one (paper §3).  ``parent=None``
+        resolves a top-level definition only, unless ``nested=True``
+        lets it resolve a sub-attribute by name too, for callers that
+        name an attribute without its parent (a query's top-level
+        criterion, ``repro define --parent``)."""
         parent_id = parent.attr_id if parent is not None else None
-        for scope in scopes:
-            if scope is None:
-                continue
+        for scope in (user, ADMIN_SCOPE) if user else (ADMIN_SCOPE,):
             hit = self._attr_key.get((name, source, f"{scope}#{parent_id}"))
             if hit is not None:
                 return hit
             hit = self._attr_key.get((name, source, scope))
-            if hit is not None and (parent is None or hit.parent_id in (None, parent_id)):
+            if hit is not None and (
+                hit.parent_id in (None, parent_id) or (nested and parent is None)
+            ):
                 return hit
         return None
 
     def lookup_element(
-        self, attribute: AttributeDef, name: str, source: str
+        self,
+        attribute: AttributeDef,
+        name: str,
+        source: str,
+        user: Optional[str] = None,
     ) -> Optional[ElementDef]:
-        hit = self._elem_key.get((attribute.attr_id, name, source))
-        if hit is not None:
-            return hit
-        # Structural elements are registered without a source; a lookup
-        # with a source (from a dynamic-style document section) must not
-        # silently fall back, so only the exact key matches.
+        """Resolve element ``(name, source)`` of ``attribute`` for
+        ``user``: the user's private definition wins over the admin one,
+        and another user's is never seen.  Structural elements are
+        registered without a source, so only the exact key matches."""
+        for scope in (user, ADMIN_SCOPE) if user else (ADMIN_SCOPE,):
+            hit = self._elem_key.get((attribute.attr_id, name, source, scope))
+            if hit is not None:
+                return hit
         return None
 
     def elements_of(self, attribute: AttributeDef) -> List[ElementDef]:

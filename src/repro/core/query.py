@@ -314,7 +314,8 @@ def shred_query(
     def walk(criteria: AttributeCriteria, parent: Optional[QAttr], depth: int) -> QAttr:
         parent_def = registry.attribute(parent.attr_def_id) if parent else None
         attr_def = registry.lookup_attribute(
-            criteria.name, criteria.source, user=user, parent=parent_def
+            criteria.name, criteria.source, user=user, parent=parent_def,
+            nested=True,
         )
         if attr_def is None:
             raise QueryError(
@@ -341,12 +342,16 @@ def shred_query(
             parent.child_qattr_ids.append(qattr.qattr_id)
 
         for criterion in criteria.elements:
-            elem_def = registry.lookup_element(attr_def, criterion.name, criterion.source)
+            elem_def = registry.lookup_element(
+                attr_def, criterion.name, criterion.source, user
+            )
             if elem_def is None and criterion.source == "":
                 # Leaf attributes register their element under their own
                 # name; allow the common shorthand of querying them by the
                 # attribute name with an empty source.
-                elem_def = registry.lookup_element(attr_def, criterion.name, attr_def.source)
+                elem_def = registry.lookup_element(
+                    attr_def, criterion.name, attr_def.source, user
+                )
             if elem_def is None:
                 raise QueryError(
                     f"no element definition ({criterion.name!r}, "

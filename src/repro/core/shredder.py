@@ -684,12 +684,16 @@ class Shredder:
         the plan's memo while the plan is current."""
         plan = state.plan
         if plan.version != self.registry.version:
-            return _typed(self.registry.lookup_element(attr_def, label, source))
+            return _typed(self.registry.lookup_element(
+                attr_def, label, source, state.user
+            ))
         key = (attr_def.attr_id, label, source)
         memo = plan.element_memo
         found = memo.get(key, _MISSING)
         if found is _MISSING:
-            found = _typed(self.registry.lookup_element(attr_def, label, source))
+            found = _typed(self.registry.lookup_element(
+                attr_def, label, source, state.user
+            ))
             if len(memo) < _MEMO_LIMIT:
                 memo[key] = found
         return found  # type: ignore[return-value]

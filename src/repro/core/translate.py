@@ -170,7 +170,9 @@ def query_to_xpath(
     schema = registry.schema
     expressions = []
     for criteria in query.attributes:
-        attr_def = registry.lookup_attribute(criteria.name, criteria.source, user=user)
+        attr_def = registry.lookup_attribute(
+            criteria.name, criteria.source, user=user, nested=True
+        )
         if attr_def is None:
             raise QueryError(
                 f"no attribute definition ({criteria.name!r}, {criteria.source!r})"

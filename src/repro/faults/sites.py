@@ -10,17 +10,19 @@ go dead after a rename:
   connection proxy on sqlite).  The names are identical across
   backends so one plan drives both.
 * :data:`TRANSACTION_SITES` — the logical-operation labels passed to
-  ``run_transaction`` / ``transaction`` (they label the
+  ``run_transaction`` (they label the
   ``txn_commits_total`` / ``txn_rollbacks_total`` /
   ``txn_retries_total`` counters and the retry policy's unit of work).
 
-The FLT01 rule statically verifies that (a) every site string literal
-used with ``FaultPlan(site=...)``, ``run_transaction(...)``, or
+``repro lint`` rule FLT01 verifies that (a) every site string
+literal used with ``FaultPlan(site=...)``, ``run_transaction(...)``, or
 ``_fault(...)`` anywhere in ``src/`` is registered here, and (b) every
 registered *statement* site appears in at least one test under
 ``tests/faults/`` — a fault sweep that no longer reaches a site is a
 CI failure, not a silent gap.  :func:`check_site` gives dynamic
-call sites the same guarantee at runtime.
+call sites the same guarantee at runtime.  A renamed
+``run_transaction`` label is the seeded bug that proves the rule
+(``tests/analysis/test_seeded_bugs.py``).
 """
 
 from __future__ import annotations

@@ -1,10 +1,12 @@
 """The single audited interpolation point for SQL identifiers.
 
-SQL01 forbids interpolating anything into SQL text except through
-:func:`quote_identifier` — table and index names that cannot be bound
-as ``?`` parameters.  The helper *validates* rather than escapes: every
-identifier this codebase builds is machine-generated from a fixed
-alphabet (``q_matches_<n>``, ``elem_values``, …), so anything outside
+Nothing is interpolated into SQL text except through
+:func:`quote_identifier` — table names that cannot be bound as ``?``
+parameters (``storage_report`` reads them from ``sqlite_master``).
+``tests/analysis/test_structural_invariants.py`` holds every string
+that opens with a SQL verb to direct ``quote_identifier(...)`` holes.
+The helper *validates* rather than escapes: every identifier it sees
+is a catalog table name from a fixed alphabet, so anything outside
 ``[A-Za-z_][A-Za-z0-9_]*`` is a logic error worth failing loudly on,
 not something to quote around.  Valid names pass through byte-for-byte,
 which keeps every existing SQL statement — and therefore every

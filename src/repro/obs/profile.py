@@ -4,8 +4,8 @@ A :class:`QueryProfile` rides one plan execution: the backend times
 each IR stage as it runs, and when the plan finishes
 :meth:`QueryProfile.record_plan` (called by the shared
 ``HybridStore.match_objects``) derives the per-stage row flow —
-rows-in and rows-out — from the plan's ``actuals`` map.  Because *both* backends fill ``actuals`` identically
-(the PAR01 parity property), the row columns of a profile are computed
+rows-in and rows-out — from the plan's ``actuals`` map.  Because every store runs the one plan
+interpreter that fills ``actuals``, the row columns of a profile are computed
 by one shared function here rather than once per backend, so profile
 parity is structural: only the timings are backend-specific.
 

@@ -1,5 +1,4 @@
-"""The rule engine itself: pragma parsing, reporters, and the
-structured-finding round trip."""
+"""The rule engine itself: pragma parsing, reporters, and findings."""
 
 import ast
 
@@ -7,8 +6,6 @@ from repro.analysis import (
     Finding,
     Severity,
     active,
-    parse_json_report,
-    render_json_report,
     render_text_report,
     run_lint,
 )
@@ -19,7 +16,7 @@ from repro.analysis.linter import (
     parse_pragmas,
     str_prefix,
 )
-from repro.analysis.rules import LockReachabilityRule, SqlSafetyRule, TxnSafetyRule
+from repro.analysis.rules import FaultSiteRule, LockReachabilityRule, TxnSafetyRule
 
 from .conftest import FIXTURES, lint_fixture
 
@@ -41,15 +38,15 @@ class TestPragmas:
     def test_pragma_on_closing_line_of_wrapped_statement(self, tmp_path):
         # The finding anchors on the statement's first line; the pragma
         # sits on the closing paren three lines down.  Both must meet.
-        target = tmp_path / "backends" / "sqlite.py"
+        target = tmp_path / "core" / "storage.py"
         target.parent.mkdir(parents=True)
         target.write_text(
-            "def scan(cur, table):\n"
-            "    return cur.execute(\n"
-            '        f"SELECT * FROM {table}"\n'
-            "    )  # reprolint: ignore[SQL01]\n"
+            "def write(store):\n"
+            "    return store.run_transaction(\n"
+            '        "not_a_site", lambda: None\n'
+            "    )  # reprolint: ignore[FLT01]\n"
         )
-        findings = run_lint(tmp_path, rules=[SqlSafetyRule()])
+        findings = run_lint(tmp_path, rules=[FaultSiteRule()])
         assert len(findings) == 1
         assert findings[0].suppressed
         assert active(findings) == []
@@ -122,23 +119,6 @@ class TestReporters:
         assert "(suppressed)" in text
         assert text.endswith("4 finding(s), 1 suppressed")
 
-    def test_json_schema_and_counts(self):
-        import json
-
-        findings = lint_fixture("txn_bad", TxnSafetyRule())
-        payload = json.loads(render_json_report(findings))
-        assert payload["schema"] == "repro.lint/v1"
-        assert payload["counts"] == {"total": 5, "active": 4, "suppressed": 1}
-        assert all(
-            set(entry) == {"rule", "path", "line", "severity", "message",
-                           "suppressed"}
-            for entry in payload["findings"]
-        )
-
-    def test_json_round_trip(self):
-        findings = lint_fixture("txn_bad", TxnSafetyRule())
-        assert parse_json_report(render_json_report(findings)) == findings
-
 
 class TestFindings:
     def test_active_excludes_suppressed_and_warnings(self):
@@ -148,8 +128,3 @@ class TestFindings:
             Finding("X01", "a.py", 3, "advisory", severity=Severity.WARNING),
         ]
         assert [f.message for f in active(findings)] == ["live"]
-
-    def test_dict_round_trip(self):
-        finding = Finding("TXN01", "core/storage.py", 7, "boom",
-                          suppressed=True)
-        assert Finding.from_dict(finding.as_dict()) == finding

@@ -3,14 +3,12 @@ corrected fixture — the acceptance contract for ``repro lint``."""
 
 from repro.analysis import active
 from repro.analysis.rules import (
-    BackendParityRule,
     FaultSiteRule,
     GuardedFieldRule,
     LockOrderRule,
     LockReachabilityRule,
     MetricNameRule,
     ResourceLifecycleRule,
-    SqlSafetyRule,
     TxnSafetyRule,
 )
 from repro.obs.names import EventSpec, MetricSpec, SeriesSpec
@@ -163,29 +161,6 @@ class TestMetricNames:
         assert not [f for f in findings if "call sites" in f.message]
 
 
-class TestBackendParity:
-    def test_flags_interface_drift(self):
-        findings = lint_fixture("par_bad", BackendParityRule())
-        messages = [f.message for f in findings]
-        assert len(findings) == 3
-        assert any(
-            "MemoryHybridStore does not override abstract "
-            "HybridStore._delete_rows" in m
-            for m in messages
-        )
-        assert any("MemoryHybridStore.vacuum is public" in m for m in messages)
-        assert any("SqliteHybridStore.checkpoint is public" in m
-                   for m in messages)
-
-    def test_clean_fixture_passes(self):
-        assert lint_fixture("par_good", BackendParityRule()) == []
-
-    def test_missing_base_is_not_an_error(self):
-        # Partial fixture trees (no HybridStore in view) have nothing
-        # to pin — the rule stays silent instead of guessing.
-        assert lint_fixture("obs_good", BackendParityRule()) == []
-
-
 class TestLockReachability:
     def test_flags_unlocked_entry_points(self):
         findings = active(lint_fixture("lck1_bad", LockReachabilityRule()))
@@ -253,24 +228,3 @@ class TestResourceLifecycle:
 
     def test_ownership_idioms_pass(self):
         assert active(lint_fixture("res1_good", ResourceLifecycleRule())) == []
-
-
-class TestSqlSafety:
-    def test_flags_every_interpolation_shape(self):
-        findings = active(lint_fixture("sql1_bad", SqlSafetyRule()))
-        assert len(findings) == 6
-        assert all(f.rule_id == "SQL01" for f in findings)
-        messages = " | ".join(f.message for f in findings)
-        assert "f-string interpolation" in messages
-        assert "string concatenation" in messages
-        assert ".format() interpolation" in messages
-        assert "%-formatting" in messages
-        assert "dynamic fragment" in messages
-
-    def test_rebinding_does_not_sanction(self):
-        # `name = table` then f"... {name}" is still a finding.
-        findings = active(lint_fixture("sql1_bad", SqlSafetyRule()))
-        assert any(f.line == 32 for f in findings)
-
-    def test_quote_identifier_and_closures_pass(self):
-        assert active(lint_fixture("sql1_good", SqlSafetyRule())) == []

@@ -9,13 +9,17 @@ import shutil
 
 from repro.analysis import active, run_lint
 from repro.analysis.rules import (
+    FaultSiteRule,
+    GuardedFieldRule,
     LockOrderRule,
     LockReachabilityRule,
+    MetricNameRule,
     ResourceLifecycleRule,
     TxnSafetyRule,
 )
 
 SRC = pathlib.Path(__file__).parents[2] / "src" / "repro"
+FAULT_TESTS = pathlib.Path(__file__).parents[1] / "faults"
 
 
 def copy_tree(tmp_path):
@@ -230,3 +234,49 @@ class TestSeededBugs:
                 f"transaction ({mutator})"
             ) in findings[0].message
             shutil.copy(SRC / path.relative_to(tree), path)
+
+    def test_unregistered_transaction_label_is_caught(self, tmp_path):
+        """A renamed ``run_transaction`` label no longer names a
+        registered site, so every fault plan aimed at it goes dead."""
+        tree = copy_tree(tmp_path)
+
+        def lint():
+            return active(run_lint(tree, FAULT_TESTS, rules=[FaultSiteRule()]))
+
+        assert lint() == []
+        mutate(
+            tree / "core" / "storage.py",
+            'self.run_transaction("delete_object", write)',
+            'self.run_transaction("delete_objects", write)',
+        )
+        findings = lint()
+        assert [f.rule_id for f in findings] == ["FLT01"]
+        assert "site 'delete_objects' passed to run_transaction is not " \
+            "registered" in findings[0].message
+
+    def test_session_pop_without_the_lock_is_caught(self, tmp_path):
+        tree = copy_tree(tmp_path)
+        assert active(run_lint(tree, rules=[GuardedFieldRule()])) == []
+        mutate(
+            tree / "server" / "auth.py",
+            "        with self._lock:\n"
+            "            session = self._sessions.pop(token, None)\n"
+            "            count = len(self._sessions)\n",
+            "        session = self._sessions.pop(token, None)\n"
+            "        count = len(self._sessions)\n",
+        )
+        findings = active(run_lint(tree, rules=[GuardedFieldRule()]))
+        assert [f.rule_id for f in findings] == ["GRD01"]
+        assert "SessionManager._sessions is guarded by" in findings[0].message
+
+    def test_undeclared_metric_name_is_caught(self, tmp_path):
+        tree = copy_tree(tmp_path)
+        assert active(run_lint(tree, rules=[MetricNameRule()])) == []
+        mutate(
+            tree / "core" / "storage.py",
+            '"planner_queries_total", "query plans executed"',
+            '"planner_query_total", "query plans executed"',
+        )
+        findings = active(run_lint(tree, rules=[MetricNameRule()]))
+        assert [f.rule_id for f in findings] == ["OBS01"]
+        assert "planner_query_total" in findings[0].message

@@ -7,6 +7,7 @@ from repro.core import (
     AnnotatedSchema,
     DefinitionRegistry,
     DynamicSpec,
+    HybridCatalog,
     ValueType,
     attribute,
     melement,
@@ -14,6 +15,8 @@ from repro.core import (
     sub_attribute,
 )
 from repro.errors import DefinitionError
+from repro.grid import FIG3_DOCUMENT, define_fig3_attributes, lead_schema
+from repro.xmlkit import parse
 
 
 @pytest.fixture()
@@ -145,6 +148,64 @@ class TestUserScopes:
         assert "mine" in visible_names
         assert "theirs" not in visible_names
         assert "box" in visible_names
+
+
+class TestFig3Scopes:
+    """Fig. 3's definitions with a private element and a renamed entity."""
+
+    @pytest.fixture()
+    def catalog(self):
+        catalog = HybridCatalog(lead_schema())
+        define_fig3_attributes(catalog)
+        return catalog
+
+    def test_private_element_is_shredded_only_for_its_owner(self, catalog):
+        grid = catalog.registry.lookup_attribute("grid", "ARPS")
+        secret = catalog.define_element(grid, "secret", "ARPS", user="alice")
+        document = parse(FIG3_DOCUMENT.replace(
+            "                    <attr>\n"
+            "                        <attrlabl>dx</attrlabl>",
+            "                    <attr>\n"
+            "                        <attrlabl>secret</attrlabl>\n"
+            "                        <attrdefs>ARPS</attrdefs>\n"
+            "                        <attrv>42</attrv>\n"
+            "                    </attr>\n"
+            "                    <attr>\n"
+            "                        <attrlabl>dx</attrlabl>",
+        ))
+        shred = catalog.shredder.shred
+        alice = shred(document, user="alice")
+        assert [r.elem_id for r in alice.elements].count(secret.elem_id) == 1
+        for user in ("bob", None):
+            result = shred(document, user=user)
+            assert secret.elem_id not in {r.elem_id for r in result.elements}
+            assert any("'secret'" in w for w in result.warnings)
+
+    def test_user_element_definition_wins_over_admin(self, catalog):
+        registry = catalog.registry
+        grid = registry.lookup_attribute("grid", "ARPS")
+        admin = registry.lookup_element(grid, "dx", "ARPS")
+        mine = registry.define_element(grid, "dx", "ARPS", user="ann")
+        assert registry.lookup_element(grid, "dx", "ARPS", user="ann") is mine
+        assert registry.lookup_element(grid, "dx", "ARPS", user="bob") is admin
+        assert registry.lookup_element(grid, "dx", "ARPS") is admin
+
+    def test_top_level_lookup_skips_sub_attributes(self, catalog):
+        registry = catalog.registry
+        grid = registry.lookup_attribute("grid", "ARPS")
+        stretching = registry.lookup_attribute(
+            "grid-stretching", "ARPS", parent=grid
+        )
+        assert registry.lookup_attribute("grid-stretching", "ARPS") is None
+        document = parse(FIG3_DOCUMENT.replace(
+            "<enttypl>grid</enttypl>", "<enttypl>grid-stretching</enttypl>"
+        ))
+        result = catalog.shredder.shred(document)
+        assert stretching.attr_id not in {r.attr_id for r in result.attributes}
+        assert any(
+            "('grid-stretching', 'ARPS') is not defined" in w
+            for w in result.warnings
+        )
 
 
 class TestLookupErrors:

@@ -70,8 +70,9 @@ class TestObjectRows(object):
 
 class TestClose:
     """Memory backend honours the same close() contract as sqlite:
-    idempotent, typed ``CatalogClosedError`` afterwards (PAR01 keeps the
-    two backends' public surfaces aligned)."""
+    idempotent, typed ``CatalogClosedError`` afterwards (one
+    ``HybridStore`` interface, checked in
+    ``tests/analysis/test_structural_invariants.py``)."""
 
     def test_double_close_is_idempotent(self, fig3_catalog):
         fig3_catalog.store.close()

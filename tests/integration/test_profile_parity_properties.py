@@ -1,12 +1,12 @@
 """Property: query execution *profiles* are backend-neutral.
 
-PR 3's PAR01 property says the memory interpreter and the IR→SQL
-compiler return the same object ids from the same plan; PR 6 extends
-that to ``EXPLAIN ANALYZE``: a :class:`~repro.obs.profile.QueryProfile`
+The backend-equivalence property says both stores return the same
+object ids from the same plan; this extends that to
+``EXPLAIN ANALYZE``: a :class:`~repro.obs.profile.QueryProfile`
 collected on either backend must report the same stage names, the same
 stage order, and the same per-stage rows-out — only the timings (and
 the wait breakdown) may differ.  Hypothesis draws the same random
-query shapes the PAR01 suite uses and profiles both backends.
+query shapes the equivalence suite uses and profiles both backends.
 """
 
 import pytest
