@@ -64,7 +64,6 @@ from .errors import (
     ValidationError,
 )
 from .faults import FaultError, FaultPlan, RetryPolicy, TransientFault
-from .sharding import ShardedStore
 
 __version__ = "1.0.0"
 
@@ -96,7 +95,6 @@ __all__ = [
     "RetryPolicy",
     "SchemaError",
     "SchemaNode",
-    "ShardedStore",
     "ShredError",
     "Shredder",
     "TransientFault",

@@ -11,7 +11,7 @@ Two derived relations feed the interprocedural rules:
   upgrade/ordering checks, where a guessed edge would fabricate a
   deadlock report.
 
-Lock *tokens* name a lock per defining class: ``Shard._write_lock``
+Lock *tokens* name a lock per defining class: ``HybridCatalog._write_lock``
 for a ``with self._write_lock:`` acquisition, ``HybridStore.rwlock``
 for the RWLock behind ``read_locked``/``write_locked``/
 ``transaction``/``run_transaction``.  Tokens are what the lock-order

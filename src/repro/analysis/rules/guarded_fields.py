@@ -14,9 +14,9 @@ Two deliberate exclusions keep the signal clean:
 * ``__init__`` mutations are exempt — the object is not shared yet;
 * unlocked **reads** are exempt: CPython's GIL makes single dict/list
   reads atomic, and the repo's read paths lean on that (e.g. the
-  sharded store reads the routing map without the write mutex —
-  readers racing one routing update see either the old or new map,
-  both valid).  What must never race is two read-modify-write
+  catalog reads its object-name map without the write lock — a reader
+  racing one ingest sees the map with or without the new name, both
+  valid).  What must never race is two read-modify-write
   mutations, and that is exactly what this rule pins.
 
 Read-side RWLock acquisitions do **not** guard a mutation — two

@@ -4,15 +4,13 @@ Since PR 5 the catalog's consistency under threads rests on a
 hand-maintained protocol: every store write runs under the write side
 of the store's RWLock (via ``run_transaction``/``transaction``), every
 read surface under the read side (``read_locked`` / the pooled
-``_reader``), and the sharded store serializes routing-map updates
-behind its own mutex.  Nothing enforced that
+``_reader``).  Nothing enforced that
 protocol — deleting one ``with self.read_locked():`` would pass every
 functional test and fail only probabilistically under the concurrency
 suites.  These two rules make it machine-checked:
 
 * **LCK01** — every configured public read/write entry point on the
-  storage backends (the sharded store is one: its entries discharge
-  on the shard stores they route to) must *reach* the correct lock
+  storage backends must *reach* the correct lock
   acquisition through the optimistic whole-program call
   graph.  Over-approximate resolution is the right polarity here: a
   call edge we cannot rule out may be the one that takes the lock, so
@@ -78,8 +76,8 @@ class EntryPointSpec:
 
 
 #: Write entries hold the RWLock write side via the transaction
-#: protocol: they are ``HybridStore``'s own concrete shells (checked on
-#: the root itself) plus ``ShardedStore``'s routing overrides.
+#: protocol: they are ``HybridStore``'s own concrete shells, checked on
+#: the root itself.
 #: ``install_schema`` is deliberately absent: it runs on the
 #: construction path before the store is shared, by contract.
 _STORE_SPEC = EntryPointSpec(

@@ -6,7 +6,6 @@ across invocations (the personal-catalog usage the paper describes).
 Commands::
 
     python -m repro init    --db cat.db [--xsd schema.xsd]
-                            [--shards N] [--by-user]
     python -m repro define  --db cat.db NAME SOURCE [--parent NAME]
                             [--element NAME:TYPE ...] [--user USER]
     python -m repro ingest  --db cat.db FILE [FILE ...] [--owner OWNER]
@@ -26,7 +25,6 @@ Commands::
     python -m repro schema  --db cat.db   (or --xsd schema.xsd)
     python -m repro info    --db cat.db
     python -m repro fsck    --db cat.db [--deep]
-    python -m repro shard-status --db cat.db
     python -m repro stats   --db cat.db [--format table|json|prom] [--reset]
     python -m repro lint    [--sarif] [--src DIR] [--fault-tests DIR]
 
@@ -78,7 +76,7 @@ from .core import (
     ValueType,
     load_xsd,
 )
-from .errors import ReproError
+from .errors import CatalogError, ReproError
 from .faults import DEFAULT_RETRY, RetryPolicy
 from .grid import MyLeadService, lead_schema
 from .obs import (
@@ -92,16 +90,6 @@ from .obs import (
     tail_events,
 )
 from .server import CatalogServer, ServerConfig
-from .sharding import (
-    ShardedStore,
-    Topology,
-    check_sharded_catalog,
-    read_topology,
-    router_for,
-    sharded_store,
-    topology_sidecar,
-    write_topology,
-)
 
 _OPS = {
     "=": Op.EQ, "==": Op.EQ, "!=": Op.NE, "<": Op.LT, "<=": Op.LE,
@@ -171,21 +159,19 @@ def _open(db_path: str, registry: MetricsRegistry,
           schema=None,
           events: Optional[EventLog] = None,
           slow_threshold: Optional[float] = None) -> HybridCatalog:
-    """Open the catalog at ``db_path``: over the shard databases when
-    the ``<db>.shards.json`` topology sidecar says the path is a
-    federation, over the one sqlite file otherwise."""
-    topology = read_topology(db_path)
-    if topology is not None:
-        store = sharded_store(
-            topology.shards,
-            path=db_path,
-            router=router_for(topology.router, topology.shards),
+    """Open the catalog over the one sqlite file at ``db_path``.
+
+    A ``<db>.shards.json`` sidecar marks a sharded layout from an older
+    release; it is refused rather than answered from a new empty file."""
+    sidecar = pathlib.Path(db_path + ".shards.json")
+    if sidecar.exists():
+        raise CatalogError(
+            f"{sidecar} describes a sharded catalog, which this release "
+            "no longer opens"
         )
-    else:
-        store = SqliteHybridStore(db_path)
     return HybridCatalog(
         schema if schema is not None else _schema_for(db_path, None),
-        store=store,
+        store=SqliteHybridStore(db_path),
         metrics=registry,
         events=events,
         slow_query_threshold=slow_threshold,
@@ -363,13 +349,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_parser("init", help="create a new catalog file")
     p.add_argument("--db", required=True)
     p.add_argument("--xsd", help="annotated schema (defaults to the LEAD schema)")
-    p.add_argument("--shards", type=int, default=1, metavar="N",
-                   help="partition the catalog across N sqlite databases "
-                        "(<db>.shard0 .. <db>.shard<N-1>) federated under "
-                        "one catalog (default: 1 = unsharded)")
-    p.add_argument("--by-user", action="store_true",
-                   help="route objects to shards by owner instead of "
-                        "hashed object id (one user's objects colocate)")
 
     p = add_parser("define", help="register a dynamic attribute definition")
     p.add_argument("--db", required=True)
@@ -525,11 +504,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--deep", action="store_true",
                    help="also parse every stored CLOB")
 
-    p = add_parser("shard-status",
-                   help="per-shard layout of a sharded catalog "
-                        "(router, objects, bytes per shard)")
-    p.add_argument("--db", required=True)
-
     p = add_parser("stats", help="show accumulated catalog metrics")
     p.add_argument("--db", required=True)
     p.add_argument("--format", choices=("table", "json", "prom"),
@@ -590,7 +564,7 @@ def _dispatch(args) -> int:
     if (
         sidecar is not None
         and args.command != "stats"
-        and (pathlib.Path(db).exists() or topology_sidecar(db).exists())
+        and pathlib.Path(db).exists()
     ):
         sidecar.write_text(render_json(registry))
     metrics_json = getattr(args, "metrics_json", None)
@@ -731,27 +705,17 @@ def _run_top_command(args, catalog: HybridCatalog) -> int:
 
 def _run_command(args, registry: MetricsRegistry) -> int:
     if args.command == "init":
-        if pathlib.Path(args.db).exists() or topology_sidecar(args.db).exists():
+        if pathlib.Path(args.db).exists():
             print(f"error: {args.db} already exists", file=sys.stderr)
             return 1
-        if args.shards < 1:
-            print("error: --shards must be >= 1", file=sys.stderr)
-            return 1
         schema = _schema_for(args.db, args.xsd)
-        sharded = args.shards > 1 or args.by_user
-        if sharded:
-            write_topology(
-                args.db,
-                Topology(args.shards, "user" if args.by_user else "hash"),
-            )
         _open(args.db, registry, schema=schema).store.close()
         if args.xsd:
             pathlib.Path(args.db + ".xsd").write_text(
                 pathlib.Path(args.xsd).read_text()
             )
-        layout = f"{args.shards} shard(s)" if sharded else "unsharded"
         print(f"created catalog {args.db} with schema {schema.name!r} "
-              f"({schema.max_order()} ordered nodes, {layout})")
+              f"({schema.max_order()} ordered nodes)")
         return 0
 
     if args.command == "schema":
@@ -772,8 +736,7 @@ def _run_command(args, registry: MetricsRegistry) -> int:
             for name, rows, size in catalog.storage_report():
                 print(f"  {name:<16} {rows:>8} rows  {size:>10} bytes")
             # Columnar backends (the memory engine) can account bytes
-            # per column; sqlite and sharded stores report whole
-            # tables only.
+            # per column; the sqlite store reports whole tables only.
             engine = getattr(catalog.store, "db", None)
             breakdown = getattr(engine, "storage_breakdown", None)
             if breakdown is not None:
@@ -995,33 +958,13 @@ def _run_command(args, registry: MetricsRegistry) -> int:
     if args.command == "fsck":
         from .core import check_catalog
 
-        if isinstance(catalog.store, ShardedStore):
-            violations = check_sharded_catalog(catalog, deep=args.deep)
-            summary = (f"ok: {len(catalog)} objects across "
-                       f"{len(catalog.store.stores)} shard(s), no violations")
-        else:
-            violations = check_catalog(catalog, deep=args.deep)
-            summary = f"ok: {len(catalog)} objects, no violations"
+        violations = check_catalog(catalog, deep=args.deep)
         if not violations:
-            print(summary)
+            print(f"ok: {len(catalog)} objects, no violations")
             return 0
         for violation in violations:
             print(f"violation: {violation}")
         return 1
-
-    if args.command == "shard-status":
-        if not isinstance(catalog.store, ShardedStore):
-            print(f"{args.db} is not sharded (no topology sidecar)")
-            return 0
-        print(f"router: {catalog.store.router.describe()}")
-        print(f"{'shard':>5}  {'objects':>8}  {'bytes':>12}  path")
-        total_objects = total_bytes = 0
-        for index, path, objects, size in catalog.store.shard_status():
-            total_objects += objects
-            total_bytes += size
-            print(f"{index:>5}  {objects:>8}  {size:>12}  {path or '-'}")
-        print(f"{'all':>5}  {total_objects:>8}  {total_bytes:>12}")
-        return 0
 
     if args.command == "info":
         print(f"objects: {len(catalog)}")

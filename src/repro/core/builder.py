@@ -93,10 +93,11 @@ class QueryBuilder:
         return out
 
     def element_choices(self, attr_def: AttributeDef) -> List[Tuple[str, str, str]]:
-        """``(name, source, type)`` of the attribute's elements."""
+        """``(name, source, type)`` of the attribute's elements the
+        user may see."""
         return sorted(
             (e.name, e.source, e.value_type.value)
-            for e in self.registry.elements_of(attr_def)
+            for e in self.registry.elements_of(attr_def, self.user)
         )
 
     # ------------------------------------------------------------------

@@ -423,11 +423,16 @@ class DefinitionRegistry:
                 return hit
         return None
 
-    def elements_of(self, attribute: AttributeDef) -> List[ElementDef]:
-        return [e for e in self._elem_defs.values() if e.attr_id == attribute.attr_id]
-
-    def children_of(self, attribute: AttributeDef) -> List[AttributeDef]:
-        return [a for a in self._attr_defs.values() if a.parent_id == attribute.attr_id]
+    def elements_of(
+        self, attribute: AttributeDef, user: Optional[str] = None
+    ) -> List[ElementDef]:
+        """The elements of ``attribute`` that ``user`` may see: admin
+        plus the user's own."""
+        scopes = (ADMIN_SCOPE, user) if user else (ADMIN_SCOPE,)
+        return [
+            e for e in self._elem_defs.values()
+            if e.attr_id == attribute.attr_id and e.scope in scopes
+        ]
 
     def all_attributes(self) -> Iterator[AttributeDef]:
         return iter(self._attr_defs.values())

@@ -16,8 +16,7 @@ either backend:
   *n* implies a→c at *m + n*);
 * **CLOB well-formedness** — stored CLOBs parse as XML fragments whose
   root tag matches their schema node (optional, ``deep=True``);
-* **index consistency** (memory stores, and each memory shard through
-  :func:`~repro.sharding.check_sharded_catalog`) — every live row filed
+* **index consistency** (memory stores) — every live row filed
   exactly once under its own key in every index of the engine, no dead
   row id left, every bucket ascending
   (:meth:`~repro.relational.Table.check_indexes`).
@@ -43,13 +42,9 @@ Violation = str
 Instance = Tuple[int, int, int]
 
 
-def check_catalog(
-    catalog: HybridCatalog, deep: bool = False, store=None
-) -> List[Violation]:
-    """Run every integrity check; returns violations (empty = healthy).
-    ``store`` checks that store instead of ``catalog.store`` — one
-    shard of a sharded catalog, under the catalog's schema."""
-    store = catalog.store if store is None else store
+def check_catalog(catalog: HybridCatalog, deep: bool = False) -> List[Violation]:
+    """Run every integrity check; returns violations (empty = healthy)."""
+    store = catalog.store
     tables = {
         name: _rows(store, name)
         for name in (

@@ -18,8 +18,7 @@ with one constant-text ``SELECT`` each (``elements_by_def``,
 section (:meth:`~repro.core.storage.HybridStore._read_section`), so its
 stages read one state: memory holds the read lock, and a pooled sqlite
 reader holds one read transaction, whose snapshot a concurrent commit
-does not move.  A sharded store enters every shard's read section once
-per query; an object's rows never cross shards.
+does not move.
 
 The plan is set-based throughout — every stage is a bulk operation over
 whole row sets, never a per-object traversal — and uses the inverted

@@ -69,13 +69,6 @@ STATEMENT_SITES: FrozenSet[str] = frozenset(
         # deterministic fail_at sweeps over write statements are not
         # perturbed by concurrent reads.
         "pool:acquire",
-        # Sharded-catalog federation points (repro.sharding).  Like
-        # pool:acquire these are consulted only when a plan targets
-        # them by name, so fail_at sweeps over per-shard write
-        # statements do not drift when the routing layer changes.
-        "shard:write",   # before routing a write to its owning shard
-        "shard:sync",    # before each shard's definition-sync fan-out leg
-        "shard:query",   # before a query's read section enters each shard
     }
 )
 

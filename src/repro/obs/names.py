@@ -149,11 +149,6 @@ METRICS: Dict[str, MetricSpec] = _declare(
                "reader threads currently queued for a pooled connection"),
     MetricSpec("query_cache_invalidations_total", "counter",
                "result-cache wipes by what moved the token", ("cause",)),
-    # -- sharded catalog ------------------------------------------------
-    MetricSpec("shard_queries_total", "counter",
-               "query read sections entered, per shard", ("shard",)),
-    MetricSpec("shard_objects", "gauge",
-               "objects currently held by each shard", ("shard",)),
     # -- event log ------------------------------------------------------
     MetricSpec("events_emitted_total", "counter",
                "structured events written to the event log", ("event",)),

@@ -96,75 +96,26 @@ class TestSeededBugs:
             shutil.copy(SRC / path.relative_to(tree), path)
 
     def test_swapped_lock_order_is_caught(self, tmp_path):
+        """The catalog takes ``_write_lock`` and then, in ``_moved``,
+        ``_token_lock``; a path nesting them the other way round closes
+        a lock-order cycle."""
         tree = copy_tree(tmp_path)
-        path = tree / "sharding" / "store.py"
-        # Seed a second routing lock, consistently ordered in both
-        # write paths: the baseline must stay clean.
-        mutate(
-            path,
-            "        self._lock = threading.Lock()",
-            "        self._lock = threading.Lock()\n"
-            "        self._order_lock = threading.Lock()",
-        )
-        mutate(
-            path,
-            "        with self._lock:\n"
-            "            self._locations[object_id] = shard\n"
-            "            self._counts[shard] += 1\n"
-            "            self._object_gauges[shard].set(self._counts[shard])",
-            "        with self._lock:\n"
-            "            with self._order_lock:\n"
-            "                self._locations[object_id] = shard\n"
-            "                self._counts[shard] += 1",
-        )
-        mutate(
-            path,
-            "        with self._lock:\n"
-            "            if self._locations.pop(object_id, None) is not None:\n"
-            "                self._counts[shard] -= 1\n"
-            "                self._object_gauges[shard].set(self._counts[shard])",
-            "        with self._lock:\n"
-            "            with self._order_lock:\n"
-            "                self._locations.pop(object_id, None)",
-        )
         assert active(run_lint(tree, rules=[LockOrderRule()])) == []
-        # Swap the nesting in delete_object(): a global ordering violation.
         mutate(
-            path,
-            "        with self._lock:\n"
-            "            with self._order_lock:\n"
-            "                self._locations.pop(object_id, None)",
-            "        with self._order_lock:\n"
-            "            with self._lock:\n"
-            "                self._locations.pop(object_id, None)",
+            tree / "core" / "catalog.py",
+            '        """Definitions changed: retire cached answers."""\n'
+            "        self._moved(definitions=True)",
+            '        """Definitions changed: retire cached answers."""\n'
+            "        with self._token_lock:\n"
+            "            with self._write_lock:\n"
+            "                self.generation += 1",
         )
         findings = active(run_lint(tree, rules=[LockOrderRule()]))
         assert len(findings) == 1
         assert findings[0].rule_id == "LCK02"
         assert "lock-order cycle" in findings[0].message
-        assert "ShardedStore._lock" in findings[0].message
-        assert "_order_lock" in findings[0].message
-
-    def test_federation_entry_that_stops_asking_the_shards_is_caught(
-        self, tmp_path
-    ):
-        """ShardedStore is covered by the HybridStore spec as a
-        subclass: its entries discharge on the shard stores they route
-        to (whose own lock deletions the test above catches), so one
-        that answers from the routing map alone fails LCK01."""
-        tree = copy_tree(tmp_path)
-        assert active(run_lint(tree, rules=[LockReachabilityRule()])) == []
-        mutate(
-            tree / "sharding" / "store.py",
-            "        return shard is not None and "
-            "self.stores[shard].has_object(object_id)",
-            "        return shard is not None",
-        )
-        findings = active(run_lint(tree, rules=[LockReachabilityRule()]))
-        assert len(findings) == 1
-        assert "ShardedStore.has_object is a read entry point" in (
-            findings[0].message
-        )
+        assert "HybridCatalog._write_lock" in findings[0].message
+        assert "HybridCatalog._token_lock" in findings[0].message
 
     def test_batch_insert_outside_a_transaction_is_caught(self, tmp_path):
         """``Table.extend`` shares its name with ``list.extend``; the

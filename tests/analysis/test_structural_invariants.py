@@ -21,13 +21,8 @@ import shutil
 
 from repro.backends import SqliteHybridStore
 from repro.core.storage import HybridStore, MemoryHybridStore
-from repro.sharding import ShardedStore
 
 SRC = pathlib.Path(__file__).parents[2] / "src" / "repro"
-
-#: The federation's own surface (``repro shard-status``, routing
-#: checks); callers reach it only on a store they know is sharded.
-SHARDED_ONLY = {"shard_of", "shard_status"}
 
 
 def stray_public_methods(cls):
@@ -41,8 +36,7 @@ class TestOneStoreInterface:
     def test_concrete_stores_add_no_public_method(self):
         assert stray_public_methods(MemoryHybridStore) == []
         assert stray_public_methods(SqliteHybridStore) == []
-        assert stray_public_methods(ShardedStore) == sorted(SHARDED_ONLY)
-        for cls in (MemoryHybridStore, SqliteHybridStore, ShardedStore):
+        for cls in (MemoryHybridStore, SqliteHybridStore):
             assert not inspect.isabstract(cls), cls.__name__
 
     def test_a_stray_method_is_caught(self):

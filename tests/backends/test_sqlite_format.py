@@ -17,7 +17,6 @@ from repro.core.integrity import check_catalog
 from repro.core.ordering import ancestor_pairs
 from repro.errors import CatalogError
 from repro.grid import LeadCorpusGenerator, WorkloadGenerator, lead_schema
-from repro.sharding import sharded_store
 
 #: The layout of an unstamped (v0) catalog file.
 V0_DDL = """
@@ -176,12 +175,12 @@ def test_a_failed_migration_leaves_the_v0_file(v0_file):
         assert conn.execute("SELECT COUNT(*) FROM node_ancestors").fetchone()[0] > 0
 
 
-def test_a_newer_file_is_refused_on_every_shard(tmp_path):
-    path = str(tmp_path / "fed.db")
-    HybridCatalog(lead_schema(), store=sharded_store(2, path=path)).store.close()
-    with sqlite3.connect(f"{path}.shard1") as conn:
+def test_a_newer_file_is_refused(tmp_path):
+    path = str(tmp_path / "cat.db")
+    HybridCatalog(lead_schema(), store=SqliteHybridStore(path)).store.close()
+    with sqlite3.connect(path) as conn:
         conn.execute("PRAGMA user_version = 2")
-    store = sharded_store(2, path=path)
+    store = SqliteHybridStore(path)
     with pytest.raises(CatalogError, match="format v2"):
         HybridCatalog(lead_schema(), store=store)
     store.close()

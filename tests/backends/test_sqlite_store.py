@@ -17,7 +17,6 @@ from repro.grid import (
     lead_schema,
 )
 from repro.obs import MetricsRegistry
-from repro.sharding import sharded_store
 from repro.xmlkit import canonical, parse
 
 
@@ -427,7 +426,6 @@ class TestSqlResponse:
             assert len(plan) == 2, plan
             assert all(step.startswith("SEARCH") for step in plan), plan
         assert set(responses) == {1, 2}
-        for store in (None, sharded_store(2)):
-            other = fig3_pair(store)
-            assert other.fetch(request) == responses
-            other.store.close()
+        other = fig3_pair()
+        assert other.fetch(request) == responses
+        other.store.close()

@@ -37,6 +37,18 @@ class TestIntrospection:
         choices = builder.element_choices(grid)
         assert ("dx", "ARPS", "float") in choices
 
+    def test_element_choices_hide_another_users_elements(self, catalog):
+        grid = catalog.registry.lookup_attribute("grid", "ARPS")
+        catalog.define_element(grid, "secret", "ARPS", user="alice")
+        names = {
+            user: {e[0] for e in QueryBuilder(catalog.registry, user=user)
+                   .element_choices(grid)}
+            for user in ("alice", "bob")
+        }
+        assert "secret" in names["alice"]
+        assert "secret" not in names["bob"]
+        assert {"dx", "dz"} <= names["bob"]
+
     def test_non_queryable_hidden(self, catalog):
         catalog.define_attribute("hidden", "SRC", queryable=False)
         labels = {c.label for c in QueryBuilder(catalog.registry).attribute_choices()}

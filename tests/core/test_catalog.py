@@ -6,7 +6,6 @@ from repro.backends import SqliteHybridStore
 from repro.core import AttributeCriteria, HybridCatalog, ObjectQuery, ValueType
 from repro.errors import CatalogError, QueryError, ValidationError
 from repro.grid import FIG3_DOCUMENT, define_fig3_attributes, lead_schema
-from repro.sharding import sharded_store
 from repro.xmlkit import parse
 
 
@@ -85,7 +84,6 @@ class TestDelete:
 STORES = {
     "memory": lambda: None,
     "sqlite": SqliteHybridStore,
-    "sharded": lambda: sharded_store(2),
 }
 
 

@@ -13,7 +13,6 @@ from repro.grid import (
     lead_schema,
 )
 from repro.relational.table import PostingIndex
-from repro.sharding import check_sharded_catalog, sharded_store
 
 
 @pytest.fixture(params=["memory", "sqlite"])
@@ -185,8 +184,7 @@ class TestCorruptionDetection:
 
 class TestIndexConsistency:
     """Memory stores also answer for their engine indexes: a posting a
-    delete forgot is a violation, on a plain store and on each memory
-    shard of a federation."""
+    delete forgot is a violation."""
 
     @staticmethod
     def _delete_leaving_postings(monkeypatch, catalog, object_id):
@@ -203,19 +201,6 @@ class TestIndexConsistency:
         violations = check_catalog(catalog)
         assert len(violations) == 11  # Fig 3 stores 11 element rows
         assert all(v.startswith("elements: elements_by_value: dead row") for v in violations)
-
-    def test_posting_left_behind_on_a_memory_shard(self, monkeypatch):
-        catalog = HybridCatalog(lead_schema(), store=sharded_store(2))
-        define_fig3_attributes(catalog)
-        ids = [catalog.ingest(FIG3_DOCUMENT).object_id for _ in range(4)]
-        assert check_sharded_catalog(catalog) == []
-        shard = catalog.store.shard_of(ids[0])
-        self._delete_leaving_postings(monkeypatch, catalog, ids[0])
-        violations = check_sharded_catalog(catalog)
-        assert violations and all(
-            v.startswith(f"shard {shard}: elements: elements_by_value: dead row")
-            for v in violations
-        )
 
 
 # -- memory-store corruption helpers ------------------------------------

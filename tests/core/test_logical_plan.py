@@ -30,7 +30,6 @@ from repro.core import planner
 from repro.core.schema import ValueType
 from repro.core.storage import SHORT_CIRCUIT_NOTE, fig4_stages
 from repro.grid import lead_schema
-from repro.sharding import sharded_store
 from repro.xmlkit import element, pretty_print
 
 
@@ -126,7 +125,6 @@ class TestBuildPlan:
 LAYOUTS = {
     "memory": lambda: None,
     "sqlite": SqliteHybridStore,
-    "sharded": lambda: sharded_store(2),
 }
 
 

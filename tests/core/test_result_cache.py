@@ -19,12 +19,10 @@ from repro.core import (
 from repro.core.result_cache import WRITE_LOG_LENGTH, result_key
 from repro.grid import FIG3_DOCUMENT, define_fig3_attributes, lead_schema
 from repro.obs import MetricsRegistry
-from repro.sharding import sharded_store
 
 LAYOUTS = {
     "memory": lambda tmp_path: None,
     "sqlite": lambda tmp_path: SqliteHybridStore(str(tmp_path / "cat.db")),
-    "sharded": lambda tmp_path: sharded_store(2),
 }
 
 #: Fig 3's document with its grid spacing swapped, so a query on

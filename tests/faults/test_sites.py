@@ -38,11 +38,6 @@ _SCHEMA_SITES = frozenset({"insert:schema_order"})
 #: two-backend write sweep.
 _POOL_SITES = frozenset({"pool:acquire"})
 
-#: Federation sites consulted by the sharded store; exercised
-#: by the dedicated sweeps in ``test_shard_sites.py`` (they need a
-#: :class:`~repro.sharding.ShardedStore`, not a bare store).
-_SHARD_SITES = frozenset({"shard:write", "shard:sync", "shard:query"})
-
 
 def _trigger_define(catalog: HybridCatalog) -> None:
     attr = catalog.define_attribute("sweepattr", "SWEEP", host="detailed")
@@ -80,7 +75,7 @@ def test_every_statement_site_has_a_trigger():
     ``STATEMENT_SITES`` without extending this module is itself a
     failure (the static half of the same check is FLT01)."""
     assert (
-        set(SITE_TRIGGERS) | _SCHEMA_SITES | _POOL_SITES | _SHARD_SITES
+        set(SITE_TRIGGERS) | _SCHEMA_SITES | _POOL_SITES
         == set(STATEMENT_SITES)
     )
 

@@ -3,8 +3,8 @@
 Hypothesis draws write sequences — ``ingest`` (unscoped or as a user
 with a private definition), ``ingest_many``, ``delete``,
 ``add_attribute``, ``remove_attribute``, ``define_attribute`` — with
-repeated queries in between, on a memory store, an on-disk sqlite
-store and ``sharded_store(2)``.  After every step, each query the step
+repeated queries in between, on a memory store and an on-disk sqlite
+store.  After every step, each query the step
 probes (keyword, parameter, nested, conjunctive, and user-scoped ones)
 answers from the result cache exactly what a fresh run answers
 (``trace=PlanTrace()`` bypasses the cache); after the sequence, every
@@ -24,7 +24,6 @@ from repro.core import AttributeCriteria, HybridCatalog, ObjectQuery, Op, PlanTr
 from repro.errors import CatalogError
 from repro.grid import CF_STANDARD_NAMES, CorpusConfig, LeadCorpusGenerator, lead_schema
 from repro.obs import MetricsRegistry
-from repro.sharding import sharded_store
 
 CONFIG = CorpusConfig(seed=2323, themes=2, keys_per_theme=3, dynamic_groups=2,
                       params_per_group=5, dynamic_depth=3, models=("ARPS",))
@@ -130,7 +129,6 @@ def build(layout, directory):
     store = {
         "memory": lambda: None,
         "sqlite": lambda: SqliteHybridStore(f"{directory}/cat.db"),
-        "sharded": lambda: sharded_store(2),
     }[layout]()
     catalog = HybridCatalog(lead_schema(), store=store, metrics=MetricsRegistry())
     LeadCorpusGenerator(CONFIG).register_definitions(catalog)
@@ -139,7 +137,7 @@ def build(layout, directory):
     return catalog
 
 
-@pytest.mark.parametrize("layout", ["memory", "sharded", "sqlite"])
+@pytest.mark.parametrize("layout", ["memory", "sqlite"])
 @settings(max_examples=60, deadline=None)
 @given(sequence=steps)
 def test_cached_answers_equal_fresh_ones_after_every_write(layout, sequence):

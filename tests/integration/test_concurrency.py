@@ -17,7 +17,7 @@ both backends:
 * **add_attribute is one transaction** — its existence check, its two
   sequence reads, the shred and the rows commit together, so a racing
   delete leaves no orphan rows and racing appenders never collide on a
-  ``clob_seq`` (memory, sqlite file and a 2-shard store).
+  ``clob_seq`` (memory and sqlite file).
 """
 
 import sys
@@ -33,7 +33,6 @@ from repro.core import AttributeCriteria, HybridCatalog, ObjectQuery, Op, PlanTr
 from repro.core.integrity import _rows, check_catalog
 from repro.errors import CatalogError
 from repro.grid import CF_STANDARD_NAMES, CorpusConfig, LeadCorpusGenerator, lead_schema
-from repro.sharding import check_sharded_catalog, sharded_store
 
 CONFIG = CorpusConfig(seed=1212, themes=2, keys_per_theme=3, dynamic_groups=2,
                       params_per_group=4, dynamic_depth=2)
@@ -220,47 +219,30 @@ def test_racing_deletes_of_one_object_succeed_exactly_once(backend, tmp_path):
 # add_attribute: reads + shred + rows are one transaction
 # ----------------------------------------------------------------------
 
-STORES = ("memory", "sqlite", "sharded")
 NEW_THEME = "<theme><themekt>CF</themekt><themekey>late_key</themekey></theme>"
 
 
-def build_store_catalog(kind, tmp_path):
-    if kind == "sharded":
-        catalog = HybridCatalog(lead_schema(), store=sharded_store(2))
-        GENERATOR.register_definitions(catalog)
-        return catalog
-    return build_catalog(kind, tmp_path)
-
-
-def fsck(kind, catalog):
-    check = check_sharded_catalog if kind == "sharded" else check_catalog
-    return check(catalog, deep=True)
-
-
-def theme_clob_seqs(kind, catalog, object_id):
+def theme_clob_seqs(catalog, object_id):
     """Stored ``clob_seq`` values of the object's <theme> CLOBs, sorted."""
     order = catalog.schema.attribute_by_tag("theme").order
-    stores = catalog.store.stores if kind == "sharded" else [catalog.store]
     return sorted(
         row[2]
-        for store in stores
-        for row in _rows(store, "clobs")
+        for row in _rows(catalog.store, "clobs")
         if row[0] == object_id and row[1] == order
     )
 
 
-@pytest.mark.parametrize("kind", STORES)
+@pytest.mark.parametrize("kind", BACKENDS)
 def test_delete_landing_inside_add_attribute_leaves_no_orphans(kind, tmp_path):
     """The deterministic interleaving: the object's rows are deleted
     after add_attribute's existence check and before its rows are
-    written.  The append must fail as ``no object`` and commit nothing.
-    (On one store the same-thread delete joins the transaction and is
-    rolled back with it; on the sharded store it commits on its shard.
-    Either way no theme row outlives its object.)"""
-    catalog = build_store_catalog(kind, tmp_path)
+    written.  The append must fail as ``no object`` and commit nothing:
+    the same-thread delete joins the transaction and is rolled back
+    with it."""
+    catalog = build_catalog(kind, tmp_path)
     victim = catalog.ingest(DOCUMENTS[0]).object_id
     keeper = catalog.ingest(DOCUMENTS[1]).object_id
-    before = theme_clob_seqs(kind, catalog, victim)
+    before = theme_clob_seqs(catalog, victim)
     real = catalog.store.instance_counts
 
     def delete_then_count(object_id):
@@ -272,24 +254,23 @@ def test_delete_landing_inside_add_attribute_leaves_no_orphans(kind, tmp_path):
     catalog.store.instance_counts = delete_then_count
     with pytest.raises(CatalogError, match=f"no object {victim}"):
         catalog.add_attribute(victim, NEW_THEME)
-    assert fsck(kind, catalog) == []
-    survived = catalog.store.has_object(victim)
-    assert survived == (kind != "sharded")
-    assert theme_clob_seqs(kind, catalog, victim) == (before if survived else [])
+    assert check_catalog(catalog, deep=True) == []
+    assert catalog.store.has_object(victim)
+    assert theme_clob_seqs(catalog, victim) == before
     # The catalog still takes appends.
     catalog.add_attribute(keeper, NEW_THEME)
-    assert fsck(kind, catalog) == []
+    assert check_catalog(catalog, deep=True) == []
 
 
-@pytest.mark.parametrize("kind", STORES)
+@pytest.mark.parametrize("kind", BACKENDS)
 def test_racing_add_attributes_take_contiguous_sequences(kind, tmp_path):
     """Two writers append themes to one object while a third thread
     deletes it at the end: every append that succeeded took the next
     ``clob_seq`` (no collision ever surfaces as a backend constraint
     error), the rest fail as ``no object``, and fsck stays clean."""
-    catalog = build_store_catalog(kind, tmp_path)
+    catalog = build_catalog(kind, tmp_path)
     target = catalog.ingest(DOCUMENTS[0]).object_id
-    start = theme_clob_seqs(kind, catalog, target)
+    start = theme_clob_seqs(catalog, target)
     assert start == list(range(1, len(start) + 1))
     rounds = 15
     barrier = threading.Barrier(2)
@@ -319,10 +300,10 @@ def test_racing_add_attributes_take_contiguous_sequences(kind, tmp_path):
         assert not any(worker.is_alive() for worker in writers)
         assert not errors, errors
         assert len(appended) == 2 * rounds
-        assert theme_clob_seqs(kind, catalog, target) == list(
+        assert theme_clob_seqs(catalog, target) == list(
             range(1, len(start) + 2 * rounds + 1)
         )
-        assert fsck(kind, catalog) == []
+        assert check_catalog(catalog, deep=True) == []
         # Now the same race with a deleter in it.
         appended.clear()
         barrier = threading.Barrier(3)
@@ -341,9 +322,9 @@ def test_racing_add_attributes_take_contiguous_sequences(kind, tmp_path):
         sys.setswitchinterval(interval)
     assert not any(worker.is_alive() for worker in racers)
     assert not errors, errors
-    assert theme_clob_seqs(kind, catalog, target) == []
+    assert theme_clob_seqs(catalog, target) == []
     assert catalog.store.object_count() == 0
-    assert fsck(kind, catalog) == []
+    assert check_catalog(catalog, deep=True) == []
 
 
 # ----------------------------------------------------------------------

@@ -3,8 +3,8 @@
 Hypothesis drives the corpus configuration (theme counts, dynamic
 nesting depth, parameter counts); for every generated document the
 rebuilt response must be canonically equal to the input — the Fig-1
-guarantee that dual storage loses nothing — on memory, sqlite
-``:memory:`` and a two-shard federation alike.
+guarantee that dual storage loses nothing — on memory and sqlite
+``:memory:`` alike.
 """
 
 from hypothesis import given, settings
@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from repro.backends import SqliteHybridStore
 from repro.core import HybridCatalog
 from repro.grid import CorpusConfig, LeadCorpusGenerator, lead_schema
-from repro.sharding import sharded_store
 from repro.xmlkit import canonical, parse
 
 configs = st.builds(
@@ -29,7 +28,7 @@ configs = st.builds(
 )
 
 
-STORES = (lambda: None, SqliteHybridStore, lambda: sharded_store(2))
+STORES = (lambda: None, SqliteHybridStore)
 
 
 def catalogs(generator):

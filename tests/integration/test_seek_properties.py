@@ -5,8 +5,8 @@ posting index; ``_seek_hits`` over every row of the definition, found
 by a scan, is what it must return.  Checked on raw rows the catalog
 never writes (a NULL ``value_num`` under a numeric definition, text and
 float values in one definition, NaN, -0.0, all-NULL values), and after
-every step of a hypothesis write sequence on a memory store, an sqlite
-store and ``sharded_store(2)`` — ingest, delete, ``remove_attribute``,
+every step of a hypothesis write sequence on a memory store and an
+sqlite store — ingest, delete, ``remove_attribute``,
 an ``add_attribute`` and a delete that a fault rolls back, a query
 checked against the scan oracle.  After each step, on every store,
 each seek a query runs reads once, and reads exactly the rows of the
@@ -16,8 +16,8 @@ none ends the run unread past it.  On memory stores
 reference.
 
 On sqlite, the text seeks that read by value — EQ, NE, the ranges,
-IN_SET, and CONTAINS — return the rows of a scan of the definition, on
-one on-disk store and on two on-disk shards.
+IN_SET, and CONTAINS — return the rows of a scan of the definition on
+an on-disk store.
 """
 
 import math
@@ -34,7 +34,6 @@ from repro.core.storage import _seek_hits
 from repro.errors import CatalogError
 from repro.faults import FaultError, FaultPlan
 from repro.grid import CF_STANDARD_NAMES, CorpusConfig, LeadCorpusGenerator, lead_schema
-from repro.sharding import sharded_store
 from repro.xmlkit import parse
 
 CONFIG = CorpusConfig(seed=515, themes=1, keys_per_theme=2, dynamic_groups=1,
@@ -247,7 +246,7 @@ def run_step(catalog, live, step, arg):
         assert catalog.query(keyword_query(arg)) == expected
 
 
-LAYOUTS = {"memory": lambda: None, "sqlite": SqliteHybridStore, "sharded": sharded_store}
+LAYOUTS = {"memory": lambda: None, "sqlite": SqliteHybridStore}
 
 
 @pytest.mark.parametrize("layout", sorted(LAYOUTS))
@@ -282,17 +281,12 @@ WORDS = st.text(alphabet="abé_ ", max_size=5)
 
 
 @pytest.fixture(scope="module")
-def sqlite_layouts(tmp_path_factory):
-    """An on-disk sqlite store and ``sharded_store(2)`` over on-disk
-    shards, each behind a catalog so its tables exist."""
-    base = tmp_path_factory.mktemp("by_value")
-    stores = {"sqlite": SqliteHybridStore(str(base / "plain.db")),
-              "sharded": sharded_store(2, path=str(base / "fed.db"))}
-    for store in stores.values():
-        HybridCatalog(lead_schema(), store=store)
-    yield stores
-    for store in stores.values():
-        store.close()
+def sqlite_store(tmp_path_factory):
+    """An on-disk sqlite store behind a catalog, so its tables exist."""
+    store = SqliteHybridStore(str(tmp_path_factory.mktemp("by_value") / "cat.db"))
+    HybridCatalog(lead_schema(), store=store)
+    yield store
+    store.close()
 
 
 def by_value_rows(few, distinct, numbers):
@@ -312,32 +306,25 @@ def by_value_rows(few, distinct, numbers):
        distinct=st.lists(WORDS, unique=True, max_size=16),
        numbers=st.lists(st.floats(allow_infinity=False), max_size=8),
        extra=st.lists(WORDS, max_size=2))
-@pytest.mark.parametrize("layout", ["sqlite", "sharded"])
 def test_sqlite_by_value_seeks_return_the_scanned_rows(
-    sqlite_layouts, layout, few, distinct, numbers, extra
+    sqlite_store, few, distinct, numbers, extra
 ):
     """EQ, NE, the ranges, IN_SET and CONTAINS read by value and
     return the scan's row multiset: on text definitions
     with few or all-distinct values, on a numeric one holding a NaN,
     and on a definition with no rows; for held, partial, empty and
     missing needles."""
-    store = sqlite_layouts[layout]
-    shards = getattr(store, "stores", [store])
+    store = sqlite_store
     rows = by_value_rows(few, distinct, numbers + [math.nan])
-    for index, shard in enumerate(shards):
-        shard.connection.execute("DELETE FROM elements")
-        shard.connection.executemany(
-            "INSERT INTO elements VALUES (?, ?, ?, ?, ?, ?, ?)", rows[index::len(shards)])
+    store.connection.execute("DELETE FROM elements")
+    store.connection.executemany(
+        "INSERT INTO elements VALUES (?, ?, ?, ?, ?, ?, ?)", rows)
     texts = sorted({row[5] for row in rows})
     needles = texts[:2] + texts[-1:] + [t[1:3] for t in texts[:2]] + ["", "zzz", *extra]
 
     def scanned(op, elem_id, attr_id, needle):
-        return sorted(
-            row
-            for shard in shards
-            for row in shard.connection.execute(
-                SCAN_SQL[op], (elem_id, attr_id, needle)).fetchall()
-        )
+        return sorted(store.connection.execute(
+            SCAN_SQL[op], (elem_id, attr_id, needle)).fetchall())
 
     with store._read_section():
         for elem_id in (FEW, DISTINCT, NUMERIC, ABSENT):

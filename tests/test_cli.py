@@ -52,6 +52,20 @@ class TestInit:
         assert code == 1
         assert "already exists" in err
 
+    def test_refuses_a_sharded_layout_instead_of_an_empty_file(self, db, capsys):
+        """A ``<db>.shards.json`` sidecar marks a sharded catalog of an
+        older release: no command may answer it from a new empty file."""
+        import pathlib
+
+        sidecar = pathlib.Path(db + ".shards.json")
+        sidecar.write_text('{"version": 1, "shards": 2, "router": "hash"}')
+        for argv in (["query", "--db", db, "--attr", "grid/ARPS"],
+                     ["init", "--db", db]):
+            code, _out, err = run(capsys, *argv)
+            assert code == 1, argv
+            assert str(sidecar) in err
+            assert not pathlib.Path(db).exists()
+
 
 class TestDefineAndIngest:
     def test_ingest_reports_counts(self, db, fig3_file, capsys):
@@ -514,141 +528,6 @@ class TestTop:
         assert "--frames" in err
 
 
-@pytest.fixture()
-def sharded_db(db, fig3_file, capsys):
-    """A 3-shard federation with Fig-3 definitions and two Fig-3
-    documents ingested (ids 1 and 2, routed by hashed object id)."""
-    assert main(["init", "--db", db, "--shards", "3"]) == 0
-    assert main(["define", "--db", db, "grid", "ARPS",
-                 "--element", "dx:float", "--element", "dz:float"]) == 0
-    assert main(["ingest", "--db", db, fig3_file, fig3_file]) == 0
-    capsys.readouterr()
-    return db
-
-
-class TestShardedCli:
-    def test_init_creates_topology_sidecar_and_shard_files(self, db, capsys):
-        import pathlib
-
-        code, out, _err = run(capsys, "init", "--db", db, "--shards", "3")
-        assert code == 0
-        assert "3 shard(s)" in out
-        assert pathlib.Path(db + ".shards.json").exists()
-        for index in range(3):
-            assert pathlib.Path(f"{db}.shard{index}").exists()
-        assert not pathlib.Path(db).exists()  # no monolithic file
-
-    def test_init_refuses_overwrite_via_sidecar(self, db, capsys):
-        # The base db file never exists for a sharded layout; the
-        # sidecar alone must block a second init.
-        run(capsys, "init", "--db", db, "--shards", "2")
-        code, _out, err = run(capsys, "init", "--db", db)
-        assert code == 1
-        assert "already exists" in err
-
-    def test_init_rejects_zero_shards(self, db, capsys):
-        code, _out, err = run(capsys, "init", "--db", db, "--shards", "0")
-        assert code == 1
-        assert "--shards" in err
-
-    def test_reopen_roundtrip_across_invocations(self, sharded_db, capsys):
-        # Each CLI invocation reopens the federation from the sidecar.
-        code, out, _err = run(
-            capsys, "query", "--db", sharded_db,
-            "--attr", "grid/ARPS", "--elem", "dx/ARPS = 1000",
-        )
-        assert code == 0
-        assert "2 matching object(s): [1, 2]" in out
-        code, out, _err = run(capsys, "fetch", "--db", sharded_db, "1", "2")
-        assert code == 0
-        assert out.count("<LEADresource>") == 2
-
-    def test_trace_shows_the_five_fig4_stages(self, sharded_db, capsys):
-        code, out, _err = run(
-            capsys, "query", "--db", sharded_db, "--trace",
-            "--attr", "grid/ARPS", "--elem", "dx/ARPS = 1000",
-        )
-        assert code == 0
-        names = [line.split()[0] for line in out.splitlines()[:5]]
-        assert names == [
-            "query-criteria", "elements-meeting-criteria",
-            "attributes-direct", "attributes-indirect", "object-ids",
-        ]
-        assert "object-ids                        2 rows" in out
-        assert "shard-0" not in out and "scatter-gather" not in out
-
-    def test_queries_are_journaled_with_slow_query_profiles(
-            self, sharded_db, capsys):
-        """--slow-ms and the event log reach a sharded catalog: it is
-        the one HybridCatalog, so the audit comes with it."""
-        code, _out, _err = run(
-            capsys, "query", "--db", sharded_db, "--slow-ms", "0",
-            "--attr", "grid/ARPS", "--elem", "dx/ARPS = 1000",
-        )
-        assert code == 0
-        import json
-
-        code, out, _err = run(capsys, "events", "--db", sharded_db, "--json")
-        assert code == 0
-        records = {
-            record["event"]: record["fields"]
-            for record in map(json.loads, out.splitlines())
-        }
-        assert records["query"]["matches"] == 2
-        assert records["slow_query"]["profile"]["backend"] == "sharded"
-
-    def test_retry_policy_reaches_every_shard_store(
-            self, sharded_db, monkeypatch):
-        import repro.cli as cli
-
-        opened = []
-        real_open = cli._open
-
-        def spy(*args, **kwargs):
-            opened.append(real_open(*args, **kwargs))
-            return opened[-1]
-
-        monkeypatch.setattr(cli, "_open", spy)
-        assert main(["info", "--db", sharded_db,
-                     "--retry-attempts", "7", "--retry-backoff", "0.25"]) == 0
-        store = opened[-1].store
-        assert len(store.stores) == 3
-        for target in (store, *store.stores):
-            assert target.retry_policy.max_attempts == 7
-            assert target.retry_policy.base_delay == 0.25
-
-    def test_fsck_reports_federation_summary(self, sharded_db, capsys):
-        code, out, _err = run(capsys, "fsck", "--db", sharded_db, "--deep")
-        assert code == 0
-        assert "2 objects across 3 shard(s), no violations" in out
-
-    def test_shard_status_lists_every_shard(self, sharded_db, capsys):
-        code, out, _err = run(capsys, "shard-status", "--db", sharded_db)
-        assert code == 0
-        lines = out.strip().splitlines()
-        assert lines[0].startswith("router: hash")
-        assert len(lines) == 2 + 3 + 1  # router + header + shards + totals
-        totals = lines[-1].split()
-        assert totals[0] == "all" and totals[1] == "2"
-        assert f"{sharded_db}.shard0" in out
-
-    def test_shard_status_on_unsharded_catalog(self, loaded, capsys):
-        code, out, _err = run(capsys, "shard-status", "--db", loaded)
-        assert code == 0
-        assert "not sharded" in out
-
-    def test_by_user_router_recorded_in_topology(self, db, capsys):
-        from repro.sharding import read_topology
-
-        code, _out, _err = run(
-            capsys, "init", "--db", db, "--shards", "2", "--by-user")
-        assert code == 0
-        assert read_topology(db).router == "user"
-        code, out, _err = run(capsys, "shard-status", "--db", db)
-        assert code == 0
-        assert "router: user" in out
-
-
 class TestSearchCommand:
     def test_search_streams_matching_xml(self, loaded, capsys):
         code, out, err = run(capsys, "search", "--db", loaded,
@@ -790,72 +669,3 @@ class TestServeCommand:
         assert "server stopped" in out
         # A second SIGINT was never needed and nothing tracebacked.
         assert "Traceback" not in err
-
-    def test_serve_round_trip_on_a_sharded_catalog(self, db, capsys):
-        """`repro serve` takes any catalog: a 2-shard one serves the
-        authenticated add_file → query → paginated search round trip,
-        objects land on both shards, SIGINT exits 0."""
-        import os
-        import re
-        import signal
-        import subprocess
-        import sys
-
-        assert main(["init", "--db", db, "--shards", "2"]) == 0
-        assert main(["define", "--db", db, "grid", "ARPS",
-                     "--element", "dx:float", "--element", "dz:float"]) == 0
-        env = dict(os.environ)
-        env["PYTHONPATH"] = "src" + os.pathsep + env.get("PYTHONPATH", "")
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "repro", "serve", "--db", db,
-             "--port", "0"],
-            env=env, cwd=os.getcwd(),
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-        )
-        try:
-            match = re.search(r"http://([\d.]+):(\d+)", proc.stdout.readline())
-            assert match
-            host, port = match.group(1), int(match.group(2))
-
-            from repro.core import AttributeCriteria, ObjectQuery
-            from repro.server import CatalogClient
-
-            with CatalogClient(host, port) as client:
-                assert client.create_user("ann")[0] == 201
-                client.open_session("ann")
-                status, exp = client.create_experiment("run-1")
-                assert status == 201
-                added = []
-                for index in range(6):
-                    status, receipt = client.add_file(
-                        exp["experiment_id"], FIG3_DOCUMENT, name=f"f{index}"
-                    )
-                    assert status == 201
-                    added.append(receipt["object_id"])
-                query = ObjectQuery().add_attribute(
-                    AttributeCriteria("grid", "ARPS")
-                )
-                status, result = client.query(query)
-                assert status == 200 and result["ids"] == added
-                first = client.search(query, limit=2)
-                rest = client.search(query, offset=2)
-                assert first.total == rest.total == 6
-                assert first.ids + rest.ids == added
-        finally:
-            proc.send_signal(signal.SIGINT)
-            try:
-                out, err = proc.communicate(timeout=30)
-            except subprocess.TimeoutExpired:
-                proc.kill()
-                raise
-        assert proc.returncode == 0, err
-        assert "server stopped" in out and "Traceback" not in err
-        capsys.readouterr()
-        code, out, _err = run(capsys, "shard-status", "--db", db)
-        assert code == 0
-        objects = [int(line.split()[1]) for line in out.splitlines()[2:4]]
-        # Six files plus the experiment's own aggregation object.
-        assert sum(objects) == 7 and all(objects)
-        code, out, _err = run(capsys, "fsck", "--db", db, "--deep")
-        assert code == 0
-        assert "7 objects across 2 shard(s), no violations" in out
