@@ -91,7 +91,7 @@ from ..identifiers import quote_identifier
 from ..obs import names as metric_names
 from ..obs.metrics import MetricsRegistry
 from ..obs.profile import current_profile
-from .pool import DEFAULT_CAPACITY, ReaderConnectionPool
+from .pool import ReaderConnectionPool
 
 #: The on-disk format this module writes (``PRAGMA user_version``).
 #: v0, unstamped, kept ``attributes``, ``elements`` and
@@ -467,7 +467,6 @@ class SqliteHybridStore(HybridStore):
         self,
         path: str = ":memory:",
         durable: Optional[bool] = None,
-        pool_capacity: int = DEFAULT_CAPACITY,
     ) -> None:
         self._path = path
         # Autocommit: transactions are explicit (BEGIN IMMEDIATE issued
@@ -498,7 +497,6 @@ class SqliteHybridStore(HybridStore):
         self._pool: Optional[ReaderConnectionPool] = (
             ReaderConnectionPool(
                 self._reader_connect,
-                capacity=pool_capacity,
                 on_acquire=self._pool_acquire_hook,
                 on_wait=self._observe_pool_wait,
             )

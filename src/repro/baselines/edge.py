@@ -158,9 +158,7 @@ class EdgeCatalog(CatalogScheme):
         """Nodes satisfying ``criteria``.  ``candidates=None`` means a
         top-level criterion (seed from the tag index); ``parent`` is the
         enclosing criterion's definition."""
-        attr_def = self.registry.lookup_attribute(
-            criteria.name, criteria.source, parent=parent, nested=True
-        )
+        attr_def = self.registry.resolve_attribute(criteria.name, criteria.source, parent=parent)
         structural = attr_def is None or attr_def.structural
         if structural:
             nodes = (

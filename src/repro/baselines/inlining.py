@@ -339,9 +339,7 @@ class InliningCatalog(CatalogScheme):
         return sorted(result or set())
 
     def _match_top(self, criteria: AttributeCriteria) -> set:
-        attr_def = self.registry.lookup_attribute(
-            criteria.name, criteria.source, nested=True
-        )
+        attr_def = self.registry.resolve_attribute(criteria.name, criteria.source)
         if attr_def is not None and not attr_def.structural:
             return self._match_dynamic(criteria)
         return self._match_structural(criteria)

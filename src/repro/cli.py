@@ -159,16 +159,7 @@ def _open(db_path: str, registry: MetricsRegistry,
           schema=None,
           events: Optional[EventLog] = None,
           slow_threshold: Optional[float] = None) -> HybridCatalog:
-    """Open the catalog over the one sqlite file at ``db_path``.
-
-    A ``<db>.shards.json`` sidecar marks a sharded layout from an older
-    release; it is refused rather than answered from a new empty file."""
-    sidecar = pathlib.Path(db_path + ".shards.json")
-    if sidecar.exists():
-        raise CatalogError(
-            f"{sidecar} describes a sharded catalog, which this release "
-            "no longer opens"
-        )
+    """Open the catalog over the one sqlite file at ``db_path``."""
     return HybridCatalog(
         schema if schema is not None else _schema_for(db_path, None),
         store=SqliteHybridStore(db_path),
@@ -176,6 +167,20 @@ def _open(db_path: str, registry: MetricsRegistry,
         events=events,
         slow_query_threshold=slow_threshold,
     )
+
+
+def _check_catalog_path(db_path: str, create: bool) -> None:
+    """Refuse ``db_path`` before anything touches it: a missing file
+    unless ``create`` (only ``init`` makes one), and a sharded layout of
+    an older release, marked by a ``<db>.shards.json`` sidecar."""
+    sidecar = pathlib.Path(db_path + ".shards.json")
+    if sidecar.exists():
+        raise CatalogError(
+            f"{sidecar} describes a sharded catalog, which this release "
+            "no longer opens"
+        )
+    if not create and not pathlib.Path(db_path).exists():
+        raise CatalogError(f"no catalog at {db_path}; run repro init")
 
 
 def _metrics_sidecar(db_path: str) -> pathlib.Path:
@@ -704,6 +709,15 @@ def _run_top_command(args, catalog: HybridCatalog) -> int:
 
 
 def _run_command(args, registry: MetricsRegistry) -> int:
+    if args.command == "schema":
+        schema = _schema_for(args.db or "", args.xsd)
+        print(schema.describe())
+        return 0
+
+    if args.command == "lint":
+        return _run_lint_command(args)
+
+    _check_catalog_path(args.db, create=args.command == "init")
     if args.command == "init":
         if pathlib.Path(args.db).exists():
             print(f"error: {args.db} already exists", file=sys.stderr)
@@ -717,14 +731,6 @@ def _run_command(args, registry: MetricsRegistry) -> int:
         print(f"created catalog {args.db} with schema {schema.name!r} "
               f"({schema.max_order()} ordered nodes)")
         return 0
-
-    if args.command == "schema":
-        schema = _schema_for(args.db or "", args.xsd)
-        print(schema.describe())
-        return 0
-
-    if args.command == "lint":
-        return _run_lint_command(args)
 
     if args.command == "events":
         return _run_events_command(args)
@@ -782,9 +788,7 @@ def _run_command(args, registry: MetricsRegistry) -> int:
                 return 1
             host = dynamic[0]
         parent = (
-            catalog.registry.lookup_attribute(
-                args.parent, args.source, user=args.user, nested=True
-            )
+            catalog.registry.resolve_attribute(args.parent, args.source, user=args.user)
             if args.parent
             else None
         )

@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from ..errors import QueryError
-from .definitions import ADMIN_SCOPE, AttributeDef, DefinitionRegistry
+from .definitions import AttributeDef, DefinitionRegistry
 from .query import AttributeCriteria, ObjectQuery, Op
 from .schema import ValueType
 
@@ -172,9 +172,7 @@ class QueryBuilder:
 
     # ------------------------------------------------------------------
     def _resolve(self, name: str, source: str, parent: Optional[AttributeDef]) -> AttributeDef:
-        attr_def = self.registry.lookup_attribute(
-            name, source, user=self.user, parent=parent, nested=True
-        )
+        attr_def = self.registry.resolve_attribute(name, source, user=self.user, parent=parent)
         if attr_def is None:
             where = f" under {parent.name!r}" if parent else ""
             offered = [c.label for c in self.attribute_choices(parent)]
@@ -184,9 +182,4 @@ class QueryBuilder:
             )
         if not attr_def.queryable:
             raise QueryError(f"attribute {name!r} is not queryable")
-        scopes = {ADMIN_SCOPE}
-        if self.user:
-            scopes.add(self.user)
-        if attr_def.scope not in scopes:
-            raise QueryError(f"attribute {name!r} is private to another user")
         return attr_def

@@ -18,7 +18,9 @@ snapshot isolation instead, so reads proceed *during* a write
 transaction (see :mod:`repro.backends.pool`).
 
 The lock is write-preferring (a waiting writer blocks new readers, so
-a steady read load cannot starve ingest) and reentrant for both modes:
+a steady read load cannot starve ingest), and a writer's release admits
+the readers queued at that moment before the next writer (so a looping
+writer cannot starve reads either).  It is reentrant for both modes:
 a thread inside its own write transaction may take either lock again
 without deadlocking, which is what lets a transaction body call the
 store's read surface (``has_object`` inside ``delete_object``).
@@ -55,6 +57,12 @@ class RWLock:
         self._writer: Optional[int] = None  # owning thread id
         self._writer_depth = 0
         self._waiting_writers = 0
+        # Readers queue; each write release bumps ``_releases`` and
+        # admits the ``_admitted`` readers queued at that moment, which
+        # enter before any writer does.
+        self._waiting_readers = 0
+        self._releases = 0
+        self._admitted = 0
         self._local = threading.local()  # per-thread read depth
         self.observer = observer
 
@@ -90,8 +98,17 @@ class RWLock:
                 # Contended: time the wait (the clock is only touched
                 # on this slow path).
                 t0 = time.perf_counter()
-                while self._writer is not None or self._waiting_writers > 0:
-                    self._cond.wait()
+                queued_at = self._releases
+                self._waiting_readers += 1
+                try:
+                    while self._writer is not None or (
+                        self._waiting_writers > 0 and queued_at == self._releases
+                    ):
+                        self._cond.wait()
+                finally:
+                    self._waiting_readers -= 1
+                    if queued_at != self._releases:
+                        self._admitted -= 1
                 waited = time.perf_counter() - t0
             self._readers += 1
         if waited is not None and self.observer is not None:
@@ -128,9 +145,9 @@ class RWLock:
         with self._cond:
             self._waiting_writers += 1
             try:
-                if self._writer is not None or self._readers > 0:
+                if self._writer is not None or self._readers or self._admitted:
                     t0 = time.perf_counter()
-                    while self._writer is not None or self._readers > 0:
+                    while self._writer is not None or self._readers or self._admitted:
                         self._cond.wait()
                     waited = time.perf_counter() - t0
             finally:
@@ -145,4 +162,7 @@ class RWLock:
             with self._cond:
                 self._writer = None
                 self._writer_depth = 0
+                if self._waiting_readers:
+                    self._releases += 1
+                    self._admitted = self._waiting_readers
                 self._cond.notify_all()

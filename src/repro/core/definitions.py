@@ -14,14 +14,15 @@ is the name; no source).  Dynamic definitions are identified by
 ``(name, source)`` — e.g. ``("grid", "ARPS")`` — so different models
 (ARPS, WRF) can define same-named parameters independently.  Dynamic
 definitions can be registered at **admin** scope (visible to everyone)
-or **user** scope (private to one user), per §3.
+or **user** scope (private to one user), per §3.  A sub-attribute
+exists only under its parent, so its parent's id is part of its key.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from ..errors import DefinitionError
+from ..errors import DefinitionError, QueryError
 from .schema import (
     AnnotatedSchema,
     NodeKind,
@@ -67,10 +68,6 @@ class AttributeDef:
         self.queryable = queryable
         self.structural = structural
 
-    @property
-    def is_top_level(self) -> bool:
-        return self.parent_id is None
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         src = f", {self.source!r}" if self.source else ""
         return f"AttributeDef(#{self.attr_id} {self.name!r}{src})"
@@ -104,9 +101,9 @@ class ElementDef:
 class DefinitionRegistry:
     """All attribute/element definitions known to one catalog.
 
-    Lookup precedence follows §3: a user's private definitions shadow
-    nothing — names are unique per ``(name, source, scope)``, and a
-    lookup for a user sees admin definitions plus that user's own.
+    Each attribute definition has one key, ``(name, source, scope,
+    parent_id)``.  A lookup for a user sees admin definitions plus that
+    user's own, and the user's own wins (§3).
 
     ``version`` moves each time a definition is added (by ``define_*``,
     :meth:`rehydrate`, or a shred that auto-defines), after the new
@@ -118,12 +115,14 @@ class DefinitionRegistry:
         self.schema = schema
         self._attr_defs: Dict[int, AttributeDef] = {}
         self._elem_defs: Dict[int, ElementDef] = {}
-        # (name, source, scope) -> AttributeDef
-        self._attr_key: Dict[Tuple[str, str, str], AttributeDef] = {}
+        # (name, source, scope, parent_id) -> AttributeDef; a structural
+        # attribute is (tag, "", ADMIN_SCOPE, None), since every dynamic
+        # definition has a source, so lookup_attribute(tag, "") finds it
+        self._attr_key: Dict[Tuple[str, str, str, Optional[int]], AttributeDef] = {}
+        # (name, source, scope) -> every definition of it, one per parent
+        self._by_name: Dict[Tuple[str, str, str], List[AttributeDef]] = {}
         # (attr_id, name, source, scope) -> ElementDef
         self._elem_key: Dict[Tuple[int, str, str, str], ElementDef] = {}
-        # schema tag -> structural AttributeDef
-        self._structural_by_tag: Dict[str, AttributeDef] = {}
         self._next_attr_id = 1
         self._next_elem_id = 1
         self.version = 0
@@ -136,15 +135,9 @@ class DefinitionRegistry:
         for node in self.schema.attributes():
             assert node.order is not None
             attr_def = self._new_attribute(
-                name=node.tag,
-                source="",
-                parent_id=None,
-                schema_order=node.order,
-                scope=ADMIN_SCOPE,
-                queryable=node.queryable,
-                structural=True,
+                node.tag, "", None, node.order, ADMIN_SCOPE,
+                queryable=node.queryable, structural=True,
             )
-            self._structural_by_tag[node.tag] = attr_def
             if node.dynamic is None:
                 self._register_structural_subtree(node, attr_def)
             if node.is_element:
@@ -158,13 +151,8 @@ class DefinitionRegistry:
         for child in snode.children:
             if child.kind is NodeKind.SUB_ATTRIBUTE:
                 sub_def = self._new_attribute(
-                    name=child.tag,
-                    source="",
-                    parent_id=owner.attr_id,
-                    schema_order=owner.schema_order,
-                    scope=ADMIN_SCOPE,
-                    queryable=True,
-                    structural=True,
+                    child.tag, "", owner.attr_id, owner.schema_order, ADMIN_SCOPE,
+                    queryable=True, structural=True,
                 )
                 self._register_structural_subtree(child, sub_def)
             elif child.kind is NodeKind.ELEMENT:
@@ -206,13 +194,8 @@ class DefinitionRegistry:
             raise DefinitionError(f"unknown parent definition {parent!r}")
         assert host_node.order is not None
         return self._new_attribute(
-            name=name,
-            source=source,
-            parent_id=parent.attr_id if parent is not None else None,
-            schema_order=host_node.order,
-            scope=user or ADMIN_SCOPE,
-            queryable=queryable,
-            structural=False,
+            name, source, parent.attr_id if parent is not None else None,
+            host_node.order, user or ADMIN_SCOPE, queryable=queryable,
         )
 
     def define_element(
@@ -241,25 +224,15 @@ class DefinitionRegistry:
         schema_order: int,
         scope: str,
         queryable: bool,
-        structural: bool,
+        structural: bool = False,
     ) -> AttributeDef:
-        key = (name, source, scope)
+        key = (name, source, scope, parent_id)
         if key in self._attr_key:
-            existing = self._attr_key[key]
-            if existing.parent_id == parent_id:
-                raise DefinitionError(
-                    f"attribute ({name!r}, {source!r}) already defined in "
-                    f"scope {scope!r}"
-                )
-            # Same (name, source) under a different parent is allowed for
-            # sub-attributes (e.g. 'attrlabl'-style names reused across
-            # parents) — key them by parent as well.
-            key = (name, source, f"{scope}#{parent_id}")
-            if key in self._attr_key:
-                raise DefinitionError(
-                    f"attribute ({name!r}, {source!r}) already defined under "
-                    f"parent {parent_id} in scope {scope!r}"
-                )
+            under = f" under parent {parent_id}" if parent_id is not None else ""
+            raise DefinitionError(
+                f"attribute ({name!r}, {source!r}) already defined{under} in "
+                f"scope {scope!r}"
+            )
         attr_def = AttributeDef(
             self._next_attr_id, name, source, parent_id, schema_order,
             scope, queryable, structural,
@@ -267,6 +240,7 @@ class DefinitionRegistry:
         self._next_attr_id += 1
         self._attr_defs[attr_def.attr_id] = attr_def
         self._attr_key[key] = attr_def
+        self._by_name.setdefault(key[:3], []).append(attr_def)
         self.version += 1
         return attr_def
 
@@ -329,13 +303,7 @@ class DefinitionRegistry:
                     )
                 continue
             replayed = self._new_attribute(
-                name=name,
-                source=source,
-                parent_id=parent_id,
-                schema_order=schema_order,
-                scope=scope,
-                queryable=bool(queryable),
-                structural=False,
+                name, source, parent_id, schema_order, scope, queryable=bool(queryable)
             )
             if replayed.attr_id != attr_id:
                 raise DefinitionError(
@@ -376,35 +344,56 @@ class DefinitionRegistry:
         except KeyError:
             raise DefinitionError(f"no element definition {elem_id}") from None
 
-    def structural_attribute(self, tag: str) -> Optional[AttributeDef]:
-        """The structural definition shredded for schema tag ``tag``."""
-        return self._structural_by_tag.get(tag)
-
     def lookup_attribute(
         self,
         name: str,
         source: str,
         user: Optional[str] = None,
         parent: Optional[AttributeDef] = None,
-        nested: bool = False,
     ) -> Optional[AttributeDef]:
-        """Resolve ``(name, source)`` for ``user``: the user's private
-        definition wins over the admin one (paper §3).  ``parent=None``
-        resolves a top-level definition only, unless ``nested=True``
-        lets it resolve a sub-attribute by name too, for callers that
-        name an attribute without its parent (a query's top-level
-        criterion, ``repro define --parent``)."""
+        """The definition of ``(name, source)`` under ``parent`` (a
+        top-level one when ``parent`` is None) that ``user`` sees: the
+        user's private definition wins over the admin one (paper §3)."""
         parent_id = parent.attr_id if parent is not None else None
-        for scope in (user, ADMIN_SCOPE) if user else (ADMIN_SCOPE,):
-            hit = self._attr_key.get((name, source, f"{scope}#{parent_id}"))
+        for scope in _scopes(user):
+            hit = self._attr_key.get((name, source, scope, parent_id))
             if hit is not None:
                 return hit
-            hit = self._attr_key.get((name, source, scope))
-            if hit is not None and (
-                hit.parent_id in (None, parent_id) or (nested and parent is None)
-            ):
-                return hit
         return None
+
+    def resolve_attribute(
+        self,
+        name: str,
+        source: str,
+        user: Optional[str] = None,
+        parent: Optional[AttributeDef] = None,
+    ) -> Optional[AttributeDef]:
+        """:meth:`lookup_attribute` for a name a user typed, which may
+        leave out the parent: a parentless name with no top-level
+        definition resolves to the one sub-attribute of that
+        ``(name, source)`` that ``user`` sees.  When the user sees it
+        under several parents, raises :class:`QueryError` naming each
+        candidate's path."""
+        hit = self.lookup_attribute(name, source, user, parent)
+        if hit is not None or parent is not None:
+            return hit
+        by_parent: Dict[Optional[int], AttributeDef] = {}
+        for scope in _scopes(user):
+            for attr_def in self._by_name.get((name, source, scope), ()):
+                by_parent.setdefault(attr_def.parent_id, attr_def)
+        if len(by_parent) > 1:
+            paths = sorted(self._path(d) for d in by_parent.values())
+            raise QueryError(
+                f"attribute ({name!r}, {source!r}) is defined under more than "
+                f"one parent ({', '.join(paths)}); name it under its parent"
+            )
+        return next(iter(by_parent.values()), None)
+
+    def _path(self, attr_def: AttributeDef) -> str:
+        """Names from the top-level ancestor down: ``grid/grid-stretching``."""
+        if attr_def.parent_id is None:
+            return attr_def.name
+        return f"{self._path(self._attr_defs[attr_def.parent_id])}/{attr_def.name}"
 
     def lookup_element(
         self,
@@ -417,7 +406,7 @@ class DefinitionRegistry:
         ``user``: the user's private definition wins over the admin one,
         and another user's is never seen.  Structural elements are
         registered without a source, so only the exact key matches."""
-        for scope in (user, ADMIN_SCOPE) if user else (ADMIN_SCOPE,):
+        for scope in _scopes(user):
             hit = self._elem_key.get((attribute.attr_id, name, source, scope))
             if hit is not None:
                 return hit
@@ -428,7 +417,7 @@ class DefinitionRegistry:
     ) -> List[ElementDef]:
         """The elements of ``attribute`` that ``user`` may see: admin
         plus the user's own."""
-        scopes = (ADMIN_SCOPE, user) if user else (ADMIN_SCOPE,)
+        scopes = _scopes(user)
         return [
             e for e in self._elem_defs.values()
             if e.attr_id == attribute.attr_id and e.scope in scopes
@@ -457,10 +446,14 @@ class DefinitionRegistry:
 
     def visible_to(self, user: Optional[str]) -> List[AttributeDef]:
         """Attribute definitions ``user`` may query: admin plus own."""
-        scopes = {ADMIN_SCOPE}
-        if user:
-            scopes.add(user)
+        scopes = _scopes(user)
         return [a for a in self._attr_defs.values() if a.scope in scopes]
 
     def __len__(self) -> int:
         return len(self._attr_defs)
+
+
+def _scopes(user: Optional[str]) -> Tuple[str, ...]:
+    """The scopes ``user`` sees, own first: a lookup takes the first
+    hit, so a private definition wins over the admin one."""
+    return (user, ADMIN_SCOPE) if user else (ADMIN_SCOPE,)

@@ -29,7 +29,7 @@ import enum
 from typing import List, Optional
 
 from ..errors import QueryError
-from .definitions import ADMIN_SCOPE, DefinitionRegistry
+from .definitions import DefinitionRegistry
 from .schema import ValueType
 
 
@@ -300,32 +300,23 @@ def shred_query(
     Raises
     ------
     QueryError
-        For unknown definitions, non-queryable attributes, definitions
-        not visible to ``user``, type-invalid comparison values, or an
-        empty query.
+        For definitions ``user`` does not see, a parentless name that
+        is a sub-attribute under more than one parent, non-queryable
+        attributes, type-invalid comparison values, or an empty query.
     """
     if query.is_empty():
         raise QueryError("query has no attribute criteria")
     shredded = ShreddedQuery()
 
-    def visible(scope: str) -> bool:
-        return scope == ADMIN_SCOPE or (user is not None and scope == user)
-
     def walk(criteria: AttributeCriteria, parent: Optional[QAttr], depth: int) -> QAttr:
         parent_def = registry.attribute(parent.attr_def_id) if parent else None
-        attr_def = registry.lookup_attribute(
-            criteria.name, criteria.source, user=user, parent=parent_def,
-            nested=True,
+        attr_def = registry.resolve_attribute(
+            criteria.name, criteria.source, user=user, parent=parent_def
         )
         if attr_def is None:
             raise QueryError(
                 f"no attribute definition ({criteria.name!r}, {criteria.source!r})"
                 + (f" under {parent_def.name!r}" if parent_def else "")
-            )
-        if not visible(attr_def.scope):
-            raise QueryError(
-                f"attribute ({criteria.name!r}, {criteria.source!r}) is private "
-                f"to another user"
             )
         if not attr_def.queryable:
             raise QueryError(

@@ -347,7 +347,7 @@ class Shredder:
     def _compile_attribute(self, snode: SchemaNode, user: Optional[str]) -> tuple:
         """``(AttributeDef, leaf value or None, _Inside)`` of a structural
         attribute."""
-        attr_def = self.registry.structural_attribute(snode.tag)
+        attr_def = self.registry.lookup_attribute(snode.tag, "")
         if attr_def is None:  # pragma: no cover - registry built from schema
             raise ShredError(f"no structural definition for <{snode.tag}>")
         leaf = None

@@ -170,9 +170,7 @@ def query_to_xpath(
     schema = registry.schema
     expressions = []
     for criteria in query.attributes:
-        attr_def = registry.lookup_attribute(
-            criteria.name, criteria.source, user=user, nested=True
-        )
+        attr_def = registry.resolve_attribute(criteria.name, criteria.source, user=user)
         if attr_def is None:
             raise QueryError(
                 f"no attribute definition ({criteria.name!r}, {criteria.source!r})"

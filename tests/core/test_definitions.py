@@ -2,19 +2,22 @@
 
 import pytest
 
+from repro.cli import main
 from repro.core import (
     ADMIN_SCOPE,
     AnnotatedSchema,
+    AttributeCriteria,
     DefinitionRegistry,
     DynamicSpec,
     HybridCatalog,
+    ObjectQuery,
     ValueType,
     attribute,
     melement,
     structural,
     sub_attribute,
 )
-from repro.errors import DefinitionError
+from repro.errors import DefinitionError, QueryError
 from repro.grid import FIG3_DOCUMENT, define_fig3_attributes, lead_schema
 from repro.xmlkit import parse
 
@@ -46,30 +49,30 @@ class TestStructuralRegistration:
         assert {"leaf", "box", "dyn", "inner"} <= names
 
     def test_structural_defs_have_empty_source(self, registry):
-        assert registry.structural_attribute("box").source == ""
+        assert registry.lookup_attribute("box", "").source == ""
 
     def test_sub_attribute_parent_link(self, registry):
-        box = registry.structural_attribute("box")
+        box = registry.lookup_attribute("box", "")
         inner = registry.lookup_attribute("inner", "", parent=box)
         assert inner.parent_id == box.attr_id
-        assert box.is_top_level and not inner.is_top_level
+        assert box.parent_id is None and inner.parent_id is not None
 
     def test_elements_registered(self, registry):
-        box = registry.structural_attribute("box")
+        box = registry.lookup_attribute("box", "")
         width = registry.lookup_element(box, "width", "")
         assert width is not None
         assert width.value_type is ValueType.FLOAT
 
     def test_leaf_attribute_gets_own_element(self, registry):
-        leaf = registry.structural_attribute("leaf")
+        leaf = registry.lookup_attribute("leaf", "")
         assert registry.lookup_element(leaf, "leaf", "") is not None
 
     def test_dynamic_host_has_no_structural_children(self, registry):
-        dyn = registry.structural_attribute("dyn")
+        dyn = registry.lookup_attribute("dyn", "")
         assert all(a.parent_id != dyn.attr_id for a in registry.all_attributes())
 
     def test_schema_order_recorded(self, registry, schema):
-        box = registry.structural_attribute("box")
+        box = registry.lookup_attribute("box", "")
         assert box.schema_order == schema.attribute_by_tag("box").order
 
     def test_ids_unique_and_dense(self, registry):
@@ -206,6 +209,83 @@ class TestFig3Scopes:
             "('grid-stretching', 'ARPS') is not defined" in w
             for w in result.warnings
         )
+
+
+class TestResolver:
+    """``resolve_attribute``: the key first, then a parentless name's one
+    sub-attribute."""
+
+    @pytest.fixture()
+    def parents(self, registry):
+        return (registry.define_attribute("p1", "S", host="dyn"),
+                registry.define_attribute("p2", "S", host="dyn"))
+
+    def test_top_level_definition_wins_over_sub_attribute(self, registry, parents):
+        registry.define_attribute("x", "S", host="dyn", parent=parents[0])
+        top = registry.define_attribute("x", "S", host="dyn")
+        assert registry.resolve_attribute("x", "S") is top
+
+    def test_unique_sub_attribute_resolves_without_parent(self, registry, parents):
+        sub = registry.define_attribute("x", "S", host="dyn", parent=parents[1])
+        assert registry.resolve_attribute("x", "S") is sub
+        assert registry.resolve_attribute("x", "S", parent=parents[1]) is sub
+        assert registry.resolve_attribute("x", "S", parent=parents[0]) is None
+
+    def test_ambiguous_sub_attribute_names_both_parent_paths(self):
+        catalog = HybridCatalog(lead_schema())
+        define_fig3_attributes(catalog)
+        mesh = catalog.define_attribute("mesh", "ARPS", host="detailed")
+        stretching = catalog.define_attribute(
+            "grid-stretching", "ARPS", host="detailed", parent=mesh
+        )
+        catalog.define_element(stretching, "dzmin", "ARPS", ValueType.FLOAT)
+        catalog.ingest(FIG3_DOCUMENT)
+        catalog.ingest(FIG3_DOCUMENT.replace(
+            "<enttypl>grid</enttypl>", "<enttypl>mesh</enttypl>"
+        ))
+        criteria = AttributeCriteria("grid-stretching", "ARPS")
+        criteria.add_element("dzmin", "ARPS", 100)
+        with pytest.raises(QueryError) as raised:
+            catalog.query(ObjectQuery().add_attribute(criteria))
+        assert "grid/grid-stretching" in str(raised.value)
+        assert "mesh/grid-stretching" in str(raised.value)
+
+    def test_user_definition_wins_over_admin(self, registry, parents):
+        admin = registry.define_attribute("x", "S", host="dyn", parent=parents[0])
+        mine = registry.define_attribute(
+            "x", "S", host="dyn", parent=parents[0], user="ann"
+        )
+        assert registry.resolve_attribute("x", "S", user="ann") is mine
+        assert registry.resolve_attribute(
+            "x", "S", user="ann", parent=parents[0]
+        ) is mine
+        assert registry.resolve_attribute("x", "S", user="bob") is admin
+
+    def test_other_users_private_attribute_does_not_resolve(self, registry, parents):
+        registry.define_attribute("top", "S", host="dyn", user="ann")
+        registry.define_attribute("x", "S", host="dyn", parent=parents[0], user="ann")
+        admin = registry.define_attribute("y", "S", host="dyn", parent=parents[0])
+        registry.define_attribute("y", "S", host="dyn", parent=parents[1], user="ann")
+        assert registry.resolve_attribute("top", "S", user="bob") is None
+        assert registry.resolve_attribute("x", "S", user="bob", parent=parents[0]) is None
+        assert registry.resolve_attribute("x", "S", user="bob") is None
+        # ann's second 'y' makes the name ambiguous for ann only
+        assert registry.resolve_attribute("y", "S", user="bob") is admin
+        with pytest.raises(QueryError, match="p1/y, p2/y"):
+            registry.resolve_attribute("y", "S", user="ann")
+
+    def test_cli_define_rejects_an_ambiguous_parent(self, tmp_path, capsys):
+        db = str(tmp_path / "cat.db")
+        assert main(["init", "--db", db]) == 0
+        for argv in (["grid", "ARPS"], ["mesh", "ARPS"],
+                     ["stretch", "ARPS", "--parent", "grid"],
+                     ["stretch", "ARPS", "--parent", "mesh"]):
+            assert main(["define", "--db", db, *argv]) == 0
+        capsys.readouterr()
+        code = main(["define", "--db", db, "knot", "ARPS", "--parent", "stretch"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "grid/stretch" in err and "mesh/stretch" in err
 
 
 class TestLookupErrors:

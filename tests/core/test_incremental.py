@@ -49,7 +49,7 @@ class TestAddAttribute:
     def test_sequence_continues(self, catalog):
         receipt = catalog.add_attribute(1, NEW_THEME)
         assert receipt.clob_count == 1
-        theme_def = catalog.registry.structural_attribute("theme")
+        theme_def = catalog.registry.lookup_attribute("theme", "")
         counts = catalog.store.instance_counts(1)
         assert counts[theme_def.attr_id] == 3  # two original + one new
 

@@ -97,20 +97,20 @@ class TestStructuralShredding:
 
     def test_attribute_instances(self, shredder, registry):
         result = shredder.shred(parse(DOC))
-        box_def = registry.structural_attribute("box")
+        box_def = registry.lookup_attribute("box", "")
         boxes = [a for a in result.attributes if a.attr_id == box_def.attr_id]
         assert [a.seq_id for a in boxes] == [1, 2]
 
     def test_element_values_typed(self, shredder, registry):
         result = shredder.shred(parse(DOC))
-        box_def = registry.structural_attribute("box")
+        box_def = registry.lookup_attribute("box", "")
         width_def = registry.lookup_element(box_def, "width", "")
         widths = [e for e in result.elements if e.elem_id == width_def.elem_id]
         assert sorted(e.value_num for e in widths) == [2.5, 4.0]
 
     def test_element_sequence_local_to_instance(self, shredder, registry):
         result = shredder.shred(parse(DOC))
-        box_def = registry.structural_attribute("box")
+        box_def = registry.lookup_attribute("box", "")
         first_box = [
             e for e in result.elements
             if e.attr_id == box_def.attr_id and e.seq_id == 1
@@ -119,13 +119,13 @@ class TestStructuralShredding:
 
     def test_leaf_attribute_value_shredded(self, shredder, registry):
         result = shredder.shred(parse(DOC))
-        rid_def = registry.structural_attribute("rid")
+        rid_def = registry.lookup_attribute("rid", "")
         values = [e.value_text for e in result.elements if e.attr_id == rid_def.attr_id]
         assert values == ["object-1"]
 
     def test_structural_sub_attribute_instance_and_inverted(self, shredder, registry):
         result = shredder.shred(parse(DOC))
-        box_def = registry.structural_attribute("box")
+        box_def = registry.lookup_attribute("box", "")
         inner_def = registry.lookup_attribute("inner", "", parent=box_def)
         inner_rows = [a for a in result.attributes if a.attr_id == inner_def.attr_id]
         assert len(inner_rows) == 1
@@ -138,7 +138,7 @@ class TestStructuralShredding:
 
     def test_self_rows_distance_zero(self, shredder, registry):
         result = shredder.shred(parse(DOC))
-        box_def = registry.structural_attribute("box")
+        box_def = registry.lookup_attribute("box", "")
         selfs = [
             i for i in result.inverted
             if i.desc_attr_id == box_def.attr_id and i.distance == 0
@@ -311,7 +311,7 @@ class TestPlanInvalidation:
     def test_private_structural_sub_attribute_replayed_after_plan(
         self, shredder, registry
     ):
-        box = registry.structural_attribute("box")
+        box = registry.lookup_attribute("box", "")
         shared = registry.lookup_attribute("inner", "", parent=box)
         before = shredder.shred(parse(DOC), user="alice")
         assert len(self._rows_of(before, shared)) == 1

@@ -39,13 +39,13 @@ class TestThemeShredding:
 
     def test_theme_definition_determined_by_tag(self, shredded):
         catalog, result = shredded
-        theme_def = catalog.registry.structural_attribute("theme")
+        theme_def = catalog.registry.lookup_attribute("theme", "")
         rows = [a for a in result.attributes if a.attr_id == theme_def.attr_id]
         assert [a.seq_id for a in rows] == [1, 2]
 
     def test_themekey_elements_shredded(self, shredded):
         catalog, result = shredded
-        theme_def = catalog.registry.structural_attribute("theme")
+        theme_def = catalog.registry.lookup_attribute("theme", "")
         themekey = catalog.registry.lookup_element(theme_def, "themekey", "")
         values = [
             e.value_text for e in result.elements if e.elem_id == themekey.elem_id
@@ -59,7 +59,7 @@ class TestThemeShredding:
 
     def test_element_sequence_within_each_theme(self, shredded):
         catalog, result = shredded
-        theme_def = catalog.registry.structural_attribute("theme")
+        theme_def = catalog.registry.lookup_attribute("theme", "")
         first = [
             (e.elem_seq, e.value_text)
             for e in result.elements

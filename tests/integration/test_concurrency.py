@@ -22,6 +22,7 @@ both backends:
 
 import sys
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -30,6 +31,7 @@ from hypothesis import strategies as st
 
 from repro.backends import SqliteHybridStore
 from repro.core import AttributeCriteria, HybridCatalog, ObjectQuery, Op, PlanTrace
+from repro.core.concurrency import RWLock
 from repro.core.integrity import _rows, check_catalog
 from repro.errors import CatalogError
 from repro.grid import CF_STANDARD_NAMES, CorpusConfig, LeadCorpusGenerator, lead_schema
@@ -100,6 +102,86 @@ def test_readers_survive_concurrent_writes(backend, tmp_path):
             t.join()
     assert not errors, errors
     assert check_catalog(catalog, deep=True) == []
+
+
+def test_looping_writer_does_not_starve_a_reader():
+    """A writer that re-takes the lock as soon as it releases it must
+    still let the reader queued at its release in first.  ``:memory:``
+    sqlite shows it: reads share the writer connection under the lock,
+    and a sqlite write gives up the GIL only while holding it."""
+    catalog = build_catalog("sqlite")
+    documents = DOCUMENTS[:8]
+    stop = threading.Event()
+    writes, errors = [], []
+
+    def writer():
+        try:
+            while not stop.is_set():
+                for doc in documents:
+                    catalog.delete(catalog.ingest(doc).object_id)
+                    writes.append(1)
+        except Exception as exc:  # pragma: no cover - failure path
+            errors.append(exc)
+
+    thread = threading.Thread(target=writer)
+    thread.start()
+    done, deadline = 0, time.monotonic() + 10.0
+    try:
+        while done < 20 and time.monotonic() < deadline:
+            catalog.query(QUERIES[done % len(QUERIES)], trace=PlanTrace())
+            done += 1
+    finally:
+        stop.set()
+        thread.join(timeout=30.0)
+    assert not thread.is_alive()
+    assert not errors, errors
+    assert writes, "the writer never ran"
+    assert done >= 20, f"reader finished {done} queries in 10 s"
+
+
+def test_rwlock_keeps_writers_exclusive_under_contention():
+    """More threads than cores and a short switch interval: no write
+    update is lost, and no reader sees a write land inside its read."""
+    lock, guard = RWLock(), threading.Lock()
+    state = {"count": 0, "readers": 0}
+    errors = []
+    rounds, writers, readers = 200, 3, 3
+
+    def write():
+        for _ in range(rounds):
+            with lock.write_locked():
+                value = state["count"]
+                time.sleep(0)
+                if state["readers"]:
+                    errors.append("a reader inside a write")
+                state["count"] = value + 1
+
+    def read():
+        for _ in range(rounds):
+            with lock.read_locked():
+                with guard:
+                    state["readers"] += 1
+                before = state["count"]
+                time.sleep(0)
+                if state["count"] != before:
+                    errors.append("a write inside a read")
+                with guard:
+                    state["readers"] -= 1
+
+    threads = [threading.Thread(target=write) for _ in range(writers)]
+    threads += [threading.Thread(target=read) for _ in range(readers)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors, errors[:3]
+    assert state["count"] == rounds * writers
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

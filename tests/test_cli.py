@@ -66,6 +66,19 @@ class TestInit:
             assert str(sidecar) in err
             assert not pathlib.Path(db).exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["query", "--attr", "grid/ARPS"],
+        ["fetch", "1"],
+    ])
+    def test_only_init_creates_the_catalog_file(self, db, argv, capsys):
+        import pathlib
+
+        code, _out, err = run(capsys, argv[0], "--db", db, *argv[1:])
+        assert code == 1
+        assert f"error: no catalog at {db}; run repro init" in err
+        assert not pathlib.Path(db).exists()
+        assert not pathlib.Path(db + ".metrics.json").exists()
+
 
 class TestDefineAndIngest:
     def test_ingest_reports_counts(self, db, fig3_file, capsys):
