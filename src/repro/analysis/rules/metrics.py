@@ -7,8 +7,7 @@ crept in as the codebase grew: the same metric created at several call
 sites with duplicated help strings (which can drift apart), and names
 that break the ``*_total`` / ``*_seconds`` convention the exporters and
 dashboards assume.  This rule checks, over all of ``src/`` outside the
-:mod:`repro.obs` infrastructure (whose span histograms derive names
-from span names):
+:mod:`repro.obs` infrastructure:
 
 * every literal metric name created via ``.counter()`` / ``.gauge()`` /
   ``.histogram()`` (or passed to the ``_txn_counter`` cache helper) is

@@ -89,7 +89,6 @@ from .obs import (
     render_table,
     tail_events,
 )
-from .server import CatalogServer, ServerConfig
 
 _OPS = {
     "=": Op.EQ, "==": Op.EQ, "!=": Op.NE, "<": Op.LT, "<=": Op.LE,
@@ -933,6 +932,9 @@ def _run_command(args, registry: MetricsRegistry) -> int:
         return 0
 
     if args.command == "serve":
+        # Imported here: no other command pays for the HTTP server.
+        from .server import CatalogServer, ServerConfig
+
         service = MyLeadService(catalog.schema, catalog)
         config = ServerConfig(
             host=args.host,

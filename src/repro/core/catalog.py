@@ -30,6 +30,7 @@ import time
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..errors import CatalogError
+from ..obs import names as metric_names
 from ..obs.events import EventLog
 from ..obs.metrics import MetricsRegistry, default_registry
 from ..obs.profile import (
@@ -39,7 +40,6 @@ from ..obs.profile import (
     current_profile,
     deactivate,
 )
-from ..obs.tracing import Tracer, default_tracer
 from ..xmlkit import Document, parse
 from .definitions import AttributeDef, DefinitionRegistry, ElementDef
 from .logical import LogicalPlan, build_plan
@@ -123,20 +123,15 @@ class HybridCatalog:
         store: Optional[HybridStore] = None,
         on_unknown: str = "store",
         metrics: Optional[MetricsRegistry] = None,
-        tracer: Optional[Tracer] = None,
         events: Optional[EventLog] = None,
         slow_query_threshold: Optional[float] = None,
     ) -> None:
         self.schema = schema
         # Observability: an explicit registry scopes this catalog's
         # numbers (per-catalog override); otherwise everything lands in
-        # the process-global default.  The tracer feeds the same
-        # registry so span-duration histograms stay co-located.
+        # the process-global default.  It is bound once: every number
+        # this catalog records, its operation timings too, lands here.
         self.metrics = metrics if metrics is not None else default_registry()
-        if tracer is not None:
-            self.tracer = tracer
-        else:
-            self.tracer = default_tracer() if metrics is None else Tracer(metrics)
         self.store: HybridStore = store if store is not None else MemoryHybridStore()
         self.store.bind_metrics(self.metrics)
         reopened = self.store.is_initialized()
@@ -203,6 +198,14 @@ class HybridCatalog:
 
     def _count_query(self) -> None:
         self.metrics.counter("catalog_queries_total", "queries executed").inc()
+
+    def _observe_seconds(self, name: str, t0: float) -> None:
+        """Observe the wall time since ``t0`` into the operation's
+        declared ``catalog_*_seconds`` histogram."""
+        declared = metric_names.spec(name)
+        self.metrics.histogram(name, declared.help).observe(
+            time.perf_counter() - t0
+        )
 
     def _count_result_cache_hit(self) -> None:
         self.metrics.counter(
@@ -325,14 +328,14 @@ class HybridCatalog:
         one store transaction: a failure anywhere leaves the catalog
         exactly as it was.
         """
-        with self.tracer.span("catalog.ingest", object_name=name) as current:
+        t0 = time.perf_counter()
+        try:
             if isinstance(document, str):
                 document = parse(document)
             shred = self.shredder.shred(document, user=user)
             object_id = next(self._object_ids)
             if name is None:
                 name = f"object-{object_id}"
-                current.set(object_name=name)
 
             def write() -> None:
                 if shred.defined:
@@ -348,8 +351,8 @@ class HybridCatalog:
                     write=LoggedWrite(object_id, (
                         shred.attributes, shred.elements, shred.inverted)),
                 )
-            current.set(object_id=object_id, clobs=len(shred.clobs),
-                        warnings=len(shred.warnings))
+        finally:
+            self._observe_seconds("catalog_ingest_seconds", t0)
         self.metrics.counter(
             "catalog_ingests_total", "documents ingested"
         ).inc()
@@ -371,12 +374,15 @@ class HybridCatalog:
         ]
 
     def delete(self, object_id: int) -> None:
-        with self.tracer.span("catalog.delete", object_id=object_id):
+        t0 = time.perf_counter()
+        try:
             _require_issuable(object_id)
             with self._write_lock:
                 self.store.delete_object(object_id)
                 self._names.pop(object_id, None)
                 self._moved(write=LoggedWrite(object_id))
+        finally:
+            self._observe_seconds("catalog_delete_seconds", t0)
         self.metrics.counter("catalog_deletes_total", "objects deleted").inc()
         self._set_objects_gauge()
 
@@ -516,13 +522,9 @@ class HybridCatalog:
         prof: Optional[QueryProfile],
     ) -> List[int]:
         audit = self.events is not None
-        t0 = time.perf_counter() if audit else 0.0
-        with self.tracer.span("catalog.query") as current:
+        t0 = time.perf_counter()
+        try:
             shredded = self.shred_query(query, user=user)
-            current.set(
-                attribute_criteria=len(shredded.qattrs),
-                element_criteria=len(shredded.qelems),
-            )
             use_cache = trace is None
             if use_cache:
                 # The token is captured *before* execution: the
@@ -534,7 +536,6 @@ class HybridCatalog:
                 cached = self.result_cache.lookup(key, shredded)
                 if cached is not None:
                     self._count_result_cache_hit()
-                    current.set(matches=len(cached), result_cache="hit")
                     self._count_query()
                     if prof is not None:
                         prof.result_cache_hit = True
@@ -549,7 +550,8 @@ class HybridCatalog:
                 if evicted:
                     self._count_result_cache_evictions(evicted)
                 self._set_result_cache_gauge()
-            current.set(matches=len(ids))
+        finally:
+            self._observe_seconds("catalog_query_seconds", t0)
         self._count_query()
         if prof is not None:
             self.last_profile = prof
@@ -615,7 +617,8 @@ class HybridCatalog:
         breakdown into :attr:`Explanation.profile` (the
         ``repro explain --analyze`` surface)."""
         prof: Optional[QueryProfile] = None
-        with self.tracer.span("catalog.explain"):
+        t0 = time.perf_counter()
+        try:
             shredded = self.shred_query(query, user=user)
             plan = self.plan_for(shredded)
             trace = PlanTrace()
@@ -626,6 +629,8 @@ class HybridCatalog:
                 self.last_profile = prof
             else:
                 ids = self.store.match_objects(plan, trace)
+        finally:
+            self._observe_seconds("catalog_explain_seconds", t0)
         self._count_query()
         return Explanation(plan, ids, trace, profile=prof)
 
@@ -635,10 +640,13 @@ class HybridCatalog:
     def fetch(self, object_ids: Sequence[int]) -> Dict[int, str]:
         """Rebuild tagged XML responses for ``object_ids`` (paper §5);
         ids of no stored object are absent from the result."""
-        with self.tracer.span("catalog.fetch", requested=len(object_ids)):
+        t0 = time.perf_counter()
+        try:
             return self.store.build_responses(
                 [i for i in object_ids if _issuable(i)]
             )
+        finally:
+            self._observe_seconds("catalog_fetch_seconds", t0)
 
     def search(
         self,
@@ -647,10 +655,13 @@ class HybridCatalog:
         trace: Optional[PlanTrace] = None,
     ) -> List[str]:
         """Query and fetch in one call; responses in object-id order."""
-        with self.tracer.span("catalog.search"):
+        t0 = time.perf_counter()
+        try:
             ids = self.query(query, user=user, trace=trace)
             responses = self.fetch(ids)
             return [responses[i] for i in ids]
+        finally:
+            self._observe_seconds("catalog_search_seconds", t0)
 
     # ------------------------------------------------------------------
     # Accounting

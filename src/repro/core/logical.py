@@ -146,11 +146,15 @@ class LogicalPlan:
     def stage_count(self) -> int:
         return len(self.seeks) + len(self.counts) + len(self.containments) + 1
 
+    def stages(self) -> Tuple:
+        """Every stage, in the order the interpreter runs them."""
+        return (*self.seeks, *self.counts, *self.containments, self.intersect)
+
     def short_circuit(self) -> List[int]:
         """Finish a run whose last seek matched nothing: the query is
         conjunctive, so every stage that has not run produces zero rows
         and the answer is empty."""
-        for stage in (*self.seeks, *self.counts, *self.containments, self.intersect):
+        for stage in self.stages():
             self.actuals.setdefault(stage.key(), 0)
         return []
 

@@ -85,8 +85,9 @@ def match_plan(
     The caller holds the store's read section.
 
     The executor contract: leave each stage's produced row count in
-    ``plan.actuals``, time the stages into ``prof.stage_seconds`` when a
-    profile is collecting, return the ids.  The Fig-4 trace, the stage
+    ``plan.actuals``, and when a profile is collecting, set
+    ``prof.marks`` to a clock reading at the start and append one as
+    each stage ends; return the ids.  The Fig-4 trace, the stage
     histogram and the profile rows are derived from the actuals by
     :meth:`HybridStore.match_objects`.
     """
@@ -108,9 +109,11 @@ def _interpret_general(
     # counting becomes set intersection below.
     # ------------------------------------------------------------------
     seek_instances: Dict[int, List[Set[Instance]]] = defaultdict(list)
-    clock = time.perf_counter if prof is not None else None
+    clock = time.perf_counter
+    marks = None
+    if prof is not None:
+        marks = prof.marks = [clock()]
     for seek in plan.seeks:
-        t0 = clock() if clock is not None else 0.0
         qelem = query.qelems[seek.qelem_id - 1]
         hits = store._seek_instances(
             qelem.elem_def_id,
@@ -120,8 +123,8 @@ def _interpret_general(
         )
         seek_instances[seek.qattr_id].append(set(hits))
         plan.actuals[seek.key()] = len(hits)
-        if clock is not None:
-            prof.stage_seconds[seek.key()] = clock() - t0
+        if marks is not None:
+            marks.append(clock())
         if not hits:
             # Conjunctive query: an unmatched criterion empties the
             # result — skip the remaining stages entirely.
@@ -134,7 +137,6 @@ def _interpret_general(
     # ------------------------------------------------------------------
     satisfied: Dict[int, Set[Instance]] = {}
     for count in plan.counts:
-        t0 = clock() if clock is not None else 0.0
         if count.required == 0:
             # Existence-only criterion: every instance of the definition
             # is a candidate.
@@ -144,8 +146,8 @@ def _interpret_general(
             candidates = set.intersection(*hit_sets) if hit_sets else set()
         satisfied[count.qattr_id] = candidates
         plan.actuals[count.key()] = len(candidates)
-        if clock is not None:
-            prof.stage_seconds[count.key()] = clock() - t0
+        if marks is not None:
+            marks.append(clock())
 
     # ------------------------------------------------------------------
     # AncestorCountMatch stages (bottom-up containment via the
@@ -154,7 +156,6 @@ def _interpret_general(
     # parent or child is already empty reads nothing.
     # ------------------------------------------------------------------
     for edge in plan.containments:
-        t0 = clock() if clock is not None else 0.0
         base = satisfied[edge.parent_qattr_id]
         if not base:
             plan.actuals[edge.key()] = 0
@@ -173,14 +174,13 @@ def _interpret_general(
             surviving = base & anc_ok
             satisfied[edge.parent_qattr_id] = surviving
             plan.actuals[edge.key()] = len(surviving)
-        if clock is not None:
-            prof.stage_seconds[edge.key()] = clock() - t0
+        if marks is not None:
+            marks.append(clock())
 
     # ------------------------------------------------------------------
     # ObjectIntersect: every top criterion satisfied — sorted object id
     # vectors merged shortest-first, exiting early when one runs dry.
     # ------------------------------------------------------------------
-    t0 = clock() if clock is not None else 0.0
     per_top = [
         {obj for obj, _seq in satisfied[top_id]}
         for top_id in plan.intersect.top_qattr_ids
@@ -193,8 +193,8 @@ def _interpret_general(
             break
     object_ids = result or []
     plan.actuals[plan.intersect.key()] = len(object_ids)
-    if clock is not None:
-        prof.stage_seconds[plan.intersect.key()] = clock() - t0
+    if marks is not None:
+        marks.append(clock())
     return object_ids
 
 
@@ -213,23 +213,24 @@ def _interpret_simple(
     # One keyed seek per criterion; each yields the object ids it
     # matched.
     seek_objects: Dict[int, List[Set[int]]] = defaultdict(list)
-    clock = time.perf_counter if prof is not None else None
+    clock = time.perf_counter
+    marks = None
+    if prof is not None:
+        marks = prof.marks = [clock()]
     for seek in plan.seeks:
-        t0 = clock() if clock is not None else 0.0
         qelem = query.qelems[seek.qelem_id - 1]
         hits = store._seek_instances(
             qelem.elem_def_id, None, qelem.op, _seek_expected(qelem)
         )
         seek_objects[seek.qattr_id].append({obj for obj, _seq in hits})
         plan.actuals[seek.key()] = len(hits)
-        if clock is not None:
-            prof.stage_seconds[seek.key()] = clock() - t0
+        if marks is not None:
+            marks.append(clock())
         if not hits:
             return plan.short_circuit()
 
     per_count: List[Set[int]] = []
     for count in plan.counts:
-        t0 = clock() if clock is not None else 0.0
         if count.required == 0:
             objects = {obj for obj, _seq in store._instance_rows(count.attr_def_id)}
         else:
@@ -237,12 +238,11 @@ def _interpret_simple(
             objects = set.intersection(*hit_sets) if hit_sets else set()
         per_count.append(objects)
         plan.actuals[count.key()] = len(objects)
-        if clock is not None:
-            prof.stage_seconds[count.key()] = clock() - t0
+        if marks is not None:
+            marks.append(clock())
 
     # Every criterion is a top here: merge the per-criterion object
     # vectors shortest-first, exiting early when one runs dry.
-    t0 = clock() if clock is not None else 0.0
     result: Optional[List[int]] = None
     for objects in sorted(per_count, key=len):
         vector = sorted(objects)
@@ -251,6 +251,6 @@ def _interpret_simple(
             break
     object_ids = result or []
     plan.actuals[plan.intersect.key()] = len(object_ids)
-    if clock is not None:
-        prof.stage_seconds[plan.intersect.key()] = clock() - t0
+    if marks is not None:
+        marks.append(clock())
     return object_ids

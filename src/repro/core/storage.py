@@ -49,7 +49,6 @@ from ..obs import names as metric_names
 from ..obs.events import EventLog
 from ..obs.metrics import MetricsRegistry, default_registry
 from ..obs.profile import QueryProfile, current_profile
-from ..obs.tracing import current_span
 from ..relational import Database, clob, integer, real, text
 from ..relational.table import HashIndex, PostingIndex
 from .concurrency import RWLock
@@ -85,8 +84,8 @@ class PlanTrace:
 
     :meth:`HybridStore.match_objects` fills it from the same
     :func:`fig4_stages` list it feeds to :func:`record_plan`, so the
-    Fig-4 trace, the ``planner_stage_rows`` histogram and the span
-    events are one mechanism.
+    Fig-4 trace and the ``planner_stage_rows`` histogram are one
+    mechanism.
     """
 
     def __init__(self) -> None:
@@ -106,7 +105,7 @@ class PlanTrace:
         return "\n".join(lines)
 
     def as_dict(self) -> dict:
-        """Structured export (mirrors :meth:`repro.obs.Span.as_dict`)."""
+        """Structured export."""
         return {
             "stages": [
                 {"name": s.name, "rows": s.rows, "note": s.note}
@@ -162,23 +161,16 @@ def fig4_stages(plan: LogicalPlan) -> List[PlanStage]:
 
 
 def record_plan(stages: Sequence[PlanStage], registry: MetricsRegistry) -> None:
-    """Mirror an executed plan's stages into the observability layer:
-    one ``planner_stage_rows{stage=...}`` observation per stage, plus
-    span events on the active query span."""
+    """Mirror an executed plan's stages into the metrics registry: one
+    ``planner_stage_rows{stage=...}`` observation per stage."""
     stage_rows = registry.histogram(
         "planner_stage_rows",
         "row count produced by each query-plan stage",
         labels=("stage",),
         buckets=ROW_BUCKETS,
     )
-    span = current_span()
     for stage in stages:
         stage_rows.labels(stage=stage.name).observe(stage.rows)
-        if span is not None:
-            if stage.note:
-                span.event(stage.name, rows=stage.rows, note=stage.note)
-            else:
-                span.event(stage.name, rows=stage.rows)
     registry.counter(
         "planner_queries_total", "query plans executed"
     ).inc()
@@ -630,9 +622,9 @@ class HybridStore(abc.ABC):
         passes.
 
         :meth:`_execute_plan` runs the stages; the Fig-4 trace, the
-        ``planner_stage_rows`` histogram, the span events and the
-        profile rows are all read off ``plan.actuals`` here, so they
-        cannot differ between backends."""
+        ``planner_stage_rows`` histogram and the profile rows are all
+        read off ``plan.actuals`` here, so they cannot differ between
+        backends."""
         plan = query if isinstance(query, LogicalPlan) else build_plan(query)
         # One contextvar read per query is the whole disabled-profiling
         # cost on this path (bench E13's ≤1% budget).
@@ -660,9 +652,9 @@ class HybridStore(abc.ABC):
         """Run the plan's stages in one read section.  The executor
         contract: leave every stage's produced row count in
         ``plan.actuals`` (a seek that matches nothing ends the run
-        through :meth:`LogicalPlan.short_circuit`), time each stage
-        into ``prof.stage_seconds`` when ``prof`` is not ``None``, and
-        return the sorted matching object ids."""
+        through :meth:`LogicalPlan.short_circuit`), mark each stage's
+        end in ``prof.marks`` when ``prof`` is not ``None``, and return
+        the sorted matching object ids."""
         from .planner import match_plan
 
         with self._read_section():

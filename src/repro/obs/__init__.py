@@ -1,12 +1,11 @@
 """``repro.obs`` — zero-dependency observability for the hybrid catalog.
 
-Six pieces, threaded through every pipeline layer:
+Five pieces, threaded through every pipeline layer:
 
 * :mod:`.metrics` — thread-safe counters, gauges, and histograms in a
   :class:`MetricsRegistry` (process-global default, per-catalog
-  override);
-* :mod:`.tracing` — nested wall-time spans feeding the registry and a
-  ring buffer of recent traces;
+  override); each catalog operation times itself into its declared
+  ``catalog_*_seconds`` histogram;
 * :mod:`.profile` — per-stage query execution profiles (``repro
   explain --analyze``), collected identically by both backends;
 * :mod:`.events` — the versioned JSON-lines event log (query audit,
@@ -40,15 +39,6 @@ from .metrics import (
 )
 from .profile import QueryProfile, StageProfile, collecting, current_profile
 from .series import RingSeries, SeriesCollector
-from .tracing import (
-    Span,
-    SpanEvent,
-    Tracer,
-    current_span,
-    default_tracer,
-    set_default_tracer,
-    span,
-)
 
 __all__ = [
     "DEFAULT_BUCKETS",
@@ -61,15 +51,10 @@ __all__ = [
     "QueryProfile",
     "RingSeries",
     "SeriesCollector",
-    "Span",
-    "SpanEvent",
     "StageProfile",
-    "Tracer",
     "collecting",
     "current_profile",
-    "current_span",
     "default_registry",
-    "default_tracer",
     "load_snapshot",
     "read_events",
     "registry_snapshot",
@@ -77,7 +62,5 @@ __all__ = [
     "render_prometheus",
     "render_table",
     "set_default_registry",
-    "set_default_tracer",
-    "span",
     "tail_events",
 ]

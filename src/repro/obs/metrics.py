@@ -10,7 +10,7 @@ Naming convention: ``<subsystem>_<noun>_<unit-or-total>`` —
 ``catalog_ingest_seconds``, ``shredder_clobs_total``,
 ``planner_stage_rows``.  Label names are static and low-cardinality
 (``stage``, ``op``, ``kind``, ``user``); free-form values such as
-object names belong on spans, never on labels.
+object names never become labels.
 
 There is one process-global default registry
 (:func:`default_registry`); every instrumented component also accepts
@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 import re
 import threading
+from bisect import bisect_left
 from collections import deque
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -143,13 +144,10 @@ class Histogram:
             # in no bucket and break the bucket-total == count invariant
             # (and poison sum/min/max).  Refuse it at the door.
             raise ValueError("cannot observe NaN")
+        # The first bound >= value; the last bound is +inf.
+        bucket = bisect_left(self.bounds, value)
         with self._lock:
-            # Linear scan is fine: bound lists are short and the common
-            # case exits in the first few comparisons.
-            for i, bound in enumerate(self.bounds):
-                if value <= bound:
-                    self._bucket_counts[i] += 1
-                    break
+            self._bucket_counts[bucket] += 1
             self._sum += value
             self._count += 1
             if value < self._min:
@@ -344,7 +342,11 @@ class MetricFamily:
 
     # -- anonymous-child proxies ---------------------------------------
     def _solo(self):
-        return self.labels()
+        # The anonymous child, once made, skips ``labels``' checks; a
+        # labelled family never holds the key ``()``, so it still
+        # raises there.
+        child = self._children.get(())
+        return child if child is not None else self.labels()
 
     def inc(self, amount: float = 1.0) -> None:
         self._solo().inc(amount)

@@ -12,9 +12,8 @@ computed over the registry (:mod:`repro.obs.series`) are declared in
 :data:`EVENTS` and :data:`SERIES` below.
 
 The OBS01 rule statically verifies that every metric created anywhere
-in ``src/`` (outside the :mod:`repro.obs` infrastructure itself, whose
-span histograms derive their names from span names) uses a name
-declared here, with the declared kind, at exactly one creation call
+in ``src/`` (outside the :mod:`repro.obs` infrastructure itself) uses a
+name declared here, with the declared kind, at exactly one creation call
 site — and that every event emitted and every series referenced uses a
 declared name.  :func:`spec` / :func:`event_spec` / :func:`series_spec`
 are the runtime half: helpers that work from a name variable resolve
@@ -83,6 +82,18 @@ METRICS: Dict[str, MetricSpec] = _declare(
     MetricSpec("catalog_deletes_total", "counter", "objects deleted"),
     MetricSpec("catalog_queries_total", "counter", "queries executed"),
     MetricSpec("catalog_objects", "gauge", "objects currently cataloged"),
+    MetricSpec("catalog_ingest_seconds", "histogram",
+               "wall time of one catalog ingest, failed ones included"),
+    MetricSpec("catalog_delete_seconds", "histogram",
+               "wall time of one catalog delete, failed ones included"),
+    MetricSpec("catalog_query_seconds", "histogram",
+               "wall time of one catalog query, failed ones included"),
+    MetricSpec("catalog_explain_seconds", "histogram",
+               "wall time of one catalog explain, failed ones included"),
+    MetricSpec("catalog_fetch_seconds", "histogram",
+               "wall time of one catalog fetch, failed ones included"),
+    MetricSpec("catalog_search_seconds", "histogram",
+               "wall time of one catalog search, failed ones included"),
     # -- query planning -------------------------------------------------
     MetricSpec("query_cache_hits_total", "counter",
                "query results served from the result cache"),
@@ -282,9 +293,7 @@ def _declare_series(*specs: SeriesSpec) -> Dict[str, SeriesSpec]:
         if s.name in out:
             raise ValueError(f"series {s.name!r} declared twice")
         for source in s.sources:
-            # Span-derived histograms (``catalog_query_seconds``) are
-            # not in METRICS; anything else must be declared above.
-            if source not in METRICS and not source.endswith("_seconds"):
+            if source not in METRICS:
                 raise ValueError(
                     f"series {s.name!r} sources unknown metric {source!r}"
                 )
@@ -292,9 +301,7 @@ def _declare_series(*specs: SeriesSpec) -> Dict[str, SeriesSpec]:
     return out
 
 
-#: Every windowed series ``repro top`` renders.  Span-derived
-#: histograms (``catalog_query_seconds``) are not in METRICS — their
-#: names derive from span names — but are stable API all the same.
+#: Every windowed series ``repro top`` renders.
 SERIES: Dict[str, SeriesSpec] = _declare_series(
     SeriesSpec("qps", "rate", "queries per second",
                ("catalog_queries_total",)),

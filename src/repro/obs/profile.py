@@ -9,10 +9,10 @@ interpreter that fills ``actuals``, the row columns of a profile are computed
 by one shared function here rather than once per backend, so profile
 parity is structural: only the timings are backend-specific.
 
-Profiles travel on a context variable (mirroring
-:mod:`repro.obs.tracing`), so no ``match_objects`` signature changes
-and the deep contention hooks — RWLock waits, reader-pool queue waits —
-can attribute their blocked time to whichever query is running::
+Profiles travel on a context variable, so no ``match_objects``
+signature changes and the deep contention hooks — RWLock waits,
+reader-pool queue waits — can attribute their blocked time to
+whichever query is running::
 
     profile = QueryProfile()
     with collecting(profile):
@@ -47,6 +47,7 @@ _current: ContextVar[Optional["QueryProfile"]] = ContextVar(
 
 #: The wait-breakdown buckets a profile tracks.
 WAIT_KINDS = ("lock", "pool")
+_NO_WAITS = dict.fromkeys(WAIT_KINDS, 0.0)
 
 
 class StageProfile:
@@ -91,33 +92,30 @@ class QueryProfile:
     """Everything one plan run did: per-stage rows and timings, the
     cache/lock/pool wait breakdown, and total wall time.
 
-    Backends fill ``stage_seconds`` (stage key → seconds) while
-    executing and ``HybridStore.match_objects`` calls
-    :meth:`record_plan` once at the end; the contention hooks call :meth:`add_wait` from wherever the query
-    blocked.  A result-cache hit leaves the stage list empty with
+    The interpreter sets ``marks`` to one clock reading at the start of
+    the run and appends one as each stage ends, in execution order;
+    ``HybridStore.match_objects`` calls :meth:`record_plan` once at the
+    end; the contention hooks call :meth:`add_wait` from wherever the
+    query blocked.  A result-cache hit leaves the stage list empty with
     ``result_cache_hit`` set — no plan ran.
     """
 
-    __slots__ = ("backend", "stage_seconds", "waits",
-                 "total_seconds", "result_cache_hit",
-                 "simple", "_t0",
-                 "_plan", "_actuals", "_stages", "_short_circuited")
+    __slots__ = ("backend", "marks", "waits", "total_seconds",
+                 "result_cache_hit", "_t0", "_plan", "_actuals", "_stages")
 
     def __init__(self) -> None:
         self.backend: Optional[str] = None
-        self.stage_seconds: Dict[Tuple, float] = {}
-        self.waits: Dict[str, float] = {kind: 0.0 for kind in WAIT_KINDS}
+        self.marks: List[float] = []
+        self.waits: Dict[str, float] = _NO_WAITS.copy()
         self.total_seconds: Optional[float] = None
         self.result_cache_hit = False
-        self.simple: Optional[bool] = None
         self._t0 = time.perf_counter()
-        # Stage rows are derived lazily (first access of ``stages``):
-        # ``record_plan`` on the query hot path only snapshots the
-        # executed plan and its actuals — bench E13's enabled budget.
+        # Everything else is derived on first read from the snapshot
+        # ``record_plan`` takes: the query hot path pays for the clock
+        # readings and a few assignments only (bench E13's budget).
         self._plan = None
         self._actuals: Dict[Tuple, int] = {}
         self._stages: Optional[List[StageProfile]] = None
-        self._short_circuited = False
 
     # ------------------------------------------------------------------
     # Collection API (called by the backends and contention hooks)
@@ -136,18 +134,32 @@ class QueryProfile:
 
         The row flow is a pure function of the plan, so both backends
         produce identical stage names, order, and row counts by
-        construction; ``stage_seconds`` (filled during execution) is
-        the only backend-specific column.  Only the snapshot happens
-        here — ``plan.actuals`` is copied because a re-executed plan
-        overwrites it — and the :class:`StageProfile`
-        list is built on first access of :attr:`stages`, keeping the
-        per-query profiling cost to a few assignments.
+        construction; the stage timings are the only backend-specific
+        column.  ``plan.actuals`` is copied because a re-executed plan
+        overwrites it.
         """
         self.backend = backend
-        self.simple = plan.simple
         self._plan = plan
         self._actuals = dict(plan.actuals)
         self._stages = None
+
+    @property
+    def simple(self) -> Optional[bool]:
+        """Whether the run was the §4 simplified plan (``None`` before
+        a plan is recorded)."""
+        return self._plan.simple if self._plan is not None else None
+
+    @property
+    def stage_seconds(self) -> Dict[Tuple, float]:
+        """Stage key → wall time, for each stage that ran: the gaps
+        between consecutive ``marks``."""
+        if self._plan is None:
+            return {}
+        marks = self.marks
+        return {
+            stage.key(): end - start
+            for stage, start, end in zip(self._plan.stages(), marks, marks[1:])
+        }
 
     @property
     def stages(self) -> List[StageProfile]:
@@ -160,9 +172,11 @@ class QueryProfile:
 
     @property
     def short_circuited(self) -> bool:
-        if self._plan is not None and self._stages is None:
-            self.stages  # force derivation
-        return self._short_circuited
+        """A seek matched nothing, so the remaining stages ran over
+        empty inputs (their rows stay 0)."""
+        return self._plan is not None and any(
+            self._actuals.get(seek.key(), 0) == 0 for seek in self._plan.seeks
+        )
 
     def _build_stages(self) -> List[StageProfile]:
         plan = self._plan
@@ -178,11 +192,6 @@ class QueryProfile:
                 f"{seek.op.value})",
                 0, actuals.get(key, 0), seconds.get(key, 0.0),
             ))
-        # A seek that matched nothing short-circuits the plan; the
-        # remaining stages ran over empty inputs (rows stay 0).
-        self._short_circuited = any(
-            actuals.get(seek.key(), 0) == 0 for seek in plan.seeks
-        )
 
         # Rows flowing into each count stage: that criterion's seek
         # outputs.  ``current`` then tracks each criterion's surviving

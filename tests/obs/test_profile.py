@@ -102,6 +102,28 @@ class TestRowFlow:
         profile.record_plan(plan, backend="memory")
         assert all(stage.seconds == 0.0 for stage in profile.stages)
 
+    def test_stage_seconds_are_the_gaps_between_marks(self):
+        catalog = _catalog()
+        catalog.query(_query(), profile=True)
+        profile = catalog.last_profile
+        marks = profile.marks
+        # One mark as the run starts, one as each stage ends.
+        assert len(marks) == len(profile.stages) + 1
+        assert marks == sorted(marks)
+        assert [s.seconds for s in profile.stages] == [
+            end - start for start, end in zip(marks, marks[1:])
+        ]
+
+    def test_short_circuit_times_only_the_stages_that_ran(self):
+        catalog = _catalog()
+        catalog.query(_query("nothing-matches", Op.EQ), profile=True)
+        profile = catalog.last_profile
+        assert profile.short_circuited
+        assert len(profile.marks) == 2  # the start and the one seek
+        (seek_key,) = profile.stage_seconds
+        assert seek_key == profile.stages[0].key
+        assert all(s.seconds == 0.0 for s in profile.stages[1:])
+
     def test_as_dict_round_trips_stage_keys(self):
         catalog = _catalog()
         explanation = catalog.explain(_query(), analyze=True)

@@ -6,7 +6,7 @@ import math
 import pytest
 
 from repro.obs import MetricsRegistry, RingSeries, SeriesCollector
-from repro.obs.names import SERIES
+from repro.obs.names import SERIES, SeriesSpec, _declare_series
 from repro.obs.series import _bucket_delta_percentile
 
 
@@ -28,6 +28,15 @@ class TestRingSeries:
     def test_capacity_validated(self):
         with pytest.raises(ValueError):
             RingSeries("qps", "rate", capacity=0)
+
+
+class TestDeclarations:
+    def test_undeclared_source_refused(self):
+        for source in ("no_such_total", "no_such_seconds"):
+            with pytest.raises(ValueError, match=source):
+                _declare_series(
+                    SeriesSpec("probe", "rate", "probe", (source,))
+                )
 
 
 class TestCollector:

@@ -682,3 +682,29 @@ class TestServeCommand:
         assert "server stopped" in out
         # A second SIGINT was never needed and nothing tracebacked.
         assert "Traceback" not in err
+
+
+class TestImportCost:
+    def test_cli_import_loads_no_http_server(self):
+        """Only ``repro serve`` needs the HTTP server; importing the CLI
+        must not load it (or the standard library's ``http.server``)."""
+        import os
+        import pathlib
+        import subprocess
+        import sys
+
+        import repro
+
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(pathlib.Path(repro.__file__).parent.parent)
+        probe = (
+            "import sys, repro.cli; "
+            "print(sorted(m for m in ('repro.server', 'http.server') "
+            "if m in sys.modules))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", probe],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
